@@ -52,32 +52,56 @@ def emit_graph(g: LabeledGraph, fmt: str) -> str:
     raise DomainError(f"unknown format {fmt!r}")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    return tuple(int(part) for part in text.split(","))
+# Argument types: a malformed value raises ArgumentTypeError, so argparse
+# exits 2 with a usage message.
 
 
-def _levels(text: str) -> list[int]:
-    out: list[int] = []
-    for part in text.split(","):
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    return out
-
-
-def _game(text: str) -> diffusion.CoordinationGame:
+def _fraction(text: str) -> Fraction:
     try:
-        parts = [Fraction(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise DomainError(f"payoffs must be four numbers a,b,c,d: {exc}") from exc
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"expected a number such as 1/4, got {text!r}") from exc
+
+
+class _CommaList(tuple):
+    """Values parsed from a comma-separated argument; ``text`` keeps the
+    argument as given, which config hashes and manifests record."""
+
+    text = ""
+
+
+def _comma_list(text: str, parse_part, expected: str) -> _CommaList:
+    try:
+        parsed = _CommaList(x for part in text.split(",") for x in parse_part(part))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from exc
+    parsed.text = text
+    return parsed
+
+
+def _int_list(text: str) -> _CommaList:
+    """``1,2,3``; empty for no labels."""
+    return _comma_list(
+        text, lambda part: [int(part)] if text.strip() else [], "integers such as 1,2,3"
+    )
+
+
+def _levels(text: str) -> _CommaList:
+    """``2,3`` or ranges such as ``1-4``."""
+
+    def levels(part: str):
+        lo, sep, hi = part.partition("-")
+        return range(int(lo), int(hi) + 1) if sep else [int(part)]
+
+    return _comma_list(text, levels, "levels such as 2,3 or 1-4")
+
+
+def _payoffs(text: str) -> _CommaList:
+    """Four numbers ``a,b,c,d``."""
+    parts = _comma_list(text, lambda part: [Fraction(part)], "numbers a,b,c,d")
     if len(parts) != 4:
-        raise DomainError(f"payoffs must be a,b,c,d; got {len(parts)} values")
-    a, b, c, d = parts
-    return diffusion.CoordinationGame(a=a, b=b, c=c, d=d)
+        raise argparse.ArgumentTypeError(f"payoffs must be four numbers a,b,c,d, got {text!r}")
+    return parts
 
 
 def _json_dump(payload: object) -> str:
@@ -124,7 +148,7 @@ def _cmd_gen_gnp(args) -> str:
 def _cmd_gen_plant(args) -> str:
     g = load_graph(args.graph)
     pattern = load_graph(args.pattern)
-    planted = experiments.plant_occurrence(g, pattern, _int_list(args.subset))
+    planted = experiments.plant_occurrence(g, pattern, args.subset)
     return emit_graph(planted, args.format)
 
 
@@ -146,7 +170,7 @@ def _cmd_encode_alt(args) -> str:
     side = twopart.SideInfo.for_generator(
         args.gen, g.n, ordered=None if args.ordering == "auto" else args.ordering == "ordered"
     )
-    enc = twopart.encode_two_part(encode(g), _int_list(args.occ), side)
+    enc = twopart.encode_two_part(encode(g), args.occ, side)
     blob = twopart.to_bytes(enc, side)
     Path(args.out).write_bytes(blob)
     args._extra_paths.append(str(args.out))
@@ -172,7 +196,7 @@ def _cmd_decode_alt(args) -> str:
 
 
 def _cmd_closeknit_ratio(args) -> str:
-    report = closeknit.min_ratio(load_graph(args.graph), _int_list(args.group))
+    report = closeknit.min_ratio(load_graph(args.graph), args.group)
     return _json_dump(
         {
             "group": list(report.group),
@@ -199,7 +223,7 @@ def _cmd_closeknit_cert(args) -> str:
 
 def _cmd_closeknit_scan(args) -> str:
     graphs = {
-        level: sierpinski.build(level).graph for level in _levels(args.levels)
+        level: sierpinski.build(level).graph for level in args.levels
     }
     scan = closeknit.family_scan(graphs, args.r, k_cap=args.k_cap)
     return _json_dump(
@@ -306,7 +330,7 @@ def _diffusion_config(args, n: int) -> diffusion.DiffusionConfig:
     horizon = args.horizon if args.horizon else 200 * n
     return diffusion.DiffusionConfig(
         epsilon=args.epsilon,
-        init_adopters=_int_list(args.init),
+        init_adopters=tuple(args.init),
         horizon=horizon,
         seed=args.seed,
         schedule=args.schedule,
@@ -316,7 +340,7 @@ def _diffusion_config(args, n: int) -> diffusion.DiffusionConfig:
 def _cmd_diffuse_run(args) -> str:
     g = load_graph(args.graph)
     config = _diffusion_config(args, g.n)
-    game = _game(args.payoffs)
+    game = diffusion.CoordinationGame(*args.payoffs)
     trace = diffusion.run(g, game, config)
     if args.trace_out:
         lines = ["revision,adopters"]
@@ -337,7 +361,7 @@ def _cmd_diffuse_run(args) -> str:
 def _cmd_diffuse_stats(args) -> str:
     g = load_graph(args.graph)
     config = _diffusion_config(args, g.n)
-    game = _game(args.payoffs)
+    game = diffusion.CoordinationGame(*args.payoffs)
     stats = diffusion.hitting_time_stats(
         g, game, config, args.trials, jobs=args.jobs
     )
@@ -376,11 +400,11 @@ def _cmd_experiment_containment(args) -> str:
 
 def _cmd_experiment_sweep(args) -> str:
     rows = experiments.threshold_sweep(
-        _levels(args.levels), list(_int_list(args.n_values)), args.trials, args.seed
+        list(args.levels), list(args.n_values), args.trials, args.seed
     )
     metadata = {
         "config_hash": _config_hash(
-            {"levels": args.levels, "n_values": args.n_values, "trials": args.trials}
+            {"levels": args.levels.text, "n_values": args.n_values.text, "trials": args.trials}
         ),
         "master_seed": args.seed,
         "version": __version__,
@@ -397,8 +421,8 @@ def _cmd_experiment_link(args) -> str:
         schedule=args.schedule,
     )
     rows = experiments.closeknit_diffusion_link(
-        _levels(args.levels),
-        _game(args.payoffs),
+        list(args.levels),
+        diffusion.CoordinationGame(*args.payoffs),
         config,
         args.trials,
         jobs=args.jobs,
@@ -407,8 +431,8 @@ def _cmd_experiment_link(args) -> str:
     metadata = {
         "config_hash": _config_hash(
             {
-                "levels": args.levels,
-                "payoffs": str(args.payoffs),
+                "levels": args.levels.text,
+                "payoffs": args.payoffs.text,
                 "epsilon": args.epsilon,
                 "trials": args.trials,
             }
@@ -455,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub(gen, "plant", _cmd_gen_plant)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--pattern", required=True)
-    sp.add_argument("--subset", required=True)
+    sp.add_argument("--subset", type=_int_list, required=True)
     sp.add_argument("--format", choices=_FORMATS, default="graph6")
 
     # encode / decode
@@ -467,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = enc.add_parser("alt")
     sp.set_defaults(func=_cmd_encode_alt)
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--occ", required=True)
+    sp.add_argument("--occ", type=_int_list, required=True)
     sp.add_argument("--gen", required=True, help="generator id, e.g. sierpinski:2")
     sp.add_argument(
         "--ordering", choices=("auto", "ordered", "unordered"), default="auto"
@@ -492,14 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp = sub(ck, "ratio", _cmd_closeknit_ratio)
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--group", required=True, help="comma-separated labels")
+    sp.add_argument("--group", type=_int_list, required=True, help="comma-separated labels")
     sp = sub(ck, "cert", _cmd_closeknit_cert)
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--r", type=Fraction, required=True)
+    sp.add_argument("--r", type=_fraction, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp = sub(ck, "scan", _cmd_closeknit_scan)
-    sp.add_argument("--levels", required=True, help="e.g. 1-4 or 2,3")
-    sp.add_argument("--r", type=Fraction, required=True)
+    sp.add_argument("--levels", type=_levels, required=True, help="e.g. 1-4 or 2,3")
+    sp.add_argument("--r", type=_fraction, required=True)
     sp.add_argument("--k-cap", type=int, default=8)
 
     # ramsey
@@ -541,9 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_diffuse_common(sp):
         sp.add_argument("--graph", required=True)
-        sp.add_argument("--payoffs", required=True, help="a,b,c,d")
+        sp.add_argument("--payoffs", type=_payoffs, required=True, help="a,b,c,d")
         sp.add_argument("--epsilon", type=float, default=0.0)
-        sp.add_argument("--init", default="", help="initial adopters, e.g. 1,2,3")
+        sp.add_argument("--init", type=_int_list, default="", help="initial adopters, e.g. 1,2,3")
         sp.add_argument("--horizon", type=int, default=0, help="0 = 200*n")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
@@ -575,13 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=0.5)
     sp.add_argument("--jobs", type=int, default=1)
     sp = sub(ex, "threshold-sweep", _cmd_experiment_sweep)
-    sp.add_argument("--levels", required=True)
-    sp.add_argument("--n-values", required=True, help="comma-separated host sizes")
+    sp.add_argument("--levels", type=_levels, required=True)
+    sp.add_argument("--n-values", type=_int_list, required=True, help="comma-separated host sizes")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp = sub(ex, "link", _cmd_experiment_link)
-    sp.add_argument("--levels", required=True)
-    sp.add_argument("--payoffs", required=True, help="a,b,c,d")
+    sp.add_argument("--levels", type=_levels, required=True)
+    sp.add_argument("--payoffs", type=_payoffs, required=True, help="a,b,c,d")
     sp.add_argument("--epsilon", type=float, default=0.02)
     sp.add_argument("--horizon", type=int, default=0, help="0 = 200*n per level")
     sp.add_argument("--trials", type=int, default=100)
@@ -599,6 +623,8 @@ def _manifest(args, paths: list[str]) -> dict:
     for key, value in sorted(vars(args).items()):
         if key in ("func", "manifest", "_extra_paths") or key.startswith("_"):
             continue
+        if isinstance(value, _CommaList):
+            value = value.text
         params[key] = str(value) if not isinstance(value, (int, float, bool, str, type(None))) else value
     return {
         "subcommand": f"{args.command} {getattr(args, 'subcommand', '')}".strip(),

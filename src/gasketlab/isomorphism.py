@@ -1,14 +1,22 @@
-"""Brute-force isomorphism and automorphism search for small graphs.
+"""Isomorphism and automorphism search for small graphs.
 
-Backtracking over vertex assignments with degree-compatibility pruning;
-complete (no heuristics that can miss), intended for patterns of at most
-~10-16 vertices.
+Both run on the induced-embedding kernel of :mod:`gasketlab.ramsey`: an
+isomorphism is an induced embedding between graphs with equal degree
+multisets.  The search is complete (no heuristics that can miss).  The kernel places twins
+(vertices with one open or one closed neighbourhood) in increasing image
+order, and every permutation inside a twin class is an automorphism, so
+the automorphism count is the number of embeddings found times the product
+of the twin classes' factorials.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from math import factorial, prod
+
 from .errors import DomainError
 from .graphs import LabeledGraph
+from .ramsey import _isomorphisms, _twin_keys
 
 __all__ = ["is_isomorphic", "find_isomorphism", "automorphism_count"]
 
@@ -20,42 +28,8 @@ def find_isomorphism(a: LabeledGraph, b: LabeledGraph) -> tuple[int, ...] | None
 
     Edge-preserving both ways: {i,j} in a  iff  {p(i),p(j)} in b.
     """
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return None
-    if sorted(a.degree_multiset().items()) != sorted(b.degree_multiset().items()):
-        return None
-    n = a.n
-    deg_a = [0] + [a.degree(v) for v in range(1, n + 1)]
-    deg_b = [0] + [b.degree(v) for v in range(1, n + 1)]
-    # assign high-degree vertices first: fail fast
-    order = sorted(range(1, n + 1), key=lambda v: -deg_a[v])
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-
-    def assign(t: int) -> bool:
-        if t == n:
-            return True
-        v = order[t]
-        row = a.adj[v]
-        for w in range(1, n + 1):
-            if used[w] or deg_b[w] != deg_a[v]:
-                continue
-            ok = True
-            for u in order[:t]:
-                if (u in row) != (image[u] in b.adj[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if assign(t + 1):
-                    return True
-                used[w] = False
-                image[v] = 0
-        return False
-
-    if assign(0):
-        return tuple(image[1:])
+    for order, image in _isomorphisms(a, b):
+        return tuple(image[order.index(v)] + 1 for v in a.vertices())
     return None
 
 
@@ -64,41 +38,10 @@ def is_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
 
 
 def automorphism_count(g: LabeledGraph, max_vertices: int = AUT_MAX_VERTICES) -> int:
-    """Order of the automorphism group, by complete backtracking search."""
+    """Order of the automorphism group, by complete search."""
     if g.n > max_vertices:
         raise DomainError(
             f"automorphism search is limited to {max_vertices} vertices, got {g.n}"
         )
-    n = g.n
-    if n == 0:
-        return 1
-    deg = [0] + [g.degree(v) for v in range(1, n + 1)]
-    order = sorted(range(1, n + 1), key=lambda v: -deg[v])
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-    count = 0
-
-    def assign(t: int) -> None:
-        nonlocal count
-        if t == n:
-            count += 1
-            return
-        v = order[t]
-        row = g.adj[v]
-        for w in range(1, n + 1):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in order[:t]:
-                if (u in row) != (image[u] in g.adj[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                assign(t + 1)
-                used[w] = False
-                image[v] = 0
-
-    assign(0)
-    return count
+    twin_orders = prod(factorial(size) for size in Counter(_twin_keys(g)[1:]).values())
+    return sum(1 for _ in _isomorphisms(g, g)) * twin_orders

@@ -1,32 +1,52 @@
 """Induced-pattern search, exhaustive 2-coloring verification, and the
 union/split construction for induced-Ramsey hosts.
 
+Every search runs on one induced-embedding kernel (candidate filtering in
+the style of Ullmann and VF2).  Pattern vertices are placed in a
+connectivity order; the candidates for each position form a host bitmask:
+the vertices of high enough degree, adjacent to the images of the placed
+neighbours, non-adjacent to the images of the placed non-neighbours, and
+not used yet.  Twins of the pattern (vertices with the same open or the
+same closed neighbourhood) are interchangeable, so they are placed in
+increasing image order and each image set is reached once per ordering of
+the other vertices, not once per permutation of the twins.  Occurrence
+search pins the smallest image vertex s, in increasing order, to one
+vertex of each automorphism orbit of the pattern and restricts every
+other position to vertices above s, so the copies come out grouped by
+their smallest vertex and a ``limit`` stops the search early.
+
 A host graph G is *verified* for pattern H when every 2-coloring of E(G)
-contains a monochromatic induced copy of H.  Verification evaluates all
-2^|E| colorings bit-parallel: for each induced copy, the set of colorings
-in which it is monochromatic (its edge set all red, or all blue) is an
-indicator bitset over coloring space, and the host is verified iff the
-union of those bitsets covers everything.  Every coloring is genuinely
-evaluated; on failure the smallest uncovered coloring (edges red on the set
-bits of its index) is returned as the witness.
+contains a monochromatic induced copy of H.  For one copy, the colorings
+in which it is monochromatic (its edge set all red, or all blue) form an
+indicator bitset over coloring space.  Copies are grouped into components,
+two copies being joined when they share an edge, so the coloring space is
+exactly the product of the components' edge colorings and the colorings
+of the edges in no copy, and whether a copy is monochromatic depends only
+on its own component's coordinates.  Each component gets a cover of
+2^|E_c| bits, the union of its copies' bitsets, and the host is verified
+iff some component's cover is full: this decides all 2^|E| colorings
+exactly.  On failure the witness is the smallest uncovered coloring
+(edges red on the set bits of its index): each component's smallest
+uncovered local index deposited on that component's edges, with the free
+edges blue.
 
 The split algorithm recovers, from a disjoint union, the part whose
 components can host a monochromatic induced copy: a component admits such
 a coloring iff it contains an induced copy at all (the one-color coloring
 witnesses the forward direction), which is what the fast mode checks
-directly and the proof-faithful mode confirms by scanning colorings.
+directly and the proof-faithful mode confirms by building the covers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import LabeledGraph, connected_components, disjoint_union, induced_subgraph
-from .isomorphism import find_isomorphism
 from . import sierpinski
 
 __all__ = [
@@ -51,38 +71,184 @@ COLORING_EDGE_BUDGET = 28
 TwoColoring = dict[tuple[int, int], str]
 
 
+# --- the induced-embedding kernel ------------------------------------------
+
+
+def _twin_keys(pattern: LabeledGraph) -> list:
+    """Per vertex (index 0 unused), a key shared exactly by its twins:
+    vertices with one open, or one closed, neighbourhood.  Any permutation
+    of a twin class is an automorphism; an open neighbourhood never equals
+    a closed one, and no vertex has twins of both kinds."""
+    adj = pattern.adj
+    seen = Counter([adj[v] for v in pattern.vertices()])
+    seen.update(adj[v] | {v} for v in pattern.vertices())
+    return [
+        adj[v] if seen[adj[v]] > 1 else adj[v] | {v} if seen[adj[v] | {v}] > 1 else v
+        for v in range(pattern.n + 1)
+    ]
+
+
+def _allowed(g: LabeledGraph, pattern: LabeledGraph, order: list[int]) -> list[int]:
+    """Per position of ``order``, the bitmask of the vertices of g whose
+    degree is at least that of the pattern vertex placed there."""
+    degrees = [len(g.adj[w]) for w in g.vertices()]
+    return [sum(1 << b for b, d in enumerate(degrees) if d >= len(pattern.adj[v])) for v in order]
+
+
+def _plan(pattern: LabeledGraph, root: int | None = None):
+    """(order, steps): the placement order of the pattern vertices and, per
+    position, the earlier positions of its neighbours, of its
+    non-neighbours, and of its latest twin (-1 if none).
+
+    ``root`` (default: a vertex of highest degree) comes first, then always
+    the vertex with the most placed neighbours, ties broken by higher degree
+    and then smaller label.
+    """
+    adj, key = pattern.adj, _twin_keys(pattern)
+    order = [] if root is None else [root]
+    while len(order) < pattern.n:
+        placed = set(order)
+        order.append(
+            min(
+                set(pattern.vertices()) - placed,
+                key=lambda u: (-len(adj[u] & placed), -len(adj[u]), u),
+            )
+        )
+    steps = [
+        (
+            [q for q, u in enumerate(order[:t]) if u in adj[v]],
+            [q for q, u in enumerate(order[:t]) if u not in adj[v]],
+            max([q for q, u in enumerate(order[:t]) if key[u] == key[v]], default=-1),
+        )
+        for t, v in enumerate(order)
+    ]
+    return order, steps
+
+
+def _embeddings(rows: list[int], steps, allowed: list[int]) -> Iterator[list[int]]:
+    """Induced embeddings of a planned pattern into a host, depth first.
+
+    ``rows[b]`` is the neighbour bitmask of host vertex bit b, and
+    ``allowed[t]`` the host bits position t may take.  Each embedding is
+    yielded as the list of host bits by position, in lexicographic order,
+    with twins in increasing order; the list is reused, so copy what you
+    keep.
+    """
+    k = len(steps)
+    if not k:  # the empty pattern embeds once
+        yield []
+        return
+    image = [0] * k
+    pool = [0] * k  # candidates of each position not tried yet
+    pool[0] = allowed[0]
+    used = 0
+    t = 0
+    while t >= 0:
+        c = pool[t]
+        if not c:  # position t is exhausted: back up one position
+            t -= 1
+            if t >= 0:
+                used ^= 1 << image[t]
+            continue
+        low = c & -c
+        pool[t] = c ^ low
+        image[t] = low.bit_length() - 1
+        if t + 1 == k:
+            yield image
+            continue
+        used |= low
+        t += 1
+        adjacent, apart, twin = steps[t]
+        c = allowed[t] & ~used
+        for q in adjacent:
+            c &= rows[image[q]]
+        for q in apart:
+            c &= ~rows[image[q]]
+        if twin >= 0:
+            c &= -2 << image[twin]  # only vertices above the twin's image
+        pool[t] = c
+
+
+def _isomorphisms(a: LabeledGraph, b: LabeledGraph) -> Iterator[tuple[list[int], list[int]]]:
+    """Isomorphisms a -> b with a's twins in increasing image order, as
+    (order, image): image[t] is the 0-based image of vertex order[t], and
+    the list is reused between yields.  Every isomorphism is one of these
+    followed by a permutation inside a's twin classes."""
+    if a.degree_multiset() == b.degree_multiset():
+        order, steps = _plan(a)
+        for image in _embeddings(b.row_masks()[1:], steps, _allowed(b, a, order)):
+            yield order, image
+
+
+def _root_plans(pattern: LabeledGraph) -> list:
+    """The (order, steps) plans rooted at the smallest vertex of each
+    automorphism orbit.
+
+    Twins share an orbit, so only the first vertex v of a twin class can
+    start one.  It joins the orbit of an earlier root r iff an automorphism
+    maps r to one of v's twins: the twin-ordered automorphism that the
+    kernel finds maps r to the smallest image of r's class, which is a twin
+    of v whenever some automorphism maps r to v.
+    """
+    key, rows = _twin_keys(pattern), pattern.row_masks()[1:]
+    plans: list = []
+    for v in pattern.vertices():
+        twins = sum(1 << (u - 1) for u in pattern.vertices() if key[u] == key[v])
+        if twins & ((1 << (v - 1)) - 1):
+            continue  # an earlier twin stands for v
+        for order, steps in plans:
+            allowed = [twins] + _allowed(pattern, pattern, order)[1:]
+            if next(_embeddings(rows, steps, allowed), None) is not None:
+                break  # v is in the orbit of this plan's root
+        else:
+            plans.append(_plan(pattern, v))
+    return plans
+
+
 def find_induced_occurrences(
     g: LabeledGraph, pattern: LabeledGraph, limit: int | None = None
 ) -> list[tuple[int, ...]]:
     """All vertex subsets inducing a graph isomorphic to ``pattern``.
 
-    Complete up to ``limit``, in lexicographic subset order.  Subsets are
-    prefiltered on induced degree multisets before the isomorphism search.
+    Complete up to ``limit`` (at least 1; None for every copy), in
+    lexicographic subset order.  The copies are found grouped by their
+    smallest vertex s, in increasing order: s is pinned to the root of each
+    automorphism orbit of the pattern, every other position is restricted
+    to vertices above s, and image sets are deduplicated.  The search stops
+    after the first group that reaches ``limit``.
     """
     k = pattern.n
     if k > PATTERN_SIZE_MAX:
         raise DomainError(
             f"pattern has {k} vertices; the search is limited to {PATTERN_SIZE_MAX}"
         )
+    if limit is not None and limit < 1:
+        raise DomainError(f"limit must be >= 1 (or omitted for every copy), got {limit}")
     if k > g.n:
         return []
-    target_degs = sorted(
-        d for d, cnt in pattern.degree_multiset().items() for _ in range(cnt)
-    )
-    rows = g.row_masks()
+    if k == 0:
+        return [()]
+    rows = g.row_masks()[1:]
+    plans = [(steps, _allowed(g, pattern, order)) for order, steps in _root_plans(pattern)]
     out: list[tuple[int, ...]] = []
-    for subset in combinations(range(1, g.n + 1), k):
-        submask = 0
-        for v in subset:
-            submask |= 1 << (v - 1)
-        degs = sorted((rows[v] & submask).bit_count() for v in subset)
-        if degs != target_degs:
-            continue
-        if find_isomorphism(induced_subgraph(g, subset), pattern) is not None:
-            out.append(subset)
-            if limit is not None and len(out) >= limit:
-                break
+    for s in range(g.n):
+        above = -2 << s
+        found = set()
+        for steps, allowed in plans:
+            if allowed[0] >> s & 1:
+                pinned = [1 << s] + [mask & above for mask in allowed[1:]]
+                found.update(tuple(sorted(image)) for image in _embeddings(rows, steps, pinned))
+        out.extend(tuple(b + 1 for b in image) for image in sorted(found))
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
     return out
+
+
+def _copy_edges(g: LabeledGraph, subset: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Edges of g inside the sorted ``subset``, in canonical order."""
+    return [
+        (a, b) for t, a in enumerate(subset) for b in subset[t + 1 :] if b in g.adj[a]
+    ]
 
 
 def _validate_coloring(g: LabeledGraph, coloring: TwoColoring) -> TwoColoring:
@@ -112,11 +278,7 @@ def has_mono_induced(
     """
     col = _validate_coloring(g, coloring)
     for subset in find_induced_occurrences(g, pattern):
-        colors = {
-            col[(a, b)]
-            for a, b in combinations(subset, 2)
-            if g.has_edge(a, b)
-        }
+        colors = {col[e] for e in _copy_edges(g, subset)}
         if len(colors) <= 1:  # empty = vacuously monochromatic
             return True
     return False
@@ -131,15 +293,19 @@ class HostCertificate:
     witness: TwoColoring | None  # a coloring with no monochromatic copy
 
 
-def _mono_union(
+def _mono_covers(
     g: LabeledGraph, pattern: LabeledGraph, max_edges: int
-) -> tuple[int, int, list[tuple[int, int]]]:
-    """(U, m, edges): U has bit R set iff coloring R contains a mono copy.
+) -> tuple[list[tuple[int, int]], list[tuple[list[int], int]]]:
+    """(edges, parts): one part per component of copies, two copies being
+    joined when they share an edge.
 
-    Coloring R is the integer whose bit t means edge t is red.  For a copy
-    with edge mask ``mask``, the all-blue colorings are exactly the subsets
-    of the complementary edge set - built by doubling a single bit over the
-    free edges - and the all-red ones are that same set shifted by ``mask``.
+    A part is (positions, cover): the indices in ``edges`` of the
+    component's edges, ascending, and the 2^len(positions)-bit set whose bit
+    r is set iff the local coloring r (bit j red = edge positions[j] red)
+    makes some copy of the component monochromatic.  For a copy with local
+    edge mask ``mask`` the all-blue colorings are exactly the subsets of the
+    complementary edge set - built by doubling a single bit over the free
+    edges - and the all-red ones are that same set shifted by ``mask``.
     """
     edges = list(g.edges())
     m = len(edges)
@@ -149,24 +315,33 @@ def _mono_union(
             f"{max_edges} edges (2^{m} colorings)"
         )
     edge_index = {e: t for t, e in enumerate(edges)}
-    copy_masks = set()
-    for subset in find_induced_occurrences(g, pattern):
-        mask = 0
-        for a, b in combinations(subset, 2):
-            if g.has_edge(a, b):
-                mask |= 1 << edge_index[(a, b)]
-        copy_masks.add(mask)
-    full = (1 << (1 << m)) - 1
-    union = 0
-    for mask in sorted(copy_masks):
-        blue = 1  # indicator of {R : R /\ mask = 0}, grown over free edges
-        for b in range(m):
-            if not (mask >> b & 1):
-                blue |= blue << (1 << b)
-        union |= blue | (blue << mask)
-        if union == full:
-            break
-    return union, m, edges
+    components: list[list] = []  # [edge mask, copy edge masks]
+    for mask in {
+        sum(1 << edge_index[e] for e in _copy_edges(g, subset))
+        for subset in find_induced_occurrences(g, pattern)
+    }:
+        component = [mask, [mask]]
+        for other in [c for c in components if c[0] & mask]:
+            components.remove(other)
+            component[0] |= other[0]
+            component[1] += other[1]
+        components.append(component)
+    parts = []
+    for joined, copies in components:
+        positions = [t for t in range(m) if joined >> t & 1]
+        full = (1 << (1 << len(positions))) - 1
+        cover = 0
+        for copy in copies:
+            mask = sum(1 << j for j, t in enumerate(positions) if copy >> t & 1)
+            blue = 1  # indicator of {r : r /\ mask = 0}, grown over free edges
+            for b in range(len(positions)):
+                if not mask >> b & 1:
+                    blue |= blue << (1 << b)
+            cover |= blue | blue << mask
+            if cover == full:
+                break
+        parts.append((positions, cover))
+    return edges, parts
 
 
 def _coloring_from_index(r: int, edges: list[tuple[int, int]]) -> TwoColoring:
@@ -178,17 +353,24 @@ def is_host(
 ) -> HostCertificate:
     """Verify that every 2-coloring of E(g) has a monochromatic induced copy.
 
-    All 2^|E| colorings are evaluated; a failure returns the smallest
-    uncovered coloring index as witness.
+    The coloring space is decided exactly as the product of the copy
+    components' covers (see the module docstring); ``colorings_checked`` is
+    its size, 2^|E|.  The host is verified iff some component's cover is
+    full.  A failure returns the smallest uncovered coloring index as
+    witness: each component's smallest uncovered local index deposited on
+    its own edges, the edges in no copy blue.
     """
-    union, m, edges = _mono_union(g, pattern, max_edges)
-    full = (1 << (1 << m)) - 1
-    checked = 1 << m
-    if union == full:
-        return HostCertificate(g, pattern, True, checked, None)
-    missing = (~union) & full
-    lowest = (missing & -missing).bit_length() - 1
-    return HostCertificate(g, pattern, False, checked, _coloring_from_index(lowest, edges))
+    edges, parts = _mono_covers(g, pattern, max_edges)
+    checked = 1 << len(edges)
+    witness = 0
+    for positions, cover in parts:
+        if cover == (1 << (1 << len(positions))) - 1:
+            return HostCertificate(g, pattern, True, checked, None)
+        lowest = (cover ^ (cover + 1)).bit_length() - 1  # lowest unset bit
+        for j, t in enumerate(positions):
+            if lowest >> j & 1:
+                witness |= 1 << t
+    return HostCertificate(g, pattern, False, checked, _coloring_from_index(witness, edges))
 
 
 @dataclass(frozen=True)
@@ -273,8 +455,8 @@ def split_union(
                     f"component {component[:4]}... has {comp_graph.edge_count} edges, "
                     f"over the proof-faithful budget {max_edges}; use fast mode"
                 )
-            union, _, _ = _mono_union(comp_graph, pattern, max_edges)
-            hosts_copy = union != 0
+            _, parts = _mono_covers(comp_graph, pattern, max_edges)
+            hosts_copy = any(cover for _, cover in parts)
         (g2 if hosts_copy else g1).extend(component)
     return SplitResult(tuple(sorted(g1)), tuple(sorted(g2)), mode)
 

@@ -368,6 +368,13 @@ def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
 
 
 def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
+    """Inverse of :func:`to_bytes`.
+
+    The header is checked before any big-integer work: the body must hold at
+    least the C(n,2) - C(k,2) residual bits, plus k - 1 ordering bits when
+    ordered (k! >= 2^(k-1)), so the subset and ordering index widths are only
+    computed for sizes the blob can actually encode.
+    """
     if len(blob) < 11:
         raise DomainError("serialized encoding shorter than its fixed header")
     n = int.from_bytes(blob[0:4], "big")
@@ -375,17 +382,27 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
     gid_len = int.from_bytes(blob[8:10], "big")
     if len(blob) < 10 + gid_len + 1:
         raise DomainError("serialized encoding truncated inside the header")
-    generator_id = blob[10 : 10 + gid_len].decode("utf-8")
+    try:
+        generator_id = blob[10 : 10 + gid_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"generator id in the header is not UTF-8: {exc}") from exc
     ordered_byte = blob[10 + gid_len]
     if ordered_byte not in (0, 1):
         raise DomainError(f"ordered flag byte must be 0 or 1, got {ordered_byte}")
     side = SideInfo(n=n, k=k, generator_id=generator_id, ordered=bool(ordered_byte))
     if k < 1 or n < k:
         raise DomainError(f"header sizes invalid: n={n}, k={k}")
-    reader = _BitReader(blob[10 + gid_len + 1 :])
+    body = blob[10 + gid_len + 1 :]
+    residual_bits = comb(n, 2) - comb(k, 2)
+    least_bits = residual_bits + (k - 1 if side.ordered else 0)
+    if 8 * len(body) < least_bits:
+        raise DomainError(
+            f"serialized encoding body has {8 * len(body)} bits; "
+            f"n={n}, k={k} need at least {least_bits}"
+        )
+    reader = _BitReader(body)
     subset_rank = reader.read(subset_index_bits(n, k))
     perm_rank = reader.read(ordering_index_bits(k)) if side.ordered else None
-    residual_bits = comb(n, 2) - comb(k, 2)
     residual = reader.read_bits(residual_bits)
     if reader.remaining >= 8 or reader.read(reader.remaining) != 0:
         raise DomainError("serialized encoding has nonzero or oversized padding")

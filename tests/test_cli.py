@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -197,3 +199,26 @@ def test_gen_formats_and_coords(tmp_path):
     assert payload["1"] == [0, 0] and payload["6"] == [2, 2]
     result = run_cli("gen", "sierpinski", "--level", "2", "--format", "json")
     assert json.loads(result.stdout)["n"] == 6
+
+
+def test_occurrences_limit_below_one_exits_1_naming_it():
+    result = run_cli("ramsey", "occurrences", "--graph", "K5", "--pattern", "K3", "--limit", "0")
+    assert result.returncode == 1
+    assert "limit must be >= 1" in result.stderr and result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (("closeknit", "ratio", "--graph", "S3", "--group", "1,x"), "--group"),
+        (("closeknit", "scan", "--levels", "1-x", "--r", "1/4"), "--levels"),
+        (("diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0"), "--payoffs"),
+        (("diffuse", "run", "--graph", "S2", "--payoffs", "2,1,zero,0"), "--payoffs"),
+        (("closeknit", "cert", "--graph", "S2", "--r", "1/0", "--k", "3"), "--r"),
+    ],
+)
+def test_malformed_list_arguments_are_usage_errors(args, option):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "usage:" in result.stderr and f"argument {option}" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -220,3 +220,17 @@ def test_poly_exp_crossover_levels():
     values = [poly_exp_crossover_level(c) for c in range(1, 11)]
     assert values == [2, 3, 3, 4, 4, 4, 4, 4, 5, 5]
     assert poly_exp_crossover_level(Fraction(5, 2)) == 3
+
+
+@pytest.mark.parametrize("limit", [0, -2])
+def test_find_occurrences_rejects_limit_below_one(limit):
+    with pytest.raises(DomainError, match="limit must be >= 1"):
+        find_induced_occurrences(LabeledGraph.complete(5), K3, limit=limit)
+
+
+def test_find_occurrences_limit_stops_inside_smallest_vertex_groups():
+    k5 = LabeledGraph.complete(5)
+    everything = find_induced_occurrences(k5, K3)
+    assert everything == list(combinations(range(1, 6), 3))
+    for limit in range(1, len(everything) + 2):
+        assert find_induced_occurrences(k5, K3, limit=limit) == everything[:limit]

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -158,3 +162,41 @@ def test_compressor_proxy_is_informational_only():
     assert compressor_proxy(noisy) > compressor_proxy(flat)
     gasket_bits = encode(build(6).graph)
     assert compressor_proxy(gasket_bits) < len(gasket_bits.bits)
+
+
+def _header(n: int, k: int, gid: bytes, ordered: int) -> bytes:
+    sizes = n.to_bytes(4, "big") + k.to_bytes(4, "big") + len(gid).to_bytes(2, "big")
+    return sizes + gid + bytes([ordered])
+
+
+HOSTILE_BLOBS = {
+    # n = 2^32 - 1, k = 2^31: C(n, k) is far too large to compute
+    "huge_sizes": _header(2**32 - 1, 2**31, b"", 1) + bytes(11),
+    # residual 0, but k! would be astronomically large
+    "huge_ordering": _header(2**31, 2**31, b"", 1) + bytes(8),
+    "non_utf8_id": _header(12, 3, b"\xff\xfe", 1) + bytes(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BLOBS))
+def test_from_bytes_rejects_hostile_header_quickly(name):
+    # a subprocess, so that a hang fails the test at the timeout
+    script = (
+        "import sys\n"
+        "from gasketlab import DomainError\n"
+        "from gasketlab.twopart import from_bytes\n"
+        "try:\n"
+        f"    from_bytes({HOSTILE_BLOBS[name]!r})\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert result.returncode == 0, result.stderr
+    expected = "UTF-8" if name == "non_utf8_id" else "need at least"
+    assert expected in result.stdout
