@@ -1,13 +1,15 @@
 """Command-line entry point: every module behind reproducible, scriptable runs.
 
 Exit codes: 0 success, 1 domain error (message names the violated
-precondition), 2 usage error.  All outputs are deterministic functions of
+precondition) or a file that cannot be read or written (message names the
+path), 2 usage error.  All outputs are deterministic functions of
 the arguments; ``--manifest`` records the run so it can be replayed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -314,12 +316,40 @@ def _cmd_ramsey_crossover(args) -> str:
     return _json_dump({"c_d": str(Fraction(args.c_d)), "max_level": level})
 
 
+# Value types of the diffusion config keys.  JSON true/false load as bool,
+# which is an int subclass, so they are rejected separately.
+_CONFIG_TYPES = {
+    "epsilon": ((int, float), "a number"),
+    "horizon": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "schedule": (str, "a string"),
+    "init_adopters": (list, "a list of integers"),
+}
+
+
+def _check_config(payload, path: Path) -> None:
+    if not isinstance(payload, dict):
+        raise DomainError(f"diffusion config {path} must be a JSON object")
+    for key, (types, expected) in _CONFIG_TYPES.items():
+        if key not in payload:
+            continue
+        value = payload[key]
+        ok = isinstance(value, types) and not isinstance(value, bool)
+        if ok and key == "init_adopters":
+            ok = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        if not ok:
+            raise DomainError(
+                f"diffusion config key {key!r} must be {expected}, got {json.dumps(value)}"
+            )
+
+
 def _diffusion_config(args, n: int) -> diffusion.DiffusionConfig:
     if args.config:
         try:
             payload = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read diffusion config {args.config}: {exc}")
+        _check_config(payload, args.config)
         return diffusion.DiffusionConfig(
             epsilon=payload.get("epsilon", 0.0),
             init_adopters=tuple(payload.get("init_adopters", ())),
@@ -446,7 +476,10 @@ def _cmd_experiment_link(args) -> str:
 # --- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="gasketlab",
         description="Sierpinski gasket graphs: codecs, close-knit ratios, "
@@ -636,23 +669,22 @@ def _manifest(args, paths: list[str]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._extra_paths = []
     try:
         text = args.func(args)
-    except DomainError as exc:
+        paths = list(args._extra_paths)
+        out = getattr(args, "out", None)
+        if out:
+            Path(out).write_text(text)
+            paths.append(str(out))
+        else:
+            sys.stdout.write(text)
+        if args.manifest:
+            Path(args.manifest).write_text(_json_dump(_manifest(args, paths)))
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    paths = list(args._extra_paths)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
-        paths.append(str(out))
-    else:
-        sys.stdout.write(text)
-    if args.manifest:
-        Path(args.manifest).write_text(_json_dump(_manifest(args, paths)))
     return 0
 
 

@@ -9,14 +9,16 @@ edges inside S' counted once.  A graph is (r, k)-close-knit when every
 vertex belongs to some group of size <= k whose ratio is at least r.
 
 All ratio arithmetic is exact rational; threshold comparisons (for example
-against 1/2) never touch floating point.
+against 1/2) never touch floating point.  Certification never computes a
+minimum: with r = p/q it only asks whether every slack q d(S', S) - p vol(S')
+is nonnegative, which is integer arithmetic that stops at the first negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import LabeledGraph, as_subset
@@ -84,11 +86,38 @@ def internal_degree(
     return count
 
 
+def _in_group_rows(g: LabeledGraph, group: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Per member of ``group`` in order: its neighbours in the group as a
+    bitmask (bit t <-> member group[t]) and its degree."""
+    index = {v: t for t, v in enumerate(group)}
+    for v in group:
+        row = g.adj[v]
+        mask = 0
+        for u in row:
+            if u in index:
+                mask |= 1 << index[u]
+        yield mask, len(row)
+
+
+def _lex_less(a: int, b: int) -> bool:
+    """Whether subset mask a sorts before mask b as a tuple of members.
+
+    At the lowest differing bit lo, the mask holding lo is smaller unless
+    the other mask ends there (has no bit above lo)."""
+    lo = (a ^ b) & -(a ^ b)
+    return b >= lo if a & lo else a < lo
+
+
 def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
     """Exact minimum of d(S', S) / sum_{i in S'} deg(i) over nonempty S' <= S.
 
-    Enumerates all 2^|S| - 1 subsets; |S| <= 20.  Ties on the minimum are
-    broken by the lexicographically smallest subset.
+    Enumerates all 2^|S| - 1 subsets as bitmasks (|S| <= 20) in one pass.
+    The masks of block t are {t} | rest for every rest below bit t, and
+
+        d(S' + t, S) = d(S', S) + |N(t) & S| - |N(t) & S'|,
+
+    so each mask costs one popcount.  Ties on the minimum are broken by
+    the lexicographically smallest subset, tracked inside the same pass.
     """
     s_tup = _check_group(g, group)
     m = len(s_tup)
@@ -96,46 +125,45 @@ def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
         raise ResourceLimitError(
             f"group size {m} exceeds the exhaustive-enumeration bound {GROUP_SIZE_MAX}"
         )
-    index = {v: t for t, v in enumerate(s_tup)}
-    # per-member data, bit t <-> member s_tup[t]
-    nbr_in_s = [0] * m
-    deg_full = [0] * m
-    for t, v in enumerate(s_tup):
-        deg_full[t] = g.degree(v)
-        mask = 0
-        for u in g.adj[v]:
-            if u in index:
-                mask |= 1 << index[u]
-        nbr_in_s[t] = mask
+    num = [0]  # num[mask] = d(S', S)
+    den = [0]  # den[mask] = sum of degrees over S'
+    best_num, best_den, best = 2, 1, 0  # every ratio is <= 1
+    for t, (nt, deg) in enumerate(_in_group_rows(g, s_tup)):
+        in_s, top = nt.bit_count(), 1 << t
+        for rest in range(top):
+            x = num[rest] + in_s - (nt & rest).bit_count()
+            y = den[rest] + deg
+            num.append(x)
+            den.append(y)
+            cmp = x * best_den - best_num * y
+            if cmp < 0 or (cmp == 0 and _lex_less(top | rest, best)):
+                best_num, best_den, best = x, y, top | rest
+    argmin = tuple(v for t, v in enumerate(s_tup) if best >> t & 1)
+    return GroupReport(group=s_tup, min_ratio=Fraction(best_num, best_den), argmin=argmin)
 
-    size = 1 << m
-    # ns[mask] = sum over members of |N(i) /\ S|; internal[mask] = edges inside S'
-    ns = [0] * size
-    internal = [0] * size
-    degsum = [0] * size
-    best_num, best_den = 1, 1  # ratio starts at 1 (singleton upper bound)
-    for mask in range(1, size):
-        low = mask & -mask
-        t = low.bit_length() - 1
-        rest = mask ^ low
-        ns[mask] = ns[rest] + nbr_in_s[t].bit_count()
-        internal[mask] = internal[rest] + (nbr_in_s[t] & rest).bit_count()
-        degsum[mask] = degsum[rest] + deg_full[t]
-        num = ns[mask] - internal[mask]
-        den = degsum[mask]
-        if num * best_den < best_num * den:
-            best_num, best_den = num, den
-    ratio = Fraction(best_num, best_den)
-    # second pass: lexicographically smallest minimizing subset
-    argmin: tuple[int, ...] | None = None
-    for mask in range(1, size):
-        num = ns[mask] - internal[mask]
-        if num * best_den == best_num * degsum[mask]:
-            subset = tuple(s_tup[t] for t in range(m) if mask >> t & 1)
-            if argmin is None or subset < argmin:
-                argmin = subset
-    assert argmin is not None
-    return GroupReport(group=s_tup, min_ratio=ratio, argmin=argmin)
+
+def _ratio_at_least(g: LabeledGraph, group: tuple[int, ...], r: Fraction) -> bool:
+    """Whether min_ratio(g, group) >= r, for a valid sorted group.
+
+    With r = p/q, tracks slack(S') = q d(S', S) - p vol(S') over the same
+    blocks as ``min_ratio`` and answers False at the first negative slack;
+    the singletons are checked first.  Integer arithmetic only.
+    """
+    p, q = r.numerator, r.denominator
+    nbr, gains = [], []
+    for nt, deg in _in_group_rows(g, group):
+        gain = q * nt.bit_count() - p * deg  # slack of the singleton
+        if gain < 0:
+            return False
+        nbr.append(nt)
+        gains.append(gain)
+    slack = [0]
+    for nt, gain in zip(nbr, gains):
+        block = [slack[rest] + gain - q * (nt & rest).bit_count() for rest in range(len(slack))]
+        if min(block) < 0:
+            return False
+        slack += block
+    return True
 
 
 def _connected_groups_from(
@@ -188,7 +216,8 @@ def is_rk_closeknit(
     (declared search scope; a qualifying group found for one vertex is
     reused as the witness for all its members).  Vertices are processed in
     label order and candidates in enumeration order, so the witness map is
-    deterministic.
+    deterministic.  Each candidate is tested for ratio >= r by integer slack
+    with an early exit (``_ratio_at_least``), not by computing its minimum.
     """
     if k < 1 or k > GROUP_SIZE_MAX:
         raise DomainError(f"group-size bound k must be in 1..{GROUP_SIZE_MAX}, got {k}")
@@ -206,7 +235,7 @@ def is_rk_closeknit(
         found = None
         for group in _connected_groups_from(g, v, k, groups_cap):
             examined += 1
-            if min_ratio(g, group).min_ratio >= r:
+            if _ratio_at_least(g, group, r):
                 found = group
                 break
         if found is None:

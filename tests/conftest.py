@@ -6,7 +6,8 @@ checks go through networkx, so frozen expected values never depend on the
 implementation they test.  The slow paths that the induced-embedding kernel
 and the factored coloring cover replaced are kept here as oracles: the
 scan over all C(n,k) subsets with a backtracking isomorphism test, the
-backtracking automorphism count, and the single 2^|E|-bit cover.
+backtracking automorphism count, the single 2^|E|-bit cover, and
+certification by computing each candidate group's exact minimum ratio.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ import networkx as nx
 import pytest
 
 from gasketlab import LabeledGraph, induced_subgraph
+from gasketlab.closeknit import CloseKnitResult, _connected_groups_from, min_ratio
 
 
 def to_nx(g: LabeledGraph) -> nx.Graph:
@@ -48,6 +50,25 @@ def oracle_min_ratio(g: LabeledGraph, group) -> tuple[Fraction, tuple[int, ...]]
             if best is None or ratio < best or (ratio == best and sp < arg):
                 best, arg = ratio, sp
     return best, arg
+
+
+def oracle_is_rk_closeknit(g: LabeledGraph, r: Fraction, k: int) -> CloseKnitResult:
+    """The per-vertex candidate loop, deciding each group by its exact
+    ``min_ratio(...).min_ratio >= r``."""
+    witness: dict[int, tuple[int, ...]] = {}
+    examined = 0
+    for v in g.vertices():
+        if v in witness:
+            continue
+        for group in _connected_groups_from(g, v, k, 10**6):
+            examined += 1
+            if min_ratio(g, group).min_ratio >= r:
+                break
+        else:
+            return CloseKnitResult(r, k, False, None, v, examined)
+        for u in group:
+            witness.setdefault(u, group)
+    return CloseKnitResult(r, k, True, witness, None, examined)
 
 
 def oracle_find_isomorphism(a: LabeledGraph, b: LabeledGraph):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from gasketlab import cli
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -221,4 +223,92 @@ def test_malformed_list_arguments_are_usage_errors(args, option):
     result = run_cli(*args)
     assert result.returncode == 2
     assert "usage:" in result.stderr and f"argument {option}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+# In-process calls of ``cli.main``: the parser is built once per process and
+# reused, so these also check that one call leaves nothing behind for the next.
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "closeknit_stdout.jsonl"
+
+
+def run_main(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_closeknit_stdout_matches_frozen_golden(capsys):
+    """``closeknit cert`` (S3-S5, r = 1/3, 2/5, 1/2, k = 6, 8) and ``closeknit
+    scan --levels 1-4 --r 1/4`` stdout, witnesses and groups_examined
+    included, byte for byte as frozen from the exact-minimum certifier."""
+    cases = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert len(cases) == 19
+    for case in cases:
+        assert run_main(case["argv"], capsys) == (0, case["stdout"], ""), case["argv"]
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys):
+    argvs = [
+        ["closeknit", "ratio", "--graph", "S3", "--group", "2,4,5"],
+        ["diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0,0", "--init", "1,2,3",
+         "--schedule", "round-robin", "--horizon", "12", "--manifest", str(tmp_path / "m1.json")],
+        ["closeknit", "cert", "--graph", "S2", "--r", "1/2", "--k", "3"],
+        ["closeknit", "ratio", "--graph", "S3", "--group", "1,x"],
+        ["diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0,0", "--horizon", "12",
+         "--manifest", str(tmp_path / "m2.json")],
+        ["gen", "sierpinski", "--level", "2", "--format", "json"],
+        ["ramsey", "occurrences", "--graph", "K5", "--pattern", "K3", "--limit", "2"],
+    ]
+
+    def run_all(fresh: bool):
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            result = run_main(argv, capsys)
+            results.append((result, [p.read_text() for p in sorted(tmp_path.glob("m*.json"))]))
+        for p in tmp_path.glob("m*.json"):
+            p.unlink()
+        return results
+
+    fresh = run_all(fresh=True)
+    cli.build_parser.cache_clear()
+    reused = run_all(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for (code, _, _), _ in fresh] == [0, 0, 0, 2, 0, 0, 0]
+    assert reused == fresh
+
+
+@pytest.mark.parametrize(
+    "payload,key",
+    [
+        ({"epsilon": "x"}, "epsilon"),
+        ({"epsilon": True}, "epsilon"),
+        ({"horizon": 1.5}, "horizon"),
+        ({"seed": "3"}, "seed"),
+        ({"init_adopters": [1, "2"]}, "init_adopters"),
+        ({"init_adopters": 3}, "init_adopters"),
+        ({"schedule": 1}, "schedule"),
+        ([1, 2], "JSON object"),
+    ],
+)
+def test_diffuse_config_type_errors_exit_1_naming_the_key(tmp_path, capsys, payload, key):
+    config = tmp_path / "diffusion.json"
+    config.write_text(json.dumps(payload))
+    argv = ["diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0,0", "--config", str(config)]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: diffusion config") and key in err
+
+
+@pytest.mark.parametrize("option", ["--out", "--manifest"])
+def test_unwritable_output_path_exits_1_naming_it(tmp_path, option):
+    target = tmp_path / "missing" / "x.json"
+    result = run_cli("closeknit", "ratio", "--graph", "S3", "--group", "1,2,3", option, str(target))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and str(target) in result.stderr
     assert "Traceback" not in result.stderr

@@ -15,6 +15,7 @@ from gasketlab import (
 )
 from gasketlab.closeknit import (
     _connected_groups_from,
+    _ratio_at_least,
     family_scan,
     internal_degree,
     is_rk_closeknit,
@@ -22,7 +23,7 @@ from gasketlab.closeknit import (
 )
 from gasketlab.sierpinski import build
 
-from conftest import oracle_min_ratio
+from conftest import oracle_is_rk_closeknit, oracle_min_ratio
 
 
 def test_internal_degree_cases(k3):
@@ -69,6 +70,70 @@ def test_min_ratio_matches_brute_force_oracle(n, seed, data):
     report = min_ratio(g, group)
     assert report.min_ratio == expected_ratio
     assert report.argmin == expected_argmin
+
+
+def _graph(kind: str, n: int, seed: int) -> LabeledGraph:
+    """Complete graphs, cycles, and v ~ v+2 (mod n) cycles, which for even n
+    are two interleaved cycles, give many tied subset ratios."""
+    if kind == "complete":
+        return LabeledGraph.complete(n)
+    if kind in ("cycle", "step2"):
+        step = 1 if kind == "cycle" else 2
+        pairs = {tuple(sorted((v, (v + step - 1) % n + 1))) for v in range(1, n + 1)}
+        return LabeledGraph.from_edges(n, sorted(pairs))
+    return gnp_sample(n, 0.6, seed)
+
+
+TIE_HEAVY = ["complete", "cycle", "step2"]
+
+
+def _draw_group(g: LabeledGraph, data) -> tuple[int, ...] | None:
+    """The whole vertex set (where disjoint parts tie) or a random subset."""
+    every = frozenset(range(1, g.n + 1))
+    members = data.draw(st.one_of(st.just(every), st.sets(st.integers(1, g.n), min_size=1)))
+    group = tuple(sorted(members))
+    return None if any(g.degree(v) == 0 for v in group) else group
+
+
+@given(st.sampled_from(TIE_HEAVY), st.integers(3, 10), st.data())
+@settings(max_examples=80, deadline=None)
+def test_min_ratio_and_argmin_match_oracle_with_ties(kind, n, data):
+    g = _graph(kind, n, 0)
+    group = _draw_group(g, data)
+    report = min_ratio(g, group)
+    assert (report.min_ratio, report.argmin) == oracle_min_ratio(g, group)
+
+
+def test_min_ratio_breaks_ties_lexicographically_not_by_mask_order():
+    # two disjoint edges: {1, 3}, {2, 4} and {1, 2, 3, 4} all have ratio 1/2
+    g = LabeledGraph.from_edges(4, [(1, 3), (2, 4)])
+    report = min_ratio(g, (1, 2, 3, 4))
+    assert (report.min_ratio, report.argmin) == (Fraction(1, 2), (1, 2, 3, 4))
+
+
+@given(
+    st.sampled_from(TIE_HEAVY + ["gnp"]), st.integers(3, 10), st.integers(0, 10**6),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_ratio_at_least_matches_exact_minimum(kind, n, seed, data):
+    g = _graph(kind, n, seed)
+    group = _draw_group(g, data)
+    if group is None:
+        return
+    exact, _ = oracle_min_ratio(g, group)
+    eps = Fraction(1, 1000)
+    knife_edge = [exact, exact - eps, exact + eps, Fraction(0), Fraction(-1, 3), Fraction(3, 2)]
+    for r in knife_edge + [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)]:
+        assert _ratio_at_least(g, group, r) == (exact >= r), r
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_certification_matches_exact_ratio_oracle(level):
+    g = build(level).graph
+    for r in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
+        for k in (3, 6, 8):
+            assert is_rk_closeknit(g, r, k) == oracle_is_rk_closeknit(g, r, k), (r, k)
 
 
 def test_min_ratio_of_whole_connected_graph_is_half():
