@@ -312,8 +312,8 @@ def _cmd_ramsey_bounds(args) -> str:
 
 
 def _cmd_ramsey_crossover(args) -> str:
-    level = ramsey.poly_exp_crossover_level(Fraction(args.c_d))
-    return _json_dump({"c_d": str(Fraction(args.c_d)), "max_level": level})
+    level = ramsey.poly_exp_crossover_level(args.c_d)
+    return _json_dump({"c_d": str(args.c_d), "max_level": level})
 
 
 # Value types of the diffusion config keys.  JSON true/false load as bool,
@@ -392,9 +392,7 @@ def _cmd_diffuse_stats(args) -> str:
     g = load_graph(args.graph)
     config = _diffusion_config(args, g.n)
     game = diffusion.CoordinationGame(*args.payoffs)
-    stats = diffusion.hitting_time_stats(
-        g, game, config, args.trials, jobs=args.jobs
-    )
+    stats = diffusion.hitting_time_stats(g, game, config, args.trials)
     return _json_dump(
         {
             "n": g.n,
@@ -414,7 +412,6 @@ def _cmd_experiment_containment(args) -> str:
         args.trials,
         args.seed,
         p=args.p,
-        jobs=args.jobs,
     )
     return _json_dump(
         {
@@ -455,7 +452,6 @@ def _cmd_experiment_link(args) -> str:
         diffusion.CoordinationGame(*args.payoffs),
         config,
         args.trials,
-        jobs=args.jobs,
         auto_horizon=not args.horizon,
     )
     metadata = {
@@ -589,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--c-d", type=float, default=3.0)
     sp = sub(rm, "crossover", _cmd_ramsey_crossover)
-    sp.add_argument("--c-d", required=True)
+    sp.add_argument("--c-d", type=_fraction, required=True)
 
     # diffuse
     df = top.add_parser("diffuse", help="adoption dynamics").add_subparsers(
@@ -618,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub(df, "stats", _cmd_diffuse_stats)
     add_diffuse_common(sp)
     sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="ignored; trials run in order")
 
     # experiment
     ex = top.add_parser("experiment", help="sampling experiments and sweeps").add_subparsers(
@@ -630,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="ignored; trials run in order")
     sp = sub(ex, "threshold-sweep", _cmd_experiment_sweep)
     sp.add_argument("--levels", type=_levels, required=True)
     sp.add_argument("--n-values", type=_int_list, required=True, help="comma-separated host sizes")
@@ -646,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--schedule", choices=("uniform-random", "round-robin"), default="uniform-random"
     )
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="ignored; trials run in order")
 
     return parser
 

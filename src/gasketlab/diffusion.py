@@ -14,13 +14,16 @@ are deterministic.
 
 This is a deliberate reduction of adaptive-play dynamics to asynchronous
 myopic best response; the adoption threshold is the single constant that
-couples the game to close-knit structure.
+couples the game to close-knit structure.  ``revise`` and ``run`` share one
+revision step, so a chain of ``revise`` calls on one word stream replays
+``run``.  ``hitting_time_stats`` runs its trials in order in the calling
+thread: the simulation is pure Python, so threads would add no speed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from statistics import median
 
@@ -95,9 +98,21 @@ class DiffusionState:
         return "A" if v in self.adopters else "B"
 
 
-def _best_response_is_a(
-    g: LabeledGraph, adopters: frozenset[int] | set[int], v: int, r_star: Fraction
+def _plays_a(
+    g: LabeledGraph,
+    adopters: frozenset[int] | set[int],
+    v: int,
+    r_star: Fraction,
+    epsilon: float,
+    stream: WordStream,
 ) -> bool:
+    """The strategy vertex v picks in one revision: True for A.
+
+    Draws one noise coin iff epsilon > 0 and one strategy coin iff the noise
+    fires; otherwise v best responds exactly, ties to A.
+    """
+    if epsilon > 0.0 and stream.uniform() < epsilon:
+        return bool(stream.next_word() & 1)
     nbrs = g.adj[v]
     deg = len(nbrs)
     if deg == 0:
@@ -127,14 +142,8 @@ def revise(
         raise DomainError(f"vertex {v} out of range 1..{g.n}")
     if stream is None:
         stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
-    r_star = risk_threshold(game)
-    noisy = config.epsilon > 0.0 and stream.uniform() < config.epsilon
-    if noisy:
-        plays_a = bool(stream.next_word() & 1)
-    else:
-        plays_a = _best_response_is_a(g, state.adopters, v, r_star)
     adopters = set(state.adopters)
-    if plays_a:
+    if _plays_a(g, state.adopters, v, risk_threshold(game), config.epsilon, stream):
         adopters.add(v)
     else:
         adopters.discard(v)
@@ -181,12 +190,7 @@ def run(
         if hit is not None and stop_at_all_a:
             break
         v = ((t - 1) % n) + 1 if round_robin else stream.index(n) + 1
-        noisy = epsilon > 0.0 and stream.uniform() < epsilon
-        if noisy:
-            plays_a = bool(stream.next_word() & 1)
-        else:
-            plays_a = _best_response_is_a(g, adopters, v, r_star)
-        if plays_a:
+        if _plays_a(g, adopters, v, r_star, epsilon, stream):
             adopters.add(v)
         else:
             adopters.discard(v)
@@ -211,38 +215,23 @@ def hitting_time_stats(
     config: DiffusionConfig,
     trials: int,
     adoption_fraction: float = 0.99,
-    jobs: int = 1,
 ) -> HittingStats:
     """Per-trial hitting times to >= ``adoption_fraction`` adoption.
 
-    Trial i runs with seed derive_seed(config.seed, "trial", i); statistics
-    are exact over the produced samples and independent of ``jobs``.
+    Trial i runs with seed derive_seed(config.seed, "trial", i); the trials
+    run in order and the statistics are exact over the produced samples.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if not 0 < adoption_fraction <= 1:
+        raise DomainError(f"adoption_fraction must be in (0, 1], got {adoption_fraction}")
     target = math.ceil(Fraction(adoption_fraction) * g.n)
-
-    def one_trial(i: int) -> int | None:
-        trial_config = DiffusionConfig(
-            epsilon=config.epsilon,
-            init_adopters=config.init_adopters,
-            horizon=config.horizon,
-            seed=derive_seed(config.seed, "trial", i),
-            schedule=config.schedule,
-        )
-        trace = run(g, game, trial_config, stop_at_all_a=False)
-        for t, count in enumerate(trace.adoption_counts):
-            if count >= target:
-                return t
-        return None
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = tuple(pool.map(one_trial, range(trials)))
-    else:
-        hits = tuple(one_trial(i) for i in range(trials))
+    seeds = (derive_seed(config.seed, "trial", i) for i in range(trials))
+    traces = (run(g, game, replace(config, seed=s), stop_at_all_a=False) for s in seeds)
+    hits = tuple(
+        next((t for t, count in enumerate(trace.adoption_counts) if count >= target), None)
+        for trace in traces
+    )
     successes = sorted(h for h in hits if h is not None)
     rate = len(successes) / trials
     if not successes:

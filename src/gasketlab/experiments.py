@@ -5,7 +5,8 @@ Sampling fixes p = 1/2 by default: the uniform distribution over C(n,2)-bit
 strings is exactly G(n, 1/2), which is the ensemble the incompressibility
 accounting speaks about.  Other p values are supported but flagged as
 outside that model.  Every cell of every table derives its own seed from
-the master seed, so rows reproduce in isolation.
+the master seed, so rows reproduce in isolation.  Trials run in order in
+the calling thread; trial i's seed depends only on the master seed and i.
 """
 
 from __future__ import annotations
@@ -122,26 +123,16 @@ def containment_experiment(
     trials: int,
     seed: int,
     p: float = 0.5,
-    jobs: int = 1,
 ) -> ContainmentResult:
     """Sample mean of induced-isomorphic-copy counts and containment rate.
 
-    Trial i samples G(n, p) with seed derive_seed(seed, "trial", i).
+    Trial i samples G(n, p) with seed derive_seed(seed, "trial", i); the
+    trials run in order.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-
-    def one_trial(i: int) -> int:
-        g = gnp_sample(n, p, derive_seed(seed, "trial", i))
-        return len(ramsey.find_induced_occurrences(g, pattern))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(one_trial, range(trials)))
-    else:
-        counts = [one_trial(i) for i in range(trials)]
+    samples = (gnp_sample(n, p, derive_seed(seed, "trial", i)) for i in range(trials))
+    counts = [len(ramsey.find_induced_occurrences(g, pattern)) for g in samples]
     return ContainmentResult(
         n=n,
         pattern_size=pattern.n,
@@ -204,7 +195,6 @@ def closeknit_diffusion_link(
     config: diffusion.DiffusionConfig,
     trials: int,
     k_cap: int = 8,
-    jobs: int = 1,
     auto_horizon: bool = True,
 ) -> list[dict[str, object]]:
     """Per gasket level: adoption threshold, minimal close-knit k at that
@@ -230,9 +220,7 @@ def closeknit_diffusion_link(
             seed=derive_seed(config.seed, "link", level),
             schedule=config.schedule,
         )
-        stats = diffusion.hitting_time_stats(
-            gasket.graph, game, level_config, trials, jobs=jobs
-        )
+        stats = diffusion.hitting_time_stats(gasket.graph, game, level_config, trials)
         rows.append(
             {
                 "level": level,

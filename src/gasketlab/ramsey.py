@@ -484,8 +484,8 @@ class BoundsReport:
 
 
 def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
-    if c <= 0 or c_d <= 0:
-        raise DomainError(f"constants must be positive, got c={c}, c_d={c_d}")
+    if not (0 < c < math.inf and 0 < c_d < math.inf):
+        raise DomainError(f"constants must be positive and finite, got c={c}, c_d={c_d}")
     k = pattern.n
     delta = max((pattern.degree(v) for v in pattern.vertices()), default=0)
     exponent = c * delta * math.log2(delta) if delta >= 2 else 0.0
@@ -530,8 +530,8 @@ def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
         if rhs_bits > lhs_bits_cap:
             if rhs_bits > 2 * lhs_bits_cap:
                 return best  # margin persists for all larger levels
-        elif k ** (2 * p) >= 1 << rhs_bits:
-            best = level
+        elif rhs_bits <= lhs_bits_cap - 2 * p or k ** (2 * p) >= 1 << rhs_bits:
+            best = level  # k^(2p) >= 2^(2p (bitlen(k) - 1)) decides without the power
         level += 1
         if level > 1000:  # unreachable for positive c_d; guards the loop
             return best

@@ -6,8 +6,9 @@ checks go through networkx, so frozen expected values never depend on the
 implementation they test.  The slow paths that the induced-embedding kernel
 and the factored coloring cover replaced are kept here as oracles: the
 scan over all C(n,k) subsets with a backtracking isomorphism test, the
-backtracking automorphism count, the single 2^|E|-bit cover, and
-certification by computing each candidate group's exact minimum ratio.
+backtracking automorphism count, the single 2^|E|-bit cover,
+certification by computing each candidate group's exact minimum ratio, and
+the crossover scan that decides every undecided level by the exact power.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from gasketlab import LabeledGraph, induced_subgraph
+from gasketlab import LabeledGraph, induced_subgraph, sierpinski
 from gasketlab.closeknit import CloseKnitResult, _connected_groups_from, min_ratio
 
 
@@ -177,6 +178,28 @@ def oracle_is_host(g: LabeledGraph, pattern: LabeledGraph):
     lowest = (missing & -missing).bit_length() - 1
     witness = {e: ("red" if lowest >> t & 1 else "blue") for t, e in enumerate(edges)}
     return False, 1 << m, witness
+
+
+def oracle_poly_exp_crossover_level(c_d) -> int | None:
+    """Largest level with k^(2p) >= 2^(q(k-1)) for c_d = p/q; a level is
+    skipped only when 2^(q(k-1)) exceeds the upper bound 2^(2p bitlen(k)),
+    and every other level computes the power."""
+    frac = Fraction(c_d)
+    p, q = frac.numerator, frac.denominator
+    best = None
+    level = 1
+    while True:
+        k = sierpinski.vertex_count(level)
+        rhs_bits = q * (k - 1)
+        lhs_bits_cap = 2 * p * k.bit_length()
+        if rhs_bits > lhs_bits_cap:
+            if rhs_bits > 2 * lhs_bits_cap:
+                return best
+        elif k ** (2 * p) >= 1 << rhs_bits:
+            best = level
+        level += 1
+        if level > 1000:
+            return best
 
 
 @pytest.fixture

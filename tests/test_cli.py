@@ -217,6 +217,8 @@ def test_occurrences_limit_below_one_exits_1_naming_it():
         (("diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0"), "--payoffs"),
         (("diffuse", "run", "--graph", "S2", "--payoffs", "2,1,zero,0"), "--payoffs"),
         (("closeknit", "cert", "--graph", "S2", "--r", "1/0", "--k", "3"), "--r"),
+        (("ramsey", "crossover", "--c-d", "x"), "--c-d"),
+        (("ramsey", "crossover", "--c-d", "1/0"), "--c-d"),
     ],
 )
 def test_malformed_list_arguments_are_usage_errors(args, option):

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from statistics import median
 
 import pytest
 
@@ -12,6 +14,7 @@ from gasketlab.diffusion import (
     risk_threshold,
     run,
 )
+from gasketlab.rng import WordStream, derive_seed
 from gasketlab.sierpinski import build, elementary_triangles, subgaskets
 
 GAME_THIRD = CoordinationGame(a=2, b=1, c=0, d=0)
@@ -168,9 +171,56 @@ def test_hitting_time_stats_success_and_failure():
     assert stats.success_rate == 1.0
 
 
-def test_hitting_time_stats_independent_of_jobs():
+def test_hitting_time_stats_follows_the_per_trial_seed_contract():
+    """Trial i is run() with seed derive_seed(seed, "trial", i), and its hit
+    time is the first revision at which the adoption count reaches the
+    target."""
     s3 = build(3).graph
     config = DiffusionConfig(epsilon=0.02, init_adopters=(1, 2, 3), horizon=600, seed=77)
-    serial = hitting_time_stats(s3, GAME_THIRD, config, trials=20, jobs=1)
-    threaded = hitting_time_stats(s3, GAME_THIRD, config, trials=20, jobs=4)
-    assert serial == threaded
+    stats = hitting_time_stats(s3, GAME_THIRD, config, trials=20)
+    target = math.ceil(0.99 * s3.n)
+    expected = []
+    for i in range(20):
+        trial = DiffusionConfig(
+            epsilon=0.02, init_adopters=(1, 2, 3), horizon=600,
+            seed=derive_seed(77, "trial", i),
+        )
+        counts = run(s3, GAME_THIRD, trial, stop_at_all_a=False).adoption_counts
+        expected.append(next((t for t, c in enumerate(counts) if c >= target), None))
+    assert None in expected and any(h is not None for h in expected)
+    assert stats.hit_times == tuple(expected)
+    successes = [h for h in expected if h is not None]
+    assert stats.success_rate == len(successes) / 20
+    assert stats.median_hit == median(successes)
+
+
+@pytest.mark.parametrize("fraction", [math.nan, math.inf, 0.0, -0.5, 1.5])
+def test_hitting_time_stats_rejects_adoption_fraction_outside_unit_interval(fraction):
+    config = DiffusionConfig(init_adopters=(1, 2, 3), horizon=10, seed=0)
+    with pytest.raises(DomainError, match="adoption_fraction"):
+        hitting_time_stats(build(2).graph, GAME_THIRD, config, trials=2, adoption_fraction=fraction)
+
+
+@pytest.mark.parametrize("schedule", ["round-robin", "uniform-random"])
+def test_chained_revise_replays_run(schedule):
+    """revise() over one shared word stream, with the vertex schedule drawn
+    by the caller, reproduces run()'s trajectory with noise on."""
+    s3 = build(3).graph
+    config = DiffusionConfig(
+        epsilon=0.1, init_adopters=(1, 2, 3), horizon=500, seed=41, schedule=schedule
+    )
+    trace = run(s3, GAME_THIRD, config, stop_at_all_a=False)
+    stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
+    state = DiffusionState(frozenset(config.init_adopters))
+    counts = [len(state.adopters)]
+    for t in range(1, config.horizon + 1):
+        if schedule == "round-robin":
+            v = ((t - 1) % s3.n) + 1
+        else:
+            v = stream.index(s3.n) + 1
+        state = revise(state, v, s3, GAME_THIRD, config, stream)
+        counts.append(len(state.adopters))
+    assert len(set(counts)) > 2  # the noise moves the trajectory around
+    assert tuple(counts) == trace.adoption_counts
+    assert tuple(sorted(state.adopters)) == trace.final_adopters
+    assert state.t == config.horizon

@@ -20,6 +20,7 @@ from gasketlab.experiments import (
     threshold_sweep,
 )
 from gasketlab.ramsey import find_induced_occurrences
+from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build
 from gasketlab.twopart import SideInfo, decode_two_part, encode_two_part
 
@@ -80,8 +81,18 @@ def test_containment_experiment_deterministic_and_calibrated():
     again = containment_experiment(10, K3, trials=300, seed=2026)
     assert result == again
     assert abs(result.mean_count - 15) / 15 < 0.10
-    assert containment_experiment(10, K3, trials=50, seed=2026, jobs=3) == \
-        containment_experiment(10, K3, trials=50, seed=2026, jobs=1)
+
+
+def test_containment_experiment_follows_the_per_trial_seed_contract():
+    """Trial i counts the induced copies in G(n, p) sampled with seed
+    derive_seed(seed, "trial", i)."""
+    counts = [
+        len(find_induced_occurrences(gnp_sample(10, 0.5, derive_seed(2026, "trial", i)), K3))
+        for i in range(50)
+    ]
+    result = containment_experiment(10, K3, trials=50, seed=2026)
+    assert result.mean_count == sum(counts) / 50
+    assert result.containment_frequency == sum(1 for c in counts if c > 0) / 50
 
 
 def test_containment_below_pattern_size_is_rare():

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -25,7 +27,7 @@ from gasketlab.ramsey import (
 from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build, subgaskets
 
-from conftest import nx_isomorphic
+from conftest import nx_isomorphic, oracle_poly_exp_crossover_level
 
 
 K3 = LabeledGraph.complete(3)
@@ -212,6 +214,11 @@ def test_bounds_report_values():
     assert report.chvatal == pytest.approx(6 * 2 ** (4 * 2.0))
     with pytest.raises(DomainError, match="positive"):
         bounds_report(s2, c=0.0, c_d=3.0)
+    for c, c_d in [
+        (math.nan, 3.0), (math.inf, 3.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ]:
+        with pytest.raises(DomainError, match="finite"):
+            bounds_report(s2, c=c, c_d=c_d)
 
 
 def test_poly_exp_crossover_levels():
@@ -220,6 +227,23 @@ def test_poly_exp_crossover_levels():
     values = [poly_exp_crossover_level(c) for c in range(1, 11)]
     assert values == [2, 3, 3, 4, 4, 4, 4, 4, 5, 5]
     assert poly_exp_crossover_level(Fraction(5, 2)) == 3
+
+
+def test_poly_exp_crossover_matches_the_exact_power_scan():
+    """The bit-length shortcut answers as the scan that computes every
+    undecided power, on every fraction a/b with a < 200 and b < 12."""
+    for b in range(1, 12):
+        for a in range(1, 200):
+            c_d = Fraction(a, b)
+            assert poly_exp_crossover_level(c_d) == oracle_poly_exp_crossover_level(c_d), c_d
+
+
+@pytest.mark.parametrize("c_d", [10**6, 10**9, Fraction(10**6, 7)])
+def test_poly_exp_crossover_large_constants_return_quickly(c_d):
+    start = time.perf_counter()
+    level = poly_exp_crossover_level(c_d)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(level, int)
 
 
 @pytest.mark.parametrize("limit", [0, -2])
