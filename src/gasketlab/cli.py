@@ -27,6 +27,13 @@ _FORMATS = ("graph6", "json", "dot")
 # --- input parsing -------------------------------------------------------
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{str(path)!r} is not UTF-8 text: {exc}") from exc
+
+
 def load_graph(source: str) -> LabeledGraph:
     """A named shorthand (K6, S3, P3, C5, E2) or a .g6 / .json file path."""
     try:
@@ -38,7 +45,7 @@ def load_graph(source: str) -> LabeledGraph:
         raise DomainError(
             f"{source!r} is neither a known graph name nor an existing file"
         )
-    text = path.read_text().strip()
+    text = _read_text(path).strip()
     if text.startswith("{"):
         return io.from_json_edges(text)
     return io.from_graph6(text)
@@ -163,7 +170,7 @@ def _cmd_decode_canonical(args) -> str:
         is_file = Path(args.bits).exists()
     except OSError:
         is_file = False
-    text = Path(args.bits).read_text().strip() if is_file else args.bits
+    text = _read_text(Path(args.bits)).strip() if is_file else args.bits
     return emit_graph(decode(text, args.n), args.format)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import closeknit, diffusion, ramsey, sierpinski, twopart
 from .errors import DomainError, ResourceLimitError
-from .graphs import LabeledGraph, as_subset, gnp_sample
+from .graphs import LabeledGraph, _from_neighbours, as_subset, gnp_sample
 from .isomorphism import automorphism_count as aut_count
 from .rng import derive_seed
 
@@ -77,13 +77,13 @@ def plant_occurrence(
         raise DomainError(
             f"subset size {len(sub)} must equal pattern size {pattern.n}"
         )
-    sub_set = set(sub)
-    edges = [
-        (i, j) for i, j in g.edges() if not (i in sub_set and j in sub_set)
-    ]
-    # rank relabeling is positional: sub[t-1] plays pattern vertex t
-    edges.extend((sub[a - 1], sub[b - 1]) for a, b in pattern.edges())
-    return LabeledGraph.from_edges(g.n, edges)
+    # only the subset's rows change; rank relabeling is positional, so
+    # sub[t-1] plays pattern vertex t
+    inside = frozenset(sub)
+    adj = list(g.adj)
+    for t, v in enumerate(sub, 1):
+        adj[v] = (adj[v] - inside) | {sub[b - 1] for b in pattern.adj[t]}
+    return _from_neighbours(g.n, adj)
 
 
 def sample_pattern_free(

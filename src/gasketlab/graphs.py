@@ -7,13 +7,18 @@ presence bit of edge {i, j}, with pairs in lexicographic order
 
     pos(i, j) = sum_{t=1}^{i-1} (n - t) + (j - i)      for 1 <= i < j <= n
 
-so encodings are bit-exact across implementations.
+so encodings are bit-exact across implementations.  Row i of the encoding
+(the pairs (i, j), j > i) is the contiguous slice of n - i bits starting at
+pos(i, i+1); ``encode``, ``decode`` and ``gnp_sample`` work one row at a
+time, and build graphs straight from neighbour lists valid by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from itertools import compress
+from math import ceil, comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -153,36 +158,61 @@ class EdgeBitString:
                 f"bit string for n={self.n} must have length C(n,2)={expected}, "
                 f"got {len(self.bits)}"
             )
-        if self.bits.strip("01"):
-            raise DomainError("bit string may contain only '0' and '1'")
+        _ascii_bits(self.bits)
+
+
+def _from_neighbours(n: int, nbrs: Sequence[Iterable[int]]) -> LabeledGraph:
+    """Graph from per-vertex neighbour collections (index 0 empty) that are
+    symmetric, loop-free and within 1..n by construction; nothing is checked."""
+    return LabeledGraph(n, tuple(map(frozenset, nbrs)))
+
+
+# '0'/'1' text to 0/1 flag bytes, so that itertools.compress picks the 1s
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _ascii_bits(text: str, what: str = "bit string") -> bytes:
+    """``text`` as ASCII bytes; DomainError unless every character is 0 or 1."""
+    raw = text.encode("ascii") if text.isascii() else b"?"
+    if raw.translate(None, b"01"):
+        raise DomainError(f"{what} may contain only '0' and '1'")
+    return raw
 
 
 def encode(g: LabeledGraph) -> EdgeBitString:
-    """Canonical bit-string encoding; exact inverse of :func:`decode`."""
-    out = []
+    """Canonical bit-string encoding; exact inverse of :func:`decode`.
+
+    Row i is a bytearray of n - i '0's with a '1' set per higher neighbour.
+    """
+    rows = []
     for i in range(1, g.n + 1):
-        row = g.adj[i]
-        for j in range(i + 1, g.n + 1):
-            out.append("1" if j in row else "0")
-    return EdgeBitString(g.n, "".join(out))
+        row = bytearray(b"0") * (g.n - i)
+        for j in g.adj[i]:
+            if j > i:
+                row[j - i - 1] = 49  # ord("1")
+        rows.append(row)
+    return EdgeBitString(g.n, b"".join(rows).decode("ascii"))
 
 
 def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
-    """Graph whose canonical encoding is ``bits``."""
+    """Graph whose canonical encoding is ``bits``; row i (the slice of pairs
+    (i, j), j > i) yields its higher neighbours in one ``compress``."""
     text = bits.bits if isinstance(bits, EdgeBitString) else bits
     expected = comb(n, 2)
     if len(text) != expected:
         raise DomainError(
             f"decode(n={n}) expects C(n,2)={expected} bits, got {len(text)}"
         )
-    edges = []
-    t = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if text[t] == "1":
-                edges.append((i, j))
-            t += 1
-    return LabeledGraph.from_edges(n, edges)
+    flags = _ascii_bits(text).translate(_FLAGS)
+    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
+    start = 0
+    for i in range(1, n):
+        row = list(compress(range(i + 1, n + 1), flags[start : start + n - i]))
+        nbrs[i] += row
+        for j in row:
+            nbrs[j].append(i)
+        start += n - i
+    return _from_neighbours(n, nbrs)
 
 
 def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tuple[int, ...]:
@@ -252,21 +282,26 @@ def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     return LabeledGraph.from_edges(g1.n + g2.n, edges)
 
 
-def gnp_sample(n: int, p: float, seed: int) -> LabeledGraph:
+def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     """Erdos-Renyi G(n, p) sample, deterministic in (n, p, seed).
 
     One 53-bit uniform is consumed per potential edge, in canonical pos
-    order; the edge is present iff the uniform is < p.
+    order; the edge is present iff the uniform is < p.  Row i draws its
+    n - i words at once and tests each against the exact integer threshold
+    ``uniform < p  <=>  word < ceil(p * 2^53) << 11``, for float and
+    ``Fraction`` p alike.
     """
     if n < 0:
         raise DomainError(f"vertex count must be >= 0, got {n}")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     check_seed(seed)
+    below = (ceil(Fraction(p) * (1 << 53)) << 11).__gt__
     stream = WordStream(seed, domain=b"gasketlab-gnp")
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if stream.uniform() < p:
-                edges.append((i, j))
-    return LabeledGraph.from_edges(n, edges)
+    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(1, n):
+        row = list(compress(range(i + 1, n + 1), map(below, stream.words(n - i))))
+        nbrs[i] += row
+        for j in row:
+            nbrs[j].append(i)
+    return _from_neighbours(n, nbrs)

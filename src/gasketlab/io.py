@@ -3,15 +3,21 @@
 The graph6 codec follows the de-facto format used by nauty and friends:
 vertices 0..n-1, size bytes N(n), then the upper triangle of the adjacency
 matrix in column-major order, packed 6 bits per printable byte (offset 63).
-Our 1-based labels map to graph6 vertex i-1.
+Our 1-based labels map to graph6 vertex i-1.  Both directions go through
+one '0'/'1' string of the column-major bits, ``int(bits, 2)`` and base64
+(whose alphabet maps one-to-one onto the 64 graph6 byte values).  JSON edge
+lists are type-checked field by field: n and every label must be a JSON
+integer (not a bool), and every edge a pair.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
+from itertools import compress
 
 from .errors import DomainError
-from .graphs import LabeledGraph
+from .graphs import _FLAGS, LabeledGraph, _from_neighbours
 
 __all__ = [
     "to_graph6",
@@ -61,32 +67,52 @@ def _g6_read_size(data: bytes) -> tuple[int, int]:
     return n, 8
 
 
+# graph6 packs six bits per byte as 63 + value; base64 packs six bits per
+# character of its alphabet, so a translation table links the two.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64, _G6)
+_G6_TO_B64 = bytes.maketrans(_G6, _B64)
+
+
 def to_graph6(g: LabeledGraph, header: bool = False) -> str:
-    """Encode in graph6; bit-exact against the reference format."""
-    out = bytearray(_g6_size_bytes(g.n))
-    acc = 0
-    nbits = 0
-    for j in range(2, g.n + 1):  # column-major upper triangle
-        row = g.adj[j]
-        for i in range(1, j):
-            acc = (acc << 1) | (1 if i in row else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    text = out.decode("ascii")
+    """Encode in graph6; bit-exact against the reference format.
+
+    The column-major upper triangle is built as '0'/'1' text one column at a
+    time, read as one integer and packed six bits per byte through base64.
+    """
+    columns = []
+    for j in range(2, g.n + 1):
+        column = bytearray(b"0") * (j - 1)
+        for i in g.adj[j]:
+            if i < j:
+                column[i - 1] = 49  # ord("1")
+        columns.append(column)
+    bits = b"".join(columns)
+    chars = (len(bits) + 5) // 6
+    body = b""
+    if bits:
+        padded = 24 * ((len(bits) + 23) // 24)  # whole base64 quanta
+        raw = (int(bits, 2) << (padded - len(bits))).to_bytes(padded // 8, "big")
+        body = binascii.b2a_base64(raw, newline=False)[:chars].translate(_B64_TO_G6)
+    text = (_g6_size_bytes(g.n) + body).decode("ascii")
     return _G6_HEADER + text if header else text
 
 
 def from_graph6(text: str) -> LabeledGraph:
-    """Decode a graph6 string (optional ``>>graph6<<`` header allowed)."""
+    """Decode a graph6 string (optional ``>>graph6<<`` header allowed).
+
+    The body is unpacked through base64 into one '0'/'1' string, and each
+    column yields its lower neighbours in one ``compress``.
+    """
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
-    data = s.encode("ascii")
-    if any(b < 63 or b > 126 for b in data):
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise DomainError(f"graph6 string must be ASCII: {exc}") from exc
+    if data.translate(None, _G6):
         raise DomainError("graph6 string has bytes outside the printable range 63..126")
     n, offset = _g6_read_size(data)
     need = (n * (n - 1) // 2 + 5) // 6
@@ -95,20 +121,22 @@ def from_graph6(text: str) -> LabeledGraph:
         raise DomainError(
             f"graph6 body for n={n} must be {need} bytes, got {len(body)}"
         )
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend((v >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    edges = []
-    t = 0
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            if bits[t]:
-                edges.append((i, j))
-            t += 1
-    if any(bits[t:]):
+    quanta = body.translate(_G6_TO_B64) + b"A" * (-len(body) % 4)
+    raw = binascii.a2b_base64(quanta)
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    total = n * (n - 1) // 2
+    if "1" in bits[total:]:
         raise DomainError("graph6 padding bits must be zero")
-    return LabeledGraph.from_edges(n, edges)
+    flags = bits.encode("ascii").translate(_FLAGS)
+    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
+    start = 0
+    for j in range(2, n + 1):  # column j: pairs (i, j), i < j
+        column = list(compress(range(1, j), flags[start : start + j - 1]))
+        nbrs[j] += column
+        for i in column:
+            nbrs[i].append(j)
+        start += j - 1
+    return _from_neighbours(n, nbrs)
 
 
 def to_json_edges(g: LabeledGraph) -> str:
@@ -116,13 +144,30 @@ def to_json_edges(g: LabeledGraph) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_int(value: object, field: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int, and is rejected
+        raise DomainError(f"JSON edge list field {field} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_edges(text: str) -> LabeledGraph:
+    """Graph from ``{"n": int, "edges": [[i, j], ...]}``; every field is
+    type-checked, so a malformed file raises :class:`DomainError`."""
     try:
         payload = json.loads(text)
-        n = payload["n"]
-        edges = payload["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise DomainError(f"invalid JSON edge list: {exc}") from exc
+    if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
+        raise DomainError('invalid JSON edge list: expected an object with "n" and "edges"')
+    n = _json_int(payload["n"], '"n"')
+    edges = payload["edges"]
+    if not isinstance(edges, list):
+        raise DomainError(f'JSON edge list field "edges" must be a list, got {edges!r}')
+    for t, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2):
+            raise DomainError(f'JSON edge list field "edges"[{t}] must be a pair, got {e!r}')
+        _json_int(e[0], f'"edges"[{t}][0]')
+        _json_int(e[1], f'"edges"[{t}][1]')
     return LabeledGraph.from_edges(n, edges)
 
 

@@ -489,12 +489,22 @@ def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
     k = pattern.n
     delta = max((pattern.degree(v) for v in pattern.vertices()), default=0)
     exponent = c * delta * math.log2(delta) if delta >= 2 else 0.0
-    chvatal = k * 2.0**exponent
-    if float(c_d).is_integer():
-        luczak_rodl: float = k ** int(c_d)
-    else:
-        luczak_rodl = float(k) ** c_d
+    try:
+        chvatal = k * 2.0**exponent
+    except OverflowError as exc:
+        raise DomainError(f"c={c} makes 2^(c*D*log2 D) too large for a float") from exc
     lower = 2.0 ** ((k - 1) / 2)
+    # k^c_d >= 2^(c_d (bitlen(k) - 1)) cannot be a float once that reaches 2^1024
+    if c_d * max(k.bit_length() - 1, 0) >= 1024:
+        raise DomainError(f"c_d={c_d} makes k^c_d = {k}^{c_d} too large for a float")
+    try:
+        if float(c_d).is_integer():
+            luczak_rodl: float = k ** int(c_d)
+        else:
+            luczak_rodl = float(k) ** c_d
+        upper = lower + luczak_rodl
+    except OverflowError as exc:
+        raise DomainError(f"c_d={c_d} makes k^c_d = {k}^{c_d} too large for a float") from exc
     return BoundsReport(
         pattern_size=k,
         max_degree=delta,
@@ -503,7 +513,7 @@ def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
         chvatal=chvatal,
         luczak_rodl=luczak_rodl,
         incompressible_lower=lower,
-        incompressible_upper=lower + luczak_rodl,
+        incompressible_upper=upper,
     )
 
 

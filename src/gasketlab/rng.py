@@ -7,13 +7,18 @@ seed-to-output mapping survives interpreter and library upgrades: word
 ``i`` of the stream is byte slice ``8*(i%4) .. 8*(i%4)+8`` (big-endian) of
 ``SHA256(domain || seed_be8 || block_be8)`` with ``block = i // 4``.
 
+``WordStream.words(count)`` hands out the next ``count`` words in one call
+(whole blocks hashed back to back and unpacked at once); it draws the same
+words as ``count`` calls of ``next_word`` and mixes freely with them.
+
 Changing this mapping is a breaking change; sampled graphs and simulation
-traces are part of tested behaviour.
+traces are part of tested behaviour (``tests/golden/codec_vectors.jsonl``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from .errors import DomainError
 
@@ -41,11 +46,27 @@ class WordStream:
                 self._prefix + self._block.to_bytes(8, "big")
             ).digest()
             # reversed so .pop() yields words in digest order
-            self._words = [
-                int.from_bytes(digest[off : off + 8], "big") for off in (24, 16, 8, 0)
-            ]
+            self._words = list(reversed(struct.unpack(">4Q", digest)))
             self._block += 1
         return self._words.pop()
+
+    def words(self, count: int) -> list[int]:
+        """The next ``count`` words, as ``count`` calls of :meth:`next_word`."""
+        if count < 0:
+            raise DomainError(f"word count must be >= 0, got {count}")
+        buffered = self._words  # at most 3 words, reversed: the next is last
+        out = [buffered.pop() for _ in range(min(count, len(buffered)))]
+        need = count - len(out)
+        if need > 0:
+            start = self._block
+            self._block += (need + 3) // 4
+            prefix, sha256 = self._prefix, hashlib.sha256
+            blocks = range(start, self._block)
+            data = b"".join([sha256(prefix + b.to_bytes(8, "big")).digest() for b in blocks])
+            fresh = struct.unpack(f">{len(data) // 8}Q", data)
+            out.extend(fresh[:need])
+            self._words = list(reversed(fresh[need:]))
+        return out
 
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""

@@ -16,7 +16,12 @@ regenerates them - so the re-encoding wins exactly when C(k,2) exceeds the
 index cost.  Generator identity and (n, k) are side information, excluded
 from measured length, mirroring conditional description-length accounting.
 
-All accounting is exact integer arithmetic with whole-bit ceilings.
+All accounting is exact integer arithmetic with whole-bit ceilings.  The
+codec never walks all C(n,2) pairs one by one: it cuts the residual out of
+the canonical text (or splices it back) at the C(k,2) inside positions
+pos(a, b), checking each inside bit against the pattern, and serializes
+the residual with one ``int(residual, 2)``.  ``from_bytes`` checks the
+header's k against the generator's vertex count without building it.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ import math
 import zlib
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import Iterator
 
 from .errors import DomainError
-from .graphs import EdgeBitString, LabeledGraph, as_subset
+from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, as_subset
 from .ranking import (
     ceil_log2,
     rank_subset,
@@ -54,24 +60,42 @@ __all__ = [
 ]
 
 
+def _parse_generator(generator_id: str) -> tuple[str, int]:
+    try:
+        family, _, arg = generator_id.partition(":")
+        value = int(arg)
+    except ValueError as exc:
+        raise DomainError(f"unparseable generator id {generator_id!r}") from exc
+    if family not in ("sierpinski", "complete", "empty"):
+        raise DomainError(f"unknown generator family {family!r} in {generator_id!r}")
+    return family, value
+
+
 def generator_graph(generator_id: str) -> tuple[LabeledGraph, bool]:
     """Pattern produced by a generator id, and whether it needs ordering info.
 
     Supported ids: ``sierpinski:<level>`` (ordered), ``complete:<k>`` and
     ``empty:<k>`` (unordered: every relabeling is the same graph).
     """
-    try:
-        family, _, arg = generator_id.partition(":")
-        value = int(arg)
-    except ValueError as exc:
-        raise DomainError(f"unparseable generator id {generator_id!r}") from exc
+    family, value = _parse_generator(generator_id)
     if family == "sierpinski":
         return sierpinski.build(value).graph, True
     if family == "complete":
         return LabeledGraph.complete(value), False
-    if family == "empty":
-        return LabeledGraph.empty(value), False
-    raise DomainError(f"unknown generator family {family!r} in {generator_id!r}")
+    return LabeledGraph.empty(value), False
+
+
+def _check_generator_order(generator_id: str, k: int) -> None:
+    """Reject a declared pattern size k that the generator cannot produce,
+    without building the pattern.  Levels past 21 are compared as level 21,
+    whose 5,230,176,603 vertices already exceed every u32 k."""
+    family, value = _parse_generator(generator_id)
+    if family == "sierpinski":
+        value = sierpinski.vertex_count(min(value, 21))
+    if value != k:
+        raise DomainError(
+            f"generator {generator_id!r} does not produce k={k} vertices"
+        )
 
 
 @dataclass(frozen=True)
@@ -197,6 +221,15 @@ def asymptotic_bounds(k: int) -> ContainmentBounds:
     )
 
 
+def _inside_positions(occ: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int]]:
+    """(s, t, pos(occ[s], occ[t]) - 1) for s < t: the C(k,2) 0-based canonical
+    positions inside the occurrence, in ascending order."""
+    for s, a in enumerate(occ):
+        base = (a - 1) * n - a * (a - 1) // 2 - a - 1  # pos(a, b) - 1 - b
+        for t in range(s + 1, len(occ)):
+            yield s, t, base + occ[t]
+
+
 def encode_two_part(
     bits: EdgeBitString, occurrence: tuple[int, ...], side: SideInfo
 ) -> TwoPartEncoding:
@@ -214,28 +247,23 @@ def encode_two_part(
         )
     pattern = side.pattern()
     text = bits.bits
-    n = side.n
-    occ_set = set(occ)
-    rank_of = {v: t + 1 for t, v in enumerate(occ)}
-    residual = []
-    t = 0
-    for i in range(1, n + 1):
-        i_in = i in occ_set
-        for j in range(i + 1, n + 1):
-            if i_in and j in occ_set:
-                expected = "1" if pattern.has_edge(rank_of[i], rank_of[j]) else "0"
-                if text[t] != expected:
-                    raise DomainError(
-                        f"subset {occ} is not an ordered occurrence of "
-                        f"{side.generator_id!r}: pair ({i},{j}) disagrees"
-                    )
-            else:
-                residual.append(text[t])
-            t += 1
+    # the residual is the text cut at the inside positions; each inside bit
+    # is checked on the way
+    pieces = []
+    prev = 0
+    for s, t, at in _inside_positions(occ, side.n):
+        if text[at] != ("1" if t + 1 in pattern.adj[s + 1] else "0"):
+            raise DomainError(
+                f"subset {occ} is not an ordered occurrence of "
+                f"{side.generator_id!r}: pair ({occ[s]},{occ[t]}) disagrees"
+            )
+        pieces.append(text[prev:at])
+        prev = at + 1
+    pieces.append(text[prev:])
     return TwoPartEncoding(
-        subset_rank=rank_subset(occ, n),
+        subset_rank=rank_subset(occ, side.n),
         perm_rank=0 if side.ordered else None,
-        residual="".join(residual),
+        residual="".join(pieces),
     )
 
 
@@ -266,21 +294,17 @@ def decode_two_part(enc: TwoPartEncoding, side: SideInfo) -> EdgeBitString:
         )
     pattern = side.pattern()
     occ = unrank_subset(enc.subset_rank, n, k)
-    occ_set = set(occ)
-    rank_of = {v: t + 1 for t, v in enumerate(occ)}
-    out = []
-    r = 0
-    for i in range(1, n + 1):
-        i_in = i in occ_set
-        for j in range(i + 1, n + 1):
-            if i_in and j in occ_set:
-                a = perm[rank_of[i] - 1]
-                b = perm[rank_of[j] - 1]
-                out.append("1" if pattern.has_edge(a, b) else "0")
-            else:
-                out.append(enc.residual[r])
-                r += 1
-    return EdgeBitString(n, "".join(out))
+    # splice the pattern's bits into the residual at the inside positions
+    residual = enc.residual
+    pieces = []
+    prev = r = 0
+    for s, t, at in _inside_positions(occ, n):
+        pieces.append(residual[r : r + at - prev])
+        pieces.append("1" if perm[t] in pattern.adj[perm[s]] else "0")
+        r += at - prev
+        prev = at + 1
+    pieces.append(residual[r:])
+    return EdgeBitString(n, "".join(pieces))
 
 
 def compressor_proxy(bits: EdgeBitString) -> int:
@@ -303,29 +327,6 @@ def compressor_proxy(bits: EdgeBitString) -> int:
 #          concatenated MSB-first and zero-padded to a byte boundary.
 # Field widths are recomputed from (n, k) on read, so the format is
 # self-delimiting given the header.
-
-
-class _BitWriter:
-    def __init__(self) -> None:
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, width: int) -> None:
-        if width == 0:
-            return
-        if not (0 <= value < (1 << width)):
-            raise DomainError(f"value {value} does not fit in {width} bits")
-        self.acc = (self.acc << width) | value
-        self.nbits += width
-
-    def write_bits(self, text: str) -> None:
-        for ch in text:
-            self.acc = (self.acc << 1) | (ch == "1")
-        self.nbits += len(text)
-
-    def to_bytes(self) -> bytes:
-        pad = (-self.nbits) % 8
-        return ((self.acc << pad)).to_bytes((self.nbits + pad) // 8, "big")
 
 
 class _BitReader:
@@ -357,14 +358,23 @@ def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
         + gid
         + bytes([1 if side.ordered else 0])
     )
-    writer = _BitWriter()
-    writer.write(enc.subset_rank, subset_index_bits(side.n, side.k))
+    fields = [(enc.subset_rank, subset_index_bits(side.n, side.k))]
     if side.ordered:
         if enc.perm_rank is None:
             raise DomainError("ordered side info requires a permutation rank")
-        writer.write(enc.perm_rank, ordering_index_bits(side.k))
-    writer.write_bits(enc.residual)
-    return header + writer.to_bytes()
+        fields.append((enc.perm_rank, ordering_index_bits(side.k)))
+    acc = nbits = 0
+    for value, width in fields:
+        if width:  # a zero-width field is not written
+            if not (0 <= value < (1 << width)):
+                raise DomainError(f"value {value} does not fit in {width} bits")
+            acc, nbits = (acc << width) | value, nbits + width
+    residual = enc.residual
+    _ascii_bits(residual, "residual")
+    if residual:  # one int() of the whole residual keeps this linear
+        acc, nbits = (acc << len(residual)) | int(residual, 2), nbits + len(residual)
+    pad = (-nbits) % 8
+    return header + (acc << pad).to_bytes((nbits + pad) // 8, "big")
 
 
 def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
@@ -373,7 +383,8 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
     The header is checked before any big-integer work: the body must hold at
     least the C(n,2) - C(k,2) residual bits, plus k - 1 ordering bits when
     ordered (k! >= 2^(k-1)), so the subset and ordering index widths are only
-    computed for sizes the blob can actually encode.
+    computed for sizes the blob can actually encode.  The generator id must
+    then produce exactly k vertices, which is decided without building it.
     """
     if len(blob) < 11:
         raise DomainError("serialized encoding shorter than its fixed header")
@@ -400,6 +411,7 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
             f"serialized encoding body has {8 * len(body)} bits; "
             f"n={n}, k={k} need at least {least_bits}"
         )
+    _check_generator_order(generator_id, k)
     reader = _BitReader(body)
     subset_rank = reader.read(subset_index_bits(n, k))
     perm_rank = reader.read(ordering_index_bits(k)) if side.ordered else None

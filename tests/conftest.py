@@ -7,8 +7,10 @@ implementation they test.  The slow paths that the induced-embedding kernel
 and the factored coloring cover replaced are kept here as oracles: the
 scan over all C(n,k) subsets with a backtracking isomorphism test, the
 backtracking automorphism count, the single 2^|E|-bit cover,
-certification by computing each candidate group's exact minimum ratio, and
-the crossover scan that decides every undecided level by the exact power.
+certification by computing each candidate group's exact minimum ratio,
+the crossover scan that decides every undecided level by the exact power,
+and the per-bit and per-pair loops of the G(n,p) sampler, the canonical,
+graph6 and two-part codecs, ``plant_occurrence`` and ``to_bytes``.
 """
 
 from fractions import Fraction
@@ -17,8 +19,13 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from gasketlab import LabeledGraph, induced_subgraph, sierpinski
+from gasketlab import DomainError, LabeledGraph, induced_subgraph, sierpinski
 from gasketlab.closeknit import CloseKnitResult, _connected_groups_from, min_ratio
+from gasketlab.graphs import EdgeBitString, as_subset
+from gasketlab.io import _g6_read_size, _g6_size_bytes
+from gasketlab.ranking import rank_subset, unrank_permutation, unrank_subset
+from gasketlab.rng import WordStream
+from gasketlab.twopart import TwoPartEncoding, ordering_index_bits, subset_index_bits
 
 
 def to_nx(g: LabeledGraph) -> nx.Graph:
@@ -200,6 +207,144 @@ def oracle_poly_exp_crossover_level(c_d) -> int | None:
         level += 1
         if level > 1000:
             return best
+
+
+def oracle_gnp_sample(n: int, p, seed: int) -> LabeledGraph:
+    """One 53-bit uniform per pair in canonical order; edge iff uniform < p."""
+    stream = WordStream(seed, domain=b"gasketlab-gnp")
+    edges = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (stream.next_word() >> 11) * 2.0**-53 < p:
+                edges.append((i, j))
+    return LabeledGraph.from_edges(n, edges)
+
+
+def oracle_encode(g: LabeledGraph) -> EdgeBitString:
+    out = []
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            out.append("1" if j in g.adj[i] else "0")
+    return EdgeBitString(g.n, "".join(out))
+
+
+def oracle_decode(text: str, n: int) -> LabeledGraph:
+    edges = []
+    t = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if text[t] == "1":
+                edges.append((i, j))
+            t += 1
+    return LabeledGraph.from_edges(n, edges)
+
+
+def oracle_to_graph6(g: LabeledGraph) -> str:
+    """Column-major upper triangle, packed six bits per byte by hand."""
+    out = bytearray(_g6_size_bytes(g.n))
+    acc = nbits = 0
+    for j in range(2, g.n + 1):
+        for i in range(1, j):
+            acc = (acc << 1) | (1 if i in g.adj[j] else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc, nbits = 0, 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+def oracle_from_graph6(text: str) -> LabeledGraph:
+    data = text.strip().encode("ascii")
+    n, offset = _g6_read_size(data)
+    bits = []
+    for b in data[offset:]:
+        bits.extend(((b - 63) >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
+    edges = []
+    t = 0
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            if bits[t]:
+                edges.append((i, j))
+            t += 1
+    assert not any(bits[t:])
+    return LabeledGraph.from_edges(n, edges)
+
+
+def oracle_plant_occurrence(g: LabeledGraph, pattern: LabeledGraph, subset) -> LabeledGraph:
+    sub = as_subset(subset, g.n, nonempty=True)
+    inside = set(sub)
+    edges = [(i, j) for i, j in g.edges() if not (i in inside and j in inside)]
+    edges.extend((sub[a - 1], sub[b - 1]) for a, b in pattern.edges())
+    return LabeledGraph.from_edges(g.n, edges)
+
+
+def oracle_encode_two_part(bits, occurrence, side):
+    """Per-pair walk: check each inside pair, copy every other bit."""
+    pattern = side.pattern()
+    n = side.n
+    occ = as_subset(occurrence, n, nonempty=True)
+    rank_of = {v: t + 1 for t, v in enumerate(occ)}
+    residual = []
+    t = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if i in rank_of and j in rank_of:
+                expected = "1" if pattern.has_edge(rank_of[i], rank_of[j]) else "0"
+                if bits.bits[t] != expected:
+                    raise DomainError(f"pair ({i},{j}) disagrees")
+            else:
+                residual.append(bits.bits[t])
+            t += 1
+    return TwoPartEncoding(
+        subset_rank=rank_subset(occ, n),
+        perm_rank=0 if side.ordered else None,
+        residual="".join(residual),
+    )
+
+
+def oracle_decode_two_part(enc, side) -> EdgeBitString:
+    n, k = side.n, side.k
+    pattern = side.pattern()
+    perm = unrank_permutation(enc.perm_rank, k) if side.ordered else tuple(range(1, k + 1))
+    occ = unrank_subset(enc.subset_rank, n, k)
+    rank_of = {v: t + 1 for t, v in enumerate(occ)}
+    out = []
+    r = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if i in rank_of and j in rank_of:
+                a, b = perm[rank_of[i] - 1], perm[rank_of[j] - 1]
+                out.append("1" if pattern.has_edge(a, b) else "0")
+            else:
+                out.append(enc.residual[r])
+                r += 1
+    return EdgeBitString(n, "".join(out))
+
+
+def oracle_to_bytes(enc, side) -> bytes:
+    """Header, then every field shifted into one integer a bit at a time."""
+    gid = side.generator_id.encode("utf-8")
+    header = (
+        side.n.to_bytes(4, "big")
+        + side.k.to_bytes(4, "big")
+        + len(gid).to_bytes(2, "big")
+        + gid
+        + bytes([1 if side.ordered else 0])
+    )
+    fields = [(enc.subset_rank, subset_index_bits(side.n, side.k))]
+    if side.ordered:
+        fields.append((enc.perm_rank, ordering_index_bits(side.k)))
+    acc = nbits = 0
+    for value, width in fields:
+        acc = (acc << width) | value
+        nbits += width
+    for ch in enc.residual:
+        acc = (acc << 1) | (ch == "1")
+    nbits += len(enc.residual)
+    pad = (-nbits) % 8
+    return header + (acc << pad).to_bytes((nbits + pad) // 8, "big")
 
 
 @pytest.fixture

@@ -314,3 +314,42 @@ def test_unwritable_output_path_exits_1_naming_it(tmp_path, option):
     assert result.returncode == 1
     assert result.stderr.startswith("error:") and str(target) in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_decode_canonical_rejects_characters_other_than_bits(capsys):
+    argv = ["decode", "canonical", "--bits", "1x0", "--n", "3", "--format", "json"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "'0' and '1'" in err
+
+
+@pytest.mark.parametrize(
+    "name, content, field",
+    [
+        ("bad.g6", "éA".encode("utf-8"), "ASCII"),
+        ("latin1.g6", b"\xe9A", "UTF-8"),
+        ("short_edge.json", b'{"n": 3, "edges": [[1]]}', '"edges"[0]'),
+        ("n_text.json", b'{"n": "3", "edges": []}', '"n"'),
+        ("edges_number.json", b'{"n": 3, "edges": 5}', '"edges"'),
+        ("n_float.json", b'{"n": 1e9, "edges": []}', '"n"'),
+        ("edge_text.json", b'{"n": 3, "edges": [[1, "x"]]}', '"edges"[0][1]'),
+        ("n_bool.json", b'{"n": true, "edges": []}', '"n"'),
+        ("edge_bool.json", b'{"n": 3, "edges": [[true, 2]]}', '"edges"[0][0]'),
+        ("not_object.json", b'{"n": 3}', '"edges"'),
+    ],
+)
+def test_malformed_graph_files_exit_1_naming_the_field(tmp_path, capsys, name, content, field):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run_main(["encode", "canonical", "--graph", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and field in err
+
+
+def test_bounds_with_overflowing_constants_exit_1_naming_them(capsys):
+    code, out, err = run_main(["ramsey", "bounds", "--pattern", "S2", "--c-d", "10000"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "c_d" in err
+    code, out, err = run_main(["ramsey", "bounds", "--pattern", "S2", "--c", "1000"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "c=" in err

@@ -1,0 +1,279 @@
+"""Bulk codec kernels: frozen vectors and differential tests.
+
+``golden/codec_vectors.jsonl`` freezes the seed-to-sample mapping: SHA-256
+stream words, graph6 text of G(n,p) samples across sizes and probabilities
+(float and ``Fraction``), and the canonical bits and ``to_bytes`` blob of a
+planted S3 host.  It was recorded from the per-bit implementation; run this
+file as a script to print the records the current code produces.
+
+The hypothesis tests compare each whole-row kernel with the per-bit loop it
+replaced, kept in ``tests/conftest.py``.
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+from math import comb
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gasketlab import DomainError, LabeledGraph, catalog, encode, gnp_sample, graphs
+from gasketlab.experiments import plant_occurrence
+from gasketlab.graphs import EdgeBitString, decode, pos
+from gasketlab.io import from_graph6, from_json_edges, to_graph6
+from gasketlab.rng import WordStream
+from gasketlab.twopart import (
+    SideInfo,
+    TwoPartEncoding,
+    decode_two_part,
+    encode_two_part,
+    from_bytes,
+    to_bytes,
+)
+
+from conftest import (
+    oracle_decode,
+    oracle_decode_two_part,
+    oracle_encode,
+    oracle_encode_two_part,
+    oracle_from_graph6,
+    oracle_gnp_sample,
+    oracle_plant_occurrence,
+    oracle_to_bytes,
+    oracle_to_graph6,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "codec_vectors.jsonl"
+
+P_VALUES = {
+    "0": 0,
+    "0.25": 0.25,
+    "0.5": 0.5,
+    "1": 1,
+    "1e-300": 1e-300,
+    "1/3": Fraction(1, 3),
+}
+GNP_SIZES = (0, 1, 2, 17, 62, 63, 64, 130)
+DOMAINS = (b"gasketlab", b"gasketlab-gnp", b"gasketlab-diffusion")
+
+
+def _records():
+    for seed in (0, 1, 2**64 - 1):
+        for domain in DOMAINS:
+            stream = WordStream(seed, domain=domain)
+            words = [stream.next_word() for _ in range(9)]
+            yield {"kind": "words", "seed": seed, "domain": domain.decode(), "words": words}
+    for seed in (0, 12345):
+        for n in GNP_SIZES:
+            for label, p in P_VALUES.items():
+                g6 = to_graph6(gnp_sample(n, p, seed))
+                yield {"kind": "gnp", "n": n, "p": label, "seed": seed, "graph6": g6}
+    s3 = catalog.named_graph("S3")
+    for n, seed in ((15, 3), (40, 4), (130, 5)):
+        subset = tuple(sorted(random.Random(seed).sample(range(1, n + 1), s3.n)))
+        planted = plant_occurrence(gnp_sample(n, 0.5, seed), s3, subset)
+        bits = encode(planted)
+        side = SideInfo.for_generator("sierpinski:3", n)
+        blob = to_bytes(encode_two_part(bits, subset, side), side)
+        yield {
+            "kind": "planted",
+            "n": n,
+            "seed": seed,
+            "subset": list(subset),
+            "bits": bits.bits,
+            "blob": blob.hex(),
+        }
+
+
+def test_codec_vectors_match_frozen_golden():
+    expected = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert list(_records()) == expected
+
+
+# --- differential tests against the per-bit oracles ------------------------
+
+seeds = st.integers(0, 2**64 - 1)
+probabilities = st.one_of(
+    st.floats(0.0, 1.0),
+    st.fractions(0, 1, max_denominator=10**6),
+    st.sampled_from(list(P_VALUES.values())),
+)
+
+
+@given(seeds, st.lists(st.integers(0, 11), max_size=12), st.binary(max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_words_interleaved_with_next_word_match_the_word_stream(seed, counts, domain):
+    bulk = WordStream(seed, domain=domain)
+    single = WordStream(seed, domain=domain)
+    for t, count in enumerate(counts):
+        if t % 2:
+            assert bulk.next_word() == single.next_word()
+        got = bulk.words(count)
+        assert got == [single.next_word() for _ in range(count)]
+    assert bulk.next_word() == single.next_word()
+    with pytest.raises(DomainError, match="count"):
+        bulk.words(-1)
+
+
+@given(st.integers(0, 40), probabilities, seeds)
+@settings(max_examples=150, deadline=None)
+def test_gnp_sample_matches_per_pair_oracle(n, p, seed):
+    assert gnp_sample(n, p, seed) == oracle_gnp_sample(n, p, seed)
+
+
+def test_gnp_threshold_is_exact_at_the_boundary():
+    # p one ulp either side of a word's uniform value decides the edge exactly
+    stream = WordStream(9, domain=b"gasketlab-gnp")
+    u = (stream.next_word() >> 11) * 2.0**-53
+    for p in (u, u + 2.0**-53, Fraction(u), Fraction(u) + Fraction(1, 2**80)):
+        assert gnp_sample(2, p, 9) == oracle_gnp_sample(2, p, 9)
+    assert gnp_sample(2, u, 9).edge_count == 0
+    assert gnp_sample(2, Fraction(u) + Fraction(1, 2**80), 9).edge_count == 1
+
+
+def test_gnp_threshold_is_strict_on_crafted_words(monkeypatch):
+    # word 2^63 is the uniform 0.5 exactly, which is not < 0.5
+    half = 1 << 63
+    words = [half - 1, half, half + 2047, half - 2048, 0, (1 << 64) - 1]
+
+    class CraftedStream:
+        def __init__(self, seed, domain):
+            self.left = list(words)
+
+        def words(self, count):
+            out, self.left = self.left[:count], self.left[count:]
+            return out
+
+    monkeypatch.setattr(graphs, "WordStream", CraftedStream)
+    g = gnp_sample(4, 0.5, 0)
+    assert sorted(g.edges()) == [(1, 2), (2, 3), (2, 4)]
+    assert gnp_sample(4, 0, 0).edge_count == 0
+    assert gnp_sample(4, 1, 0).edge_count == 6
+
+
+@given(st.integers(0, 40), seeds)
+@settings(max_examples=100, deadline=None)
+def test_canonical_and_graph6_codecs_match_oracles(n, seed):
+    g = gnp_sample(n, 0.5, seed)
+    bits = encode(g)
+    assert bits == oracle_encode(g)
+    assert decode(bits, n) == oracle_decode(bits.bits, n) == g
+    g6 = to_graph6(g)
+    assert g6 == oracle_to_graph6(g)
+    assert from_graph6(g6) == oracle_from_graph6(g6) == g
+
+
+@given(st.integers(15, 45), seeds, st.data())
+@settings(max_examples=60, deadline=None)
+def test_plant_and_two_part_codec_match_oracles(n, seed, data):
+    s3 = catalog.named_graph("S3")
+    subset = tuple(sorted(data.draw(st.permutations(range(1, n + 1)))[: s3.n]))
+    g = gnp_sample(n, 0.5, seed)
+    planted = plant_occurrence(g, s3, subset)
+    assert planted == oracle_plant_occurrence(g, s3, subset)
+    side = SideInfo.for_generator("sierpinski:3", n)
+    bits = encode(planted)
+    enc = encode_two_part(bits, subset, side)
+    assert enc == oracle_encode_two_part(bits, subset, side)
+    assert to_bytes(enc, side) == oracle_to_bytes(enc, side)
+    assert decode_two_part(enc, side) == oracle_decode_two_part(enc, side) == bits
+    assert from_bytes(to_bytes(enc, side)) == (enc, side)
+
+
+@given(st.integers(4, 20), seeds, st.data())
+@settings(max_examples=60, deadline=None)
+def test_unordered_two_part_codec_matches_oracles(n, seed, data):
+    k = data.draw(st.integers(2, 4))
+    subset = tuple(sorted(data.draw(st.permutations(range(1, n + 1)))[:k]))
+    side = SideInfo.for_generator(f"complete:{k}", n)
+    planted = plant_occurrence(gnp_sample(n, 0.5, seed), LabeledGraph.complete(k), subset)
+    bits = encode(planted)
+    enc = encode_two_part(bits, subset, side)
+    assert enc == oracle_encode_two_part(bits, subset, side)
+    assert decode_two_part(enc, side) == oracle_decode_two_part(enc, side) == bits
+
+
+def test_encode_two_part_still_checks_every_inside_bit():
+    s3 = catalog.named_graph("S3")
+    n = 30
+    subset = tuple(range(2, 32, 2))[: s3.n]
+    side = SideInfo.for_generator("sierpinski:3", n)
+    bits = encode(plant_occurrence(gnp_sample(n, 0.5, 1), s3, subset)).bits
+    inside = [(a, b) for t, a in enumerate(subset) for b in subset[t + 1 :]]
+    assert len(inside) == comb(s3.n, 2)
+    for a, b in inside:
+        at = pos(a, b, n) - 1
+        flipped = bits[:at] + ("0" if bits[at] == "1" else "1") + bits[at + 1 :]
+        with pytest.raises(DomainError, match=f"pair \\({a},{b}\\)"):
+            encode_two_part(EdgeBitString(n, flipped), subset, side)
+
+
+def test_two_part_codec_rejects_residual_characters():
+    side = SideInfo.for_generator("complete:2", 3)
+    for residual in ("0x", "1_0", " 10"):  # int(text, 2) alone accepts the last two
+        enc = TwoPartEncoding(0, None, residual)
+        with pytest.raises(DomainError):
+            decode_two_part(enc, side)
+        with pytest.raises(DomainError, match="residual"):
+            to_bytes(enc, side)
+
+
+# --- hostile input: return or raise DomainError, nothing else -------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(st.one_of(st.text(max_size=40), st.binary(max_size=40).map(lambda b: b.decode("latin-1"))))
+@settings(max_examples=300, deadline=None)
+def test_from_graph6_returns_or_raises_domain_error(text):
+    try:
+        g = from_graph6(text)
+    except DomainError:
+        return
+    assert from_graph6(to_graph6(g)) == g
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_from_json_edges_returns_or_raises_domain_error(value):
+    try:
+        from_json_edges(json.dumps(value))
+    except DomainError:
+        pass
+
+
+@given(
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.sampled_from(
+        ["sierpinski:1", "sierpinski:2", "complete:3", "empty:2", "sierpinski:0", "complete:-1", "x", ""]
+    ),
+    st.integers(0, 2),
+    st.binary(max_size=120),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_bytes_returns_or_raises_domain_error(n, k, gid, ordered, body):
+    gid_bytes = gid.encode()
+    blob = (
+        n.to_bytes(4, "big") + k.to_bytes(4, "big") + len(gid_bytes).to_bytes(2, "big")
+        + gid_bytes + bytes([ordered]) + body
+    )
+    try:
+        enc, side = from_bytes(blob)
+    except DomainError:
+        return
+    assert to_bytes(enc, side) == blob
+
+
+if __name__ == "__main__":
+    for record in _records():
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")

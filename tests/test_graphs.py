@@ -141,3 +141,9 @@ def test_gnp_mean_edges_matches_binomial_expectation():
     )
     mean = total / 1000
     assert abs(mean - 1008) / 1008 < 0.03
+
+
+def test_decode_rejects_characters_other_than_bits():
+    for text in ("1x0", "0 1", "01\n", "222"):
+        with pytest.raises(DomainError, match="'0' and '1'"):
+            decode(text, 3)

@@ -60,6 +60,17 @@ def test_graph6_rejects_garbage():
         from_graph6("B\x1f")
     with pytest.raises(DomainError, match="body"):
         from_graph6("Bww")
+    for text in ("B>", "B\x7f", "\x7fB"):
+        with pytest.raises(DomainError, match="printable"):
+            from_graph6(text)
+
+
+def test_graph6_rejects_nonzero_padding():
+    assert from_graph6("A_") == LabeledGraph.complete(2)
+    for text in ("AO", "A@", "Bx", "Dh@", "DhA"):  # n = 2, 3, 5: padding bit set
+        with pytest.raises(DomainError, match="padding"):
+            from_graph6(text)
+    assert to_graph6(from_graph6("Dh?")) == "Dh?"
 
 
 def test_json_edges_roundtrip():
@@ -74,3 +85,29 @@ def test_dot_export(path3):
     assert "1 -- 2;" in text and "2 -- 3;" in text
     lonely = LabeledGraph.from_edges(3, [(1, 2)])
     assert "  3;" in to_dot(lonely)
+
+
+def test_graph6_rejects_non_ascii_text():
+    with pytest.raises(DomainError, match="ASCII"):
+        from_graph6("éA")
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": 3, "edges": [[1]]}', '"edges"[0]'),
+        ('{"n": 3, "edges": [[1, 2, 3]]}', '"edges"[0]'),
+        ('{"n": "3", "edges": []}', '"n"'),
+        ('{"n": 3, "edges": 5}', '"edges"'),
+        ('{"n": 1e9, "edges": []}', '"n"'),
+        ('{"n": 3, "edges": [[1, "x"]]}', '"edges"[0][1]'),
+        ('{"n": true, "edges": []}', '"n"'),
+        ('{"n": 3, "edges": [[1, false]]}', '"edges"[0][1]'),
+        ('[3]', '"n" and "edges"'),
+        ('{"edges": []}', '"n" and "edges"'),
+    ],
+)
+def test_json_edges_reject_malformed_fields_naming_them(text, field):
+    with pytest.raises(DomainError) as info:
+        from_json_edges(text)
+    assert field in str(info.value)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -258,3 +262,29 @@ def test_find_occurrences_limit_stops_inside_smallest_vertex_groups():
     assert everything == list(combinations(range(1, 6), 3))
     for limit in range(1, len(everything) + 2):
         assert find_induced_occurrences(k5, K3, limit=limit) == everything[:limit]
+
+
+def test_bounds_report_rejects_constants_whose_bound_overflows_a_float():
+    s2 = build(2).graph
+    for c_d in (10000, 10000.0, 396.5):
+        with pytest.raises(DomainError, match="c_d"):
+            bounds_report(s2, c=1.0, c_d=c_d)
+    # decided from bit lengths, before 6^(10^12) is computed; a subprocess,
+    # so that computing the power fails the test at the timeout
+    script = (
+        "from gasketlab import DomainError, named_graph\n"
+        "from gasketlab.ramsey import bounds_report\n"
+        "try:\n"
+        "    bounds_report(named_graph('S2'), 1.0, 10**12)\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert "c_d" in result.stdout, result.stderr
+    assert bounds_report(s2, c=1.0, c_d=396).luczak_rodl == 6**396  # still a float
+    with pytest.raises(DomainError, match="c="):
+        bounds_report(s2, c=1000.0, c_d=3.0)

@@ -175,6 +175,18 @@ HOSTILE_BLOBS = {
     # residual 0, but k! would be astronomically large
     "huge_ordering": _header(2**31, 2**31, b"", 1) + bytes(8),
     "non_utf8_id": _header(12, 3, b"\xff\xfe", 1) + bytes(8),
+    # 30 bytes whose header declares k=15 for the 265,722-vertex level-12 gasket
+    "sierpinski_level_mismatch": _header(15, 15, b"sierpinski:12", 1) + bytes(6),
+    # a level whose vertex count would be a 4000-digit number
+    "huge_sierpinski_level": _header(15, 15, b"sierpinski:9" + b"9" * 4000, 1) + bytes(6),
+    # unordered, so no body: k is the level-20 count, the id says level 25
+    "level_past_the_clamp": _header(vertex_count(20), vertex_count(20), b"sierpinski:25", 0),
+}
+HOSTILE_MESSAGES = {
+    "non_utf8_id": "UTF-8",
+    "sierpinski_level_mismatch": "does not produce k=15",
+    "huge_sierpinski_level": "does not produce k=15",
+    "level_past_the_clamp": "does not produce",
 }
 
 
@@ -198,5 +210,4 @@ def test_from_bytes_rejects_hostile_header_quickly(name):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
     )
     assert result.returncode == 0, result.stderr
-    expected = "UTF-8" if name == "non_utf8_id" else "need at least"
-    assert expected in result.stdout
+    assert HOSTILE_MESSAGES.get(name, "need at least") in result.stdout
