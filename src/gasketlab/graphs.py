@@ -167,6 +167,15 @@ def _from_neighbours(n: int, nbrs: Sequence[Iterable[int]]) -> LabeledGraph:
     return LabeledGraph(n, tuple(map(frozenset, nbrs)))
 
 
+def _add_side(nbrs: list[list[int]], v: int, side: Iterable[int]) -> None:
+    """Join ``v`` to every vertex of ``side`` in the neighbour lists, both
+    ways; ``side`` holds vertices all above, or all below, v."""
+    side = list(side)
+    nbrs[v] += side
+    for u in side:
+        nbrs[u].append(v)
+
+
 # '0'/'1' text to 0/1 flag bytes, so that itertools.compress picks the 1s
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -207,10 +216,7 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
     start = 0
     for i in range(1, n):
-        row = list(compress(range(i + 1, n + 1), flags[start : start + n - i]))
-        nbrs[i] += row
-        for j in row:
-            nbrs[j].append(i)
+        _add_side(nbrs, i, compress(range(i + 1, n + 1), flags[start : start + n - i]))
         start += n - i
     return _from_neighbours(n, nbrs)
 
@@ -300,8 +306,5 @@ def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     stream = WordStream(seed, domain=b"gasketlab-gnp")
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(1, n):
-        row = list(compress(range(i + 1, n + 1), map(below, stream.words(n - i))))
-        nbrs[i] += row
-        for j in row:
-            nbrs[j].append(i)
+        _add_side(nbrs, i, compress(range(i + 1, n + 1), map(below, stream.words(n - i))))
     return _from_neighbours(n, nbrs)

@@ -7,7 +7,7 @@ Our 1-based labels map to graph6 vertex i-1.  Both directions go through
 one '0'/'1' string of the column-major bits, ``int(bits, 2)`` and base64
 (whose alphabet maps one-to-one onto the 64 graph6 byte values).  JSON edge
 lists are type-checked field by field: n and every label must be a JSON
-integer (not a bool), and every edge a pair.
+integer (not a bool), n at most ``JSON_VERTEX_MAX``, and every edge a pair.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 from itertools import compress
 
 from .errors import DomainError
-from .graphs import _FLAGS, LabeledGraph, _from_neighbours
+from .graphs import _FLAGS, LabeledGraph, _add_side, _from_neighbours
 
 __all__ = [
     "to_graph6",
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _G6_HEADER = ">>graph6<<"
+JSON_VERTEX_MAX = 100_000  # a JSON "n" allocates n + 1 neighbour sets up front
 
 
 def _g6_size_bytes(n: int) -> bytes:
@@ -131,10 +132,7 @@ def from_graph6(text: str) -> LabeledGraph:
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
     start = 0
     for j in range(2, n + 1):  # column j: pairs (i, j), i < j
-        column = list(compress(range(1, j), flags[start : start + j - 1]))
-        nbrs[j] += column
-        for i in column:
-            nbrs[i].append(j)
+        _add_side(nbrs, j, compress(range(1, j), flags[start : start + j - 1]))
         start += j - 1
     return _from_neighbours(n, nbrs)
 
@@ -160,6 +158,8 @@ def from_json_edges(text: str) -> LabeledGraph:
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise DomainError('invalid JSON edge list: expected an object with "n" and "edges"')
     n = _json_int(payload["n"], '"n"')
+    if n > JSON_VERTEX_MAX:
+        raise DomainError(f'JSON edge list field "n" is {n}, over the cap {JSON_VERTEX_MAX}')
     edges = payload["edges"]
     if not isinstance(edges, list):
         raise DomainError(f'JSON edge list field "edges" must be a list, got {edges!r}')

@@ -16,25 +16,28 @@ other position to vertices above s, so the copies come out grouped by
 their smallest vertex and a ``limit`` stops the search early.
 
 A host graph G is *verified* for pattern H when every 2-coloring of E(G)
-contains a monochromatic induced copy of H.  For one copy, the colorings
-in which it is monochromatic (its edge set all red, or all blue) form an
-indicator bitset over coloring space.  Copies are grouped into components,
-two copies being joined when they share an edge, so the coloring space is
-exactly the product of the components' edge colorings and the colorings
-of the edges in no copy, and whether a copy is monochromatic depends only
-on its own component's coordinates.  Each component gets a cover of
-2^|E_c| bits, the union of its copies' bitsets, and the host is verified
-iff some component's cover is full: this decides all 2^|E| colorings
-exactly.  On failure the witness is the smallest uncovered coloring
-(edges red on the set bits of its index): each component's smallest
-uncovered local index deposited on that component's edges, with the free
-edges blue.
+contains a monochromatic induced copy of H.  A coloring is an index r (bit
+t set = edge t red); it avoids a copy with edge mask ``mask`` iff the copy
+is bichromatic, 0 < r & mask < mask.  Copies sharing an edge are joined
+into components, so the coloring space is the product of the components'
+edge colorings and those of the edges in no copy, and each copy depends
+only on its own component's coordinates.  Each component gets one
+depth-first search for an avoiding coloring of its edges (hypergraph
+2-coloring, Erdos's property B, searched as by Davis, Logemann and
+Loveland): edges are colored from the highest position down, blue before
+red, and a copy is checked once its lowest edge is colored, so the first
+leaf is the component's smallest avoiding index.  The host is verified iff
+some component has no leaf, which decides all 2^|E| colorings exactly.
+Otherwise the witness is the host's smallest avoiding coloring: the
+components' edge sets are disjoint and the index is a sum over them, so it
+is the union of their first leaves, with the free edges blue.
 
 The split algorithm recovers, from a disjoint union, the part whose
-components can host a monochromatic induced copy: a component admits such
-a coloring iff it contains an induced copy at all (the one-color coloring
-witnesses the forward direction), which is what the fast mode checks
-directly and the proof-faithful mode confirms by building the covers.
+components can host a monochromatic induced copy.  A component admits
+such a coloring iff it contains an induced copy at all: the one-color
+coloring makes every copy monochromatic.  Both modes therefore ask for one
+copy; the proof-faithful mode first holds each component to the
+exhaustive-coloring edge budget.
 """
 
 from __future__ import annotations
@@ -293,19 +296,50 @@ class HostCertificate:
     witness: TwoColoring | None  # a coloring with no monochromatic copy
 
 
-def _mono_covers(
-    g: LabeledGraph, pattern: LabeledGraph, max_edges: int
-) -> tuple[list[tuple[int, int]], list[tuple[list[int], int]]]:
-    """(edges, parts): one part per component of copies, two copies being
-    joined when they share an edge.
+def _smallest_avoiding(joined: int, copies: list[int]) -> int | None:
+    """The smallest coloring index r, red only on edges of ``joined``, that
+    leaves every copy's edge mask bichromatic, 0 < r & mask < mask; None if
+    every coloring makes some copy monochromatic.
 
-    A part is (positions, cover): the indices in ``edges`` of the
-    component's edges, ascending, and the 2^len(positions)-bit set whose bit
-    r is set iff the local coloring r (bit j red = edge positions[j] red)
-    makes some copy of the component monochromatic.  For a copy with local
-    edge mask ``mask`` the all-blue colorings are exactly the subsets of the
-    complementary edge set - built by doubling a single bit over the free
-    edges - and the all-red ones are that same set shifted by ``mask``.
+    Depth first over the bits of ``joined`` from the highest down, blue (0)
+    before red (1), so the leaves come in increasing order; a copy is
+    checked at its lowest bit, the last of its edges to be colored.
+    """
+    checks: dict[int, list[int]] = {}
+    for mask in copies:
+        if not mask:
+            return None  # an edgeless copy is monochromatic in every coloring
+        checks.setdefault(mask & -mask, []).append(mask)
+    bits = [1 << t for t in reversed(range(joined.bit_length())) if joined >> t & 1]
+
+    def search(j: int, r: int) -> int | None:
+        if j == len(bits):
+            return r
+        for s in (r, r | bits[j]):
+            if all(0 < s & mask < mask for mask in checks.get(bits[j], ())):
+                found = search(j + 1, s)
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, 0)
+
+
+def _coloring_from_index(r: int, edges: list[tuple[int, int]]) -> TwoColoring:
+    return {e: ("red" if r >> t & 1 else "blue") for t, e in enumerate(edges)}
+
+
+def is_host(
+    g: LabeledGraph, pattern: LabeledGraph, max_edges: int = COLORING_EDGE_BUDGET
+) -> HostCertificate:
+    """Verify that every 2-coloring of E(g) has a monochromatic induced copy.
+
+    The coloring space is decided exactly, one component of edge-sharing
+    copies at a time (see the module docstring); ``colorings_checked`` is
+    its size, 2^|E|.  The host is verified iff some component has no
+    coloring that leaves all its copies bichromatic.  A failure returns the
+    smallest such coloring index as witness: the union of the components'
+    smallest avoiding colorings, the edges in no copy blue.
     """
     edges = list(g.edges())
     m = len(edges)
@@ -326,51 +360,13 @@ def _mono_covers(
             component[0] |= other[0]
             component[1] += other[1]
         components.append(component)
-    parts = []
-    for joined, copies in components:
-        positions = [t for t in range(m) if joined >> t & 1]
-        full = (1 << (1 << len(positions))) - 1
-        cover = 0
-        for copy in copies:
-            mask = sum(1 << j for j, t in enumerate(positions) if copy >> t & 1)
-            blue = 1  # indicator of {r : r /\ mask = 0}, grown over free edges
-            for b in range(len(positions)):
-                if not mask >> b & 1:
-                    blue |= blue << (1 << b)
-            cover |= blue | blue << mask
-            if cover == full:
-                break
-        parts.append((positions, cover))
-    return edges, parts
-
-
-def _coloring_from_index(r: int, edges: list[tuple[int, int]]) -> TwoColoring:
-    return {e: ("red" if r >> t & 1 else "blue") for t, e in enumerate(edges)}
-
-
-def is_host(
-    g: LabeledGraph, pattern: LabeledGraph, max_edges: int = COLORING_EDGE_BUDGET
-) -> HostCertificate:
-    """Verify that every 2-coloring of E(g) has a monochromatic induced copy.
-
-    The coloring space is decided exactly as the product of the copy
-    components' covers (see the module docstring); ``colorings_checked`` is
-    its size, 2^|E|.  The host is verified iff some component's cover is
-    full.  A failure returns the smallest uncovered coloring index as
-    witness: each component's smallest uncovered local index deposited on
-    its own edges, the edges in no copy blue.
-    """
-    edges, parts = _mono_covers(g, pattern, max_edges)
-    checked = 1 << len(edges)
     witness = 0
-    for positions, cover in parts:
-        if cover == (1 << (1 << len(positions))) - 1:
-            return HostCertificate(g, pattern, True, checked, None)
-        lowest = (cover ^ (cover + 1)).bit_length() - 1  # lowest unset bit
-        for j, t in enumerate(positions):
-            if lowest >> j & 1:
-                witness |= 1 << t
-    return HostCertificate(g, pattern, False, checked, _coloring_from_index(witness, edges))
+    for joined, copies in components:
+        lowest = _smallest_avoiding(joined, copies)
+        if lowest is None:
+            return HostCertificate(g, pattern, True, 1 << m, None)
+        witness |= lowest
+    return HostCertificate(g, pattern, False, 1 << m, _coloring_from_index(witness, edges))
 
 
 @dataclass(frozen=True)
@@ -434,12 +430,12 @@ def split_union(
     max_edges: int = COLORING_EDGE_BUDGET,
 ) -> SplitResult:
     """Assign each component to part 2 iff it can host a monochromatic
-    induced copy of ``pattern``.
+    induced copy of ``pattern``, that is, iff it contains an induced copy
+    (the one-color coloring makes every copy monochromatic).
 
-    fast: the component contains an induced copy (the one-color coloring
-    then witnesses a monochromatic one).  proof-faithful: scan all edge
-    2-colorings of the component for one containing a monochromatic induced
-    copy.  The two modes agree on every input where both run.
+    Both modes make the same search for one copy; proof-faithful first
+    raises :class:`ResourceLimitError` for a component over ``max_edges``
+    edges, the budget of an exhaustive 2-coloring check.
     """
     if mode not in ("fast", "proof-faithful"):
         raise DomainError(f"mode must be 'fast' or 'proof-faithful', got {mode!r}")
@@ -447,16 +443,12 @@ def split_union(
     g2: list[int] = []
     for component in connected_components(g):
         comp_graph = induced_subgraph(g, component)
-        if mode == "fast":
-            hosts_copy = bool(find_induced_occurrences(comp_graph, pattern, limit=1))
-        else:
-            if comp_graph.edge_count > max_edges:
-                raise ResourceLimitError(
-                    f"component {component[:4]}... has {comp_graph.edge_count} edges, "
-                    f"over the proof-faithful budget {max_edges}; use fast mode"
-                )
-            _, parts = _mono_covers(comp_graph, pattern, max_edges)
-            hosts_copy = any(cover for _, cover in parts)
+        if mode == "proof-faithful" and comp_graph.edge_count > max_edges:
+            raise ResourceLimitError(
+                f"component {component[:4]}... has {comp_graph.edge_count} edges, "
+                f"over the proof-faithful budget {max_edges}; use fast mode"
+            )
+        hosts_copy = bool(find_induced_occurrences(comp_graph, pattern, limit=1))
         (g2 if hosts_copy else g1).extend(component)
     return SplitResult(tuple(sorted(g1)), tuple(sorted(g2)), mode)
 

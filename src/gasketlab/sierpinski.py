@@ -75,8 +75,8 @@ def build(level: int, max_level: int = MAX_LEVEL_DEFAULT) -> SierpinskiGraph:
     _check_level(level)
     if level > max_level:
         raise ResourceLimitError(
-            f"gasket level {level} exceeds the configured maximum {max_level} "
-            f"(vertex count would be {vertex_count(level)}); raise max_level to override"
+            f"gasket level {level} exceeds the configured maximum {max_level}; "
+            "raise max_level to override"
         )
     coord_edges: list[tuple[Coord, Coord]] = []
     _emit_edges(level, 0, 0, coord_edges)

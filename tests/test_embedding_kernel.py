@@ -1,13 +1,15 @@
-"""Differential tests: the induced-embedding kernel and the factored coloring
-cover against the slow paths they replaced (kept in conftest) and networkx."""
+"""Differential tests: the induced-embedding kernel and the per-component
+coloring search against the slow paths they replaced (kept in conftest) and
+networkx."""
 
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from gasketlab import LabeledGraph, gnp_sample
+from gasketlab import LabeledGraph, disjoint_union, gnp_sample
 from gasketlab.isomorphism import automorphism_count, find_isomorphism
 from gasketlab.ramsey import _root_plans, find_induced_occurrences, is_host
 
@@ -134,6 +136,50 @@ def test_is_host_matches_single_cover(g, name):
     }[name]
     cert = is_host(g, pattern)
     assert (cert.verified, cert.colorings_checked, cert.witness) == oracle_is_host(g, pattern)
+
+
+@st.composite
+def dense_hosts(draw):
+    n = draw(st.integers(8, 10))
+    pairs = draw(st.permutations(list(combinations(range(1, n + 1), 2))))
+    return LabeledGraph.from_edges(n, pairs[: draw(st.integers(17, 22))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_hosts(), st.sampled_from(["K3", "P3", "claw"]))
+def test_is_host_matches_single_cover_on_dense_hosts(g, name):
+    # past the 16 edges of the test above, where the search tree is deep
+    pattern = {
+        "K3": LabeledGraph.complete(3),
+        "P3": LabeledGraph.from_edges(3, [(1, 2), (2, 3)]),
+        "claw": LabeledGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)]),
+    }[name]
+    cert = is_host(g, pattern)
+    assert (cert.verified, cert.colorings_checked, cert.witness) == oracle_is_host(g, pattern)
+
+
+def test_complete_hosts_up_to_the_edge_cap_are_verified_quickly():
+    k3 = LabeledGraph.complete(3)
+    for n in (7, 8):
+        start = time.perf_counter()
+        cert = is_host(LabeledGraph.complete(n), k3)
+        assert cert.verified and cert.witness is None
+        assert cert.colorings_checked == 2 ** (n * (n - 1) // 2)
+    assert time.perf_counter() - start < 2.0  # K8: 28 edges, 56 triangles
+
+
+def test_verified_low_component_is_decided_on_its_own():
+    # K6 on 1..6 has no avoiding coloring; the four triangles above it each
+    # have six.  Searching the 27 edges as one tree from the highest down
+    # would refute K6 once per avoiding coloring of the triangles (6^4).
+    k3 = LabeledGraph.complete(3)
+    g = LabeledGraph.complete(6)
+    for _ in range(4):
+        g = disjoint_union(g, k3)
+    start = time.perf_counter()
+    cert = is_host(g, k3)
+    assert cert.verified and cert.witness is None and cert.colorings_checked == 2**27
+    assert time.perf_counter() - start < 0.2  # about 1 ms; the one tree takes about 1 s
 
 
 def test_gasket_host_factors_into_one_cover_per_subgasket():

@@ -100,6 +100,7 @@ def test_graph6_rejects_non_ascii_text():
         ('{"n": "3", "edges": []}', '"n"'),
         ('{"n": 3, "edges": 5}', '"edges"'),
         ('{"n": 1e9, "edges": []}', '"n"'),
+        ('{"n": 100001, "edges": []}', '"n" is 100001, over the cap 100000'),
         ('{"n": 3, "edges": [[1, "x"]]}', '"edges"[0][1]'),
         ('{"n": true, "edges": []}', '"n"'),
         ('{"n": 3, "edges": [[1, false]]}', '"edges"[0][1]'),

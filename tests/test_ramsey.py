@@ -9,13 +9,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gasketlab import (
     DomainError,
     LabeledGraph,
     ResourceLimitError,
     connected_components,
+    disjoint_union,
     gnp_sample,
+    induced_subgraph,
 )
 from gasketlab.experiments import sample_pattern_free
 from gasketlab.ramsey import (
@@ -31,7 +34,7 @@ from gasketlab.ramsey import (
 from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build, subgaskets
 
-from conftest import nx_isomorphic, oracle_poly_exp_crossover_level
+from conftest import nx_isomorphic, oracle_occurrences, oracle_poly_exp_crossover_level
 
 
 K3 = LabeledGraph.complete(3)
@@ -206,6 +209,37 @@ def test_split_union_random_instances_recover_partition():
         slow = split_union(union.graph, K3, mode="proof-faithful")
         assert fast.g1_vertices == slow.g1_vertices == union.g1_vertices
         assert fast.g2_vertices == slow.g2_vertices == union.g2_vertices
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return LabeledGraph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(small_graphs(), min_size=1, max_size=4),
+    st.sampled_from(["K2", "K3", "P3", "claw", "E2"]),
+)
+def test_split_union_modes_agree_on_random_unions(parts, name):
+    pattern = {
+        "K2": LabeledGraph.complete(2),
+        "K3": K3,
+        "P3": LabeledGraph.from_edges(3, [(1, 2), (2, 3)]),
+        "claw": LabeledGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)]),
+        "E2": LabeledGraph.empty(2),
+    }[name]
+    g = parts[0]
+    for part in parts[1:]:
+        g = disjoint_union(g, part)  # every component has at most 21 edges
+    fast = split_union(g, pattern, mode="fast")
+    slow = split_union(g, pattern, mode="proof-faithful")
+    assert (fast.g1_vertices, fast.g2_vertices) == (slow.g1_vertices, slow.g2_vertices)
+    for component in connected_components(g):
+        hosts_copy = bool(oracle_occurrences(induced_subgraph(g, component), pattern))
+        assert set(component) <= set(fast.g2_vertices if hosts_copy else fast.g1_vertices)
 
 
 def test_bounds_report_values():

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from gasketlab import DomainError, ResourceLimitError, induced_subgraph
@@ -100,3 +106,30 @@ def test_default_max_level_is_buildable():
     assert s12.graph.n == vertex_count(12) == 265722
     assert s12.graph.edge_count == edge_count(12) == 531441
     assert s12.graph.degree_multiset() == {2: 3, 4: s12.graph.n - 3}
+
+
+def test_huge_level_is_refused_before_its_vertex_count_is_formed():
+    from gasketlab.twopart import SideInfo
+
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="maximum"):
+        SideInfo.for_generator("sierpinski:10000000", 20)  # 3^(10^7 - 1) not computed
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_huge_generator_level_exits_1_without_traceback(tmp_path):
+    # a subprocess, so that a hang fails the test at the timeout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    args = ["encode", "alt", "--graph", "S3", "--gen", "sierpinski:1000000", "--occ", "1,2,3"]
+    result = subprocess.run(
+        [sys.executable, "-m", "gasketlab", *args, "--out", str(tmp_path / "x.bin")],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=10,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "maximum 12" in result.stderr
