@@ -9,6 +9,7 @@ the arguments; ``--manifest`` records the run so it can be replayed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -113,8 +114,17 @@ def _payoffs(text: str) -> _CommaList:
     return parts
 
 
+def _json_default(value: object) -> object:
+    """A report dataclass is written as its fields, a ``Fraction`` as ``p/q``."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json_dump(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _coloring_json(coloring: dict[tuple[int, int], str] | None):
@@ -180,12 +190,11 @@ def _cmd_encode_alt(args) -> str:
         args.gen, g.n, ordered=None if args.ordering == "auto" else args.ordering == "ordered"
     )
     enc = twopart.encode_two_part(encode(g), args.occ, side)
-    blob = twopart.to_bytes(enc, side)
-    Path(args.out).write_bytes(blob)
-    args._extra_paths.append(str(args.out))
-    report = twopart.length_report(side.n, side.k, side.ordered)
+    Path(args.out).write_bytes(twopart.to_bytes(enc, side))
     out_path = str(args.out)
+    args._extra_paths.append(out_path)
     args.out = None  # the binary is the file output; the report goes to stdout
+    report = twopart.length_report(side.n, side.k, side.ordered)
     return _json_dump(
         {
             "out": out_path,
@@ -205,39 +214,30 @@ def _cmd_decode_alt(args) -> str:
 
 
 def _cmd_closeknit_ratio(args) -> str:
-    report = closeknit.min_ratio(load_graph(args.graph), args.group)
-    return _json_dump(
-        {
-            "group": list(report.group),
-            "min_ratio": str(report.min_ratio),
-            "argmin": list(report.argmin),
-        }
-    )
+    return _json_dump(closeknit.min_ratio(load_graph(args.graph), args.group))
 
 
 def _cmd_closeknit_cert(args) -> str:
     result = closeknit.is_rk_closeknit(load_graph(args.graph), args.r, args.k)
     payload: dict = {
-        "r": str(result.r),
+        "r": result.r,
         "k": result.k,
         "success": result.success,
         "groups_examined": result.groups_examined,
     }
     if result.success:
-        payload["witness"] = {str(v): list(grp) for v, grp in sorted(result.witness.items())}
+        payload["witness"] = {str(v): grp for v, grp in result.witness.items()}
     else:
         payload["failed_vertex"] = result.failed_vertex
     return _json_dump(payload)
 
 
 def _cmd_closeknit_scan(args) -> str:
-    graphs = {
-        level: sierpinski.build(level).graph for level in args.levels
-    }
+    graphs = {level: sierpinski.build(level).graph for level in args.levels}
     scan = closeknit.family_scan(graphs, args.r, k_cap=args.k_cap)
     return _json_dump(
         {
-            "r": str(Fraction(args.r)),
+            "r": args.r,
             "k_cap": args.k_cap,
             "minimal_k": {str(level): k for level, k in scan.items()},
         }
@@ -288,39 +288,18 @@ def _cmd_ramsey_union(args) -> str:
 
 def _cmd_ramsey_split(args) -> str:
     result = ramsey.split_union(
-        load_graph(args.graph),
-        load_graph(args.pattern),
-        mode=args.mode,
-        max_edges=args.max_edges,
+        load_graph(args.graph), load_graph(args.pattern), mode=args.mode, max_edges=args.max_edges
     )
-    return _json_dump(
-        {
-            "mode": result.mode,
-            "g1_vertices": list(result.g1_vertices),
-            "g2_vertices": list(result.g2_vertices),
-        }
-    )
+    return _json_dump(result)
 
 
 def _cmd_ramsey_bounds(args) -> str:
-    report = ramsey.bounds_report(load_graph(args.pattern), args.c, args.c_d)
-    return _json_dump(
-        {
-            "pattern_size": report.pattern_size,
-            "max_degree": report.max_degree,
-            "c": report.c,
-            "c_d": report.c_d,
-            "chvatal": report.chvatal,
-            "luczak_rodl": report.luczak_rodl,
-            "incompressible_lower": report.incompressible_lower,
-            "incompressible_upper": report.incompressible_upper,
-        }
-    )
+    return _json_dump(ramsey.bounds_report(load_graph(args.pattern), args.c, args.c_d))
 
 
 def _cmd_ramsey_crossover(args) -> str:
     level = ramsey.poly_exp_crossover_level(args.c_d)
-    return _json_dump({"c_d": str(args.c_d), "max_level": level})
+    return _json_dump({"c_d": args.c_d, "max_level": level})
 
 
 # Value types of the diffusion config keys.  JSON true/false load as bool,
@@ -351,26 +330,29 @@ def _check_config(payload, path: Path) -> None:
 
 
 def _diffusion_config(args, n: int) -> diffusion.DiffusionConfig:
+    """The config from ``--config`` (which replaces the flags) or from the
+    flags; an absent key defaults as its flag does, and no horizon is 200*n."""
     if args.config:
         try:
-            payload = json.loads(Path(args.config).read_text())
+            values = json.loads(_read_text(args.config))
         except (OSError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read diffusion config {args.config}: {exc}")
-        _check_config(payload, args.config)
-        return diffusion.DiffusionConfig(
-            epsilon=payload.get("epsilon", 0.0),
-            init_adopters=tuple(payload.get("init_adopters", ())),
-            horizon=payload.get("horizon", 200 * n),
-            seed=payload.get("seed", 0),
-            schedule=payload.get("schedule", "uniform-random"),
-        )
-    horizon = args.horizon if args.horizon else 200 * n
+        _check_config(values, args.config)
+    else:
+        values = {
+            "epsilon": args.epsilon,
+            "init_adopters": args.init,
+            "seed": args.seed,
+            "schedule": args.schedule,
+        }
+        if args.horizon:
+            values["horizon"] = args.horizon
     return diffusion.DiffusionConfig(
-        epsilon=args.epsilon,
-        init_adopters=tuple(args.init),
-        horizon=horizon,
-        seed=args.seed,
-        schedule=args.schedule,
+        epsilon=values.get("epsilon", 0.0),
+        init_adopters=tuple(values.get("init_adopters", ())),
+        horizon=values.get("horizon", 200 * n),
+        seed=values.get("seed", 0),
+        schedule=values.get("schedule", "uniform-random"),
     )
 
 
@@ -387,10 +369,10 @@ def _cmd_diffuse_run(args) -> str:
     return _json_dump(
         {
             "n": g.n,
-            "r_star": str(diffusion.risk_threshold(game)),
+            "r_star": diffusion.risk_threshold(game),
             "revisions": len(trace.adoption_counts) - 1,
             "hitting_time": trace.hitting_time,
-            "final_adopters": list(trace.final_adopters),
+            "final_adopters": trace.final_adopters,
         }
     )
 
@@ -403,32 +385,20 @@ def _cmd_diffuse_stats(args) -> str:
     return _json_dump(
         {
             "n": g.n,
-            "r_star": str(diffusion.risk_threshold(game)),
+            "r_star": diffusion.risk_threshold(game),
             "trials": stats.trials,
             "success_rate": stats.success_rate,
             "median_hit": stats.median_hit,
-            "quartiles": list(stats.quartiles) if stats.quartiles else None,
+            "quartiles": stats.quartiles,
         }
     )
 
 
 def _cmd_experiment_containment(args) -> str:
-    result = experiments.containment_experiment(
-        args.n,
-        load_graph(args.pattern),
-        args.trials,
-        args.seed,
-        p=args.p,
-    )
     return _json_dump(
-        {
-            "n": result.n,
-            "pattern_size": result.pattern_size,
-            "trials": result.trials,
-            "mean_count": result.mean_count,
-            "containment_frequency": result.containment_frequency,
-            "expected_isomorphic": str(result.expected_isomorphic),
-        }
+        experiments.containment_experiment(
+            args.n, load_graph(args.pattern), args.trials, args.seed, p=args.p
+        )
     )
 
 
@@ -488,13 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sierpinski gasket graphs: codecs, close-knit ratios, "
         "induced-Ramsey checks, and adoption dynamics.",
     )
-    parser.add_argument("--manifest", type=Path, help="write a run manifest JSON")
     top = parser.add_subparsers(dest="command", required=True)
 
-    def sub(group, name, func, **kwargs):
-        sp = group.add_parser(name, **kwargs)
+    def sub(group, name, func, **out_options):
+        """A subcommand parser; the only place ``--out`` and ``--manifest``
+        are declared, so both follow the subcommand."""
+        sp = group.add_parser(name)
         sp.set_defaults(func=func)
-        sp.add_argument("--out", type=Path, help="write output here instead of stdout")
+        out_options.setdefault("help", "write output here instead of stdout")
+        sp.add_argument("--out", type=Path, **out_options)
         sp.add_argument("--manifest", type=Path, help="write a run manifest JSON")
         return sp
 
@@ -524,16 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp = sub(enc, "canonical", _cmd_encode_canonical)
     sp.add_argument("--graph", required=True)
-    sp = enc.add_parser("alt")
-    sp.set_defaults(func=_cmd_encode_alt)
+    sp = sub(enc, "alt", _cmd_encode_alt, required=True, help="write the two-part binary here")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--occ", type=_int_list, required=True)
     sp.add_argument("--gen", required=True, help="generator id, e.g. sierpinski:2")
     sp.add_argument(
         "--ordering", choices=("auto", "ordered", "unordered"), default="auto"
     )
-    sp.add_argument("--out", type=Path, required=True)
-    sp.add_argument("--manifest", type=Path, help="write a run manifest JSON")
 
     dec = top.add_parser("decode", help="inverse codecs").add_subparsers(
         dest="subcommand", required=True
@@ -657,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _manifest(args, paths: list[str]) -> dict:
     params = {}
     for key, value in sorted(vars(args).items()):
-        if key in ("func", "manifest", "_extra_paths") or key.startswith("_"):
+        if key in ("func", "manifest") or key.startswith("_"):
             continue
         if isinstance(value, _CommaList):
             value = value.text
@@ -677,10 +646,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = args.func(args)
         paths = list(args._extra_paths)
-        out = getattr(args, "out", None)
-        if out:
-            Path(out).write_text(text)
-            paths.append(str(out))
+        if args.out:
+            Path(args.out).write_text(text)
+            paths.append(str(args.out))
         else:
             sys.stdout.write(text)
         if args.manifest:

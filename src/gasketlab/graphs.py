@@ -207,6 +207,8 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
     """Graph whose canonical encoding is ``bits``; row i (the slice of pairs
     (i, j), j > i) yields its higher neighbours in one ``compress``."""
     text = bits.bits if isinstance(bits, EdgeBitString) else bits
+    if n < 0:
+        raise DomainError(f"decode needs n >= 0 vertices, got {n}")
     expected = comb(n, 2)
     if len(text) != expected:
         raise DomainError(

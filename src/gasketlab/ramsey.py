@@ -509,15 +509,41 @@ def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
     )
 
 
+def _power_at_least(k: int, e: int, bits: int) -> bool:
+    """Whether k^e >= 2^bits, for k >= 1.
+
+    Binary powering on mantissas of ``e.bit_length() + 64`` bits brackets
+    k^e between lo 2^shift (rounded down) and hi 2^shift (rounded up); and
+    m 2^shift >= 2^bits iff bitlen(m) + shift > bits.  The exact power is
+    formed only when the bracket straddles 2^bits.
+    """
+    keep = e.bit_length() + 64
+    lo = hi = 1
+    shift = 0
+    for bit in bin(e)[2:]:
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        if bit == "1":
+            lo, hi = lo * k, hi * k
+        drop = max(hi.bit_length() - keep, 0)
+        lo, hi, shift = lo >> drop, -(-hi >> drop), shift + drop
+    if lo.bit_length() + shift > bits:
+        return True
+    if hi.bit_length() + shift <= bits:
+        return False
+    return (k**e).bit_length() > bits
+
+
 def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
     """Largest gasket level whose vertex count k satisfies k^c_d >= 2^((k-1)/2).
 
     Above the returned level the polynomial host bound k^c_d can never reach
     the exponential lower bound, so only finitely many levels are compatible.
     Comparisons are exact: with c_d = p/q the test is k^(2p) >= 2^(q(k-1)).
-    Terminates because the exponential side eventually dominates; the scan
-    stops once failure is certain by a doubling margin that only grows with
-    the level.
+    Bit lengths decide most levels; a level whose q(k-1) falls between the
+    two bit-length bounds is decided by a bracket on the top bits of k^(2p)
+    (``_power_at_least``).  Terminates because the exponential side
+    eventually dominates; the scan stops once failure is certain by a
+    doubling margin that only grows with the level.
     """
     frac = Fraction(c_d)
     if frac <= 0:
@@ -532,7 +558,7 @@ def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
         if rhs_bits > lhs_bits_cap:
             if rhs_bits > 2 * lhs_bits_cap:
                 return best  # margin persists for all larger levels
-        elif rhs_bits <= lhs_bits_cap - 2 * p or k ** (2 * p) >= 1 << rhs_bits:
+        elif rhs_bits <= lhs_bits_cap - 2 * p or _power_at_least(k, 2 * p, rhs_bits):
             best = level  # k^(2p) >= 2^(2p (bitlen(k) - 1)) decides without the power
         level += 1
         if level > 1000:  # unreachable for positive c_d; guards the loop

@@ -57,19 +57,6 @@ class SierpinskiGraph:
     corner_labels: tuple[int, int, int]
 
 
-def _emit_edges(level: int, r0: int, c0: int, out: list[tuple[Coord, Coord]]) -> None:
-    if level == 1:
-        a, b, c = (r0, c0), (r0 + 1, c0), (r0 + 1, c0 + 1)
-        out.append((a, b))
-        out.append((a, c))
-        out.append((b, c))
-        return
-    span = 2 ** (level - 2)
-    _emit_edges(level - 1, r0, c0, out)
-    _emit_edges(level - 1, r0 + span, c0, out)
-    _emit_edges(level - 1, r0 + span, c0 + span, out)
-
-
 def build(level: int, max_level: int = MAX_LEVEL_DEFAULT) -> SierpinskiGraph:
     """Construct the level-``level`` gasket graph with canonical labels."""
     _check_level(level)
@@ -78,8 +65,7 @@ def build(level: int, max_level: int = MAX_LEVEL_DEFAULT) -> SierpinskiGraph:
             f"gasket level {level} exceeds the configured maximum {max_level}; "
             "raise max_level to override"
         )
-    coord_edges: list[tuple[Coord, Coord]] = []
-    _emit_edges(level, 0, 0, coord_edges)
+    coord_edges = _coord_edges(level)
     points = sorted({p for e in coord_edges for p in e})
     label = {p: t + 1 for t, p in enumerate(points)}
     graph = LabeledGraph.from_edges(
@@ -106,10 +92,19 @@ def _collect_offsets(level: int, target: int, r0: int, c0: int, out: list[Coord]
     _collect_offsets(level - 1, target, r0 + span, c0 + span, out)
 
 
+def _coord_edges(level: int) -> list[tuple[Coord, Coord]]:
+    """Edges of the triangles at the level-1 offsets, in recursion order."""
+    offsets: list[Coord] = []
+    _collect_offsets(level, 1, 0, 0, offsets)
+    edges = []
+    for r0, c0 in offsets:
+        a, b, c = (r0, c0), (r0 + 1, c0), (r0 + 1, c0 + 1)
+        edges += [(a, b), (a, c), (b, c)]
+    return edges
+
+
 def _coord_points(level: int) -> list[Coord]:
-    edges: list[tuple[Coord, Coord]] = []
-    _emit_edges(level, 0, 0, edges)
-    return sorted({p for e in edges for p in e})
+    return sorted({p for e in _coord_edges(level) for p in e})
 
 
 def subgaskets(s: SierpinskiGraph, sub_level: int) -> list[tuple[int, ...]]:

@@ -111,6 +111,9 @@ class SideInfo:
     def for_generator(
         generator_id: str, n: int, ordered: bool | None = None
     ) -> "SideInfo":
+        family, size = _parse_generator(generator_id)
+        if family != "sierpinski" and size > n:  # a level is capped by build instead
+            raise DomainError(f"generator {generator_id!r} makes k={size} > n={n} vertices")
         pattern, needs_order = generator_graph(generator_id)
         return SideInfo(
             n=n,
@@ -329,24 +332,6 @@ def compressor_proxy(bits: EdgeBitString) -> int:
 # self-delimiting given the header.
 
 
-class _BitReader:
-    def __init__(self, data: bytes) -> None:
-        self.value = int.from_bytes(data, "big")
-        self.remaining = 8 * len(data)
-
-    def read(self, width: int) -> int:
-        if width > self.remaining:
-            raise DomainError("truncated bit field in serialized encoding")
-        self.remaining -= width
-        out = self.value >> self.remaining
-        self.value &= (1 << self.remaining) - 1
-        return out
-
-    def read_bits(self, width: int) -> str:
-        raw = self.read(width)
-        return format(raw, f"0{width}b") if width else ""
-
-
 def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
     gid = side.generator_id.encode("utf-8")
     if len(gid) > 0xFFFF:
@@ -412,12 +397,20 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
             f"n={n}, k={k} need at least {least_bits}"
         )
     _check_generator_order(generator_id, k)
-    reader = _BitReader(body)
-    subset_rank = reader.read(subset_index_bits(n, k))
-    perm_rank = reader.read(ordering_index_bits(k)) if side.ordered else None
-    residual = reader.read_bits(residual_bits)
-    if reader.remaining >= 8 or reader.read(reader.remaining) != 0:
+    # the body is one integer: subset rank, ordering rank, residual, padding
+    order_bits = ordering_index_bits(k) if side.ordered else 0
+    pad = 8 * len(body) - (subset_index_bits(n, k) + order_bits + residual_bits)
+    if pad < 0:
+        raise DomainError("truncated bit field in serialized encoding")
+    value = int.from_bytes(body, "big")
+    if pad >= 8 or value & ((1 << pad) - 1):
         raise DomainError("serialized encoding has nonzero or oversized padding")
+    value >>= pad
+    mask = (1 << residual_bits) - 1
+    residual = format(value & mask, f"0{residual_bits}b") if residual_bits else ""
+    value >>= residual_bits
+    subset_rank = value >> order_bits
+    perm_rank = value & ((1 << order_bits) - 1) if side.ordered else None
     enc = TwoPartEncoding(
         subset_rank=subset_rank, perm_rank=perm_rank, residual=residual
     )

@@ -8,11 +8,13 @@ and the factored coloring cover replaced are kept here as oracles: the
 scan over all C(n,k) subsets with a backtracking isomorphism test, the
 backtracking automorphism count, the single 2^|E|-bit cover,
 certification by computing each candidate group's exact minimum ratio,
-the crossover scan that decides every undecided level by the exact power,
+the crossover scan that decides every undecided level by the exact power
+(and one by 60-digit logarithms, for levels where that power is too slow),
 and the per-bit and per-pair loops of the G(n,p) sampler, the canonical,
 graph6 and two-part codecs, ``plant_occurrence`` and ``to_bytes``.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -207,6 +209,25 @@ def oracle_poly_exp_crossover_level(c_d) -> int | None:
         level += 1
         if level > 1000:
             return best
+
+
+def oracle_crossover_level_by_logs(c_d, levels=range(1, 40)) -> int | None:
+    """Largest level with 2p ln k >= q(k-1) ln 2 for c_d = p/q, both sides in
+    60-digit decimal logarithms; fails unless every level is clear of
+    equality by far more than the rounding error."""
+    frac = Fraction(c_d)
+    p, q = frac.numerator, frac.denominator
+    best = None
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Decimal(2).ln()
+        for level in levels:
+            k = sierpinski.vertex_count(level)
+            gap = 2 * p * Decimal(k).ln() - q * (k - 1) * ln2
+            assert abs(gap) > Decimal(10) ** -30 * q * k, (c_d, level)
+            if gap >= 0:
+                best = level
+    return best
 
 
 def oracle_gnp_sample(n: int, p, seed: int) -> LabeledGraph:

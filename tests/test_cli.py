@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from gasketlab import cli
+from gasketlab.closeknit import GroupReport
+from gasketlab.experiments import ContainmentResult
+from gasketlab.ramsey import BoundsReport, SplitResult
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -151,6 +156,15 @@ def test_diffuse_config_file_equals_flags(tmp_path):
     assert from_file.stdout == from_flags.stdout
 
 
+def test_no_horizon_is_200_n_from_flags_and_from_config(tmp_path, capsys):
+    config = tmp_path / "diffusion.json"
+    config.write_text("{}")
+    base = ["diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0,0"]  # nobody ever adopts
+    for extra in (["--horizon", "0"], ["--config", str(config)]):
+        code, out, _ = run_main(base + extra, capsys)
+        assert code == 0 and json.loads(out)["revisions"] == 200 * 6
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     args = (
         "experiment", "containment", "--n", "8", "--pattern", "K3",
@@ -241,6 +255,37 @@ def run_main(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["closeknit", "ratio", "--graph", "S3", "--group", "2,4,5"], GroupReport),
+        (["ramsey", "split", "--graph", "E3", "--pattern", "K3"], SplitResult),
+        (["ramsey", "bounds", "--pattern", "K5", "--c", "2.5", "--c-d", "2.5"], BoundsReport),
+        (["experiment", "containment", "--n", "6", "--pattern", "K3", "--trials", "5"],
+         ContainmentResult),
+    ],
+)
+def test_report_json_keys_are_the_report_fields(argv, report, capsys):
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    assert list(json.loads(out)) == sorted(f.name for f in dataclasses.fields(report))
+
+
+def test_crossover_in_the_band_answers_in_under_a_second(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_main(["ramsey", "crossover", "--c-d", "439252"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and '"max_level": 15' in out
+
+
+def test_manifest_before_the_subcommand_is_a_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    argv = ["--manifest", str(manifest), "gen", "gnp", "--n", "4", "--p", "0.5"]
+    code, out, _ = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert not manifest.exists()
 
 
 def test_closeknit_stdout_matches_frozen_golden(capsys):

@@ -39,6 +39,11 @@ def test_decode_length_mismatch_names_lengths():
         decode("1111", 3)
 
 
+def test_decode_rejects_a_negative_vertex_count():
+    with pytest.raises(DomainError, match="n >= 0"):
+        decode("101", -1)
+
+
 @given(st.integers(2, 12), st.data())
 @settings(max_examples=60)
 def test_codec_roundtrip_both_ways(n, data):

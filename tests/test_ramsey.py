@@ -28,13 +28,19 @@ from gasketlab.ramsey import (
     has_mono_induced,
     induced_ramsey_oracle,
     is_host,
+    _power_at_least,
     poly_exp_crossover_level,
     split_union,
 )
 from gasketlab.rng import derive_seed
-from gasketlab.sierpinski import build, subgaskets
+from gasketlab.sierpinski import build, subgaskets, vertex_count
 
-from conftest import nx_isomorphic, oracle_occurrences, oracle_poly_exp_crossover_level
+from conftest import (
+    nx_isomorphic,
+    oracle_crossover_level_by_logs,
+    oracle_occurrences,
+    oracle_poly_exp_crossover_level,
+)
 
 
 K3 = LabeledGraph.complete(3)
@@ -274,6 +280,47 @@ def test_poly_exp_crossover_matches_the_exact_power_scan():
         for a in range(1, 200):
             c_d = Fraction(a, b)
             assert poly_exp_crossover_level(c_d) == oracle_poly_exp_crossover_level(c_d), c_d
+
+
+def _band_values(level: int, q: int) -> list[Fraction]:
+    """The two c_d = p/q closest to the crossover at ``level``: p = floor and
+    ceil of q(k-1) / (2 log2 k).  Both put q(k-1) between the two bit-length
+    bounds 2p(bitlen(k) - 1) and 2p bitlen(k), the band the bracket decides."""
+    k = vertex_count(level)
+    centre = q * (k - 1) / (2 * math.log2(k))
+    return [Fraction(math.floor(centre), q), Fraction(math.ceil(centre), q)]
+
+
+@pytest.mark.parametrize(
+    "level, q", [(10, 1), (11, 1), (12, 1), (13, 1), (14, 1), (10, 3), (11, 3)]
+)
+def test_poly_exp_crossover_band_matches_the_exact_power_scan(level, q):
+    for c_d in _band_values(level, q):
+        assert poly_exp_crossover_level(c_d) == oracle_poly_exp_crossover_level(c_d), c_d
+
+
+@pytest.mark.parametrize("level", range(10, 17))
+@pytest.mark.parametrize("q", [1, 3, 7])
+def test_poly_exp_crossover_band_matches_high_precision_logs(level, q):
+    lower, upper = _band_values(level, q)
+    assert poly_exp_crossover_level(lower) == oracle_crossover_level_by_logs(lower) == level - 1
+    assert poly_exp_crossover_level(upper) == oracle_crossover_level_by_logs(upper) == level
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(1, 10**6), st.integers(1, 120).map(lambda t: (1 << t) - 1)),
+    st.integers(1, 300),
+    st.integers(-2, 1),
+)
+def test_power_bracket_matches_the_exact_power(k, e, offset):
+    bits = max(0, (k**e).bit_length() + offset)
+    assert _power_at_least(k, e, bits) == (k**e >= 1 << bits)
+
+
+def test_power_bracket_falls_back_to_the_exact_power_when_it_straddles():
+    k = (1 << 100) - 1  # k^3 is just below 2^300; 66-bit mantissas round up to it
+    assert _power_at_least(k, 3, 299) and not _power_at_least(k, 3, 300)
 
 
 @pytest.mark.parametrize("c_d", [10**6, 10**9, Fraction(10**6, 7)])

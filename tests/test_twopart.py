@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import DomainError, LabeledGraph, encode, gnp_sample
+from gasketlab import DomainError, LabeledGraph, encode, gnp_sample, twopart
 from gasketlab.experiments import plant_occurrence
 from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build, vertex_count
@@ -122,6 +122,23 @@ def test_unordered_variant_roundtrips():
     assert enc.length_bits(side) == comb(10, 2) - gain(10, 4, False)
 
 
+@pytest.mark.parametrize("generator_id", ["complete:1000", "empty:21"])
+def test_for_generator_rejects_a_pattern_larger_than_n_before_building_it(
+    generator_id, monkeypatch
+):
+    def refuse(_):
+        raise AssertionError("the pattern was built")
+
+    monkeypatch.setattr(twopart, "generator_graph", refuse)
+    with pytest.raises(DomainError, match="n=20"):
+        SideInfo.for_generator(generator_id, 20)
+
+
+def test_for_generator_accepts_a_pattern_of_exactly_n_vertices():
+    assert SideInfo.for_generator("complete:20", 20).k == 20
+    assert SideInfo.for_generator("empty:20", 20).k == 20
+
+
 def test_serialization_byte_exact_golden():
     bits, subset, side = make_planted(12, 1, 31)
     enc = encode_two_part(bits, subset, side)
@@ -143,6 +160,13 @@ def test_serialization_rejects_bad_padding():
     blob[-1] |= 1  # pollute the zero padding
     with pytest.raises(DomainError, match="padding"):
         from_bytes(bytes(blob))
+
+
+def test_serialization_rejects_a_whole_byte_of_padding():
+    bits, subset, side = make_planted(10, 1, 7)
+    blob = to_bytes(encode_two_part(bits, subset, side), side) + b"\x00"
+    with pytest.raises(DomainError, match="oversized padding"):
+        from_bytes(blob)
 
 
 @given(st.integers(0, 2**32), st.integers(6, 30))
