@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .errors import DomainError
 from .graphs import LabeledGraph
+from .io import JSON_VERTEX_MAX
 from . import sierpinski
 
 __all__ = ["named_graph", "NAMED_PATTERNS"]
@@ -14,13 +16,23 @@ NAMED_PATTERNS = "K<n> (complete), S<l> (gasket), P<n> (path), C<n> (cycle), E<n
 
 
 def named_graph(name: str) -> LabeledGraph:
-    """K5, S3, P3, C5, E2 and friends; raises DomainError for anything else."""
-    m = re.fullmatch(r"([KSPCE])(\d+)", name.strip())
+    """K5, S3, P3, C5, E2 and friends; raises DomainError for anything else.
+
+    The size is checked before anything is built: at most ``JSON_VERTEX_MAX``
+    vertices for E, P and C, and as many edges for K; S has its level cap.
+    """
+    m = re.fullmatch(r"([KSPCE])0*(\d+)", name.strip())
     if not m:
         raise DomainError(
             f"unknown graph name {name!r}; expected one of {NAMED_PATTERNS}"
         )
-    kind, value = m.group(1), int(m.group(2))
+    kind, digits = m.group(1), m.group(2)
+    if len(digits) > len(str(JSON_VERTEX_MAX)):  # over every cap; int() refuses 4301+ digits
+        raise DomainError(f"graph name {kind}<n> with a {len(digits)}-digit n is too large")
+    value = int(digits)
+    size, unit = (comb(value, 2), "edges") if kind == "K" else (value, "vertices")
+    if kind != "S" and size > JSON_VERTEX_MAX:
+        raise DomainError(f"graph {name!r} has {size} {unit}, over the cap {JSON_VERTEX_MAX}")
     if kind == "K":
         return LabeledGraph.complete(value)
     if kind == "S":

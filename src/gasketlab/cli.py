@@ -329,7 +329,7 @@ def _check_config(payload, path: Path) -> None:
             )
 
 
-def _diffusion_config(args, n: int) -> diffusion.DiffusionConfig:
+def _diffusion_config(args) -> diffusion.DiffusionConfig:
     """The config from ``--config`` (which replaces the flags) or from the
     flags; an absent key defaults as its flag does, and no horizon is 200*n."""
     if args.config:
@@ -344,13 +344,12 @@ def _diffusion_config(args, n: int) -> diffusion.DiffusionConfig:
             "init_adopters": args.init,
             "seed": args.seed,
             "schedule": args.schedule,
+            "horizon": args.horizon or None,
         }
-        if args.horizon:
-            values["horizon"] = args.horizon
     return diffusion.DiffusionConfig(
         epsilon=values.get("epsilon", 0.0),
         init_adopters=tuple(values.get("init_adopters", ())),
-        horizon=values.get("horizon", 200 * n),
+        horizon=values.get("horizon"),
         seed=values.get("seed", 0),
         schedule=values.get("schedule", "uniform-random"),
     )
@@ -358,7 +357,7 @@ def _diffusion_config(args, n: int) -> diffusion.DiffusionConfig:
 
 def _cmd_diffuse_run(args) -> str:
     g = load_graph(args.graph)
-    config = _diffusion_config(args, g.n)
+    config = _diffusion_config(args)
     game = diffusion.CoordinationGame(*args.payoffs)
     trace = diffusion.run(g, game, config)
     if args.trace_out:
@@ -379,7 +378,7 @@ def _cmd_diffuse_run(args) -> str:
 
 def _cmd_diffuse_stats(args) -> str:
     g = load_graph(args.graph)
-    config = _diffusion_config(args, g.n)
+    config = _diffusion_config(args)
     game = diffusion.CoordinationGame(*args.payoffs)
     stats = diffusion.hitting_time_stats(g, game, config, args.trials)
     return _json_dump(
@@ -419,8 +418,7 @@ def _cmd_experiment_sweep(args) -> str:
 def _cmd_experiment_link(args) -> str:
     config = diffusion.DiffusionConfig(
         epsilon=args.epsilon,
-        init_adopters=(),
-        horizon=args.horizon if args.horizon else 1,
+        horizon=args.horizon or None,
         seed=args.seed,
         schedule=args.schedule,
     )
@@ -429,7 +427,6 @@ def _cmd_experiment_link(args) -> str:
         diffusion.CoordinationGame(*args.payoffs),
         config,
         args.trials,
-        auto_horizon=not args.horizon,
     )
     metadata = {
         "config_hash": _config_hash(

@@ -16,7 +16,8 @@ This is a deliberate reduction of adaptive-play dynamics to asynchronous
 myopic best response; the adoption threshold is the single constant that
 couples the game to close-knit structure.  ``revise`` and ``run`` share one
 revision step, so a chain of ``revise`` calls on one word stream replays
-``run``.  ``hitting_time_stats`` runs its trials in order in the calling
+``run``.  A run ends at its first all-A revision or at the horizon, 200*n if
+none is set.  ``hitting_time_stats`` runs its trials in order in the calling
 thread: the simulation is pure Python, so threads would add no speed.
 """
 
@@ -71,9 +72,11 @@ def risk_threshold(game: CoordinationGame) -> Fraction:
 
 @dataclass(frozen=True)
 class DiffusionConfig:
+    """The settings of a run; a horizon of None means 200 revisions per vertex."""
+
     epsilon: float = 0.0
     init_adopters: tuple[int, ...] = ()
-    horizon: int = 1000
+    horizon: int | None = None
     seed: int = 0
     schedule: str = "uniform-random"  # or "round-robin"
     # tie rule is fixed: adopt A at exact threshold
@@ -81,7 +84,7 @@ class DiffusionConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.epsilon < 1.0):
             raise DomainError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.horizon <= 0:
+        if self.horizon is not None and self.horizon <= 0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.schedule not in ("uniform-random", "round-robin"):
             raise DomainError(
@@ -152,8 +155,8 @@ def revise(
 
 @dataclass(frozen=True)
 class Trace:
-    """Adoption counts per revision (index 0 = initial state) and the first
-    revision at which every vertex adopted, if any."""
+    """Adoption counts per revision (index 0 = initial state) up to the horizon
+    or the hitting time, the first revision at which every vertex adopted."""
 
     adoption_counts: tuple[int, ...]
     hitting_time: int | None
@@ -164,9 +167,8 @@ def run(
     g: LabeledGraph,
     game: CoordinationGame,
     config: DiffusionConfig,
-    stop_at_all_a: bool = True,
 ) -> Trace:
-    """Simulate revisions up to the horizon; deterministic given the config.
+    """Simulate revisions up to all-A or the horizon; deterministic given the config.
 
     Word-stream consumption order per revision: schedule draw (uniform-random
     schedule only), then noise coin (only if epsilon > 0), then strategy coin
@@ -182,21 +184,20 @@ def run(
     stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
     adopters = set(init)
     counts = [len(adopters)]
-    hit = 0 if len(adopters) == g.n else None
     n = g.n
     epsilon = config.epsilon
     round_robin = config.schedule == "round-robin"
-    for t in range(1, config.horizon + 1):
-        if hit is not None and stop_at_all_a:
-            break
+    horizon = 200 * n if config.horizon is None else config.horizon
+    t = 0
+    while counts[-1] < n and t < horizon:
+        t += 1
         v = ((t - 1) % n) + 1 if round_robin else stream.index(n) + 1
         if _plays_a(g, adopters, v, r_star, epsilon, stream):
             adopters.add(v)
         else:
             adopters.discard(v)
         counts.append(len(adopters))
-        if hit is None and len(adopters) == n:
-            hit = t
+    hit = t if counts[-1] == n else None
     return Trace(tuple(counts), hit, tuple(sorted(adopters)))
 
 
@@ -218,8 +219,9 @@ def hitting_time_stats(
 ) -> HittingStats:
     """Per-trial hitting times to >= ``adoption_fraction`` adoption.
 
-    Trial i runs with seed derive_seed(config.seed, "trial", i); the trials
-    run in order and the statistics are exact over the produced samples.
+    Trial i is ``run`` with seed derive_seed(config.seed, "trial", i); its hit
+    is the first count >= target, which (counts move by one) the trace holds
+    even though it ends at all-A.  The statistics are exact over the samples.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
@@ -227,7 +229,7 @@ def hitting_time_stats(
         raise DomainError(f"adoption_fraction must be in (0, 1], got {adoption_fraction}")
     target = math.ceil(Fraction(adoption_fraction) * g.n)
     seeds = (derive_seed(config.seed, "trial", i) for i in range(trials))
-    traces = (run(g, game, replace(config, seed=s), stop_at_all_a=False) for s in seeds)
+    traces = (run(g, game, replace(config, seed=s)) for s in seeds)
     hits = tuple(
         next((t for t, count in enumerate(trace.adoption_counts) if count >= target), None)
         for trace in traces

@@ -12,7 +12,7 @@ the calling thread; trial i's seed depends only on the master seed and i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -195,13 +195,12 @@ def closeknit_diffusion_link(
     config: diffusion.DiffusionConfig,
     trials: int,
     k_cap: int = 8,
-    auto_horizon: bool = True,
 ) -> list[dict[str, object]]:
     """Per gasket level: adoption threshold, minimal close-knit k at that
     threshold, and hitting-time statistics from one elementary triangle.
 
-    With ``auto_horizon`` the per-level horizon is 200 times the vertex
-    count; otherwise ``config.horizon`` applies to every level.
+    ``config.horizon`` applies to every level; None means 200 times the
+    level's vertex count.  Each trial ends at its first all-A revision.
     """
     r_star = diffusion.risk_threshold(game)
     rows: list[dict[str, object]] = []
@@ -213,12 +212,8 @@ def closeknit_diffusion_link(
             if config.init_adopters
             else sierpinski.elementary_triangles(gasket)[0]
         )
-        level_config = diffusion.DiffusionConfig(
-            epsilon=config.epsilon,
-            init_adopters=init,
-            horizon=200 * gasket.graph.n if auto_horizon else config.horizon,
-            seed=derive_seed(config.seed, "link", level),
-            schedule=config.schedule,
+        level_config = replace(
+            config, init_adopters=init, seed=derive_seed(config.seed, "link", level)
         )
         stats = diffusion.hitting_time_stats(gasket.graph, game, level_config, trials)
         rows.append(

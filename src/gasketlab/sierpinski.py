@@ -44,9 +44,15 @@ def edge_count(level: int) -> int:
     return 3**level
 
 
-def _check_level(level: int) -> None:
+def _check_level(level: int, max_level: int | None = None) -> None:
+    """Reject a level below 1, and one above ``max_level`` if that is given."""
     if level < 1:
         raise DomainError(f"gasket level must be >= 1, got {level}")
+    if max_level is not None and level > max_level:
+        raise ResourceLimitError(
+            f"gasket level {level} exceeds the configured maximum {max_level}; "
+            "raise max_level to override"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,12 +65,7 @@ class SierpinskiGraph:
 
 def build(level: int, max_level: int = MAX_LEVEL_DEFAULT) -> SierpinskiGraph:
     """Construct the level-``level`` gasket graph with canonical labels."""
-    _check_level(level)
-    if level > max_level:
-        raise ResourceLimitError(
-            f"gasket level {level} exceeds the configured maximum {max_level}; "
-            "raise max_level to override"
-        )
+    _check_level(level, max_level)
     coord_edges = _coord_edges(level)
     points = sorted({p for e in coord_edges for p in e})
     label = {p: t + 1 for t, p in enumerate(points)}

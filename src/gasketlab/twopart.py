@@ -85,17 +85,14 @@ def generator_graph(generator_id: str) -> tuple[LabeledGraph, bool]:
     return LabeledGraph.empty(value), False
 
 
-def _check_generator_order(generator_id: str, k: int) -> None:
-    """Reject a declared pattern size k that the generator cannot produce,
-    without building the pattern.  Levels past 21 are compared as level 21,
-    whose 5,230,176,603 vertices already exceed every u32 k."""
+def _generator_order(generator_id: str) -> int:
+    """The generator's vertex count, without building the pattern.  Levels
+    past 21 count as level 21, whose 5,230,176,603 vertices already exceed
+    every u32 k."""
     family, value = _parse_generator(generator_id)
     if family == "sierpinski":
-        value = sierpinski.vertex_count(min(value, 21))
-    if value != k:
-        raise DomainError(
-            f"generator {generator_id!r} does not produce k={k} vertices"
-        )
+        return sierpinski.vertex_count(min(value, 21))
+    return value
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,11 @@ class SideInfo:
     def for_generator(
         generator_id: str, n: int, ordered: bool | None = None
     ) -> "SideInfo":
-        family, size = _parse_generator(generator_id)
-        if family != "sierpinski" and size > n:  # a level is capped by build instead
+        family, value = _parse_generator(generator_id)
+        if family == "sierpinski":  # a level past the cap is refused as such, not by size
+            sierpinski._check_level(value, sierpinski.MAX_LEVEL_DEFAULT)
+        size = _generator_order(generator_id)
+        if size > n:
             raise DomainError(f"generator {generator_id!r} makes k={size} > n={n} vertices")
         pattern, needs_order = generator_graph(generator_id)
         return SideInfo(
@@ -396,7 +396,8 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
             f"serialized encoding body has {8 * len(body)} bits; "
             f"n={n}, k={k} need at least {least_bits}"
         )
-    _check_generator_order(generator_id, k)
+    if _generator_order(generator_id) != k:
+        raise DomainError(f"generator {generator_id!r} does not produce k={k} vertices")
     # the body is one integer: subset rank, ordering rank, residual, padding
     order_bits = ordering_index_bits(k) if side.ordered else 0
     pad = 8 * len(body) - (subset_index_bits(n, k) + order_bits + residual_bits)

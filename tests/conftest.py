@@ -11,7 +11,8 @@ certification by computing each candidate group's exact minimum ratio,
 the crossover scan that decides every undecided level by the exact power
 (and one by 60-digit logarithms, for levels where that power is too slow),
 and the per-bit and per-pair loops of the G(n,p) sampler, the canonical,
-graph6 and two-part codecs, ``plant_occurrence`` and ``to_bytes``.
+graph6 and two-part codecs, ``plant_occurrence`` and ``to_bytes``.  The
+diffusion loop that ran every trial to its horizon, past all-A, is kept too.
 """
 
 from decimal import Decimal, localcontext
@@ -366,6 +367,32 @@ def oracle_to_bytes(enc, side) -> bytes:
     nbits += len(enc.residual)
     pad = (-nbits) % 8
     return header + (acc << pad).to_bytes((nbits + pad) // 8, "big")
+
+
+def oracle_run_to_horizon(g: LabeledGraph, game, config) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Adoption counts after every revision up to the horizon (200*n if None),
+    with no stop at all-A, and the final adopters.  Same word-stream order as
+    ``diffusion.run``; the best response is a Fraction comparison."""
+    r_star = (game.b - game.c) / ((game.a - game.d) + (game.b - game.c))
+    stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
+    adopters = set(as_subset(config.init_adopters, g.n))
+    counts = [len(adopters)]
+    horizon = 200 * g.n if config.horizon is None else config.horizon
+    for t in range(1, horizon + 1):
+        if config.schedule == "round-robin":
+            v = (t - 1) % g.n + 1
+        else:
+            v = stream.index(g.n) + 1
+        if config.epsilon > 0 and stream.uniform() < config.epsilon:
+            plays_a = bool(stream.next_word() & 1)
+        else:
+            plays_a = Fraction(len(g.adj[v] & adopters), len(g.adj[v])) >= r_star
+        if plays_a:
+            adopters.add(v)
+        else:
+            adopters.discard(v)
+        counts.append(len(adopters))
+    return tuple(counts), tuple(sorted(adopters))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -296,6 +297,38 @@ def test_closeknit_stdout_matches_frozen_golden(capsys):
     assert len(cases) == 19
     for case in cases:
         assert run_main(case["argv"], capsys) == (0, case["stdout"], ""), case["argv"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_stdout.jsonl"
+# Past the README block: a fixed link horizon, and diffuse stats at 200*n.
+README_EXTRA_ARGVS = [
+    ["experiment", "link", "--levels", "3", "--payoffs", "3,2,0,0", "--trials", "20",
+     "--seed", "3", "--horizon", "500"],
+    ["diffuse", "stats", "--graph", "S3", "--payoffs", "3,2,0,0", "--epsilon", "0.1",
+     "--init", "1,2,3", "--schedule", "round-robin", "--trials", "30", "--seed", "11"],
+]
+
+
+def readme_cli_argvs() -> list[list[str]]:
+    """The ``gasketlab`` command lines of the README's CLI block, in order,
+    with continuations joined and comments dropped."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines if line.strip()]
+    assert all(argv[0] == "gasketlab" for argv in argvs)
+    return [argv[1:] for argv in argvs]
+
+
+def test_readme_cli_block_matches_frozen_golden(tmp_path, monkeypatch, capsys):
+    """Every README CLI line, run in order in one directory, then the extra
+    lines: exit code and stdout byte for byte as frozen."""
+    cases = [json.loads(line) for line in README_GOLDEN.read_text().splitlines()]
+    assert [case["argv"] for case in cases] == readme_cli_argvs() + README_EXTRA_ARGVS
+    monkeypatch.chdir(tmp_path)
+    for case in cases:
+        code, out, _ = run_main(case["argv"], capsys)
+        assert (code, out) == (case["code"], case["stdout"]), case["argv"]
 
 
 def test_reused_parser_matches_fresh_parser(tmp_path, capsys):

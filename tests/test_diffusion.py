@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from statistics import median
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_run_to_horizon
 from gasketlab import DomainError, LabeledGraph
 from gasketlab.diffusion import (
     CoordinationGame,
     DiffusionConfig,
     DiffusionState,
+    Trace,
     hitting_time_stats,
     revise,
     risk_threshold,
@@ -172,9 +177,9 @@ def test_hitting_time_stats_success_and_failure():
 
 
 def test_hitting_time_stats_follows_the_per_trial_seed_contract():
-    """Trial i is run() with seed derive_seed(seed, "trial", i), and its hit
-    time is the first revision at which the adoption count reaches the
-    target."""
+    """Trial i runs with seed derive_seed(seed, "trial", i), and its hit time
+    is the first revision at which the adoption count reaches the target in
+    the trajectory run on to the horizon."""
     s3 = build(3).graph
     config = DiffusionConfig(epsilon=0.02, init_adopters=(1, 2, 3), horizon=600, seed=77)
     stats = hitting_time_stats(s3, GAME_THIRD, config, trials=20)
@@ -185,7 +190,7 @@ def test_hitting_time_stats_follows_the_per_trial_seed_contract():
             epsilon=0.02, init_adopters=(1, 2, 3), horizon=600,
             seed=derive_seed(77, "trial", i),
         )
-        counts = run(s3, GAME_THIRD, trial, stop_at_all_a=False).adoption_counts
+        counts, _ = oracle_run_to_horizon(s3, GAME_THIRD, trial)
         expected.append(next((t for t, c in enumerate(counts) if c >= target), None))
     assert None in expected and any(h is not None for h in expected)
     assert stats.hit_times == tuple(expected)
@@ -204,12 +209,13 @@ def test_hitting_time_stats_rejects_adoption_fraction_outside_unit_interval(frac
 @pytest.mark.parametrize("schedule", ["round-robin", "uniform-random"])
 def test_chained_revise_replays_run(schedule):
     """revise() over one shared word stream, with the vertex schedule drawn
-    by the caller, reproduces run()'s trajectory with noise on."""
+    by the caller, reproduces the trajectory to the horizon with noise on,
+    and run()'s trace is its prefix up to the first all-A revision."""
     s3 = build(3).graph
     config = DiffusionConfig(
         epsilon=0.1, init_adopters=(1, 2, 3), horizon=500, seed=41, schedule=schedule
     )
-    trace = run(s3, GAME_THIRD, config, stop_at_all_a=False)
+    expected_counts, expected_final = oracle_run_to_horizon(s3, GAME_THIRD, config)
     stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
     state = DiffusionState(frozenset(config.init_adopters))
     counts = [len(state.adopters)]
@@ -221,6 +227,62 @@ def test_chained_revise_replays_run(schedule):
         state = revise(state, v, s3, GAME_THIRD, config, stream)
         counts.append(len(state.adopters))
     assert len(set(counts)) > 2  # the noise moves the trajectory around
-    assert tuple(counts) == trace.adoption_counts
-    assert tuple(sorted(state.adopters)) == trace.final_adopters
+    assert tuple(counts) == expected_counts
+    assert tuple(sorted(state.adopters)) == expected_final
     assert state.t == config.horizon
+    assert run(s3, GAME_THIRD, config) == trace_prefix(s3, expected_counts, expected_final)
+
+
+def trace_prefix(g, counts, final) -> Trace:
+    """The Trace of a trajectory cut at its first all-A revision."""
+    hit = next((t for t, c in enumerate(counts) if c == g.n), None)
+    if hit is None:
+        return Trace(counts, None, final)
+    return Trace(counts[: hit + 1], hit, tuple(g.vertices()))
+
+
+@st.composite
+def diffusion_cases(draw):
+    """A graph on 2-7 vertices with no isolated vertex, a game at a
+    knife-edge-prone threshold, and a config over both schedules."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = {pair for pair in pairs if draw(st.booleans())}
+    covered = {v for pair in edges for v in pair}
+    edges |= {(v, v % n + 1) if v < n else (1, n) for v in range(1, n + 1) if v not in covered}
+    g = LabeledGraph.from_edges(n, sorted(edges))
+    game = draw(st.sampled_from([GAME_THIRD, CoordinationGame(a=1, b=1, c=0, d=0),
+                                 CoordinationGame(a=3, b=1, c=0, d=0),
+                                 CoordinationGame(a=3, b=2, c=0, d=0)]))
+    everyone = tuple(range(1, n + 1))
+    init = draw(st.one_of(st.just(()), st.just(everyone),
+                          st.lists(st.sampled_from(everyone), unique=True).map(tuple)))
+    config = DiffusionConfig(
+        epsilon=draw(st.sampled_from([0.0, 0.02, 0.3])),
+        init_adopters=init,
+        horizon=draw(st.one_of(st.none(), st.integers(1, 60))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        schedule=draw(st.sampled_from(["uniform-random", "round-robin"])),
+    )
+    return g, game, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    diffusion_cases(),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(1, 3),
+)
+def test_stopping_at_all_a_matches_the_run_to_horizon(case, fraction, trials):
+    """run() is the full-horizon trajectory cut at its first all-A revision,
+    and hitting_time_stats reads the same first count >= target from it."""
+    g, game, config = case
+    target = math.ceil(Fraction(fraction) * g.n)
+    expected = []
+    for i in range(trials):
+        trial = replace(config, seed=derive_seed(config.seed, "trial", i))
+        counts, final = oracle_run_to_horizon(g, game, trial)
+        assert run(g, game, trial) == trace_prefix(g, counts, final)
+        expected.append(next((t for t, c in enumerate(counts) if c >= target), None))
+    stats = hitting_time_stats(g, game, config, trials, adoption_fraction=fraction)
+    assert stats.hit_times == tuple(expected)

@@ -126,7 +126,7 @@ def test_threshold_sweep_boundary_row_without_sampling():
 
 
 def test_link_lower_threshold_spreads_no_slower():
-    config = DiffusionConfig(epsilon=0.02, init_adopters=(), horizon=1, seed=404)
+    config = DiffusionConfig(epsilon=0.02, init_adopters=(), seed=404)
     third = CoordinationGame(a=2, b=1, c=0, d=0)
     quarter = CoordinationGame(a=3, b=1, c=0, d=0)
     row_third = closeknit_diffusion_link([3], third, config, trials=40)[0]
@@ -136,7 +136,7 @@ def test_link_lower_threshold_spreads_no_slower():
 
 def test_closeknit_diffusion_link_table():
     game = CoordinationGame(a=2, b=1, c=0, d=0)
-    config = DiffusionConfig(epsilon=0.02, init_adopters=(), horizon=1, seed=7)
+    config = DiffusionConfig(epsilon=0.02, init_adopters=(), seed=7)
     rows = closeknit_diffusion_link([2], game, config, trials=10)
     row = rows[0]
     assert row["level"] == 2 and row["n"] == 6

@@ -13,10 +13,12 @@ from gasketlab import (
     gnp_sample,
     induced_subgraph,
     is_ordered_occurrence,
+    named_graph,
     pair_at,
     pos,
 )
 from gasketlab import sierpinski
+from gasketlab.io import JSON_VERTEX_MAX
 from gasketlab.rng import derive_seed
 
 from conftest import nx_isomorphic
@@ -152,3 +154,21 @@ def test_decode_rejects_characters_other_than_bits():
     for text in ("1x0", "0 1", "01\n", "222"):
         with pytest.raises(DomainError, match="'0' and '1'"):
             decode(text, 3)
+
+
+@pytest.mark.parametrize(
+    "kind, cap", [("E", JSON_VERTEX_MAX), ("P", JSON_VERTEX_MAX), ("C", JSON_VERTEX_MAX), ("K", 447)]
+)
+def test_named_graph_over_its_size_cap_is_rejected_before_building(kind, cap, monkeypatch):
+    """E, P and C hold at most JSON_VERTEX_MAX vertices; K447 is the largest
+    complete graph with at most that many edges."""
+    assert named_graph(f"{kind}{cap}").n == cap
+
+    def refuse(*_):
+        raise AssertionError("the graph was built")
+
+    for builder in ("complete", "empty", "from_edges"):
+        monkeypatch.setattr(LabeledGraph, builder, refuse)
+    for name in (f"{kind}{cap + 1}", f"{kind}{10**6}", kind + "9" * 5000):
+        with pytest.raises(DomainError, match="cap|too large"):
+            named_graph(name)

@@ -122,7 +122,9 @@ def test_unordered_variant_roundtrips():
     assert enc.length_bits(side) == comb(10, 2) - gain(10, 4, False)
 
 
-@pytest.mark.parametrize("generator_id", ["complete:1000", "empty:21"])
+@pytest.mark.parametrize(
+    "generator_id", ["complete:1000", "empty:21", "sierpinski:4", "sierpinski:12"]
+)
 def test_for_generator_rejects_a_pattern_larger_than_n_before_building_it(
     generator_id, monkeypatch
 ):
