@@ -335,7 +335,9 @@ def _diffusion_config(args) -> diffusion.DiffusionConfig:
     if args.config:
         try:
             values = json.loads(_read_text(args.config))
-        except (OSError, json.JSONDecodeError) as exc:
+        except DomainError:  # non-UTF-8 text, already naming the path
+            raise
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, int digits
             raise DomainError(f"cannot read diffusion config {args.config}: {exc}")
         _check_config(values, args.config)
     else:

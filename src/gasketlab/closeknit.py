@@ -171,37 +171,30 @@ def _connected_groups_from(
 ) -> Iterable[tuple[int, ...]]:
     """All connected vertex sets containing v with size <= k, each once.
 
-    Branch-and-forbid enumeration: extension candidates are consumed in
-    ascending label order, and choosing candidate u forbids all candidates
-    listed before u in every deeper branch, so no set is produced twice.
+    ESU enumeration (Wernicke, "Efficient detection of network motifs",
+    2006): each branch carries the group, its frontier in ascending label
+    order, and ``closed == N[group]``, the group's closed neighbourhood.
+    Choosing frontier vertex u drops the vertices listed before u from every
+    deeper frontier and adds u's neighbours outside ``closed``, so no set is
+    produced twice.
     """
     produced = 0
 
-    def rec(current: tuple[int, ...], ext: list[int], forbidden: set[int]):
+    def rec(group: tuple[int, ...], ext: list[int], closed: frozenset[int]):
         nonlocal produced
         produced += 1
         if produced > cap:
             raise ResourceLimitError(
                 f"connected-group search around vertex {v} exceeded cap {cap}"
             )
-        yield current
-        if len(current) == k:
+        yield group
+        if len(group) == k:
             return
-        cur_set = set(current)
         for idx, u in enumerate(ext):
-            new_forbidden = forbidden | set(ext[:idx])
-            fresh = sorted(
-                w
-                for w in g.adj[u]
-                if w not in cur_set and w not in new_forbidden and w not in ext
-            )
-            yield from rec(
-                tuple(sorted(current + (u,))),
-                ext[idx + 1 :] + fresh,
-                new_forbidden,
-            )
+            fresh = sorted(g.adj[u] - closed)
+            yield from rec(tuple(sorted(group + (u,))), ext[idx + 1 :] + fresh, closed.union(fresh))
 
-    yield from rec((v,), sorted(g.adj[v]), set())
+    yield from rec((v,), sorted(g.adj[v]), g.adj[v] | {v})
 
 
 def is_rk_closeknit(
@@ -263,19 +256,19 @@ def family_scan(
     graphs: dict[int, LabeledGraph],
     r: Fraction | int,
     k_cap: int = 8,
-    groups_cap: int = GROUPS_PER_VERTEX_CAP,
 ) -> dict[int, int | None]:
     """Minimal k <= k_cap for which each graph is (r, k)-close-knit.
 
     Keys of ``graphs`` are arbitrary identifiers (typically gasket levels);
-    value None records that no k <= k_cap succeeded.
+    value None records that no k <= k_cap succeeded.  Each certificate
+    searches at most ``GROUPS_PER_VERTEX_CAP`` groups per vertex.
     """
     out: dict[int, int | None] = {}
     for key in sorted(graphs):
         g = graphs[key]
         found: int | None = None
         for k in range(1, k_cap + 1):
-            if is_rk_closeknit(g, r, k, groups_cap=groups_cap).success:
+            if is_rk_closeknit(g, r, k, groups_cap=GROUPS_PER_VERTEX_CAP).success:
                 found = k
                 break
         out[key] = found

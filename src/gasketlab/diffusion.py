@@ -97,9 +97,6 @@ class DiffusionState:
     adopters: frozenset[int]
     t: int = 0
 
-    def strategy(self, v: int) -> str:
-        return "A" if v in self.adopters else "B"
-
 
 def _plays_a(
     g: LabeledGraph,
@@ -112,20 +109,15 @@ def _plays_a(
     """The strategy vertex v picks in one revision: True for A.
 
     Draws one noise coin iff epsilon > 0 and one strategy coin iff the noise
-    fires; otherwise v best responds exactly, ties to A.
+    fires; otherwise v best responds exactly, ties to A.  The caller has
+    checked that v is not isolated.
     """
     if epsilon > 0.0 and stream.uniform() < epsilon:
         return bool(stream.next_word() & 1)
     nbrs = g.adj[v]
-    deg = len(nbrs)
-    if deg == 0:
-        raise DomainError(
-            f"vertex {v} is isolated; best response against an empty "
-            "neighborhood is undefined"
-        )
     a_count = sum(1 for u in nbrs if u in adopters)
     # exact: a_count/deg >= p/q  <=>  a_count*q >= p*deg ; tie goes to A
-    return a_count * r_star.denominator >= r_star.numerator * deg
+    return a_count * r_star.denominator >= r_star.numerator * len(nbrs)
 
 
 def revise(
@@ -143,6 +135,8 @@ def revise(
     """
     if not (1 <= v <= g.n):
         raise DomainError(f"vertex {v} out of range 1..{g.n}")
+    if not g.adj[v]:
+        raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
     if stream is None:
         stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
     adopters = set(state.adopters)

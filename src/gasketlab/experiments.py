@@ -36,6 +36,10 @@ __all__ = [
     "table_to_csv",
 ]
 
+REJECT_ATTEMPTS_MAX = 10_000  # samples tried by sample_pattern_free
+SWEEP_SUBSETS_MAX = 200_000  # largest C(n, k) a threshold_sweep cell samples
+LINK_K_CAP = 8  # largest group size closeknit_diffusion_link scans
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -91,19 +95,18 @@ def sample_pattern_free(
     p: float,
     pattern: LabeledGraph,
     seed: int,
-    max_attempts: int = 10_000,
 ) -> LabeledGraph:
     """Rejection-sample G(n, p) conditioned on containing no induced copy.
 
-    Attempt i uses seed derive_seed(seed, "reject", i); the accepted sample
-    has the exact conditional distribution.
+    Attempt i < ``REJECT_ATTEMPTS_MAX`` uses seed derive_seed(seed, "reject", i);
+    the accepted sample has the exact conditional distribution.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(REJECT_ATTEMPTS_MAX):
         g = gnp_sample(n, p, derive_seed(seed, "reject", attempt))
         if not ramsey.find_induced_occurrences(g, pattern, limit=1):
             return g
     raise ResourceLimitError(
-        f"no pattern-free G({n},{p}) sample within {max_attempts} attempts"
+        f"no pattern-free G({n},{p}) sample within {REJECT_ATTEMPTS_MAX} attempts"
     )
 
 
@@ -148,14 +151,14 @@ def threshold_sweep(
     n_values: Sequence[int],
     trials: int,
     seed: int,
-    max_subsets: int = 200_000,
 ) -> list[dict[str, object]]:
     """Per (level, n): codec gain, break-even bounds, and empirical
     containment frequency of the gasket pattern in G(n, 1/2).
 
     Cell (l, n) derives seed ("sweep", l, n) so any row reproduces alone.
-    Cells whose occurrence search would scan more than ``max_subsets``
-    k-subsets keep their exact columns but report no frequency; the bound
+    A cell with C(n, k) above ``SWEEP_SUBSETS_MAX`` keeps its exact columns
+    but reports no frequency: C(n, k) is a size proxy that keeps sampling
+    cheap, not a count of subsets the occurrence search visits.  The bound
     columns are the point of such rows.
     """
     rows: list[dict[str, object]] = []
@@ -167,7 +170,7 @@ def threshold_sweep(
             if n < k:
                 frequency: float | None = 0.0  # impossible below pattern size
                 bit_gain = None
-            elif comb(n, k) > max_subsets:
+            elif comb(n, k) > SWEEP_SUBSETS_MAX:
                 frequency = None  # sampling infeasible at this size
                 bit_gain = twopart.gain(n, k, ordered=True)
             else:
@@ -194,10 +197,9 @@ def closeknit_diffusion_link(
     game: diffusion.CoordinationGame,
     config: diffusion.DiffusionConfig,
     trials: int,
-    k_cap: int = 8,
 ) -> list[dict[str, object]]:
-    """Per gasket level: adoption threshold, minimal close-knit k at that
-    threshold, and hitting-time statistics from one elementary triangle.
+    """Per gasket level: adoption threshold, minimal close-knit k <= LINK_K_CAP
+    at that threshold, and hitting-time statistics from one elementary triangle.
 
     ``config.horizon`` applies to every level; None means 200 times the
     level's vertex count.  Each trial ends at its first all-A revision.
@@ -206,7 +208,7 @@ def closeknit_diffusion_link(
     rows: list[dict[str, object]] = []
     for level in levels:
         gasket = sierpinski.build(level)
-        scan = closeknit.family_scan({level: gasket.graph}, r_star, k_cap=k_cap)
+        scan = closeknit.family_scan({level: gasket.graph}, r_star, k_cap=LINK_K_CAP)
         init = (
             as_subset(config.init_adopters, gasket.graph.n)
             if config.init_adopters

@@ -153,7 +153,7 @@ def from_json_edges(text: str) -> LabeledGraph:
     type-checked, so a malformed file raises :class:`DomainError`."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
         raise DomainError(f"invalid JSON edge list: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise DomainError('invalid JSON edge list: expected an object with "n" and "edges"')

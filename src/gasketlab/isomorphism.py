@@ -37,11 +37,11 @@ def is_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
     return find_isomorphism(a, b) is not None
 
 
-def automorphism_count(g: LabeledGraph, max_vertices: int = AUT_MAX_VERTICES) -> int:
-    """Order of the automorphism group, by complete search."""
-    if g.n > max_vertices:
+def automorphism_count(g: LabeledGraph) -> int:
+    """Order of the automorphism group, by complete search (n <= AUT_MAX_VERTICES)."""
+    if g.n > AUT_MAX_VERTICES:
         raise DomainError(
-            f"automorphism search is limited to {max_vertices} vertices, got {g.n}"
+            f"automorphism search is limited to {AUT_MAX_VERTICES} vertices, got {g.n}"
         )
     twin_orders = prod(factorial(size) for size in Counter(_twin_keys(g)[1:]).values())
     return sum(1 for _ in _isomorphisms(g, g)) * twin_orders

@@ -12,7 +12,9 @@ the crossover scan that decides every undecided level by the exact power
 (and one by 60-digit logarithms, for levels where that power is too slow),
 and the per-bit and per-pair loops of the G(n,p) sampler, the canonical,
 graph6 and two-part codecs, ``plant_occurrence`` and ``to_bytes``.  The
-diffusion loop that ran every trial to its horizon, past all-A, is kept too.
+diffusion loop that ran every trial to its horizon, past all-A, is kept too,
+and so is the branch-and-forbid connected-group enumerator that tracked a
+forbidden set and scanned the frontier list.
 """
 
 from decimal import Decimal, localcontext
@@ -22,7 +24,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from gasketlab import DomainError, LabeledGraph, induced_subgraph, sierpinski
+from gasketlab import DomainError, LabeledGraph, ResourceLimitError, induced_subgraph, sierpinski
 from gasketlab.closeknit import CloseKnitResult, _connected_groups_from, min_ratio
 from gasketlab.graphs import EdgeBitString, as_subset
 from gasketlab.io import _g6_read_size, _g6_size_bytes
@@ -80,6 +82,35 @@ def oracle_is_rk_closeknit(g: LabeledGraph, r: Fraction, k: int) -> CloseKnitRes
         for u in group:
             witness.setdefault(u, group)
     return CloseKnitResult(r, k, True, witness, None, examined)
+
+
+def oracle_connected_groups_from(g: LabeledGraph, v: int, k: int, cap: int):
+    """Branch-and-forbid enumeration of the connected sets of size <= k that
+    contain v: choosing frontier candidate u forbids every candidate listed
+    before u in deeper branches.  Same order and cap error as the library."""
+    produced = 0
+
+    def rec(current, ext, forbidden):
+        nonlocal produced
+        produced += 1
+        if produced > cap:
+            raise ResourceLimitError(
+                f"connected-group search around vertex {v} exceeded cap {cap}"
+            )
+        yield current
+        if len(current) == k:
+            return
+        cur_set = set(current)
+        for idx, u in enumerate(ext):
+            new_forbidden = forbidden | set(ext[:idx])
+            fresh = sorted(
+                w
+                for w in g.adj[u]
+                if w not in cur_set and w not in new_forbidden and w not in ext
+            )
+            yield from rec(tuple(sorted(current + (u,))), ext[idx + 1 :] + fresh, new_forbidden)
+
+    yield from rec((v,), sorted(g.adj[v]), set())
 
 
 def oracle_find_isomorphism(a: LabeledGraph, b: LabeledGraph):

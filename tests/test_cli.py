@@ -414,6 +414,8 @@ def test_decode_canonical_rejects_characters_other_than_bits(capsys):
         ("n_bool.json", b'{"n": true, "edges": []}', '"n"'),
         ("edge_bool.json", b'{"n": 3, "edges": [[true, 2]]}', '"edges"[0][0]'),
         ("not_object.json", b'{"n": 3}', '"edges"'),
+        ("n_digits.json", b'{"n": ' + b"7" * 5000 + b', "edges": []}', "invalid JSON"),
+        ("nesting.json", b'{"n": 3, "edges": ' + b"[" * 50_000, "invalid JSON"),
     ],
 )
 def test_malformed_graph_files_exit_1_naming_the_field(tmp_path, capsys, name, content, field):
@@ -422,6 +424,20 @@ def test_malformed_graph_files_exit_1_naming_the_field(tmp_path, capsys, name, c
     code, out, err = run_main(["encode", "canonical", "--graph", str(path)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"seed": ' + b"7" * 5000 + b"}", b"[" * 50_000, b'{"seed": \xe9}'],
+    ids=["int-digits", "nesting", "non-utf8"],
+)
+def test_hostile_diffusion_config_exits_1_naming_the_path(tmp_path, capsys, content):
+    config = tmp_path / "diffusion.json"
+    config.write_bytes(content)
+    argv = ["diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0,0", "--config", str(config)]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and str(config) in err
 
 
 def test_bounds_with_overflowing_constants_exit_1_naming_them(capsys):

@@ -2,12 +2,13 @@
 argument lists, ends in exit code 0, 1 or 2 and never in a traceback.
 
 Each flag draws its value from a vocabulary of valid and invalid text: graph
-names and paths (missing, non-UTF-8, malformed JSON, a directory), integers
-including -1, 0 and 2^64, fractions such as 1/0, x, nan and inf.  Flags are
-dropped at random and unknown ones added.  Size arguments (``--n``,
-``--level``, ``--max-level``, ``--trials``, ``--horizon``, ``--k``,
-``--k-cap``, level lists and host sizes) stay small: their cost grows with
-them by design.
+names (over-cap ones such as K448, E100001 and S13 included) and paths
+(missing, non-UTF-8, malformed JSON, JSON with a 5000-digit integer, a
+directory), integers including -1, 0 and 2^64, fractions such as 1/0, x,
+nan and inf.  Flags are dropped at random and unknown ones added.  Size
+arguments (``--n``, ``--level``, ``--max-level``, ``--trials``,
+``--horizon``, ``--k``, ``--k-cap``, level lists and host sizes) stay
+small: their cost grows with them by design.
 """
 
 import contextlib
@@ -67,6 +68,8 @@ def files(tmp_path_factory):
         "config_zero": write("zero.json", '{"horizon": 0}'),
         "config_bool": write("bool.json", '{"seed": true}'),
         "config_list": write("list.json", "[1, 2]"),
+        "config_digits": write("digits.json", '{"seed": ' + "7" * 5000 + "}"),
+        "json_digits": write("g_digits.json", '{"n": ' + "7" * 5000 + ', "edges": []}'),
         "out": str(root / "out.txt"),
         "out_missing_dir": str(root / "missing" / "out.txt"),
     }
@@ -76,13 +79,15 @@ def specs(f):
     """Per subcommand, each flag's vocabulary and whether it is usually kept
     (required flags, and sizes whose defaults are large)."""
     graphs = (["K3", "K4", "S2", "S3", "P3", "C5", "E2", "K0", "S0", "C2", "Q3", "", "\udcff",
-               f["missing"], f["non_utf8"], f["bad_json"], f["dir"], f["g6"], f["json"]], [])
+               "K448", "E100001", "S13", f["missing"], f["non_utf8"], f["bad_json"], f["dir"],
+               f["g6"], f["json"], f["json_digits"]], [])
     hosts = (["K2,K3,K4", "K3,,K4", "x", "", f["missing"]], [])
     bits = (["101", "", "1111", "10x", f["bits"], f["non_utf8"], f["dir"]], [])
     blobs = ([f["alt"], f["non_utf8"], f["bad_json"], f["missing"], f["dir"]], [])
     outputs = ([f["out"], f["dir"], f["out_missing_dir"]], [])
     configs = ([f[key] for key in ("config", "config_empty", "config_zero", "config_bool",
-                                   "config_list", "bad_json", "non_utf8", "missing", "dir")], [])
+                                   "config_list", "config_digits", "bad_json", "non_utf8",
+                                   "missing", "dir")], [])
     diffuse = {
         "--graph": (True, graphs), "--payoffs": (True, PAYOFFS), "--epsilon": (False, FLOATS),
         "--init": (False, INT_LISTS), "--horizon": (False, SIZES), "--seed": (False, INTS),

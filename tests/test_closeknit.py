@@ -23,7 +23,7 @@ from gasketlab.closeknit import (
 )
 from gasketlab.sierpinski import build
 
-from conftest import oracle_is_rk_closeknit, oracle_min_ratio
+from conftest import oracle_connected_groups_from, oracle_is_rk_closeknit, oracle_min_ratio
 
 
 def test_internal_degree_cases(k3):
@@ -202,6 +202,43 @@ def test_connected_group_enumeration_matches_brute_force():
                     if v in sub and len(connected_components(induced_subgraph(g, sub))) == 1:
                         reference.add(sub)
             assert mine == reference
+
+
+def _yielded_then_error(groups):
+    """The groups an enumerator yields in order, then its cap error or None."""
+    out = []
+    try:
+        for group in groups:
+            out.append(group)
+    except ResourceLimitError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _assert_same_sequences(g):
+    for v in g.vertices():
+        for k in range(1, 7):
+            for cap in (1, 7, 10**6):
+                mine = _yielded_then_error(_connected_groups_from(g, v, k, cap))
+                reference = _yielded_then_error(oracle_connected_groups_from(g, v, k, cap))
+                assert mine == reference, (v, k, cap)
+                groups, error = mine
+                assert len(groups) <= cap
+                if cap == 1 and k > 1 and g.adj[v]:
+                    assert groups == [(v,)] and error is not None
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_connected_group_sequence_matches_oracle_on_gaskets(level):
+    _assert_same_sequences(build(level).graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 13), data=st.data())
+def test_connected_group_sequence_matches_oracle_on_random_graphs(n, data):
+    pairs = list(combinations(range(1, n + 1), 2))
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    _assert_same_sequences(LabeledGraph.from_edges(n, [e for e, on in zip(pairs, present) if on]))
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])

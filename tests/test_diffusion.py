@@ -52,10 +52,14 @@ def test_revise_best_response_cases(k3):
 
 
 def test_revise_rejects_isolated_vertex():
+    # checked before any coin: a noise coin drawn first let some seeds return
     lonely = LabeledGraph.from_edges(2, [])
     state = DiffusionState(frozenset())
-    with pytest.raises(DomainError, match="isolated"):
-        revise(state, 1, lonely, GAME_THIRD, DiffusionConfig(horizon=1, seed=0))
+    for epsilon in (0.0, 0.5, 0.9):
+        for seed in range(40):
+            config = DiffusionConfig(epsilon=epsilon, horizon=1, seed=seed)
+            with pytest.raises(DomainError, match="isolated"):
+                revise(state, 1, lonely, GAME_THIRD, config)
 
 
 def test_config_validation():
