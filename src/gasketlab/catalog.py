@@ -15,6 +15,10 @@ __all__ = ["named_graph", "NAMED_PATTERNS"]
 NAMED_PATTERNS = "K<n> (complete), S<l> (gasket), P<n> (path), C<n> (cycle), E<n> (edgeless)"
 
 
+class UnknownGraphName(DomainError):
+    """The name matches none of ``NAMED_PATTERNS``."""
+
+
 def named_graph(name: str) -> LabeledGraph:
     """K5, S3, P3, C5, E2 and friends; raises DomainError for anything else.
 
@@ -23,7 +27,7 @@ def named_graph(name: str) -> LabeledGraph:
     """
     m = re.fullmatch(r"([KSPCE])0*(\d+)", name.strip())
     if not m:
-        raise DomainError(
+        raise UnknownGraphName(
             f"unknown graph name {name!r}; expected one of {NAMED_PATTERNS}"
         )
     kind, digits = m.group(1), m.group(2)

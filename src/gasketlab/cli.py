@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, closeknit, diffusion, experiments, io, ramsey, sierpinski, twopart
-from .catalog import named_graph
+from .catalog import UnknownGraphName, named_graph
 from .errors import DomainError
 from .graphs import LabeledGraph, decode, encode, gnp_sample
 
@@ -36,13 +36,18 @@ def _read_text(path: Path) -> str:
 
 
 def load_graph(source: str) -> LabeledGraph:
-    """A named shorthand (K6, S3, P3, C5, E2) or a .g6 / .json file path."""
+    """A named shorthand (K6, S3, P3, C5, E2) or a .g6 / .json file path.
+
+    With no such file, a name's own error (an over-cap K448, say) is raised.
+    """
     try:
         return named_graph(source)
-    except DomainError:
-        pass
+    except DomainError as exc:
+        name_error = exc
     path = Path(source)
     if not path.exists():
+        if not isinstance(name_error, UnknownGraphName):
+            raise name_error
         raise DomainError(
             f"{source!r} is neither a known graph name nor an existing file"
         )

@@ -7,18 +7,25 @@ fraction of A-neighbors is at least the game's adoption threshold
     r* = (b - c) / ((a - d) + (b - c))
 
 with ties resolved toward A.  With probability epsilon the revision is
-noise and the vertex picks a uniformly random strategy instead.  The
-threshold comparison is exact rational arithmetic, so knife-edge cases
-(say, exactly one third of the neighborhood adopting against r* = 1/3)
-are deterministic.
+noise and the vertex picks a uniformly random strategy instead.  Both
+coins are exact integer tests shared by ``revise`` and the run kernel:
+``_need(deg, r*)`` = ceil(r* * deg) A-neighbours make A the best response,
+and ``_noise_cut(epsilon)`` bounds the noise word (exactly ``uniform() <
+epsilon``).  So knife-edge cases (say, exactly one third of the
+neighborhood adopting against r* = 1/3) are deterministic, and a chain of
+``revise`` calls on one word stream replays ``run``.
 
 This is a deliberate reduction of adaptive-play dynamics to asynchronous
 myopic best response; the adoption threshold is the single constant that
-couples the game to close-knit structure.  ``revise`` and ``run`` share one
-revision step, so a chain of ``revise`` calls on one word stream replays
-``run``.  A run ends at its first all-A revision or at the horizon, 200*n if
-none is set.  ``hitting_time_stats`` runs its trials in order in the calling
-thread: the simulation is pure Python, so threads would add no speed.
+couples the game to close-knit structure.
+
+The kernel behind ``run`` and ``hitting_time_stats`` keeps each vertex's
+count of A-neighbours, updated only when a vertex switches.  It stops at the
+first revision whose adoption count reaches its stop, or at the horizon
+(200*n if none is set): ``run`` stops at all-A, and a ``hitting_time_stats``
+trial at its target, the hit, since a count moves by at most one per
+revision.  Trials run in order in the calling thread: the simulation is
+pure Python, so threads would add no speed.
 """
 
 from __future__ import annotations
@@ -98,26 +105,21 @@ class DiffusionState:
     t: int = 0
 
 
-def _plays_a(
-    g: LabeledGraph,
-    adopters: frozenset[int] | set[int],
-    v: int,
-    r_star: Fraction,
-    epsilon: float,
-    stream: WordStream,
-) -> bool:
-    """The strategy vertex v picks in one revision: True for A.
+def _need(deg: int, r_star: Fraction) -> int:
+    """The fewest A-neighbours, out of deg, at which best response is A.
 
-    Draws one noise coin iff epsilon > 0 and one strategy coin iff the noise
-    fires; otherwise v best responds exactly, ties to A.  The caller has
-    checked that v is not isolated.
+    Exact, ties to A: a/deg >= p/q  <=>  a*q >= p*deg  <=>  a >= ceil(p*deg/q).
     """
-    if epsilon > 0.0 and stream.uniform() < epsilon:
-        return bool(stream.next_word() & 1)
-    nbrs = g.adj[v]
-    a_count = sum(1 for u in nbrs if u in adopters)
-    # exact: a_count/deg >= p/q  <=>  a_count*q >= p*deg ; tie goes to A
-    return a_count * r_star.denominator >= r_star.numerator * len(nbrs)
+    return -(-r_star.numerator * deg // r_star.denominator)
+
+
+def _noise_cut(epsilon: float) -> int:
+    """The noise coin fires iff its word is below this bound.
+
+    ``uniform() < epsilon  <=>  word < ceil(epsilon * 2^53) << 11``, since the
+    uniform is the word's top 53 bits times 2^-53.
+    """
+    return math.ceil(Fraction(epsilon) * (1 << 53)) << 11
 
 
 def revise(
@@ -131,20 +133,91 @@ def revise(
     """One revision of vertex v; pure - returns the successor state.
 
     One noise coin is consumed iff epsilon > 0, and one strategy coin iff
-    the noise fires; ``stream`` defaults to a fresh stream from config.seed.
+    the noise fires; otherwise v best responds exactly, ties to A.
+    ``stream`` defaults to a fresh stream from config.seed.
     """
     if not (1 <= v <= g.n):
         raise DomainError(f"vertex {v} out of range 1..{g.n}")
-    if not g.adj[v]:
+    nbrs = g.adj[v]
+    if not nbrs:
         raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
     if stream is None:
         stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
+    if config.epsilon > 0.0 and stream.next_word() < _noise_cut(config.epsilon):
+        plays_a = bool(stream.next_word() & 1)
+    else:
+        plays_a = len(nbrs & state.adopters) >= _need(len(nbrs), risk_threshold(game))
     adopters = set(state.adopters)
-    if _plays_a(g, state.adopters, v, risk_threshold(game), config.epsilon, stream):
+    if plays_a:
         adopters.add(v)
     else:
         adopters.discard(v)
     return DiffusionState(frozenset(adopters), state.t + 1)
+
+
+def _counts(
+    g: LabeledGraph,
+    game: CoordinationGame,
+    config: DiffusionConfig,
+    stop: int,
+) -> tuple[list[int], tuple[int, ...]]:
+    """Adoption counts per revision, up to the first count >= ``stop`` or the
+    horizon, and the final adopters.
+
+    A revision compares ``cnt[v]``, v's number of A-neighbours, with
+    ``need[v]``.  Words are drawn in order in chunks of 16 doubling to 1024,
+    never more than the rest of the horizon could use, so a short run hashes
+    few words it does not read.
+    """
+    if g.n == 0:
+        raise DomainError("diffusion needs at least one vertex")
+    for v in g.vertices():
+        if g.degree(v) == 0:
+            raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
+    init = as_subset(config.init_adopters, g.n)
+    n, adj = g.n, g.adj
+    r_star = risk_threshold(game)
+    need = [0] + [_need(len(adj[v]), r_star) for v in range(1, n + 1)]
+    plays = [False] * (n + 1)
+    cnt = [0] * (n + 1)
+    for v in init:
+        plays[v] = True
+        for u in adj[v]:
+            cnt[u] += 1
+    count = len(init)
+    counts = [count]
+    noisy = config.epsilon > 0.0
+    cut = _noise_cut(config.epsilon)
+    round_robin = config.schedule == "round-robin"
+    per_revision = (0 if round_robin else 1) + (2 if noisy else 0)  # most words one revision draws
+    horizon = 200 * n if config.horizon is None else config.horizon
+    stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
+    words: list[int] = []
+    i, chunk, t = 0, 16, 0
+    while count < stop and t < horizon:
+        if len(words) - i < per_revision:
+            words = words[i:] + stream.words(min(chunk, per_revision * (horizon - t)))
+            i, chunk = 0, min(2 * chunk, 1024)
+        if round_robin:
+            v = t % n + 1
+        else:
+            v = words[i] % n + 1
+            i += 1
+        t += 1
+        if noisy and words[i] < cut:  # noise fired: the next word's low bit picks
+            a = bool(words[i + 1] & 1)
+            i += 2
+        else:
+            a = cnt[v] >= need[v]
+            i += noisy  # the noise coin, if one was drawn
+        if a != plays[v]:
+            plays[v] = a
+            step = 1 if a else -1
+            count += step
+            for u in adj[v]:
+                cnt[u] += step
+        counts.append(count)
+    return counts, tuple(v for v in range(1, n + 1) if plays[v])
 
 
 @dataclass(frozen=True)
@@ -168,31 +241,9 @@ def run(
     schedule only), then noise coin (only if epsilon > 0), then strategy coin
     (only if the noise fired).  With epsilon = 0 the all-A state is absorbing.
     """
-    if g.n == 0:
-        raise DomainError("diffusion needs at least one vertex")
-    for v in g.vertices():
-        if g.degree(v) == 0:
-            raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
-    init = as_subset(config.init_adopters, g.n)
-    r_star = risk_threshold(game)
-    stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
-    adopters = set(init)
-    counts = [len(adopters)]
-    n = g.n
-    epsilon = config.epsilon
-    round_robin = config.schedule == "round-robin"
-    horizon = 200 * n if config.horizon is None else config.horizon
-    t = 0
-    while counts[-1] < n and t < horizon:
-        t += 1
-        v = ((t - 1) % n) + 1 if round_robin else stream.index(n) + 1
-        if _plays_a(g, adopters, v, r_star, epsilon, stream):
-            adopters.add(v)
-        else:
-            adopters.discard(v)
-        counts.append(len(adopters))
-    hit = t if counts[-1] == n else None
-    return Trace(tuple(counts), hit, tuple(sorted(adopters)))
+    counts, final = _counts(g, game, config, g.n)
+    hit = len(counts) - 1 if counts[-1] == g.n else None
+    return Trace(tuple(counts), hit, final)
 
 
 @dataclass(frozen=True)
@@ -213,9 +264,9 @@ def hitting_time_stats(
 ) -> HittingStats:
     """Per-trial hitting times to >= ``adoption_fraction`` adoption.
 
-    Trial i is ``run`` with seed derive_seed(config.seed, "trial", i); its hit
-    is the first count >= target, which (counts move by one) the trace holds
-    even though it ends at all-A.  The statistics are exact over the samples.
+    Trial i is the run with seed derive_seed(config.seed, "trial", i), stopped
+    at its first count >= target: that revision is its hit.  The statistics
+    are exact over the samples.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
@@ -223,11 +274,8 @@ def hitting_time_stats(
         raise DomainError(f"adoption_fraction must be in (0, 1], got {adoption_fraction}")
     target = math.ceil(Fraction(adoption_fraction) * g.n)
     seeds = (derive_seed(config.seed, "trial", i) for i in range(trials))
-    traces = (run(g, game, replace(config, seed=s)) for s in seeds)
-    hits = tuple(
-        next((t for t, count in enumerate(trace.adoption_counts) if count >= target), None)
-        for trace in traces
-    )
+    runs = (_counts(g, game, replace(config, seed=s), target)[0] for s in seeds)
+    hits = tuple(len(counts) - 1 if counts[-1] >= target else None for counts in runs)
     successes = sorted(h for h in hits if h is not None)
     rate = len(successes) / trials
     if not successes:

@@ -447,3 +447,27 @@ def test_bounds_with_overflowing_constants_exit_1_naming_them(capsys):
     code, out, err = run_main(["ramsey", "bounds", "--pattern", "S2", "--c", "1000"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "c=" in err
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("K448", "graph 'K448' has 100128 edges, over the cap 100000"),
+        ("E100001", "graph 'E100001' has 100001 vertices, over the cap 100000"),
+        ("S13", "gasket level 13 exceeds the configured maximum 12"),
+    ],
+    ids=["K448", "E100001", "S13"],
+)
+def test_over_cap_graph_names_exit_1_naming_the_cap(tmp_path, monkeypatch, capsys, name, message):
+    monkeypatch.chdir(tmp_path)  # no file of that name
+    code, out, err = run_main(["closeknit", "ratio", "--graph", name, "--group", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert "neither a known graph name" not in err
+
+
+def test_unknown_graph_name_without_a_file_exits_1_saying_so(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(["closeknit", "ratio", "--graph", "Q3", "--group", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert "'Q3' is neither a known graph name nor an existing file" in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 from statistics import median
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_run_to_horizon
@@ -14,6 +14,8 @@ from gasketlab.diffusion import (
     DiffusionConfig,
     DiffusionState,
     Trace,
+    _need,
+    _noise_cut,
     hitting_time_stats,
     revise,
     risk_threshold,
@@ -23,6 +25,10 @@ from gasketlab.rng import WordStream, derive_seed
 from gasketlab.sierpinski import build, elementary_triangles, subgaskets
 
 GAME_THIRD = CoordinationGame(a=2, b=1, c=0, d=0)
+GAME_QUARTER = CoordinationGame(a=3, b=1, c=0, d=0)
+# r* = 1/3, 1/2, 1/4, 2/5: knife edges on small degrees
+CASE_GAMES = [GAME_THIRD, CoordinationGame(a=1, b=1, c=0, d=0), GAME_QUARTER,
+              CoordinationGame(a=3, b=2, c=0, d=0)]
 
 
 def test_risk_threshold_values():
@@ -255,9 +261,7 @@ def diffusion_cases(draw):
     covered = {v for pair in edges for v in pair}
     edges |= {(v, v % n + 1) if v < n else (1, n) for v in range(1, n + 1) if v not in covered}
     g = LabeledGraph.from_edges(n, sorted(edges))
-    game = draw(st.sampled_from([GAME_THIRD, CoordinationGame(a=1, b=1, c=0, d=0),
-                                 CoordinationGame(a=3, b=1, c=0, d=0),
-                                 CoordinationGame(a=3, b=2, c=0, d=0)]))
+    game = draw(st.sampled_from(CASE_GAMES))
     everyone = tuple(range(1, n + 1))
     init = draw(st.one_of(st.just(()), st.just(everyone),
                           st.lists(st.sampled_from(everyone), unique=True).map(tuple)))
@@ -290,3 +294,65 @@ def test_stopping_at_all_a_matches_the_run_to_horizon(case, fraction, trials):
         expected.append(next((t for t, c in enumerate(counts) if c >= target), None))
     stats = hitting_time_stats(g, game, config, trials, adoption_fraction=fraction)
     assert stats.hit_times == tuple(expected)
+
+
+class OneWord(WordStream):
+    """A stream whose every word is ``word``."""
+
+    def __init__(self, word: int):
+        self.word = word
+
+    def next_word(self) -> int:
+        return self.word
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.integers(0, 2**64 - 1),
+)
+@example(5e-324, 0)
+@example(0.5, 2**63)
+@example(1 - 2**-53, 2**64 - 1)
+def test_noise_cut_decides_like_uniform(epsilon, word):
+    """``word < _noise_cut(epsilon)`` iff ``uniform() < epsilon`` on that word,
+    at the cut, on either side of it and at a random word."""
+    cut = _noise_cut(epsilon)
+    for w in (cut - 1, cut, cut + 1, word):
+        if 0 <= w < 2**64:
+            assert (w < cut) == (OneWord(w).uniform() < epsilon), (epsilon, w)
+
+
+@pytest.mark.parametrize("game", CASE_GAMES, ids=lambda game: str(risk_threshold(game)))
+def test_need_is_the_exact_best_response_count(game):
+    r_star = risk_threshold(game)
+    for deg in range(1, 13):
+        for a_count in range(deg + 1):
+            assert (a_count >= _need(deg, r_star)) == (Fraction(a_count, deg) >= r_star)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("schedule", ["uniform-random", "round-robin"])
+@pytest.mark.parametrize("game", [GAME_THIRD, GAME_QUARTER], ids=["third", "quarter"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_kernel_matches_the_oracle_on_gaskets(level, game, schedule, epsilon):
+    """On S2-S4 from the first elementary triangle, every trial's run() is the
+    oracle trajectory cut at all-A, and hitting_time_stats reads the oracle's
+    first count >= target for adoption fractions 1/2, 0.99 and 1."""
+    gasket = build(level)
+    g = gasket.graph
+    config = DiffusionConfig(epsilon=epsilon, init_adopters=elementary_triangles(gasket)[0],
+                             seed=1000 + level, schedule=schedule)
+    trials = 6
+    oracle = []
+    for i in range(trials):
+        trial = replace(config, seed=derive_seed(config.seed, "trial", i))
+        counts, final = oracle_run_to_horizon(g, game, trial)
+        assert run(g, game, trial) == trace_prefix(g, counts, final)
+        oracle.append(counts)
+    for fraction in (0.5, 0.99, 1.0):
+        target = math.ceil(Fraction(fraction) * g.n)
+        expected = tuple(next((t for t, c in enumerate(counts) if c >= target), None)
+                         for counts in oracle)
+        stats = hitting_time_stats(g, game, config, trials, adoption_fraction=fraction)
+        assert stats.hit_times == expected, fraction
