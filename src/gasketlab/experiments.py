@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import closeknit, diffusion, ramsey, sierpinski, twopart
 from .errors import DomainError, ResourceLimitError
-from .graphs import LabeledGraph, _from_neighbours, as_subset, gnp_sample
+from .graphs import LabeledGraph, as_subset, gnp_sample
 from .isomorphism import automorphism_count as aut_count
 from .rng import derive_seed
 
@@ -87,7 +87,7 @@ def plant_occurrence(
     adj = list(g.adj)
     for t, v in enumerate(sub, 1):
         adj[v] = (adj[v] - inside) | {sub[b - 1] for b in pattern.adj[t]}
-    return _from_neighbours(g.n, adj)
+    return LabeledGraph(g.n, tuple(adj))
 
 
 def sample_pattern_free(

@@ -9,8 +9,11 @@ presence bit of edge {i, j}, with pairs in lexicographic order
 
 so encodings are bit-exact across implementations.  Row i of the encoding
 (the pairs (i, j), j > i) is the contiguous slice of n - i bits starting at
-pos(i, i+1); ``encode``, ``decode`` and ``gnp_sample`` work one row at a
-time, and build graphs straight from neighbour lists valid by construction.
+pos(i, i+1).  ``encode`` writes each row as 0/1 bytes from one ``map`` over
+the neighbour set.  ``decode`` and ``gnp_sample`` lay their rows out as the
+upper triangle of an n x n square of 0/1 bytes, one byte per pair, and
+build every neighbour set from that square's row v OR its column v (a
+strided slice), so no Python code runs per edge.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import ceil, comb
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -49,6 +53,8 @@ def pos(i: int, j: int, n: int) -> int:
 
 def pair_at(position: int, n: int) -> tuple[int, int]:
     """Inverse of :func:`pos`."""
+    if n < 0:
+        raise DomainError(f"pair_at needs n >= 0 vertices, got {n}")
     total = comb(n, 2)
     if not (1 <= position <= total):
         raise DomainError(
@@ -75,7 +81,11 @@ class LabeledGraph:
             raise DomainError(f"vertex count must be >= 0, got {n}")
         nbrs: list[set[int]] = [set() for _ in range(n + 1)]
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            try:
+                a, b = e
+                i, j = index(a), index(b)
+            except (TypeError, ValueError):
+                raise DomainError(f"edge {e!r} must be a pair of integer labels") from None
             if i == j:
                 raise DomainError(f"self-loop {{{i},{j}}} not allowed")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -161,23 +171,38 @@ class EdgeBitString:
         _ascii_bits(self.bits)
 
 
-def _from_neighbours(n: int, nbrs: Sequence[Iterable[int]]) -> LabeledGraph:
-    """Graph from per-vertex neighbour collections (index 0 empty) that are
-    symmetric, loop-free and within 1..n by construction; nothing is checked."""
-    return LabeledGraph(n, tuple(map(frozenset, nbrs)))
+def _from_square(n: int, square: bytes) -> LabeledGraph:
+    """Graph from an n x n square of 0/1 bytes, row-major, that flags each
+    edge {i, j} once: at (i, j) or at (j, i), never both, never on the
+    diagonal.  Vertex v's neighbours are the OR of row v and column v, the
+    column read by a strided slice; the flags are 0/1, so OR-ing them as
+    big integers is a bytewise OR.  The sets share one int object per
+    label, drawn from one tuple."""
+    labels = tuple(range(1, n + 1))
+    adj = [frozenset()]
+    for r in range(n):
+        flags = int.from_bytes(square[r * n : r * n + n], "big") | int.from_bytes(
+            square[r::n], "big"
+        )
+        adj.append(frozenset(compress(labels, flags.to_bytes(n, "big"))))
+    return LabeledGraph(n, tuple(adj))
 
 
-def _add_side(nbrs: list[list[int]], v: int, side: Iterable[int]) -> None:
-    """Join ``v`` to every vertex of ``side`` in the neighbour lists, both
-    ways; ``side`` holds vertices all above, or all below, v."""
-    side = list(side)
-    nbrs[v] += side
-    for u in side:
-        nbrs[u].append(v)
+def _upper_square(n: int, flags: bytes) -> bytes:
+    """The canonical order's C(n, 2) flags laid out as the upper triangle of
+    an n x n square: row i is i zero bytes, then the flags of (i, i+1..n)."""
+    rows = []
+    start = 0
+    for i in range(1, n + 1):
+        rows += (bytes(i), flags[start : start + n - i])
+        start += n - i
+    return b"".join(rows)
 
 
-# '0'/'1' text to 0/1 flag bytes, so that itertools.compress picks the 1s
+# '0'/'1' text to 0/1 flag bytes, so that itertools.compress picks the 1s,
+# and back
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _ascii_bits(text: str, what: str = "bit string") -> bytes:
@@ -191,21 +216,17 @@ def _ascii_bits(text: str, what: str = "bit string") -> bytes:
 def encode(g: LabeledGraph) -> EdgeBitString:
     """Canonical bit-string encoding; exact inverse of :func:`decode`.
 
-    Row i is a bytearray of n - i '0's with a '1' set per higher neighbour.
+    Row i is one 0/1 flag per j = i+1..n, asked of the neighbour set in one
+    ``map``; one ``translate`` turns all rows into '0'/'1' text.
     """
-    rows = []
-    for i in range(1, g.n + 1):
-        row = bytearray(b"0") * (g.n - i)
-        for j in g.adj[i]:
-            if j > i:
-                row[j - i - 1] = 49  # ord("1")
-        rows.append(row)
-    return EdgeBitString(g.n, b"".join(rows).decode("ascii"))
+    n, adj = g.n, g.adj
+    rows = [bytes(map(adj[i].__contains__, range(i + 1, n + 1))) for i in range(1, n + 1)]
+    return EdgeBitString(n, b"".join(rows).translate(_TEXT).decode("ascii"))
 
 
 def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
-    """Graph whose canonical encoding is ``bits``; row i (the slice of pairs
-    (i, j), j > i) yields its higher neighbours in one ``compress``."""
+    """Graph whose canonical encoding is ``bits``, built from the upper
+    square of its flags."""
     text = bits.bits if isinstance(bits, EdgeBitString) else bits
     if n < 0:
         raise DomainError(f"decode needs n >= 0 vertices, got {n}")
@@ -215,12 +236,7 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
             f"decode(n={n}) expects C(n,2)={expected} bits, got {len(text)}"
         )
     flags = _ascii_bits(text).translate(_FLAGS)
-    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    start = 0
-    for i in range(1, n):
-        _add_side(nbrs, i, compress(range(i + 1, n + 1), flags[start : start + n - i]))
-        start += n - i
-    return _from_neighbours(n, nbrs)
+    return _from_square(n, _upper_square(n, flags))
 
 
 def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tuple[int, ...]:
@@ -290,23 +306,49 @@ def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     return LabeledGraph.from_edges(g1.n + g2.n, edges)
 
 
+def _below(data: bytes, cut: int) -> bytes:
+    """One 0/1 flag per 8-byte big-endian word of ``data``: 1 iff word < cut.
+
+    A 256-entry table on the words' first bytes decides every word whose
+    first byte differs from cut's; a tie (about one word in 256) is decided
+    exactly by comparing all eight bytes.
+    """
+    if cut >= 1 << 64:
+        return b"\x01" * (len(data) // 8)
+    key = cut.to_bytes(8, "big")
+    first = key[0]
+    flags = data[::8].translate(b"\x01" * first + b"\x02" + bytes(255 - first))
+    out = bytearray(flags)
+    t = flags.find(2)
+    while t >= 0:
+        out[t] = data[8 * t : 8 * t + 8] < key
+        t = flags.find(2, t + 1)
+    return bytes(out)
+
+
 def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     """Erdos-Renyi G(n, p) sample, deterministic in (n, p, seed).
 
     One 53-bit uniform is consumed per potential edge, in canonical pos
-    order; the edge is present iff the uniform is < p.  Row i draws its
-    n - i words at once and tests each against the exact integer threshold
-    ``uniform < p  <=>  word < ceil(p * 2^53) << 11``, for float and
-    ``Fraction`` p alike.
+    order; the edge is present iff the uniform is < p.  All C(n, 2) words
+    are drawn as bytes at once and each is tested against the exact integer
+    threshold ``uniform < p  <=>  word < ceil(p * 2^53) << 11``, for float
+    and ``Fraction`` p alike.
     """
+    try:
+        n = index(n)
+    except TypeError:
+        raise DomainError(f"vertex count must be an integer, got {n!r}") from None
     if n < 0:
         raise DomainError(f"vertex count must be >= 0, got {n}")
-    if not (0.0 <= p <= 1.0):
+    try:
+        inside = 0.0 <= p <= 1.0
+    except TypeError:
+        raise DomainError(f"edge probability must be a real number, got {p!r}") from None
+    if not inside:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     check_seed(seed)
-    below = (ceil(Fraction(p) * (1 << 53)) << 11).__gt__
+    cut = ceil(Fraction(p) * (1 << 53)) << 11
     stream = WordStream(seed, domain=b"gasketlab-gnp")
-    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(1, n):
-        _add_side(nbrs, i, compress(range(i + 1, n + 1), map(below, stream.words(n - i))))
-    return _from_neighbours(n, nbrs)
+    flags = _below(stream.word_bytes(comb(n, 2)), cut)
+    return _from_square(n, _upper_square(n, flags))

@@ -5,19 +5,22 @@ vertices 0..n-1, size bytes N(n), then the upper triangle of the adjacency
 matrix in column-major order, packed 6 bits per printable byte (offset 63).
 Our 1-based labels map to graph6 vertex i-1.  Both directions go through
 one '0'/'1' string of the column-major bits, ``int(bits, 2)`` and base64
-(whose alphabet maps one-to-one onto the 64 graph6 byte values).  JSON edge
-lists are type-checked field by field: n and every label must be a JSON
-integer (not a bool), n at most ``JSON_VERTEX_MAX``, and every edge a pair.
+(whose alphabet maps one-to-one onto the 64 graph6 byte values).  Column j
+(the pairs (i, j), i < j) is written as 0/1 bytes from one ``map`` over j's
+neighbour set, and read back as row j of the lower triangle of an n x n
+square of 0/1 bytes, from which ``graphs`` builds every neighbour set.
+JSON edge lists are type-checked field by field: n and every label must be
+a JSON integer (not a bool), n at most ``JSON_VERTEX_MAX``, and every edge
+a pair.
 """
 
 from __future__ import annotations
 
 import binascii
 import json
-from itertools import compress
 
 from .errors import DomainError
-from .graphs import _FLAGS, LabeledGraph, _add_side, _from_neighbours
+from .graphs import _FLAGS, _TEXT, LabeledGraph, _from_square
 
 __all__ = [
     "to_graph6",
@@ -82,14 +85,9 @@ def to_graph6(g: LabeledGraph, header: bool = False) -> str:
     The column-major upper triangle is built as '0'/'1' text one column at a
     time, read as one integer and packed six bits per byte through base64.
     """
-    columns = []
-    for j in range(2, g.n + 1):
-        column = bytearray(b"0") * (j - 1)
-        for i in g.adj[j]:
-            if i < j:
-                column[i - 1] = 49  # ord("1")
-        columns.append(column)
-    bits = b"".join(columns)
+    adj = g.adj
+    columns = [bytes(map(adj[j].__contains__, range(1, j))) for j in range(2, g.n + 1)]
+    bits = b"".join(columns).translate(_TEXT)
     chars = (len(bits) + 5) // 6
     body = b""
     if bits:
@@ -103,8 +101,8 @@ def to_graph6(g: LabeledGraph, header: bool = False) -> str:
 def from_graph6(text: str) -> LabeledGraph:
     """Decode a graph6 string (optional ``>>graph6<<`` header allowed).
 
-    The body is unpacked through base64 into one '0'/'1' string, and each
-    column yields its lower neighbours in one ``compress``.
+    The body is unpacked through base64 into one '0'/'1' string; column j
+    becomes row j of a lower-triangular square of 0/1 bytes.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -129,12 +127,12 @@ def from_graph6(text: str) -> LabeledGraph:
     if "1" in bits[total:]:
         raise DomainError("graph6 padding bits must be zero")
     flags = bits.encode("ascii").translate(_FLAGS)
-    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
+    rows = []
     start = 0
-    for j in range(2, n + 1):  # column j: pairs (i, j), i < j
-        _add_side(nbrs, j, compress(range(1, j), flags[start : start + j - 1]))
+    for j in range(1, n + 1):  # column j: pairs (i, j), i < j
+        rows += (flags[start : start + j - 1], bytes(n - j + 1))
         start += j - 1
-    return _from_neighbours(n, nbrs)
+    return _from_square(n, b"".join(rows))
 
 
 def to_json_edges(g: LabeledGraph) -> str:

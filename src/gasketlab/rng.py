@@ -7,9 +7,11 @@ seed-to-output mapping survives interpreter and library upgrades: word
 ``i`` of the stream is byte slice ``8*(i%4) .. 8*(i%4)+8`` (big-endian) of
 ``SHA256(domain || seed_be8 || block_be8)`` with ``block = i // 4``.
 
-``WordStream.words(count)`` hands out the next ``count`` words in one call
-(whole blocks hashed back to back and unpacked at once); it draws the same
-words as ``count`` calls of ``next_word`` and mixes freely with them.
+``WordStream.word_bytes(count)`` hands out the next ``count`` words in one
+call, as ``8 * count`` big-endian bytes: whole blocks hashed back to back,
+with the unread tail of the last block kept for the next call.  ``words``
+unpacks those bytes into ints and ``next_word`` reads one int off the kept
+tail, so all three draw the same words and mix freely.
 
 Changing this mapping is a breaking change; sampled graphs and simulation
 traces are part of tested behaviour (``tests/golden/codec_vectors.jsonl``).
@@ -38,35 +40,32 @@ class WordStream:
         check_seed(seed)
         self._prefix = domain + seed.to_bytes(8, "big")
         self._block = 0
-        self._words: list[int] = []
+        self._spare = b""  # unread tail of the last block hashed, 0 to 24 bytes
 
     def next_word(self) -> int:
-        if not self._words:
-            digest = hashlib.sha256(
-                self._prefix + self._block.to_bytes(8, "big")
-            ).digest()
-            # reversed so .pop() yields words in digest order
-            self._words = list(reversed(struct.unpack(">4Q", digest)))
-            self._block += 1
-        return self._words.pop()
+        if not self._spare:  # at a block boundary: take the whole next block
+            self._spare = self.word_bytes(4)
+        word, self._spare = self._spare[:8], self._spare[8:]
+        return int.from_bytes(word, "big")
+
+    def word_bytes(self, count: int) -> bytes:
+        """The next ``count`` words as ``8 * count`` big-endian bytes."""
+        if count < 0:
+            raise DomainError(f"word count must be >= 0, got {count}")
+        size = 8 * count
+        data = self._spare
+        if size > len(data):
+            start = self._block
+            self._block += (size - len(data) + 31) // 32
+            prefix, sha256 = self._prefix, hashlib.sha256
+            blocks = range(start, self._block)
+            data += b"".join([sha256(prefix + b.to_bytes(8, "big")).digest() for b in blocks])
+        self._spare = data[size:]
+        return data[:size]
 
     def words(self, count: int) -> list[int]:
         """The next ``count`` words, as ``count`` calls of :meth:`next_word`."""
-        if count < 0:
-            raise DomainError(f"word count must be >= 0, got {count}")
-        buffered = self._words  # at most 3 words, reversed: the next is last
-        out = [buffered.pop() for _ in range(min(count, len(buffered)))]
-        need = count - len(out)
-        if need > 0:
-            start = self._block
-            self._block += (need + 3) // 4
-            prefix, sha256 = self._prefix, hashlib.sha256
-            blocks = range(start, self._block)
-            data = b"".join([sha256(prefix + b.to_bytes(8, "big")).digest() for b in blocks])
-            fresh = struct.unpack(f">{len(data) // 8}Q", data)
-            out.extend(fresh[:need])
-            self._words = list(reversed(fresh[need:]))
-        return out
+        return list(struct.unpack(f">{count}Q", self.word_bytes(count)))
 
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
@@ -77,6 +76,8 @@ class WordStream:
 
         The modulo bias is below 2^-50 for any n this package uses.
         """
+        if n <= 0:
+            raise DomainError(f"index needs a range size n >= 1, got {n}")
         return self.next_word() % n
 
 

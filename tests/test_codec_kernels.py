@@ -14,7 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 from pathlib import Path
 
 import pytest
@@ -119,6 +119,86 @@ def test_words_interleaved_with_next_word_match_the_word_stream(seed, counts, do
         bulk.words(-1)
 
 
+@given(seeds, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11)), max_size=12), st.binary(max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_word_bytes_interleaved_with_words_match_the_word_stream(seed, calls, domain):
+    """Calls of word_bytes (kind 0), words (1) and next_word (2), in any mix,
+    against one next_word per word."""
+    bulk = WordStream(seed, domain=domain)
+    single = WordStream(seed, domain=domain)
+    for kind, count in calls:
+        expected = [single.next_word() for _ in range(count)]
+        if kind == 0:
+            assert bulk.word_bytes(count) == b"".join(w.to_bytes(8, "big") for w in expected)
+        elif kind == 1:
+            assert bulk.words(count) == expected
+        else:
+            assert [bulk.next_word() for _ in range(count)] == expected
+    assert bulk.next_word() == single.next_word()
+    with pytest.raises(DomainError, match="count"):
+        bulk.word_bytes(-1)
+
+
+def test_index_refuses_an_empty_range():
+    stream = WordStream(5)
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="n >= 1"):
+            stream.index(n)
+    assert stream.index(1) == 0
+
+
+def _cut(p):
+    return ceil(Fraction(p) * 2**53) << 11
+
+
+CUT_EXAMPLES = (0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64)
+cuts = st.one_of(
+    st.sampled_from(CUT_EXAMPLES),
+    probabilities.map(_cut),
+    st.integers(0, 2**64),
+)
+
+
+def _tie_words(cut):
+    """Words sharing cut's first byte, so only the exact comparison decides."""
+    head = min(cut, 2**64 - 1) >> 56 << 56
+    return st.one_of(
+        st.integers(0, 2**56 - 1).map(lambda low: head | low),
+        st.integers(-2, 2).map(lambda d: min(max(cut + d, 0), 2**64 - 1)),
+    )
+
+
+@given(cuts, st.data())
+@settings(max_examples=300, deadline=None)
+def test_below_matches_the_word_comparison(cut, data):
+    words = data.draw(st.lists(st.one_of(st.integers(0, 2**64 - 1), _tie_words(cut)), max_size=40))
+    raw = b"".join(w.to_bytes(8, "big") for w in words)
+    assert graphs._below(raw, cut) == bytes(w < cut for w in words)
+
+
+def test_below_at_the_edge_probabilities():
+    # p = 0, 1/2 and 1, float and Fraction, give cuts 0, 2^63 and 2^64
+    for p, cut in ((0.0, 0), (0.5, 2**63), (1.0, 2**64)):
+        assert _cut(p) == _cut(Fraction(p)) == cut
+        words = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**56, 255 << 56]
+        raw = b"".join(w.to_bytes(8, "big") for w in words)
+        assert graphs._below(raw, cut) == bytes(w < cut for w in words)
+    assert graphs._below(b"", 2**63) == graphs._below(b"", 2**64) == b""
+
+
+@given(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 60)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_square_builder_matches_the_oracles(n, data):
+    m = comb(n, 2)
+    bits = format(data.draw(st.integers(0, 2**m - 1)), f"0{m}b") if m else ""
+    g = graphs._from_square(n, graphs._upper_square(n, bits.encode().translate(graphs._FLAGS)))
+    assert g == oracle_decode(bits, n)
+    assert type(g.adj) is tuple and len(g.adj) == n + 1 and not g.adj[0]
+    assert all(type(s) is frozenset for s in g.adj)
+    g6 = oracle_to_graph6(g)  # the same graph as graph6 columns: the lower square
+    assert from_graph6(g6) == oracle_from_graph6(g6) == g
+
+
 @given(st.integers(0, 40), probabilities, seeds)
 @settings(max_examples=150, deadline=None)
 def test_gnp_sample_matches_per_pair_oracle(n, p, seed):
@@ -144,9 +224,9 @@ def test_gnp_threshold_is_strict_on_crafted_words(monkeypatch):
         def __init__(self, seed, domain):
             self.left = list(words)
 
-        def words(self, count):
+        def word_bytes(self, count):
             out, self.left = self.left[:count], self.left[count:]
-            return out
+            return b"".join(w.to_bytes(8, "big") for w in out)
 
     monkeypatch.setattr(graphs, "WordStream", CraftedStream)
     g = gnp_sample(4, 0.5, 0)

@@ -76,6 +76,26 @@ def test_graph_invariants_rejected():
     assert LabeledGraph.from_edges(2, [(1, 2), (2, 1)]).edge_count == 1
 
 
+@pytest.mark.parametrize(
+    "edge", [(1,), (1, 2, 3), 5, ("a", 2), (1.5, 2), (1, 2.0), ("1", "2"), (None, 1)]
+)
+def test_from_edges_rejects_edges_that_are_not_pairs_of_integer_labels(edge):
+    with pytest.raises(DomainError, match="pair of integer labels"):
+        LabeledGraph.from_edges(3, [(1, 2), edge])
+
+
+def test_from_edges_takes_any_pair_of_integer_labels():
+    g = LabeledGraph.from_edges(3, [[1, 2], (3, 2), iter((1, 3))])
+    assert g == LabeledGraph.complete(3)
+
+
+def test_pair_at_rejects_a_negative_vertex_count():
+    with pytest.raises(DomainError, match="n >= 0"):
+        pair_at(1, -5)
+    with pytest.raises(DomainError, match="position"):
+        pair_at(1, 0)
+
+
 def test_induced_subgraph_cases(k3, path3):
     assert induced_subgraph(LabeledGraph.complete(4), (1, 2, 3)) == k3
     assert induced_subgraph(path3, (1, 3)) == LabeledGraph.empty(2)
@@ -135,6 +155,18 @@ def test_gnp_endpoints():
     assert gnp_sample(5, 1.0, 99) == LabeledGraph.complete(5)
     with pytest.raises(DomainError, match="probability"):
         gnp_sample(5, 1.5, 0)
+
+
+@pytest.mark.parametrize("n", [2.0, "3", None, 3.5])
+def test_gnp_rejects_a_non_integer_vertex_count(n):
+    with pytest.raises(DomainError, match="vertex count must be an integer"):
+        gnp_sample(n, 0.5, 0)
+
+
+@pytest.mark.parametrize("p", ["0.5", None, 0.5j, [0.5]])
+def test_gnp_rejects_a_non_real_probability(p):
+    with pytest.raises(DomainError, match="real number"):
+        gnp_sample(3, p, 0)
 
 
 def test_gnp_deterministic_and_seed_sensitive():
