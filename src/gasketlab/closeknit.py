@@ -16,9 +16,10 @@ is nonnegative, which is integer arithmetic that stops at the first negative.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import LabeledGraph, as_subset
@@ -34,6 +35,8 @@ __all__ = [
 
 GROUP_SIZE_MAX = 20
 GROUPS_PER_VERTEX_CAP = 200_000
+
+Accept = Callable[[dict[int, int], list[int]], bool]
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,16 @@ class CloseKnitResult:
     witness: dict[int, tuple[int, ...]] | None  # vertex -> qualifying group
     failed_vertex: int | None
     groups_examined: int
+
+
+def _check_size_bound(name: str, k: int) -> int:
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {k!r}") from None
+    if k < 1 or k > GROUP_SIZE_MAX:
+        raise DomainError(f"{name} must be in 1..{GROUP_SIZE_MAX}, got {k}")
+    return k
 
 
 def _check_group(g: LabeledGraph, members: Iterable[int]) -> tuple[int, ...]:
@@ -86,19 +99,6 @@ def internal_degree(
     return count
 
 
-def _in_group_rows(g: LabeledGraph, group: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Per member of ``group`` in order: its neighbours in the group as a
-    bitmask (bit t <-> member group[t]) and its degree."""
-    index = {v: t for t, v in enumerate(group)}
-    for v in group:
-        row = g.adj[v]
-        mask = 0
-        for u in row:
-            if u in index:
-                mask |= 1 << index[u]
-        yield mask, len(row)
-
-
 def _lex_less(a: int, b: int) -> bool:
     """Whether subset mask a sorts before mask b as a tuple of members.
 
@@ -128,8 +128,10 @@ def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
     num = [0]  # num[mask] = d(S', S)
     den = [0]  # den[mask] = sum of degrees over S'
     best_num, best_den, best = 2, 1, 0  # every ratio is <= 1
-    for t, (nt, deg) in enumerate(_in_group_rows(g, s_tup)):
-        in_s, top = nt.bit_count(), 1 << t
+    index = {v: t for t, v in enumerate(s_tup)}
+    for t, v in enumerate(s_tup):
+        nt = sum(1 << index[u] for u in g.adj[v].intersection(index))  # N(t) & S, by index
+        in_s, deg, top = nt.bit_count(), len(g.adj[v]), 1 << t
         for rest in range(top):
             x = num[rest] + in_s - (nt & rest).bit_count()
             y = den[rest] + deg
@@ -142,59 +144,83 @@ def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
     return GroupReport(group=s_tup, min_ratio=Fraction(best_num, best_den), argmin=argmin)
 
 
-def _ratio_at_least(g: LabeledGraph, group: tuple[int, ...], r: Fraction) -> bool:
-    """Whether min_ratio(g, group) >= r, for a valid sorted group.
+def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
+    """``accept`` for ``_first_group``: whether min_ratio(g, group) >= r.
 
     With r = p/q, tracks slack(S') = q d(S', S) - p vol(S') over the same
     blocks as ``min_ratio`` and answers False at the first negative slack;
-    the singletons are checked first.  Integer arithmetic only.
+    the singletons are checked first.  Integer arithmetic only, and the
+    answer does not depend on the order of the members.
     """
     p, q = r.numerator, r.denominator
-    nbr, gains = [], []
-    for nt, deg in _in_group_rows(g, group):
-        gain = q * nt.bit_count() - p * deg  # slack of the singleton
-        if gain < 0:
-            return False
-        nbr.append(nt)
-        gains.append(gain)
-    slack = [0]
-    for nt, gain in zip(nbr, gains):
-        block = [slack[rest] + gain - q * (nt & rest).bit_count() for rest in range(len(slack))]
-        if min(block) < 0:
-            return False
-        slack += block
-    return True
+    pdeg = [p * len(row) for row in g.adj]
+
+    def accept(members: dict[int, int], rows: list[int]) -> bool:
+        # newest members first: the last one added has the fewest in-group neighbours
+        for v, row in zip(reversed(members), reversed(rows)):
+            if q * row.bit_count() < pdeg[v]:
+                return False
+        slack = [0]
+        for v, nt in zip(members, rows):
+            gain = q * nt.bit_count() - pdeg[v]  # slack of the singleton
+            block = [slack[rest] + gain - q * (nt & rest).bit_count() for rest in range(len(slack))]
+            if min(block) < 0:
+                return False
+            slack += block
+        return True
+
+    return accept
 
 
-def _connected_groups_from(
-    g: LabeledGraph, v: int, k: int, cap: int
-) -> Iterable[tuple[int, ...]]:
-    """All connected vertex sets containing v with size <= k, each once.
+def _first_group(
+    g: LabeledGraph, v: int, k: int, cap: int, accept: Accept
+) -> tuple[tuple[int, ...] | None, int]:
+    """The first connected set of size <= k containing v that ``accept``
+    takes, sorted (None if there is none), and the number of sets examined.
 
     ESU enumeration (Wernicke, "Efficient detection of network motifs",
-    2006): each branch carries the group, its frontier in ascending label
-    order, and ``closed == N[group]``, the group's closed neighbourhood.
-    Choosing frontier vertex u drops the vertices listed before u from every
-    deeper frontier and adds u's neighbours outside ``closed``, so no set is
-    produced twice.
+    2006): the branch that adds u extends the frontier it was handed
+    (ascending labels) by u's neighbours outside ``closed``, the closed
+    neighbourhood of the group before u, and each child takes one frontier
+    vertex and only those listed after it, so no set is examined twice.
+    The group is ``members`` (member -> bit position, in insertion order)
+    with ``rows[t]`` the in-group neighbour mask of member t: adding u
+    flips u's bit in its neighbours' rows, undone when the branch returns.
     """
-    produced = 0
+    adj, members, rows = g.adj, {}, []
+    examined = 0
 
-    def rec(group: tuple[int, ...], ext: list[int], closed: frozenset[int]):
-        nonlocal produced
-        produced += 1
-        if produced > cap:
+    def rec(u: int, ext: list[int], closed: frozenset[int]) -> tuple[int, ...] | None:
+        nonlocal examined
+        examined += 1
+        if examined > cap:
             raise ResourceLimitError(
                 f"connected-group search around vertex {v} exceeded cap {cap}"
             )
-        yield group
-        if len(group) == k:
-            return
-        for idx, u in enumerate(ext):
-            fresh = sorted(g.adj[u] - closed)
-            yield from rec(tuple(sorted(group + (u,))), ext[idx + 1 :] + fresh, closed.union(fresh))
+        t = len(rows)
+        bit, mask, inside = 1 << t, 0, adj[u].intersection(members)
+        for w in inside:
+            mask |= 1 << members[w]
+            rows[members[w]] |= bit
+        members[u] = t
+        rows.append(mask)
+        found = None
+        if accept(members, rows):
+            found = tuple(sorted(members))
+        elif t + 1 < k:  # a full group never reads its frontier
+            fresh = sorted(adj[u] - closed)
+            ext, closed = ext + fresh, closed.union(fresh)
+            for idx, w in enumerate(ext):
+                found = rec(w, ext[idx + 1 :], closed)
+                if found is not None:
+                    break
+        del members[u]
+        rows.pop()
+        for w in inside:
+            rows[members[w]] ^= bit
+        return found
 
-    yield from rec((v,), sorted(g.adj[v]), g.adj[v] | {v})
+    return rec(v, [], frozenset((v,))), examined
 
 
 def is_rk_closeknit(
@@ -210,46 +236,31 @@ def is_rk_closeknit(
     reused as the witness for all its members).  Vertices are processed in
     label order and candidates in enumeration order, so the witness map is
     deterministic.  Each candidate is tested for ratio >= r by integer slack
-    with an early exit (``_ratio_at_least``), not by computing its minimum.
+    with an early exit (``_ratio_test``), not by computing its minimum.
     """
-    if k < 1 or k > GROUP_SIZE_MAX:
-        raise DomainError(f"group-size bound k must be in 1..{GROUP_SIZE_MAX}, got {k}")
-    r = Fraction(r)
+    k = _check_size_bound("group-size bound k", k)
+    try:
+        r = Fraction(r)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"ratio bound r must be a finite rational, got {r!r}") from None
     for v in g.vertices():
         if g.degree(v) == 0:
             raise DomainError(
                 f"vertex {v} is isolated; close-knit certification assumes none"
             )
+    accept = _ratio_test(g, r)
     witness: dict[int, tuple[int, ...]] = {}
     examined = 0
     for v in g.vertices():
         if v in witness:
             continue
-        found = None
-        for group in _connected_groups_from(g, v, k, groups_cap):
-            examined += 1
-            if _ratio_at_least(g, group, r):
-                found = group
-                break
+        found, count = _first_group(g, v, k, groups_cap, accept)
+        examined += count
         if found is None:
-            return CloseKnitResult(
-                r=r,
-                k=k,
-                success=False,
-                witness=None,
-                failed_vertex=v,
-                groups_examined=examined,
-            )
+            return CloseKnitResult(r, k, False, None, v, examined)
         for u in found:
             witness.setdefault(u, found)
-    return CloseKnitResult(
-        r=r,
-        k=k,
-        success=True,
-        witness=witness,
-        failed_vertex=None,
-        groups_examined=examined,
-    )
+    return CloseKnitResult(r, k, True, witness, None, examined)
 
 
 def family_scan(
@@ -263,13 +274,9 @@ def family_scan(
     value None records that no k <= k_cap succeeded.  Each certificate
     searches at most ``GROUPS_PER_VERTEX_CAP`` groups per vertex.
     """
-    out: dict[int, int | None] = {}
-    for key in sorted(graphs):
-        g = graphs[key]
-        found: int | None = None
-        for k in range(1, k_cap + 1):
-            if is_rk_closeknit(g, r, k, groups_cap=GROUPS_PER_VERTEX_CAP).success:
-                found = k
-                break
-        out[key] = found
-    return out
+    k_cap = _check_size_bound("k_cap", k_cap)
+    ks = range(1, k_cap + 1)
+    return {
+        key: next((k for k in ks if is_rk_closeknit(graphs[key], r, k).success), None)
+        for key in sorted(graphs)
+    }

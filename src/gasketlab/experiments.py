@@ -57,6 +57,8 @@ class MomentReport:
 
 
 def expected_occurrences(n: int, pattern: LabeledGraph) -> MomentReport:
+    if n < 0:
+        raise DomainError(f"host size n must be >= 0, got {n}")
     k = pattern.n
     aut = aut_count(pattern)
     per_subset = Fraction(1, 2 ** comb(k, 2))

@@ -545,7 +545,10 @@ def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
     eventually dominates; the scan stops once failure is certain by a
     doubling margin that only grows with the level.
     """
-    frac = Fraction(c_d)
+    try:
+        frac = Fraction(c_d)
+    except (ValueError, OverflowError):
+        raise DomainError(f"c_d must be a finite number, got {c_d}") from None
     if frac <= 0:
         raise DomainError(f"c_d must be positive, got {c_d}")
     p, q = frac.numerator, frac.denominator

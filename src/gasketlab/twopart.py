@@ -137,6 +137,8 @@ def subset_index_bits(n: int, k: int) -> int:
 
 
 def ordering_index_bits(k: int) -> int:
+    if k < 0:
+        raise DomainError(f"pattern size k must be >= 0, got {k}")
     return ceil_log2(factorial(k))
 
 
@@ -174,12 +176,9 @@ def gain(n: int, k: int, ordered: bool) -> int:
 
 
 def length_report(n: int, k: int, ordered: bool) -> LengthReport:
+    saved = gain(n, k, ordered)  # checks k >= 2 and n >= k before comb(n, 2)
     canonical = comb(n, 2)
-    return LengthReport(
-        canonical_bits=canonical,
-        encoded_bits=canonical - gain(n, k, ordered),
-        gain=gain(n, k, ordered),
-    )
+    return LengthReport(canonical_bits=canonical, encoded_bits=canonical - saved, gain=saved)
 
 
 def threshold_exact(k: int, ordered: bool) -> int | None:

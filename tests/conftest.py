@@ -25,7 +25,7 @@ import networkx as nx
 import pytest
 
 from gasketlab import DomainError, LabeledGraph, ResourceLimitError, induced_subgraph, sierpinski
-from gasketlab.closeknit import CloseKnitResult, _connected_groups_from, min_ratio
+from gasketlab.closeknit import CloseKnitResult, min_ratio
 from gasketlab.graphs import EdgeBitString, as_subset
 from gasketlab.io import _g6_read_size, _g6_size_bytes
 from gasketlab.ranking import rank_subset, unrank_permutation, unrank_subset
@@ -65,15 +65,17 @@ def oracle_min_ratio(g: LabeledGraph, group) -> tuple[Fraction, tuple[int, ...]]
     return best, arg
 
 
-def oracle_is_rk_closeknit(g: LabeledGraph, r: Fraction, k: int) -> CloseKnitResult:
-    """The per-vertex candidate loop, deciding each group by its exact
-    ``min_ratio(...).min_ratio >= r``."""
+def oracle_is_rk_closeknit(
+    g: LabeledGraph, r: Fraction, k: int, cap: int = 10**6
+) -> CloseKnitResult:
+    """The per-vertex candidate loop over ``oracle_connected_groups_from``,
+    deciding each group by its exact ``min_ratio(...).min_ratio >= r``."""
     witness: dict[int, tuple[int, ...]] = {}
     examined = 0
     for v in g.vertices():
         if v in witness:
             continue
-        for group in _connected_groups_from(g, v, k, 10**6):
+        for group in oracle_connected_groups_from(g, v, k, cap):
             examined += 1
             if min_ratio(g, group).min_ratio >= r:
                 break

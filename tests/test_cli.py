@@ -49,6 +49,8 @@ def test_domain_error_exits_1_with_named_precondition():
     result = run_cli("decode", "canonical", "--bits", "1111", "--n", "3")
     assert result.returncode == 1
     assert "3" in result.stderr  # expected length named
+    result = run_cli("closeknit", "scan", "--levels", "1-2", "--r", "1/3", "--k-cap", "0")
+    assert result.returncode == 1 and "k_cap" in result.stderr and result.stdout == ""
 
 
 def test_closeknit_ratio_golden():

@@ -14,8 +14,8 @@ from gasketlab import (
     induced_subgraph,
 )
 from gasketlab.closeknit import (
-    _connected_groups_from,
-    _ratio_at_least,
+    _first_group,
+    _ratio_test,
     family_scan,
     internal_degree,
     is_rk_closeknit,
@@ -87,6 +87,13 @@ def _graph(kind: str, n: int, seed: int) -> LabeledGraph:
 TIE_HEAVY = ["complete", "cycle", "step2"]
 
 
+def _members_and_rows(g: LabeledGraph, order) -> tuple[dict[int, int], list[int]]:
+    """A group as ``_first_group`` carries it, members in the given order:
+    member -> bit position, and each member's in-group neighbour mask."""
+    members = {v: t for t, v in enumerate(order)}
+    return members, [sum(1 << members[u] for u in g.adj[v] if u in members) for v in order]
+
+
 def _draw_group(g: LabeledGraph, data) -> tuple[int, ...] | None:
     """The whole vertex set (where disjoint parts tie) or a random subset."""
     every = frozenset(range(1, g.n + 1))
@@ -122,18 +129,53 @@ def test_ratio_at_least_matches_exact_minimum(kind, n, seed, data):
     if group is None:
         return
     exact, _ = oracle_min_ratio(g, group)
+    members, rows = _members_and_rows(g, data.draw(st.permutations(group)))
     eps = Fraction(1, 1000)
     knife_edge = [exact, exact - eps, exact + eps, Fraction(0), Fraction(-1, 3), Fraction(3, 2)]
     for r in knife_edge + [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)]:
-        assert _ratio_at_least(g, group, r) == (exact >= r), r
+        assert _ratio_test(g, r)(members, rows) == (exact >= r), r
 
 
-@pytest.mark.parametrize("level", [2, 3, 4, 5])
+RATIOS = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_certification_matches_exact_ratio_oracle(level):
     g = build(level).graph
-    for r in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
-        for k in (3, 6, 8):
+    for r in RATIOS:
+        for k in range(1, 9):
             assert is_rk_closeknit(g, r, k) == oracle_is_rk_closeknit(g, r, k), (r, k)
+
+
+@st.composite
+def _connected_graphs(draw) -> LabeledGraph:
+    """A random spanning tree on 2..12 vertices plus random extra edges,
+    relabelled at random."""
+    n = draw(st.sampled_from(range(2, 13)))
+    label = [0] + draw(st.permutations(range(1, n + 1)))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    edges |= set(draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n)))
+    pairs = {tuple(sorted((label[a], label[b]))) for a, b in edges if a != b}
+    return LabeledGraph.from_edges(n, sorted(pairs))
+
+
+def _result_or_error(certify):
+    try:
+        return certify()
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@given(
+    g=st.one_of(_connected_graphs(), st.sampled_from([build(lv).graph for lv in (1, 2, 3, 4)])),
+    r=st.sampled_from(RATIOS),
+    k=st.sampled_from(range(1, 9)),
+    cap=st.sampled_from([10**6, 10**6, 10**6, 1, 2, 7, 40, 300]),  # uncapped 3 times in 8
+)
+@settings(max_examples=300, deadline=None)
+def test_certificate_matches_oracle_witness_count_and_failure(g, r, k, cap):
+    mine = _result_or_error(lambda: is_rk_closeknit(g, r, k, groups_cap=cap))
+    assert mine == _result_or_error(lambda: oracle_is_rk_closeknit(g, r, k, cap))
 
 
 def test_min_ratio_of_whole_connected_graph_is_half():
@@ -191,17 +233,36 @@ def test_min_ratio_is_isomorphism_invariant():
         )
 
 
+def _examined_then_error(g, v, k, cap):
+    """The groups ``_first_group`` examines, in order, then its cap error or
+    None.  Its ``accept`` records each group, checks the carried rows against
+    ones rebuilt independently, and never accepts."""
+    examined = []
+
+    def record(members, rows):
+        assert (members, rows) == _members_and_rows(g, list(members))
+        examined.append(tuple(sorted(members)))
+        return False
+
+    try:
+        found, count = _first_group(g, v, k, cap, record)
+    except ResourceLimitError as exc:
+        return examined, str(exc)
+    assert found is None and count == len(examined)
+    return examined, None
+
+
 def test_connected_group_enumeration_matches_brute_force():
     for seed in range(25):
         g = gnp_sample(7, 0.5, seed)
         for v in (1, 4):
-            mine = set(_connected_groups_from(g, v, 4, 10**6))
+            mine, _ = _examined_then_error(g, v, 4, 10**6)
             reference = set()
             for size in range(1, 5):
                 for sub in combinations(range(1, 8), size):
                     if v in sub and len(connected_components(induced_subgraph(g, sub))) == 1:
                         reference.add(sub)
-            assert mine == reference
+            assert len(mine) == len(reference) and set(mine) == reference
 
 
 def _yielded_then_error(groups):
@@ -219,7 +280,7 @@ def _assert_same_sequences(g):
     for v in g.vertices():
         for k in range(1, 7):
             for cap in (1, 7, 10**6):
-                mine = _yielded_then_error(_connected_groups_from(g, v, k, cap))
+                mine = _examined_then_error(g, v, k, cap)
                 reference = _yielded_then_error(oracle_connected_groups_from(g, v, k, cap))
                 assert mine == reference, (v, k, cap)
                 groups, error = mine
@@ -272,6 +333,21 @@ def test_family_scan_minimal_k_frozen_values():
     assert family_scan(graphs, Fraction(0)) == {1: 1, 2: 1, 3: 1, 4: 1}
     assert family_scan(graphs, Fraction(1, 4)) == {1: 2, 2: 3, 3: 3, 4: 3}
     assert family_scan(graphs, Fraction(1, 3)) == {1: 3, 2: 4, 3: 5, 4: 5}
+
+
+def test_certification_refuses_non_integer_k_and_non_finite_r():
+    s3 = build(3).graph
+    with pytest.raises(DomainError, match="k must be an integer"):
+        is_rk_closeknit(s3, Fraction(1, 3), 2.5)
+    for r in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="r must be a finite rational"):
+            is_rk_closeknit(s3, r, 2)
+
+
+@pytest.mark.parametrize("k_cap", [0, -1, 21, 2.5])
+def test_family_scan_refuses_k_cap_outside_the_group_size_range(k_cap):
+    with pytest.raises(DomainError, match="k_cap"):
+        family_scan({}, Fraction(1, 3), k_cap=k_cap)  # refused before any graph is looked at
 
 
 def test_family_scan_reports_none_when_cap_too_small():

@@ -36,6 +36,12 @@ def test_expected_occurrences_k3():
     assert report.expected_isomorphic == 15  # Aut(K3) is the full symmetric group
 
 
+def test_expected_occurrences_refuses_a_negative_host_size():
+    with pytest.raises(DomainError, match="host size n must be >= 0"):
+        expected_occurrences(-1, K3)
+    assert expected_occurrences(0, K3).expected_labelled == 0
+
+
 def test_expected_occurrences_s2():
     report = expected_occurrences(12, S2)
     assert report.aut_count == 6

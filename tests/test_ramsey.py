@@ -273,6 +273,12 @@ def test_poly_exp_crossover_levels():
     assert poly_exp_crossover_level(Fraction(5, 2)) == 3
 
 
+@pytest.mark.parametrize("c_d", [float("nan"), float("inf"), float("-inf")])
+def test_poly_exp_crossover_refuses_non_finite_constants(c_d):
+    with pytest.raises(DomainError, match="c_d must be a finite number"):
+        poly_exp_crossover_level(c_d)
+
+
 def test_poly_exp_crossover_matches_the_exact_power_scan():
     """The bit-length shortcut answers as the scan that computes every
     undecided power, on every fraction a/b with a < 200 and b < 12."""

@@ -23,6 +23,7 @@ from gasketlab.twopart import (
     from_bytes,
     gain,
     length_report,
+    ordering_index_bits,
     threshold_exact,
     to_bytes,
 )
@@ -52,6 +53,14 @@ def test_triangle_host_breaks_even():
     enc = encode_two_part(encode(LabeledGraph.complete(3)), (1, 2, 3), side)
     assert enc.length_bits(side) == 3 == comb(3, 2)
     assert length_report(3, 3, True).gain == 0
+
+
+def test_index_costs_refuse_negative_sizes_by_name():
+    with pytest.raises(DomainError, match="host size n=-3"):
+        length_report(-3, 2, False)
+    with pytest.raises(DomainError, match="pattern size k must be >= 0"):
+        ordering_index_bits(-2)
+    assert ordering_index_bits(0) == 0
 
 
 def test_gain_values():
