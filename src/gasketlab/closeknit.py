@@ -9,9 +9,11 @@ edges inside S' counted once.  A graph is (r, k)-close-knit when every
 vertex belongs to some group of size <= k whose ratio is at least r.
 
 All ratio arithmetic is exact rational; threshold comparisons (for example
-against 1/2) never touch floating point.  Certification never computes a
-minimum: with r = p/q it only asks whether every slack q d(S', S) - p vol(S')
-is nonnegative, which is integer arithmetic that stops at the first negative.
+against 1/2) never touch floating point.  ``min_ratio`` finds the minimum by
+a sequence of integer-capacity s-t minimum cuts (Dinkelbach's iteration),
+not by visiting subsets.  Certification never computes a minimum: with
+r = p/q it only asks whether every slack q d(S', S) - p vol(S') is
+nonnegative, which is integer arithmetic that stops at the first negative.
 """
 
 from __future__ import annotations
@@ -99,58 +101,128 @@ def internal_degree(
     return count
 
 
-def _lex_less(a: int, b: int) -> bool:
-    """Whether subset mask a sorts before mask b as a tuple of members.
+def _max_flow(nbrs: list[list[int]], w: list[int], b: int) -> tuple[list[int], int]:
+    """Residual out-masks after a maximum s-t flow, and the group vertices
+    s still reaches: the source side of the minimal minimum cut.
 
-    At the lowest differing bit lo, the mask holding lo is smaller unless
-    the other mask ends there (has no bit above lo)."""
-    lo = (a ^ b) & -(a ^ b)
-    return b >= lo if a & lo else a < lo
+    Nodes 0..m-1 are the group, t = m and s = m + 1; arcs s -> i carry -w_i
+    where w_i < 0, i -> t carry w_i where w_i > 0, and each group edge
+    carries b both ways.  Augments along shortest paths (BFS) until t is
+    unreachable.  Bit j of out-mask i is set when the residual arc i -> j
+    exists (j = m is t).
+    """
+    m = len(nbrs)
+    t, s = m, m + 1
+    r = [[0] * (m + 2) for _ in range(m + 2)]
+    for i, row in enumerate(nbrs):
+        for j in row:
+            r[i][j] = b
+        if w[i] < 0:
+            r[s][i] = -w[i]
+        else:
+            r[i][t] = w[i]
+    links = [row + [t, s] for row in nbrs] + [list(range(m))] * 2
+    while True:
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            ru = r[u]
+            for v in links[u]:
+                if ru[v] and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if t in parent:
+                break
+        if t not in parent:
+            break
+        path, v = [], t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        delta = min(r[u][v] for u, v in path)
+        for u, v in path:
+            r[u][v] -= delta
+            r[v][u] += delta
+    out = [sum(1 << v for v in links[u] if r[u][v] and v != s) for u in range(m)]
+    return out, sum(1 << v for v in parent if v != s)
 
 
 def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
     """Exact minimum of d(S', S) / sum_{i in S'} deg(i) over nonempty S' <= S.
 
-    Enumerates all 2^|S| - 1 subsets as bitmasks (|S| <= 20) in one pass.
-    The masks of block t are {t} | rest for every rest below bit t, and
+    With d_S(i) the in-group degree and c(S') the number of group edges
+    between S' and S - S', d(S', S) = (sum_{i in S'} d_S(i) + c(S')) / 2, so
+    for lambda = a/b
 
-        d(S' + t, S) = d(S', S) + |N(t) & S| - |N(t) & S'|,
+        2 (b d(S', S) - a vol(S')) = sum_{i in S'} w_i + b c(S'),
+        w_i = b d_S(i) - 2a deg(i),
 
-    so each mask costs one popcount.  Ties on the minimum are broken by
-    the lexicographically smallest subset, tracked inside the same pass.
+    is, up to a constant, the capacity of the s-t cut with source side
+    {s} + S' in the network of ``_max_flow``.  Dinkelbach's iteration ("On
+    nonlinear fractional programming", 1967) starts at the smallest
+    singleton ratio; while the minimal minimum cut's source side R is
+    nonempty its value is negative, and lambda drops to the ratio of R.
+
+    At the minimum lambda*, let D(v) be the set v reaches in the last
+    residual graph.  The nonempty minimizers are exactly the nonempty unions
+    of the D(v) that miss t (Picard & Queyranne, 1980), so every member of
+    one is such a good vertex.  The first j good vertices together with
+    their D(v) form a minimizer that lists them first, so the
+    lexicographically smallest minimizer is the shortest prefix of the good
+    vertices, in ascending order, that holds the D(v) of all its members.
     """
     s_tup = _check_group(g, group)
     m = len(s_tup)
     if m > GROUP_SIZE_MAX:
         raise ResourceLimitError(
-            f"group size {m} exceeds the exhaustive-enumeration bound {GROUP_SIZE_MAX}"
+            f"group size {m} exceeds the group-size bound GROUP_SIZE_MAX = {GROUP_SIZE_MAX}"
         )
-    num = [0]  # num[mask] = d(S', S)
-    den = [0]  # den[mask] = sum of degrees over S'
-    best_num, best_den, best = 2, 1, 0  # every ratio is <= 1
     index = {v: t for t, v in enumerate(s_tup)}
-    for t, v in enumerate(s_tup):
-        nt = sum(1 << index[u] for u in g.adj[v].intersection(index))  # N(t) & S, by index
-        in_s, deg, top = nt.bit_count(), len(g.adj[v]), 1 << t
-        for rest in range(top):
-            x = num[rest] + in_s - (nt & rest).bit_count()
-            y = den[rest] + deg
-            num.append(x)
-            den.append(y)
-            cmp = x * best_den - best_num * y
-            if cmp < 0 or (cmp == 0 and _lex_less(top | rest, best)):
-                best_num, best_den, best = x, y, top | rest
-    argmin = tuple(v for t, v in enumerate(s_tup) if best >> t & 1)
-    return GroupReport(group=s_tup, min_ratio=Fraction(best_num, best_den), argmin=argmin)
+    nbrs = [[index[u] for u in g.adj[v].intersection(index)] for v in s_tup]
+    rows = [sum(1 << j for j in row) for row in nbrs]
+    ind = [len(row) for row in nbrs]  # d_S(i)
+    deg = [len(g.adj[v]) for v in s_tup]
+
+    def ratio(mask: int) -> Fraction:  # d(S', S) / vol(S') for S' = mask
+        members = [i for i in range(m) if mask >> i & 1]
+        twice = sum(2 * ind[i] - (rows[i] & mask).bit_count() for i in members)
+        return Fraction(twice, 2 * sum(deg[i] for i in members))
+
+    lam = min(map(Fraction, ind, deg))
+    while True:
+        a, b = lam.numerator, lam.denominator
+        out, source_side = _max_flow(nbrs, [b * x - 2 * a * y for x, y in zip(ind, deg)], b)
+        if not source_side:
+            break
+        lam = ratio(source_side)
+    reach = [out[i] | 1 << i for i in range(m)]  # Warshall closure on bit rows
+    for k in range(m):
+        for i in range(m):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    prefix = closure = 0
+    for y in range(m):
+        if not reach[y] >> m & 1:  # y does not reach t
+            prefix |= 1 << y
+            closure |= reach[y]
+            if closure == prefix:
+                break
+    argmin = tuple(v for t, v in enumerate(s_tup) if prefix >> t & 1)
+    return GroupReport(group=s_tup, min_ratio=lam, argmin=argmin)
 
 
 def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
     """``accept`` for ``_first_group``: whether min_ratio(g, group) >= r.
 
-    With r = p/q, tracks slack(S') = q d(S', S) - p vol(S') over the same
-    blocks as ``min_ratio`` and answers False at the first negative slack;
-    the singletons are checked first.  Integer arithmetic only, and the
-    answer does not depend on the order of the members.
+    With r = p/q, tracks slack(S') = q d(S', S) - p vol(S') over every
+    subset, in blocks: the masks of block t are {t} | rest for each rest
+    below bit t, and
+
+        d(S' + t, S) = d(S', S) + |N(t) & S| - |N(t) & S'|.
+
+    Answers False at the first negative slack; the singletons are checked
+    first.  Integer arithmetic only, and the answer does not depend on the
+    order of the members.
     """
     p, q = r.numerator, r.denominator
     pdeg = [p * len(row) for row in g.adj]

@@ -241,7 +241,13 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
 
 def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tuple[int, ...]:
     """Validate and normalize a vertex subset to a sorted tuple."""
-    sub = tuple(sorted(int(v) for v in members))
+    labels = []
+    for v in members:
+        try:
+            labels.append(index(v))
+        except TypeError:
+            raise DomainError(f"subset label {v!r} is not an integer") from None
+    sub = tuple(sorted(labels))
     if nonempty and not sub:
         raise DomainError("subset must be nonempty")
     for a, b in zip(sub, sub[1:]):

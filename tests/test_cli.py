@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 from gasketlab import cli
+from gasketlab.catalog import named_graph
 from gasketlab.closeknit import GroupReport
 from gasketlab.experiments import ContainmentResult
 from gasketlab.ramsey import BoundsReport, SplitResult
+
+from conftest import grow_connected_group, oracle_min_ratio_blocks
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -59,6 +62,23 @@ def test_closeknit_ratio_golden():
     payload = json.loads(result.stdout)
     assert payload["min_ratio"] == "1/4"
     assert payload["argmin"] == [2, 4, 5]
+
+
+def test_closeknit_ratio_on_a_20_vertex_group_matches_the_oracle():
+    s6 = named_graph("S6")
+    group = grow_connected_group(s6, 20, 6)
+    result = run_cli("closeknit", "ratio", "--graph", "S6", "--group", ",".join(map(str, group)))
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    ratio, argmin = oracle_min_ratio_blocks(s6, group)
+    assert (payload["min_ratio"], payload["argmin"]) == (str(ratio), list(argmin))
+
+
+def test_closeknit_ratio_on_a_21_vertex_group_exits_1_naming_the_bound():
+    group = grow_connected_group(named_graph("S6"), 21, 6)
+    result = run_cli("closeknit", "ratio", "--graph", "S6", "--group", ",".join(map(str, group)))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: group size 21 exceeds the group-size bound GROUP_SIZE_MAX = 20\n"
 
 
 def test_closeknit_cert_and_scan():

@@ -21,9 +21,17 @@ from gasketlab.closeknit import (
     is_rk_closeknit,
     min_ratio,
 )
+from gasketlab.catalog import named_graph
+from gasketlab.experiments import plant_occurrence
 from gasketlab.sierpinski import build
 
-from conftest import oracle_connected_groups_from, oracle_is_rk_closeknit, oracle_min_ratio
+from conftest import (
+    grow_connected_group,
+    oracle_connected_groups_from,
+    oracle_is_rk_closeknit,
+    oracle_min_ratio,
+    oracle_min_ratio_blocks,
+)
 
 
 def test_internal_degree_cases(k3):
@@ -109,6 +117,72 @@ def test_min_ratio_and_argmin_match_oracle_with_ties(kind, n, data):
     group = _draw_group(g, data)
     report = min_ratio(g, group)
     assert (report.min_ratio, report.argmin) == oracle_min_ratio(g, group)
+
+
+@given(st.sampled_from(["S5", "S6"]), st.integers(10, 20), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_min_ratio_matches_block_oracle_on_gasket_groups(name, size, seed):
+    g = named_graph(name)
+    group = grow_connected_group(g, size, seed)
+    report = min_ratio(g, group)
+    assert (report.min_ratio, report.argmin) == oracle_min_ratio_blocks(g, group)
+
+
+@st.composite
+def _disjoint_unions(draw) -> LabeledGraph:
+    """2-4 complete, cycle or path pieces of 2-5 vertices, relabelled at
+    random: pieces of equal ratio tie, so the lexicographically smallest
+    minimizer is often a union of separate ones, interleaved by label."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["complete", "cycle", "path"]))
+        k = draw(st.integers(3 if kind == "cycle" else 2, 5))
+        if kind == "complete":
+            edges += [(n + i, n + j) for i, j in combinations(range(1, k + 1), 2)]
+        else:
+            edges += [(n + i, n + i + 1) for i in range(1, k)]
+            if kind == "cycle":
+                edges.append((n + k, n + 1))
+        n += k
+    label = [0] + draw(st.permutations(range(1, n + 1)))
+    return LabeledGraph.from_edges(n, [(label[a], label[b]) for a, b in edges])
+
+
+@given(_disjoint_unions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_min_ratio_matches_block_oracle_on_disjoint_unions(g, data):
+    group = _draw_group(g, data)
+    report = min_ratio(g, group)
+    assert (report.min_ratio, report.argmin) == oracle_min_ratio_blocks(g, group)
+
+
+@given(st.integers(0, 10**6), st.data())
+@settings(max_examples=4, deadline=None)
+def test_min_ratio_matches_block_oracle_on_dense_20_vertex_groups(seed, data):
+    g = gnp_sample(24, 0.95, seed)
+    group = tuple(sorted(data.draw(st.permutations(range(1, 25)))[:20]))
+    report = min_ratio(g, group)
+    assert (report.min_ratio, report.argmin) == oracle_min_ratio_blocks(g, group)
+
+
+def test_min_ratio_of_k20_matches_block_oracle():
+    k20 = LabeledGraph.complete(20)
+    report = min_ratio(k20, range(1, 21))
+    assert (report.min_ratio, report.argmin) == oracle_min_ratio_blocks(k20, range(1, 21))
+    assert report.min_ratio == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("label", [1.7, "2", "a", None])
+def test_subset_labels_must_be_integers(label):
+    k4 = LabeledGraph.complete(4)
+    for call in (
+        lambda: min_ratio(k4, (label, 3)),
+        lambda: internal_degree(k4, (label,), (1, 2, 3)),
+        lambda: induced_subgraph(k4, (label, 3)),
+        lambda: plant_occurrence(k4, LabeledGraph.complete(2), (label, 3)),
+    ):
+        with pytest.raises(DomainError, match=f"subset label {label!r} is not an integer"):
+            call()
 
 
 def test_min_ratio_breaks_ties_lexicographically_not_by_mask_order():
