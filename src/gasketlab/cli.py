@@ -307,59 +307,31 @@ def _cmd_ramsey_crossover(args) -> str:
     return _json_dump({"c_d": args.c_d, "max_level": level})
 
 
-# Value types of the diffusion config keys.  JSON true/false load as bool,
-# which is an int subclass, so they are rejected separately.
-_CONFIG_TYPES = {
-    "epsilon": ((int, float), "a number"),
-    "horizon": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "schedule": (str, "a string"),
-    "init_adopters": (list, "a list of integers"),
-}
-
-
-def _check_config(payload, path: Path) -> None:
-    if not isinstance(payload, dict):
-        raise DomainError(f"diffusion config {path} must be a JSON object")
-    for key, (types, expected) in _CONFIG_TYPES.items():
-        if key not in payload:
-            continue
-        value = payload[key]
-        ok = isinstance(value, types) and not isinstance(value, bool)
-        if ok and key == "init_adopters":
-            ok = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-        if not ok:
-            raise DomainError(
-                f"diffusion config key {key!r} must be {expected}, got {json.dumps(value)}"
-            )
-
-
 def _diffusion_config(args) -> diffusion.DiffusionConfig:
     """The config from ``--config`` (which replaces the flags) or from the
-    flags; an absent key defaults as its flag does, and no horizon is 200*n."""
-    if args.config:
-        try:
-            values = json.loads(_read_text(args.config))
-        except DomainError:  # non-UTF-8 text, already naming the path
-            raise
-        except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, int digits
-            raise DomainError(f"cannot read diffusion config {args.config}: {exc}")
-        _check_config(values, args.config)
-    else:
-        values = {
-            "epsilon": args.epsilon,
-            "init_adopters": args.init,
-            "seed": args.seed,
-            "schedule": args.schedule,
-            "horizon": args.horizon or None,
-        }
-    return diffusion.DiffusionConfig(
-        epsilon=values.get("epsilon", 0.0),
-        init_adopters=tuple(values.get("init_adopters", ())),
-        horizon=values.get("horizon"),
-        seed=values.get("seed", 0),
-        schedule=values.get("schedule", "uniform-random"),
-    )
+    flags; an absent key defaults as its flag does, and no horizon is 200*n.
+    A config file's keys that name no field are ignored."""
+    if not args.config:
+        return diffusion.DiffusionConfig(
+            epsilon=args.epsilon,
+            init_adopters=args.init,
+            horizon=args.horizon or None,
+            seed=args.seed,
+            schedule=args.schedule,
+        )
+    try:
+        values = json.loads(_read_text(args.config))
+    except DomainError:  # non-UTF-8 text, already naming the path
+        raise
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, int digits
+        raise DomainError(f"cannot read diffusion config {args.config}: {exc}")
+    if not isinstance(values, dict):
+        raise DomainError(f"diffusion config {args.config} must be a JSON object")
+    known = {f.name for f in dataclasses.fields(diffusion.DiffusionConfig)}
+    try:
+        return diffusion.DiffusionConfig(**{k: v for k, v in values.items() if k in known})
+    except DomainError as exc:
+        raise DomainError(f"diffusion config {args.config}: {exc}") from None
 
 
 def _cmd_diffuse_run(args) -> str:

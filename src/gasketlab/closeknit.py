@@ -18,12 +18,11 @@ nonnegative, which is integer arithmetic that stops at the first negative.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_int
 from .graphs import LabeledGraph, as_subset
 
 __all__ = [
@@ -56,16 +55,6 @@ class CloseKnitResult:
     witness: dict[int, tuple[int, ...]] | None  # vertex -> qualifying group
     failed_vertex: int | None
     groups_examined: int
-
-
-def _check_size_bound(name: str, k: int) -> int:
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {k!r}") from None
-    if k < 1 or k > GROUP_SIZE_MAX:
-        raise DomainError(f"{name} must be in 1..{GROUP_SIZE_MAX}, got {k}")
-    return k
 
 
 def _check_group(g: LabeledGraph, members: Iterable[int]) -> tuple[int, ...]:
@@ -310,7 +299,8 @@ def is_rk_closeknit(
     deterministic.  Each candidate is tested for ratio >= r by integer slack
     with an early exit (``_ratio_test``), not by computing its minimum.
     """
-    k = _check_size_bound("group-size bound k", k)
+    k = check_int(k, "group-size bound k", 1, GROUP_SIZE_MAX)
+    groups_cap = check_int(groups_cap, "groups_cap")
     try:
         r = Fraction(r)
     except (TypeError, ValueError, OverflowError):
@@ -346,7 +336,7 @@ def family_scan(
     value None records that no k <= k_cap succeeded.  Each certificate
     searches at most ``GROUPS_PER_VERTEX_CAP`` groups per vertex.
     """
-    k_cap = _check_size_bound("k_cap", k_cap)
+    k_cap = check_int(k_cap, "k_cap", 1, GROUP_SIZE_MAX)
     ks = range(1, k_cap + 1)
     return {
         key: next((k for k in ks if is_rk_closeknit(graphs[key], r, k).success), None)

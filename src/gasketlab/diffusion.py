@@ -35,9 +35,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from statistics import median
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 from .graphs import LabeledGraph, as_subset
-from .rng import WordStream, derive_seed
+from .rng import WordStream, check_seed, derive_seed
 
 __all__ = [
     "CoordinationGame",
@@ -63,7 +63,12 @@ class CoordinationGame:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(
+                    f"payoff {name} must be a finite rational, got {getattr(self, name)!r}"
+                ) from None
         if self.a <= self.d or self.b <= self.c:
             raise DomainError(
                 "coordination game requires a > d and b > c so that all-A and "
@@ -79,7 +84,11 @@ def risk_threshold(game: CoordinationGame) -> Fraction:
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    """The settings of a run; a horizon of None means 200 revisions per vertex."""
+    """The settings of a run; a horizon of None means 200 revisions per vertex.
+
+    Every field is checked here; ``init_adopters`` (a list or tuple) is kept
+    as a tuple of int labels, checked against the graph's range by ``run``.
+    """
 
     epsilon: float = 0.0
     init_adopters: tuple[int, ...] = ()
@@ -89,10 +98,17 @@ class DiffusionConfig:
     # tie rule is fixed: adopt A at exact threshold
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.epsilon < 1.0):
+        if not 0.0 <= check_real(self.epsilon, "epsilon") < 1.0:
             raise DomainError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.horizon is not None and self.horizon <= 0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", check_int(self.horizon, "horizon", 1))
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        if not isinstance(self.init_adopters, (list, tuple)):
+            raise DomainError(
+                f"init_adopters must be a list or tuple of labels, got {self.init_adopters!r}"
+            )
+        labels = tuple(check_int(v, "init_adopters label") for v in self.init_adopters)
+        object.__setattr__(self, "init_adopters", labels)
         if self.schedule not in ("uniform-random", "round-robin"):
             raise DomainError(
                 f"schedule must be 'uniform-random' or 'round-robin', got {self.schedule!r}"
@@ -136,8 +152,7 @@ def revise(
     the noise fires; otherwise v best responds exactly, ties to A.
     ``stream`` defaults to a fresh stream from config.seed.
     """
-    if not (1 <= v <= g.n):
-        raise DomainError(f"vertex {v} out of range 1..{g.n}")
+    v = check_int(v, "vertex", 1, g.n)
     nbrs = g.adj[v]
     if not nbrs:
         raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
@@ -268,9 +283,8 @@ def hitting_time_stats(
     at its first count >= target: that revision is its hit.  The statistics
     are exact over the samples.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if not 0 < adoption_fraction <= 1:
+    trials = check_int(trials, "trials", 1)
+    if not 0 < check_real(adoption_fraction, "adoption_fraction") <= 1:
         raise DomainError(f"adoption_fraction must be in (0, 1], got {adoption_fraction}")
     target = math.ceil(Fraction(adoption_fraction) * g.n)
     seeds = (derive_seed(config.seed, "trial", i) for i in range(trials))

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+raise them.
+
+Every public entry point either returns or raises :class:`DomainError`.
+Scalar arguments go through :func:`check_int` or :func:`check_real`, so
+"is this a usable number in range" is decided in one place: a bool is
+never a number here, an integer is anything with ``__index__``, and the
+message names the argument.
+"""
+
+from numbers import Real
+from operator import index
 
 
 class DomainError(ValueError):
@@ -11,3 +22,27 @@ class DomainError(ValueError):
 
 class ResourceLimitError(DomainError):
     """An instance exceeds a configured search or memory budget."""
+
+
+def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int in ``low..high`` (either end may be open)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low or high is not None and value > high:
+        if high is None:
+            raise DomainError(f"{name} must be >= {low}, got {value}")
+        if low is None:
+            raise DomainError(f"{name} must be <= {high}, got {value}")
+        raise DomainError(f"{name} must be in {low}..{high}, got {value}")
+    return value
+
+
+def check_real(value, name: str):
+    """``value`` unchanged if it is a real number (``numbers.Real``, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return value

@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from . import closeknit, diffusion, ramsey, sierpinski, twopart
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_int
 from .graphs import LabeledGraph, as_subset, gnp_sample
 from .isomorphism import automorphism_count as aut_count
 from .rng import derive_seed
@@ -57,8 +57,7 @@ class MomentReport:
 
 
 def expected_occurrences(n: int, pattern: LabeledGraph) -> MomentReport:
-    if n < 0:
-        raise DomainError(f"host size n must be >= 0, got {n}")
+    n = check_int(n, "host size n", 0)
     k = pattern.n
     aut = aut_count(pattern)
     per_subset = Fraction(1, 2 ** comb(k, 2))
@@ -134,8 +133,7 @@ def containment_experiment(
     Trial i samples G(n, p) with seed derive_seed(seed, "trial", i); the
     trials run in order.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = check_int(trials, "trials", 1)
     samples = (gnp_sample(n, p, derive_seed(seed, "trial", i)) for i in range(trials))
     counts = [len(ramsey.find_induced_occurrences(g, pattern)) for g in samples]
     return ContainmentResult(

@@ -25,8 +25,8 @@ from math import ceil, comb
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError
-from .rng import WordStream, check_seed
+from .errors import DomainError, check_int, check_real
+from .rng import WordStream
 
 __all__ = [
     "LabeledGraph",
@@ -46,6 +46,7 @@ __all__ = [
 
 def pos(i: int, j: int, n: int) -> int:
     """1-based bit position of pair (i, j), i < j, in the canonical order."""
+    i, j, n = check_int(i, "i"), check_int(j, "j"), check_int(n, "n")
     if not (1 <= i < j <= n):
         raise DomainError(f"pos requires 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     return (i - 1) * n - i * (i - 1) // 2 + (j - i)
@@ -53,13 +54,10 @@ def pos(i: int, j: int, n: int) -> int:
 
 def pair_at(position: int, n: int) -> tuple[int, int]:
     """Inverse of :func:`pos`."""
+    n = check_int(n, "vertex count n")
     if n < 0:
         raise DomainError(f"pair_at needs n >= 0 vertices, got {n}")
-    total = comb(n, 2)
-    if not (1 <= position <= total):
-        raise DomainError(
-            f"position must be in [1, C(n,2)] = [1, {total}], got {position}"
-        )
+    position = check_int(position, "position", 1, comb(n, 2))
     i = 1
     remaining = position
     while remaining > n - i:
@@ -77,12 +75,13 @@ class LabeledGraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "LabeledGraph":
-        if n < 0:
-            raise DomainError(f"vertex count must be >= 0, got {n}")
+        n = check_int(n, "vertex count", 0)
         nbrs: list[set[int]] = [set() for _ in range(n + 1)]
         for e in edges:
             try:
                 a, b = e
+                if a is True or a is False or b is True or b is False:
+                    raise TypeError  # a bool is not a label
                 i, j = index(a), index(b)
             except (TypeError, ValueError):
                 raise DomainError(f"edge {e!r} must be a pair of integer labels") from None
@@ -98,6 +97,7 @@ class LabeledGraph:
 
     @staticmethod
     def complete(n: int) -> "LabeledGraph":
+        n = check_int(n, "vertex count", 0)
         return LabeledGraph.from_edges(
             n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         )
@@ -228,6 +228,7 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
     """Graph whose canonical encoding is ``bits``, built from the upper
     square of its flags."""
     text = bits.bits if isinstance(bits, EdgeBitString) else bits
+    n = check_int(n, "vertex count n")
     if n < 0:
         raise DomainError(f"decode needs n >= 0 vertices, got {n}")
     expected = comb(n, 2)
@@ -244,8 +245,8 @@ def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tupl
     labels = []
     for v in members:
         try:
-            labels.append(index(v))
-        except TypeError:
+            labels.append(check_int(v, "subset label"))
+        except DomainError:
             raise DomainError(f"subset label {v!r} is not an integer") from None
     sub = tuple(sorted(labels))
     if nonempty and not sub:
@@ -341,19 +342,9 @@ def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     threshold ``uniform < p  <=>  word < ceil(p * 2^53) << 11``, for float
     and ``Fraction`` p alike.
     """
-    try:
-        n = index(n)
-    except TypeError:
-        raise DomainError(f"vertex count must be an integer, got {n!r}") from None
-    if n < 0:
-        raise DomainError(f"vertex count must be >= 0, got {n}")
-    try:
-        inside = 0.0 <= p <= 1.0
-    except TypeError:
-        raise DomainError(f"edge probability must be a real number, got {p!r}") from None
-    if not inside:
+    n = check_int(n, "vertex count", 0)
+    if not 0.0 <= check_real(p, "edge probability") <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
-    check_seed(seed)
     cut = ceil(Fraction(p) * (1 << 53)) << 11
     stream = WordStream(seed, domain=b"gasketlab-gnp")
     flags = _below(stream.word_bytes(comb(n, 2)), cut)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import binascii
 import json
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .graphs import _FLAGS, _TEXT, LabeledGraph, _from_square
 
 __all__ = [
@@ -140,12 +140,6 @@ def to_json_edges(g: LabeledGraph) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _json_int(value: object, field: str) -> int:
-    if type(value) is not int:  # bool is a subclass of int, and is rejected
-        raise DomainError(f"JSON edge list field {field} must be an integer, got {value!r}")
-    return value
-
-
 def from_json_edges(text: str) -> LabeledGraph:
     """Graph from ``{"n": int, "edges": [[i, j], ...]}``; every field is
     type-checked, so a malformed file raises :class:`DomainError`."""
@@ -155,7 +149,7 @@ def from_json_edges(text: str) -> LabeledGraph:
         raise DomainError(f"invalid JSON edge list: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise DomainError('invalid JSON edge list: expected an object with "n" and "edges"')
-    n = _json_int(payload["n"], '"n"')
+    n = check_int(payload["n"], 'JSON edge list field "n"')
     if n > JSON_VERTEX_MAX:
         raise DomainError(f'JSON edge list field "n" is {n}, over the cap {JSON_VERTEX_MAX}')
     edges = payload["edges"]
@@ -164,8 +158,8 @@ def from_json_edges(text: str) -> LabeledGraph:
     for t, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2):
             raise DomainError(f'JSON edge list field "edges"[{t}] must be a pair, got {e!r}')
-        _json_int(e[0], f'"edges"[{t}][0]')
-        _json_int(e[1], f'"edges"[{t}][1]')
+        check_int(e[0], f'JSON edge list field "edges"[{t}][0]')
+        check_int(e[1], f'JSON edge list field "edges"[{t}][1]')
     return LabeledGraph.from_edges(n, edges)
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_int, check_real
 from .graphs import LabeledGraph, connected_components, disjoint_union, induced_subgraph
 from . import sierpinski
 
@@ -225,8 +225,8 @@ def find_induced_occurrences(
         raise DomainError(
             f"pattern has {k} vertices; the search is limited to {PATTERN_SIZE_MAX}"
         )
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be >= 1 (or omitted for every copy), got {limit}")
+    if limit is not None:
+        limit = check_int(limit, "limit", 1)
     if k > g.n:
         return []
     if k == 0:
@@ -341,6 +341,7 @@ def is_host(
     smallest such coloring index as witness: the union of the components'
     smallest avoiding colorings, the edges in no copy blue.
     """
+    max_edges = check_int(max_edges, "max_edges")
     edges = list(g.edges())
     m = len(edges)
     if m > max_edges:
@@ -439,6 +440,7 @@ def split_union(
     """
     if mode not in ("fast", "proof-faithful"):
         raise DomainError(f"mode must be 'fast' or 'proof-faithful', got {mode!r}")
+    max_edges = check_int(max_edges, "max_edges")
     g1: list[int] = []
     g2: list[int] = []
     for component in connected_components(g):
@@ -476,7 +478,7 @@ class BoundsReport:
 
 
 def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
-    if not (0 < c < math.inf and 0 < c_d < math.inf):
+    if not (0 < check_real(c, "c") < math.inf and 0 < check_real(c_d, "c_d") < math.inf):
         raise DomainError(f"constants must be positive and finite, got c={c}, c_d={c_d}")
     k = pattern.n
     delta = max((pattern.degree(v) for v in pattern.vertices()), default=0)

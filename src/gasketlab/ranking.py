@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = [
     "ceil_log2",
@@ -28,8 +28,7 @@ __all__ = [
 
 def ceil_log2(x: int) -> int:
     """Smallest b with 2**b >= x; the whole-bit cost of one index in [0, x)."""
-    if x < 1:
-        raise DomainError(f"ceil_log2 requires x >= 1, got {x}")
+    x = check_int(x, "ceil_log2 argument x", 1)
     return (x - 1).bit_length()
 
 
@@ -45,9 +44,8 @@ def rank_subset(members: Sequence[int], n: int) -> int:
 
 def unrank_subset(rank: int, n: int, k: int) -> tuple[int, ...]:
     """Inverse of :func:`rank_subset`."""
-    total = comb(n, k)
-    if not (0 <= rank < total):
-        raise DomainError(f"subset rank must be in [0, C({n},{k})={total}), got {rank}")
+    n, k = check_int(n, "host size n", 0), check_int(k, "subset size k", 0)
+    rank = check_int(rank, "subset rank", 0, comb(n, k) - 1)
     out = []
     r = rank
     for t in range(k, 0, -1):
@@ -74,9 +72,8 @@ def rank_permutation(perm: Sequence[int]) -> int:
 
 def unrank_permutation(rank: int, k: int) -> tuple[int, ...]:
     """Inverse of :func:`rank_permutation`."""
-    total = factorial(k)
-    if not (0 <= rank < total):
-        raise DomainError(f"permutation rank must be in [0, {k}!={total}), got {rank}")
+    k = check_int(k, "permutation size k", 0)
+    rank = check_int(rank, "permutation rank", 0, factorial(k) - 1)
     available = list(range(1, k + 1))
     out = []
     r = rank

@@ -22,23 +22,19 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from .errors import DomainError
-
-_MASK64 = (1 << 64) - 1
+from .errors import DomainError, check_int
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or not (0 <= seed <= _MASK64):
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return seed
+    """The seed as an int in [0, 2^64)."""
+    return check_int(seed, "seed", 0, (1 << 64) - 1)
 
 
 class WordStream:
     """Endless stream of 64-bit words determined by (seed, domain)."""
 
     def __init__(self, seed: int, domain: bytes = b"gasketlab"):
-        check_seed(seed)
-        self._prefix = domain + seed.to_bytes(8, "big")
+        self._prefix = domain + check_seed(seed).to_bytes(8, "big")
         self._block = 0
         self._spare = b""  # unread tail of the last block hashed, 0 to 24 bytes
 
@@ -87,10 +83,9 @@ def derive_seed(master: int, *labels: object) -> int:
     Labels are length-prefixed before hashing, so ("ab", "c") and ("a", "bc")
     derive different seeds.
     """
-    check_seed(master)
     h = hashlib.sha256()
     h.update(b"gasketlab-derive")
-    h.update(master.to_bytes(8, "big"))
+    h.update(check_seed(master).to_bytes(8, "big"))
     for label in labels:
         enc = str(label).encode("utf-8")
         h.update(len(enc).to_bytes(4, "big"))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError
+from .errors import ResourceLimitError, check_int
 from .graphs import LabeledGraph
 
 __all__ = [
@@ -35,24 +35,25 @@ Coord = tuple[int, int]
 
 
 def vertex_count(level: int) -> int:
-    _check_level(level)
+    level = _check_level(level)
     return 3 * (3 ** (level - 1) + 1) // 2
 
 
 def edge_count(level: int) -> int:
-    _check_level(level)
+    level = _check_level(level)
     return 3**level
 
 
-def _check_level(level: int, max_level: int | None = None) -> None:
-    """Reject a level below 1, and one above ``max_level`` if that is given."""
-    if level < 1:
-        raise DomainError(f"gasket level must be >= 1, got {level}")
+def _check_level(level: int, max_level: int | None = None) -> int:
+    """The level as an int; reject a level below 1, and one above
+    ``max_level`` if that is given."""
+    level = check_int(level, "gasket level", 1)
     if max_level is not None and level > max_level:
         raise ResourceLimitError(
             f"gasket level {level} exceeds the configured maximum {max_level}; "
             "raise max_level to override"
         )
+    return level
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class SierpinskiGraph:
 
 def build(level: int, max_level: int = MAX_LEVEL_DEFAULT) -> SierpinskiGraph:
     """Construct the level-``level`` gasket graph with canonical labels."""
-    _check_level(level, max_level)
+    level = _check_level(level, max_level)
     coord_edges = _coord_edges(level)
     points = sorted({p for e in coord_edges for p in e})
     label = {p: t + 1 for t, p in enumerate(points)}
@@ -111,10 +112,7 @@ def _coord_points(level: int) -> list[Coord]:
 def subgaskets(s: SierpinskiGraph, sub_level: int) -> list[tuple[int, ...]]:
     """The 3^(l-j) canonical level-j sub-gasket vertex sets, in recursion
     order (top copy, then lower-left, then lower-right)."""
-    if not (1 <= sub_level <= s.level):
-        raise DomainError(
-            f"sub-gasket level must be in 1..{s.level}, got {sub_level}"
-        )
+    sub_level = check_int(sub_level, "sub-gasket level", 1, s.level)
     offsets: list[Coord] = []
     _collect_offsets(s.level, sub_level, 0, 0, offsets)
     template = _coord_points(sub_level)

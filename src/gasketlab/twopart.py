@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, as_subset
 from .ranking import (
     ceil_log2,
@@ -137,9 +137,7 @@ def subset_index_bits(n: int, k: int) -> int:
 
 
 def ordering_index_bits(k: int) -> int:
-    if k < 0:
-        raise DomainError(f"pattern size k must be >= 0, got {k}")
-    return ceil_log2(factorial(k))
+    return ceil_log2(factorial(check_int(k, "pattern size k", 0)))
 
 
 @dataclass(frozen=True)
@@ -165,8 +163,7 @@ class LengthReport:
 
 def gain(n: int, k: int, ordered: bool) -> int:
     """Signed bits saved by the two-part form: C(k,2) minus the index cost."""
-    if k < 2:
-        raise DomainError(f"pattern size k must be >= 2, got {k}")
+    k, n = check_int(k, "pattern size k", 2), check_int(n, "host size n")
     if n < k:
         raise DomainError(f"host size n={n} must be >= pattern size k={k}")
     saved = comb(k, 2) - subset_index_bits(n, k)
@@ -214,8 +211,7 @@ class ContainmentBounds:
 
 
 def asymptotic_bounds(k: int) -> ContainmentBounds:
-    if k < 2:
-        raise DomainError(f"pattern size k must be >= 2, got {k}")
+    k = check_int(k, "pattern size k", 2)
     return ContainmentBounds(
         ordered=2.0 ** ((k - 1) / 2),
         ordered_log_slack=2.0 ** (k * (k - 1) / (2 * (k + 1))),
@@ -272,17 +268,10 @@ def encode_two_part(
 def decode_two_part(enc: TwoPartEncoding, side: SideInfo) -> EdgeBitString:
     """Exact inverse of :func:`encode_two_part`."""
     n, k = side.n, side.k
-    if not (0 <= enc.subset_rank < comb(n, k)):
-        raise DomainError(
-            f"subset rank {enc.subset_rank} out of range [0, C({n},{k}))"
-        )
+    occ = unrank_subset(enc.subset_rank, n, k)
     if side.ordered:
         if enc.perm_rank is None:
             raise DomainError("ordered side info requires a permutation rank")
-        if not (0 <= enc.perm_rank < factorial(k)):
-            raise DomainError(
-                f"permutation rank {enc.perm_rank} out of range [0, {k}!)"
-            )
         perm = unrank_permutation(enc.perm_rank, k)
     else:
         if enc.perm_rank is not None:
@@ -295,7 +284,6 @@ def decode_two_part(enc: TwoPartEncoding, side: SideInfo) -> EdgeBitString:
             f"got {len(enc.residual)}"
         )
     pattern = side.pattern()
-    occ = unrank_subset(enc.subset_rank, n, k)
     # splice the pattern's bits into the residual at the inside positions
     residual = enc.residual
     pieces = []

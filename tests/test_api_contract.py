@@ -1,0 +1,154 @@
+"""Every public entry point returns or raises DomainError: one row per
+argument that once escaped as a TypeError, ValueError, AttributeError or
+RecursionError, or was silently taken as some other value (a bool as 0/1, a
+float truncated or carried through the arithmetic).
+
+Integer arguments all go through ``errors.check_int`` and real ones through
+``errors.check_real``; the boundary rows check that the shared checks still
+take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
+the largest group size, ``limit=1``).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gasketlab import DomainError, LabeledGraph
+from gasketlab.closeknit import GROUP_SIZE_MAX, is_rk_closeknit
+from gasketlab.diffusion import (
+    CoordinationGame,
+    DiffusionConfig,
+    DiffusionState,
+    hitting_time_stats,
+    revise,
+    run,
+)
+from gasketlab.errors import check_int, check_real
+from gasketlab.graphs import as_subset, gnp_sample, pair_at, pos
+from gasketlab.ramsey import bounds_report, find_induced_occurrences, is_host, split_union
+from gasketlab.ranking import ceil_log2, unrank_permutation, unrank_subset
+from gasketlab.rng import WordStream, derive_seed
+from gasketlab.sierpinski import build, subgaskets, vertex_count
+
+K3 = LabeledGraph.complete(3)
+S2 = build(2)
+GAME = CoordinationGame(2, 1, 0, 0)
+HALF = Fraction(1, 2)
+
+
+class Index:
+    """An integer by ``__index__`` only, as numpy integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+ESCAPES = {
+    "config epsilon text": (lambda: DiffusionConfig(epsilon="x"), "epsilon"),
+    "config epsilon bool": (lambda: DiffusionConfig(epsilon=False), "epsilon"),
+    "run horizon float": (lambda: run(K3, GAME, DiffusionConfig(horizon=1.5)), "horizon"),
+    "config seed bool": (lambda: DiffusionConfig(seed=False), "seed"),
+    "config init_adopters int": (lambda: DiffusionConfig(init_adopters=3), "init_adopters"),
+    "config init_adopters bool": (
+        lambda: DiffusionConfig(init_adopters=(True, 2)), "init_adopters"),
+    "stats trials float": (
+        lambda: hitting_time_stats(K3, GAME, DiffusionConfig(), trials=2.5), "trials"),
+    "stats adoption_fraction text": (
+        lambda: hitting_time_stats(K3, GAME, DiffusionConfig(), 1, adoption_fraction="x"),
+        "adoption_fraction"),
+    "revise vertex float": (
+        lambda: revise(DiffusionState(frozenset()), 1.5, K3, GAME, DiffusionConfig()), "vertex"),
+    "game payoff text": (lambda: CoordinationGame("x", 1, 0, 0), "payoff a"),
+    "occurrences limit float": (lambda: find_induced_occurrences(K3, K3, limit=2.5), "limit"),
+    "word stream seed bool": (lambda: WordStream(True), "seed"),
+    "derive_seed master bool": (lambda: derive_seed(True, "x"), "seed"),
+    "cert k bool": (lambda: is_rk_closeknit(K3, HALF, True), "k must be an integer"),
+    "cert groups_cap float": (lambda: is_rk_closeknit(K3, HALF, 3, groups_cap=2.5), "groups_cap"),
+    "host max_edges float": (lambda: is_host(K3, K3, max_edges=2.5), "max_edges"),
+    "split max_edges text": (lambda: split_union(K3, K3, max_edges="x"), "max_edges"),
+    "bounds c text": (lambda: bounds_report(K3, "x", 3), "c must"),
+    "bounds c_d bool": (lambda: bounds_report(K3, 1, True), "c_d"),
+    "subset bool label": (lambda: as_subset((True, 2), 3), "subset label True"),
+    "from_edges bool label": (lambda: LabeledGraph.from_edges(3, [(True, 2)]), "integer labels"),
+    "from_edges n float": (lambda: LabeledGraph.from_edges(2.5, []), "vertex count"),
+    "complete n float": (lambda: LabeledGraph.complete(2.5), "vertex count"),
+    "gnp p bool": (lambda: gnp_sample(3, True, 0), "edge probability"),
+    "pos i float": (lambda: pos(1.5, 2, 3), "i must"),
+    "pair_at position float": (lambda: pair_at(1.5, 3), "position"),
+    "unrank_subset rank float": (lambda: unrank_subset(1.5, 5, 2), "subset rank"),
+    "unrank_subset k negative": (lambda: unrank_subset(0, 5, -1), "subset size k"),
+    "unrank_permutation k negative": (lambda: unrank_permutation(0, -1), "permutation size k"),
+    "ceil_log2 float": (lambda: ceil_log2(1.5), "ceil_log2"),
+    "build level float": (lambda: build(2.5), "gasket level"),
+    "subgaskets level float": (lambda: subgaskets(S2, 1.5), "sub-gasket level"),
+    "vertex_count text": (lambda: vertex_count("3"), "gasket level"),
+}
+
+
+@pytest.mark.parametrize("call, name", ESCAPES.values(), ids=ESCAPES.keys())
+def test_escape_raises_domain_error_naming_the_argument(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
+def test_boundary_seeds_are_taken():
+    for seed in (0, 2**64 - 1):
+        assert WordStream(seed).next_word() == WordStream(Index(seed)).next_word()
+        assert DiffusionConfig(seed=seed).seed == seed
+        assert gnp_sample(4, HALF, seed) == gnp_sample(4, HALF, Index(seed))
+    with pytest.raises(DomainError, match="seed"):
+        WordStream(2**64)
+
+
+def test_index_objects_are_taken_as_their_integers():
+    assert gnp_sample(Index(5), HALF, 7) == gnp_sample(5, HALF, 7)
+    assert LabeledGraph.complete(Index(3)) == K3
+    assert LabeledGraph.from_edges(3, [(Index(1), 2)]) == LabeledGraph.from_edges(3, [(1, 2)])
+    assert as_subset((Index(2), 1), 3) == (1, 2)
+    assert build(Index(2)).graph == S2.graph
+    assert vertex_count(Index(3)) == vertex_count(3)
+    assert pos(Index(1), Index(3), Index(3)) == 2 and pair_at(Index(2), Index(3)) == (1, 3)
+    assert unrank_subset(Index(3), Index(5), Index(2)) == unrank_subset(3, 5, 2)
+    assert ceil_log2(Index(5)) == 3
+    assert is_rk_closeknit(K3, HALF, Index(3)) == is_rk_closeknit(K3, HALF, 3)
+    config = DiffusionConfig(init_adopters=[Index(1)], horizon=Index(5), seed=Index(2))
+    assert config == DiffusionConfig(init_adopters=(1,), horizon=5, seed=2)
+
+
+def test_largest_group_size_and_smallest_limit_are_taken():
+    assert is_rk_closeknit(K3, HALF, GROUP_SIZE_MAX).success
+    with pytest.raises(DomainError, match="k must be in 1..20"):
+        is_rk_closeknit(K3, HALF, GROUP_SIZE_MAX + 1)
+    assert find_induced_occurrences(LabeledGraph.complete(4), K3, limit=1) == [(1, 2, 3)]
+
+
+def test_config_keeps_init_adopters_as_a_tuple():
+    assert DiffusionConfig(init_adopters=[3, 1]).init_adopters == (3, 1)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@given(value=JSON_VALUES)
+@settings(max_examples=200)
+def test_checks_return_their_kind_or_raise_domain_error(value):
+    try:
+        got = check_int(value, "x", 0, 10)
+    except DomainError:
+        assert not (type(value) is int and 0 <= value <= 10)
+    else:
+        assert type(got) is int and got == value
+    try:
+        check_real(value, "x")
+    except DomainError:
+        assert type(value) not in (int, float)

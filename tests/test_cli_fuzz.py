@@ -9,12 +9,18 @@ nan and inf.  Flags are dropped at random and unknown ones added.  Size
 arguments (``--n``, ``--level``, ``--max-level``, ``--trials``,
 ``--horizon``, ``--k``, ``--k-cap``, level lists and host sizes) stay
 small: their cost grows with them by design.
+
+``--config`` files are also built by hypothesis: every key takes a value of
+every JSON type, and unknown keys ride along.  A config that names no
+usable run ends in exit 1 with an error about the config, never in a
+traceback.
 """
 
 import contextlib
 import io
 import json
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -196,3 +202,56 @@ def test_negative_vertex_count_exits_1():
 def test_non_utf8_diffusion_config_exits_1(files):
     argv = ["diffuse", "run", "--graph", "S2", "--payoffs", "2,1,0,0"]
     assert run_main(argv + ["--config", files["non_utf8"]]) == 1
+
+
+# Per config key, values of its own JSON type, valid and not; every other
+# JSON value is drawn as well, its integers <= 0.  Horizons stay small: a
+# run's cost grows with its horizon.
+CONFIG_VALUES = {
+    "epsilon": st.sampled_from([0, 1, 0.0, 0.02, 0.5]),
+    "horizon": st.none() | st.integers(1, 50),
+    "seed": st.integers(0, 2**65),
+    "schedule": st.sampled_from(["uniform-random", "round-robin"]),
+    "init_adopters": st.lists(st.integers(1, 6), unique=True, max_size=6),
+}
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=0) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+NOT_INT_LIST = JSON_ANY.filter(
+    lambda v: not (isinstance(v, list) and all(type(x) is int for x in v))
+)
+
+
+@st.composite
+def config_payloads(draw):
+    """A config of any JSON values; ``init_adopters`` is never a list of
+    integers outside ``CONFIG_VALUES``, since their range is the graph's, and
+    the run, not the config, refuses them."""
+    payload = {}
+    for key, valid in CONFIG_VALUES.items():
+        if draw(st.booleans(), label=f"has {key}"):
+            other = NOT_INT_LIST if key == "init_adopters" else JSON_ANY
+            payload[key] = draw(valid | other, label=key)
+    unknown = st.text(max_size=6).filter(lambda key: key not in CONFIG_VALUES)
+    payload.update(draw(st.dictionaries(unknown, JSON_ANY, max_size=2), label="unknown keys"))
+    return draw(st.sampled_from([payload, payload, payload, [payload], None]), label="outer")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payload=config_payloads(), command=st.sampled_from(["run", "stats"]))
+def test_fuzzed_diffusion_config_runs_or_names_the_config(payload, command):
+    argv = ["diffuse", command, "--graph", "S2", "--payoffs", "2,1,0,0", "--config", "c.json"]
+    if command == "stats":
+        argv += ["--trials", "2"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # the file's text is handed over in memory: the file reads are tested above
+    with mock.patch.object(cli, "_read_text", lambda path: json.dumps(payload)), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1) and "Traceback" not in err, (payload, err)
+    if code == 1:
+        assert err.startswith("error: diffusion config"), (payload, err)
