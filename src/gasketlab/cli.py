@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__, closeknit, diffusion, experiments, io, ramsey, sierpinski, twopart
 from .catalog import UnknownGraphName, named_graph
 from .errors import DomainError
-from .graphs import LabeledGraph, decode, encode, gnp_sample
+from .graphs import LabeledGraph, as_subset, decode, encode, gnp_sample
 
 _FORMATS = ("graph6", "json", "dot")
 
@@ -307,36 +307,49 @@ def _cmd_ramsey_crossover(args) -> str:
     return _json_dump({"c_d": args.c_d, "max_level": level})
 
 
-def _diffusion_config(args) -> diffusion.DiffusionConfig:
+def _diffusion_config(args, g: LabeledGraph) -> diffusion.DiffusionConfig:
     """The config from ``--config`` (which replaces the flags) or from the
     flags; an absent key defaults as its flag does, and no horizon is 200*n.
-    A config file's keys that name no field are ignored."""
-    if not args.config:
-        return diffusion.DiffusionConfig(
+    A config file's keys that name no field are ignored.  The initial
+    adopters are checked against ``g``, and an error names their source."""
+    if args.config:
+        config = _config_file(args.config)
+        source = f"diffusion config {args.config}: init_adopters"
+    else:
+        config = diffusion.DiffusionConfig(
             epsilon=args.epsilon,
             init_adopters=args.init,
             horizon=args.horizon or None,
             seed=args.seed,
             schedule=args.schedule,
         )
+        source = "--init"
     try:
-        values = json.loads(_read_text(args.config))
+        as_subset(config.init_adopters, g.n)
+    except DomainError as exc:
+        raise DomainError(f"{source}: {exc}") from None
+    return config
+
+
+def _config_file(path: Path) -> diffusion.DiffusionConfig:
+    try:
+        values = json.loads(_read_text(path))
     except DomainError:  # non-UTF-8 text, already naming the path
         raise
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, int digits
-        raise DomainError(f"cannot read diffusion config {args.config}: {exc}")
+        raise DomainError(f"cannot read diffusion config {path}: {exc}")
     if not isinstance(values, dict):
-        raise DomainError(f"diffusion config {args.config} must be a JSON object")
+        raise DomainError(f"diffusion config {path} must be a JSON object")
     known = {f.name for f in dataclasses.fields(diffusion.DiffusionConfig)}
     try:
         return diffusion.DiffusionConfig(**{k: v for k, v in values.items() if k in known})
     except DomainError as exc:
-        raise DomainError(f"diffusion config {args.config}: {exc}") from None
+        raise DomainError(f"diffusion config {path}: {exc}") from None
 
 
 def _cmd_diffuse_run(args) -> str:
     g = load_graph(args.graph)
-    config = _diffusion_config(args)
+    config = _diffusion_config(args, g)
     game = diffusion.CoordinationGame(*args.payoffs)
     trace = diffusion.run(g, game, config)
     if args.trace_out:
@@ -357,7 +370,7 @@ def _cmd_diffuse_run(args) -> str:
 
 def _cmd_diffuse_stats(args) -> str:
     g = load_graph(args.graph)
-    config = _diffusion_config(args)
+    config = _diffusion_config(args, g)
     game = diffusion.CoordinationGame(*args.payoffs)
     stats = diffusion.hitting_time_stats(g, game, config, args.trials)
     return _json_dump(

@@ -60,7 +60,7 @@ class CloseKnitResult:
 def _check_group(g: LabeledGraph, members: Iterable[int]) -> tuple[int, ...]:
     group = as_subset(members, g.n, nonempty=True)
     for v in group:
-        if g.degree(v) == 0:
+        if not g.adj[v]:
             raise DomainError(
                 f"vertex {v} is isolated; close-knit ratios assume no isolated vertices"
             )
@@ -306,7 +306,7 @@ def is_rk_closeknit(
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"ratio bound r must be a finite rational, got {r!r}") from None
     for v in g.vertices():
-        if g.degree(v) == 0:
+        if not g.adj[v]:
             raise DomainError(
                 f"vertex {v} is isolated; close-knit certification assumes none"
             )

@@ -8,12 +8,11 @@ fraction of A-neighbors is at least the game's adoption threshold
 
 with ties resolved toward A.  With probability epsilon the revision is
 noise and the vertex picks a uniformly random strategy instead.  Both
-coins are exact integer tests shared by ``revise`` and the run kernel:
-``_need(deg, r*)`` = ceil(r* * deg) A-neighbours make A the best response,
-and ``_noise_cut(epsilon)`` bounds the noise word (exactly ``uniform() <
-epsilon``).  So knife-edge cases (say, exactly one third of the
-neighborhood adopting against r* = 1/3) are deterministic, and a chain of
-``revise`` calls on one word stream replays ``run``.
+coins are exact integer tests: ``_need(deg, r*)`` = ceil(r* * deg)
+A-neighbours make A the best response, and ``_noise_cut(epsilon)`` bounds
+the noise word (exactly "the word's top 53 bits times 2^-53 < epsilon").
+So knife-edge cases (say, exactly one third of the neighborhood adopting
+against r* = 1/3) are deterministic.
 
 This is a deliberate reduction of adaptive-play dynamics to asynchronous
 myopic best response; the adoption threshold is the single constant that
@@ -42,11 +41,9 @@ from .rng import WordStream, check_seed, derive_seed
 __all__ = [
     "CoordinationGame",
     "DiffusionConfig",
-    "DiffusionState",
     "Trace",
     "HittingStats",
     "risk_threshold",
-    "revise",
     "run",
     "hitting_time_stats",
 ]
@@ -115,12 +112,6 @@ class DiffusionConfig:
             )
 
 
-@dataclass(frozen=True)
-class DiffusionState:
-    adopters: frozenset[int]
-    t: int = 0
-
-
 def _need(deg: int, r_star: Fraction) -> int:
     """The fewest A-neighbours, out of deg, at which best response is A.
 
@@ -132,42 +123,10 @@ def _need(deg: int, r_star: Fraction) -> int:
 def _noise_cut(epsilon: float) -> int:
     """The noise coin fires iff its word is below this bound.
 
-    ``uniform() < epsilon  <=>  word < ceil(epsilon * 2^53) << 11``, since the
-    uniform is the word's top 53 bits times 2^-53.
+    ``(word >> 11) * 2^-53 < epsilon  <=>  word < ceil(epsilon * 2^53) << 11``:
+    the word's top 53 bits as a uniform in [0, 1).
     """
     return math.ceil(Fraction(epsilon) * (1 << 53)) << 11
-
-
-def revise(
-    state: DiffusionState,
-    v: int,
-    g: LabeledGraph,
-    game: CoordinationGame,
-    config: DiffusionConfig,
-    stream: WordStream | None = None,
-) -> DiffusionState:
-    """One revision of vertex v; pure - returns the successor state.
-
-    One noise coin is consumed iff epsilon > 0, and one strategy coin iff
-    the noise fires; otherwise v best responds exactly, ties to A.
-    ``stream`` defaults to a fresh stream from config.seed.
-    """
-    v = check_int(v, "vertex", 1, g.n)
-    nbrs = g.adj[v]
-    if not nbrs:
-        raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
-    if stream is None:
-        stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
-    if config.epsilon > 0.0 and stream.next_word() < _noise_cut(config.epsilon):
-        plays_a = bool(stream.next_word() & 1)
-    else:
-        plays_a = len(nbrs & state.adopters) >= _need(len(nbrs), risk_threshold(game))
-    adopters = set(state.adopters)
-    if plays_a:
-        adopters.add(v)
-    else:
-        adopters.discard(v)
-    return DiffusionState(frozenset(adopters), state.t + 1)
 
 
 def _counts(
@@ -187,7 +146,7 @@ def _counts(
     if g.n == 0:
         raise DomainError("diffusion needs at least one vertex")
     for v in g.vertices():
-        if g.degree(v) == 0:
+        if not g.adj[v]:
             raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
     init = as_subset(config.init_adopters, g.n)
     n, adj = g.n, g.adj
@@ -253,8 +212,9 @@ def run(
     """Simulate revisions up to all-A or the horizon; deterministic given the config.
 
     Word-stream consumption order per revision: schedule draw (uniform-random
-    schedule only), then noise coin (only if epsilon > 0), then strategy coin
-    (only if the noise fired).  With epsilon = 0 the all-A state is absorbing.
+    schedule only; vertex ``word mod n + 1``), then noise coin (only if
+    epsilon > 0), then strategy coin (only if the noise fired; A iff the word
+    is odd).  With epsilon = 0 the all-A state is absorbing.
     """
     counts, final = _counts(g, game, config, g.n)
     hit = len(counts) - 1 if counts[-1] == g.n else None

@@ -167,6 +167,7 @@ def threshold_sweep(
         k = pattern.n
         bounds = twopart.asymptotic_bounds(k)
         for n in n_values:
+            n = check_int(n, "host size n", 0)
             if n < k:
                 frequency: float | None = 0.0  # impossible below pattern size
                 bit_gain = None

@@ -110,17 +110,13 @@ class LabeledGraph:
         return range(1, self.n + 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if not (1 <= v <= self.n):
-            raise DomainError(f"vertex {v} out of range 1..{self.n}")
-        return self.adj[v]
+        return self.adj[check_int(v, "vertex", 1, self.n)]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, i: int, j: int) -> bool:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise DomainError(f"pair ({i},{j}) out of range for 1..{self.n}")
-        return j in self.adj[i]
+        return check_int(j, "vertex", 1, self.n) in self.neighbors(i)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j), i < j, in canonical pos order."""

@@ -79,7 +79,7 @@ _B64_TO_G6 = bytes.maketrans(_B64, _G6)
 _G6_TO_B64 = bytes.maketrans(_G6, _B64)
 
 
-def to_graph6(g: LabeledGraph, header: bool = False) -> str:
+def to_graph6(g: LabeledGraph) -> str:
     """Encode in graph6; bit-exact against the reference format.
 
     The column-major upper triangle is built as '0'/'1' text one column at a
@@ -94,8 +94,7 @@ def to_graph6(g: LabeledGraph, header: bool = False) -> str:
         padded = 24 * ((len(bits) + 23) // 24)  # whole base64 quanta
         raw = (int(bits, 2) << (padded - len(bits))).to_bytes(padded // 8, "big")
         body = binascii.b2a_base64(raw, newline=False)[:chars].translate(_B64_TO_G6)
-    text = (_g6_size_bytes(g.n) + body).decode("ascii")
-    return _G6_HEADER + text if header else text
+    return (_g6_size_bytes(g.n) + body).decode("ascii")
 
 
 def from_graph6(text: str) -> LabeledGraph:
@@ -163,8 +162,8 @@ def from_json_edges(text: str) -> LabeledGraph:
     return LabeledGraph.from_edges(n, edges)
 
 
-def to_dot(g: LabeledGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: LabeledGraph) -> str:
+    lines = ["graph G {"]
     isolated = [v for v in g.vertices() if not g.adj[v]]
     lines.extend(f"  {v};" for v in isolated)
     lines.extend(f"  {i} -- {j};" for i, j in g.edges())

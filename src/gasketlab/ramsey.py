@@ -481,7 +481,7 @@ def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
     if not (0 < check_real(c, "c") < math.inf and 0 < check_real(c_d, "c_d") < math.inf):
         raise DomainError(f"constants must be positive and finite, got c={c}, c_d={c_d}")
     k = pattern.n
-    delta = max((pattern.degree(v) for v in pattern.vertices()), default=0)
+    delta = max(map(len, pattern.adj))
     exponent = c * delta * math.log2(delta) if delta >= 2 else 0.0
     try:
         chvatal = k * 2.0**exponent

@@ -34,9 +34,8 @@ def ceil_log2(x: int) -> int:
 
 def rank_subset(members: Sequence[int], n: int) -> int:
     """Colex combinadic rank of a sorted subset of {1..n}."""
-    k = len(members)
-    if any(not (1 <= v <= n) for v in members):
-        raise DomainError(f"subset {tuple(members)} not within 1..{n}")
+    n = check_int(n, "host size n", 0)
+    members = [check_int(v, "subset member", 1, n) for v in members]
     if any(a >= b for a, b in zip(members, members[1:])):
         raise DomainError("subset must be strictly increasing")
     return sum(comb(v - 1, t) for t, v in enumerate(members, start=1))
@@ -60,6 +59,7 @@ def unrank_subset(rank: int, n: int, k: int) -> tuple[int, ...]:
 
 def rank_permutation(perm: Sequence[int]) -> int:
     """Lehmer rank of a permutation of {1..k}."""
+    perm = [check_int(v, "permutation member") for v in perm]
     k = len(perm)
     if sorted(perm) != list(range(1, k + 1)):
         raise DomainError(f"{tuple(perm)} is not a permutation of 1..{k}")

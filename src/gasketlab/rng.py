@@ -7,11 +7,11 @@ seed-to-output mapping survives interpreter and library upgrades: word
 ``i`` of the stream is byte slice ``8*(i%4) .. 8*(i%4)+8`` (big-endian) of
 ``SHA256(domain || seed_be8 || block_be8)`` with ``block = i // 4``.
 
-``WordStream.word_bytes(count)`` hands out the next ``count`` words in one
-call, as ``8 * count`` big-endian bytes: whole blocks hashed back to back,
-with the unread tail of the last block kept for the next call.  ``words``
-unpacks those bytes into ints and ``next_word`` reads one int off the kept
-tail, so all three draw the same words and mix freely.
+There are two ways to draw.  ``WordStream.word_bytes(count)`` hands out
+the next ``count`` words in one call, as ``8 * count`` big-endian bytes:
+whole blocks hashed back to back, with the unread tail of the last block
+kept for the next call.  ``words(count)`` unpacks those bytes into ints, so
+the two draw the same words and mix freely.
 
 Changing this mapping is a breaking change; sampled graphs and simulation
 traces are part of tested behaviour (``tests/golden/codec_vectors.jsonl``).
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from .errors import DomainError, check_int
+from .errors import check_int
 
 
 def check_seed(seed: int) -> int:
@@ -38,17 +38,9 @@ class WordStream:
         self._block = 0
         self._spare = b""  # unread tail of the last block hashed, 0 to 24 bytes
 
-    def next_word(self) -> int:
-        if not self._spare:  # at a block boundary: take the whole next block
-            self._spare = self.word_bytes(4)
-        word, self._spare = self._spare[:8], self._spare[8:]
-        return int.from_bytes(word, "big")
-
     def word_bytes(self, count: int) -> bytes:
         """The next ``count`` words as ``8 * count`` big-endian bytes."""
-        if count < 0:
-            raise DomainError(f"word count must be >= 0, got {count}")
-        size = 8 * count
+        size = 8 * check_int(count, "word count", 0)
         data = self._spare
         if size > len(data):
             start = self._block
@@ -60,21 +52,8 @@ class WordStream:
         return data[:size]
 
     def words(self, count: int) -> list[int]:
-        """The next ``count`` words, as ``count`` calls of :meth:`next_word`."""
+        """The next ``count`` words as ints."""
         return list(struct.unpack(f">{count}Q", self.word_bytes(count)))
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_word() >> 11) * 2.0**-53
-
-    def index(self, n: int) -> int:
-        """Uniform-enough index in [0, n); documented as ``word mod n``.
-
-        The modulo bias is below 2^-50 for any n this package uses.
-        """
-        if n <= 0:
-            raise DomainError(f"index needs a range size n >= 1, got {n}")
-        return self.next_word() % n
 
 
 def derive_seed(master: int, *labels: object) -> int:

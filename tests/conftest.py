@@ -16,9 +16,12 @@ per-pair loops of the G(n,p) sampler, the canonical, graph6 and two-part
 codecs, ``plant_occurrence`` and ``to_bytes``.  The
 diffusion loop that ran every trial to its horizon, past all-A, is kept too,
 and so is the branch-and-forbid connected-group enumerator that tracked a
-forbidden set and scanned the frontier list.
+forbidden set and scanned the frontier list.  The oracles that draw random
+words take them from ``oracle_words``, which hashes the SHA-256 blocks as
+the ``rng`` docstring states the mapping, not from ``WordStream``.
 """
 
+import hashlib
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -32,7 +35,6 @@ from gasketlab.closeknit import CloseKnitResult, min_ratio
 from gasketlab.graphs import EdgeBitString, as_subset
 from gasketlab.io import _g6_read_size, _g6_size_bytes
 from gasketlab.ranking import rank_subset, unrank_permutation, unrank_subset
-from gasketlab.rng import WordStream
 from gasketlab.twopart import TwoPartEncoding, ordering_index_bits, subset_index_bits
 
 
@@ -312,13 +314,25 @@ def oracle_crossover_level_by_logs(c_d, levels=range(1, 40)) -> int | None:
     return best
 
 
+def oracle_words(seed: int, domain: bytes):
+    """The word stream as the ``rng`` docstring states it: word i is bytes
+    8*(i%4) .. 8*(i%4)+8 of SHA256(domain || seed_be8 || block_be8), block
+    i // 4, as a big-endian int.  Endless; one hash per four words."""
+    prefix = domain + seed.to_bytes(8, "big")
+    block = 0
+    while True:
+        digest = hashlib.sha256(prefix + block.to_bytes(8, "big")).digest()
+        yield from (int.from_bytes(digest[t : t + 8], "big") for t in range(0, 32, 8))
+        block += 1
+
+
 def oracle_gnp_sample(n: int, p, seed: int) -> LabeledGraph:
     """One 53-bit uniform per pair in canonical order; edge iff uniform < p."""
-    stream = WordStream(seed, domain=b"gasketlab-gnp")
+    words = oracle_words(seed, b"gasketlab-gnp")
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if (stream.next_word() >> 11) * 2.0**-53 < p:
+            if (next(words) >> 11) * 2.0**-53 < p:
                 edges.append((i, j))
     return LabeledGraph.from_edges(n, edges)
 
@@ -455,7 +469,7 @@ def oracle_run_to_horizon(g: LabeledGraph, game, config) -> tuple[tuple[int, ...
     with no stop at all-A, and the final adopters.  Same word-stream order as
     ``diffusion.run``; the best response is a Fraction comparison."""
     r_star = (game.b - game.c) / ((game.a - game.d) + (game.b - game.c))
-    stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
+    words = oracle_words(config.seed, b"gasketlab-diffusion")
     adopters = set(as_subset(config.init_adopters, g.n))
     counts = [len(adopters)]
     horizon = 200 * g.n if config.horizon is None else config.horizon
@@ -463,9 +477,9 @@ def oracle_run_to_horizon(g: LabeledGraph, game, config) -> tuple[tuple[int, ...
         if config.schedule == "round-robin":
             v = (t - 1) % g.n + 1
         else:
-            v = stream.index(g.n) + 1
-        if config.epsilon > 0 and stream.uniform() < config.epsilon:
-            plays_a = bool(stream.next_word() & 1)
+            v = next(words) % g.n + 1
+        if config.epsilon > 0 and (next(words) >> 11) * 2.0**-53 < config.epsilon:
+            plays_a = bool(next(words) & 1)
         else:
             plays_a = Fraction(len(g.adj[v] & adopters), len(g.adj[v])) >= r_star
         if plays_a:

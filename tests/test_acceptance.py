@@ -82,15 +82,15 @@ def test_criterion_02_codec_roundtrips():
     with criterion(2, "canonical codec x1000 and planted two-part codec x200", 10.0):
         stream = WordStream(derive_seed(2, "sizes"))
         for i in range(1000):
-            n = 1 + stream.index(64)
+            n = 1 + stream.words(1)[0] % 64
             g = gnp_sample(n, 0.5, derive_seed(2, "graph", i))
             bits = encode(g)
             assert decode(bits, n) == g
             assert encode(decode(bits, n)).bits == bits.bits
         for i in range(200):
-            level = 1 + stream.index(2)
+            level = 1 + stream.words(1)[0] % 2
             k = vertex_count(level)
-            n = k + stream.index(64 - k + 1)
+            n = k + stream.words(1)[0] % (64 - k + 1)
             pattern = build(level).graph
             members = sorted(range(1, n + 1), key=lambda v: derive_seed(2, "pick", i, v))
             subset = tuple(sorted(members[:k]))

@@ -20,15 +20,20 @@ from gasketlab.closeknit import GROUP_SIZE_MAX, is_rk_closeknit
 from gasketlab.diffusion import (
     CoordinationGame,
     DiffusionConfig,
-    DiffusionState,
     hitting_time_stats,
-    revise,
     run,
 )
 from gasketlab.errors import check_int, check_real
 from gasketlab.graphs import as_subset, gnp_sample, pair_at, pos
 from gasketlab.ramsey import bounds_report, find_induced_occurrences, is_host, split_union
-from gasketlab.ranking import ceil_log2, unrank_permutation, unrank_subset
+from gasketlab.experiments import threshold_sweep
+from gasketlab.ranking import (
+    ceil_log2,
+    rank_permutation,
+    rank_subset,
+    unrank_permutation,
+    unrank_subset,
+)
 from gasketlab.rng import WordStream, derive_seed
 from gasketlab.sierpinski import build, subgaskets, vertex_count
 
@@ -61,11 +66,10 @@ ESCAPES = {
     "stats adoption_fraction text": (
         lambda: hitting_time_stats(K3, GAME, DiffusionConfig(), 1, adoption_fraction="x"),
         "adoption_fraction"),
-    "revise vertex float": (
-        lambda: revise(DiffusionState(frozenset()), 1.5, K3, GAME, DiffusionConfig()), "vertex"),
     "game payoff text": (lambda: CoordinationGame("x", 1, 0, 0), "payoff a"),
     "occurrences limit float": (lambda: find_induced_occurrences(K3, K3, limit=2.5), "limit"),
     "word stream seed bool": (lambda: WordStream(True), "seed"),
+    "word_bytes count float": (lambda: WordStream(0).word_bytes(1.5), "word count"),
     "derive_seed master bool": (lambda: derive_seed(True, "x"), "seed"),
     "cert k bool": (lambda: is_rk_closeknit(K3, HALF, True), "k must be an integer"),
     "cert groups_cap float": (lambda: is_rk_closeknit(K3, HALF, 3, groups_cap=2.5), "groups_cap"),
@@ -84,6 +88,16 @@ ESCAPES = {
     "unrank_subset k negative": (lambda: unrank_subset(0, 5, -1), "subset size k"),
     "unrank_permutation k negative": (lambda: unrank_permutation(0, -1), "permutation size k"),
     "ceil_log2 float": (lambda: ceil_log2(1.5), "ceil_log2"),
+    "rank_subset bool member": (lambda: rank_subset((True, 2), 3), "subset member"),
+    "rank_subset float member": (lambda: rank_subset((1.5,), 3), "subset member"),
+    "rank_subset text members": (lambda: rank_subset("ab", 3), "subset member"),
+    "rank_permutation float members": (
+        lambda: rank_permutation((1.0, 2.0)), "permutation member"),
+    "sweep host size float": (lambda: threshold_sweep([1], [2.5], 1, 0), "host size n"),
+    "degree vertex float": (lambda: K3.degree(1.5), "vertex"),
+    "degree vertex bool": (lambda: K3.degree(True), "vertex"),
+    "has_edge vertex float": (lambda: K3.has_edge(1.5, 2), "vertex"),
+    "neighbors vertex text": (lambda: K3.neighbors("1"), "vertex"),
     "build level float": (lambda: build(2.5), "gasket level"),
     "subgaskets level float": (lambda: subgaskets(S2, 1.5), "sub-gasket level"),
     "vertex_count text": (lambda: vertex_count("3"), "gasket level"),
@@ -98,7 +112,7 @@ def test_escape_raises_domain_error_naming_the_argument(call, name):
 
 def test_boundary_seeds_are_taken():
     for seed in (0, 2**64 - 1):
-        assert WordStream(seed).next_word() == WordStream(Index(seed)).next_word()
+        assert WordStream(seed).words(1) == WordStream(Index(seed)).words(1)
         assert DiffusionConfig(seed=seed).seed == seed
         assert gnp_sample(4, HALF, seed) == gnp_sample(4, HALF, Index(seed))
     with pytest.raises(DomainError, match="seed"):
@@ -115,6 +129,9 @@ def test_index_objects_are_taken_as_their_integers():
     assert pos(Index(1), Index(3), Index(3)) == 2 and pair_at(Index(2), Index(3)) == (1, 3)
     assert unrank_subset(Index(3), Index(5), Index(2)) == unrank_subset(3, 5, 2)
     assert ceil_log2(Index(5)) == 3
+    assert rank_subset((Index(1), Index(3)), Index(3)) == rank_subset((1, 3), 3)
+    assert rank_permutation((Index(2), 1)) == 1
+    assert K3.degree(Index(1)) == 2 and K3.has_edge(Index(1), Index(3))
     assert is_rk_closeknit(K3, HALF, Index(3)) == is_rk_closeknit(K3, HALF, 3)
     config = DiffusionConfig(init_adopters=[Index(1)], horizon=Index(5), seed=Index(2))
     assert config == DiffusionConfig(init_adopters=(1,), horizon=5, seed=2)
@@ -125,6 +142,15 @@ def test_largest_group_size_and_smallest_limit_are_taken():
     with pytest.raises(DomainError, match="k must be in 1..20"):
         is_rk_closeknit(K3, HALF, GROUP_SIZE_MAX + 1)
     assert find_induced_occurrences(LabeledGraph.complete(4), K3, limit=1) == [(1, 2, 3)]
+
+
+def test_vertex_accessors_take_exactly_1_to_n():
+    assert [K3.degree(v) for v in (1, 3)] == [2, 2] and K3.has_edge(3, 1)
+    for v in (0, 4, -1):
+        for call in (K3.degree, K3.neighbors, lambda u: K3.has_edge(u, 1),
+                     lambda u: K3.has_edge(1, u)):
+            with pytest.raises(DomainError, match="vertex must be in 1..3"):
+                call(v)
 
 
 def test_config_keeps_init_adopters_as_a_tuple():

@@ -407,6 +407,24 @@ def test_diffuse_config_type_errors_exit_1_naming_the_key(tmp_path, capsys, payl
     assert err.startswith("error: diffusion config") and key in err
 
 
+@pytest.mark.parametrize("command", ["run", "stats"])
+def test_diffuse_init_adopters_outside_the_graph_exit_1_naming_their_source(
+    tmp_path, capsys, command
+):
+    config = tmp_path / "diffusion.json"
+    config.write_text(json.dumps({"init_adopters": [0]}))
+    base = ["diffuse", command, "--graph", "S2", "--payoffs", "2,1,0,0"]
+    if command == "stats":
+        base += ["--trials", "2"]
+    code, out, err = run_main(base + ["--config", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: diffusion config {config}: init_adopters")
+    assert "1..6" in err
+    code, out, err = run_main(base + ["--init", "0,7"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --init") and "1..6" in err
+
+
 @pytest.mark.parametrize("option", ["--out", "--manifest"])
 def test_unwritable_output_path_exits_1_naming_it(tmp_path, option):
     target = tmp_path / "missing" / "x.json"

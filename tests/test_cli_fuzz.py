@@ -212,7 +212,7 @@ CONFIG_VALUES = {
     "horizon": st.none() | st.integers(1, 50),
     "seed": st.integers(0, 2**65),
     "schedule": st.sampled_from(["uniform-random", "round-robin"]),
-    "init_adopters": st.lists(st.integers(1, 6), unique=True, max_size=6),
+    "init_adopters": st.lists(st.integers(-1, 8), max_size=6),
 }
 JSON_ANY = st.recursive(
     st.none() | st.booleans() | st.integers(max_value=0) | st.floats() | st.text(max_size=5),
@@ -220,21 +220,16 @@ JSON_ANY = st.recursive(
                                                                 max_size=3),
     max_leaves=5,
 )
-NOT_INT_LIST = JSON_ANY.filter(
-    lambda v: not (isinstance(v, list) and all(type(x) is int for x in v))
-)
 
 
 @st.composite
 def config_payloads(draw):
-    """A config of any JSON values; ``init_adopters`` is never a list of
-    integers outside ``CONFIG_VALUES``, since their range is the graph's, and
-    the run, not the config, refuses them."""
+    """A config of any JSON values, ``init_adopters`` lists with labels
+    outside the graph's 1..6 and duplicates among them."""
     payload = {}
     for key, valid in CONFIG_VALUES.items():
         if draw(st.booleans(), label=f"has {key}"):
-            other = NOT_INT_LIST if key == "init_adopters" else JSON_ANY
-            payload[key] = draw(valid | other, label=key)
+            payload[key] = draw(valid | JSON_ANY, label=key)
     unknown = st.text(max_size=6).filter(lambda key: key not in CONFIG_VALUES)
     payload.update(draw(st.dictionaries(unknown, JSON_ANY, max_size=2), label="unknown keys"))
     return draw(st.sampled_from([payload, payload, payload, [payload], None]), label="outer")

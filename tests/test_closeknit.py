@@ -66,6 +66,16 @@ def test_min_ratio_rejects_isolated_and_oversized():
         min_ratio(LabeledGraph.complete(21), tuple(range(1, 22)))
 
 
+def test_certification_rejects_isolated_vertex():
+    # refused before any group is examined, wherever the isolated vertex is
+    for lonely_vertex, edges in ((1, [(2, 3), (3, 4)]), (4, [(1, 2), (2, 3)])):
+        g = LabeledGraph.from_edges(4, edges)
+        for r in (Fraction(0), Fraction(1, 4), Fraction(1)):
+            for k in (1, 2, 3):
+                with pytest.raises(DomainError, match=f"vertex {lonely_vertex} is isolated"):
+                    is_rk_closeknit(g, r, k)
+
+
 @given(st.integers(3, 9), st.integers(0, 10**6), st.data())
 @settings(max_examples=50, deadline=None)
 def test_min_ratio_matches_brute_force_oracle(n, seed, data):

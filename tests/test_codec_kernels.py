@@ -45,6 +45,7 @@ from conftest import (
     oracle_plant_occurrence,
     oracle_to_bytes,
     oracle_to_graph6,
+    oracle_words,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "codec_vectors.jsonl"
@@ -64,8 +65,7 @@ DOMAINS = (b"gasketlab", b"gasketlab-gnp", b"gasketlab-diffusion")
 def _records():
     for seed in (0, 1, 2**64 - 1):
         for domain in DOMAINS:
-            stream = WordStream(seed, domain=domain)
-            words = [stream.next_word() for _ in range(9)]
+            words = WordStream(seed, domain=domain).words(9)
             yield {"kind": "words", "seed": seed, "domain": domain.decode(), "words": words}
     for seed in (0, 12345):
         for n in GNP_SIZES:
@@ -89,9 +89,21 @@ def _records():
         }
 
 
+def _take(words, count):
+    return [next(words) for _ in range(count)]
+
+
 def test_codec_vectors_match_frozen_golden():
     expected = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
     assert list(_records()) == expected
+
+
+def test_oracle_words_match_the_frozen_stream_words():
+    records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    frozen = [r for r in records if r["kind"] == "words"]
+    assert len(frozen) == 9
+    for r in frozen:
+        assert _take(oracle_words(r["seed"], r["domain"].encode()), 9) == r["words"]
 
 
 # --- differential tests against the per-bit oracles ------------------------
@@ -106,45 +118,38 @@ probabilities = st.one_of(
 
 @given(seeds, st.lists(st.integers(0, 11), max_size=12), st.binary(max_size=12))
 @settings(max_examples=100, deadline=None)
-def test_words_interleaved_with_next_word_match_the_word_stream(seed, counts, domain):
-    bulk = WordStream(seed, domain=domain)
-    single = WordStream(seed, domain=domain)
+def test_words_interleaved_with_single_words_match_the_oracle_stream(seed, counts, domain):
+    """Calls of words, with a one-word draw before every other call, against
+    the words the rng docstring's SHA-256 mapping gives."""
+    stream = WordStream(seed, domain=domain)
+    expected = oracle_words(seed, domain)
     for t, count in enumerate(counts):
         if t % 2:
-            assert bulk.next_word() == single.next_word()
-        got = bulk.words(count)
-        assert got == [single.next_word() for _ in range(count)]
-    assert bulk.next_word() == single.next_word()
+            assert stream.words(1) == _take(expected, 1)
+        assert stream.words(count) == _take(expected, count)
+    assert stream.words(1) == _take(expected, 1)
     with pytest.raises(DomainError, match="count"):
-        bulk.words(-1)
+        stream.words(-1)
 
 
 @given(seeds, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11)), max_size=12), st.binary(max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_word_bytes_interleaved_with_words_match_the_word_stream(seed, calls, domain):
-    """Calls of word_bytes (kind 0), words (1) and next_word (2), in any mix,
-    against one next_word per word."""
-    bulk = WordStream(seed, domain=domain)
-    single = WordStream(seed, domain=domain)
+    """Calls of word_bytes (kind 0), words (1) and one-word draws (2), in any
+    mix, against the oracle's words."""
+    stream = WordStream(seed, domain=domain)
+    oracle = oracle_words(seed, domain)
     for kind, count in calls:
-        expected = [single.next_word() for _ in range(count)]
+        expected = _take(oracle, count)
         if kind == 0:
-            assert bulk.word_bytes(count) == b"".join(w.to_bytes(8, "big") for w in expected)
+            assert stream.word_bytes(count) == b"".join(w.to_bytes(8, "big") for w in expected)
         elif kind == 1:
-            assert bulk.words(count) == expected
+            assert stream.words(count) == expected
         else:
-            assert [bulk.next_word() for _ in range(count)] == expected
-    assert bulk.next_word() == single.next_word()
+            assert [stream.words(1)[0] for _ in range(count)] == expected
+    assert stream.words(1) == _take(oracle, 1)
     with pytest.raises(DomainError, match="count"):
-        bulk.word_bytes(-1)
-
-
-def test_index_refuses_an_empty_range():
-    stream = WordStream(5)
-    for n in (0, -3):
-        with pytest.raises(DomainError, match="n >= 1"):
-            stream.index(n)
-    assert stream.index(1) == 0
+        stream.word_bytes(-1)
 
 
 def _cut(p):
@@ -207,8 +212,7 @@ def test_gnp_sample_matches_per_pair_oracle(n, p, seed):
 
 def test_gnp_threshold_is_exact_at_the_boundary():
     # p one ulp either side of a word's uniform value decides the edge exactly
-    stream = WordStream(9, domain=b"gasketlab-gnp")
-    u = (stream.next_word() >> 11) * 2.0**-53
+    u = (next(oracle_words(9, b"gasketlab-gnp")) >> 11) * 2.0**-53
     for p in (u, u + 2.0**-53, Fraction(u), Fraction(u) + Fraction(1, 2**80)):
         assert gnp_sample(2, p, 9) == oracle_gnp_sample(2, p, 9)
     assert gnp_sample(2, u, 9).edge_count == 0

@@ -12,16 +12,14 @@ from gasketlab import DomainError, LabeledGraph
 from gasketlab.diffusion import (
     CoordinationGame,
     DiffusionConfig,
-    DiffusionState,
     Trace,
     _need,
     _noise_cut,
     hitting_time_stats,
-    revise,
     risk_threshold,
     run,
 )
-from gasketlab.rng import WordStream, derive_seed
+from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build, elementary_triangles, subgaskets
 
 GAME_THIRD = CoordinationGame(a=2, b=1, c=0, d=0)
@@ -44,28 +42,34 @@ def test_degenerate_payoffs_rejected():
         CoordinationGame(a=2, b=0, c=1, d=0)
 
 
+def _revise_once(g, game, adopters):
+    """The adopters after one noise-free revision of vertex 1: a round-robin
+    run with horizon 1."""
+    config = DiffusionConfig(init_adopters=tuple(adopters), horizon=1, schedule="round-robin")
+    return set(run(g, game, config).final_adopters)
+
+
 def test_revise_best_response_cases(k3):
-    config = DiffusionConfig(epsilon=0.0, init_adopters=(), horizon=5, seed=0)
-    all_a = DiffusionState(frozenset({2, 3}))
-    assert 1 in revise(all_a, 1, k3, GAME_THIRD, config).adopters
-    none_a = DiffusionState(frozenset())
-    assert 1 not in revise(none_a, 1, k3, GAME_THIRD, config).adopters
+    assert 1 in _revise_once(k3, GAME_THIRD, {2, 3})
+    assert 1 not in _revise_once(k3, GAME_THIRD, set())
     # exactly at threshold: 1 of 2 neighbors = 1/2 >= 1/3, tie rule adopts
-    half = DiffusionState(frozenset({2}))
-    assert 1 in revise(half, 1, k3, GAME_THIRD, config).adopters
+    assert 1 in _revise_once(k3, GAME_THIRD, {2})
     tie_game = CoordinationGame(a=1, b=1, c=0, d=0)  # r* = 1/2 exactly
-    assert 1 in revise(half, 1, k3, tie_game, config).adopters
+    assert 1 in _revise_once(k3, tie_game, {2})
+    below = CoordinationGame(a=3, b=2, c=0, d=0)  # r* = 2/5 > 1/3: B
+    assert _revise_once(LabeledGraph.complete(4), below, {2}) == {2}
 
 
 def test_revise_rejects_isolated_vertex():
-    # checked before any coin: a noise coin drawn first let some seeds return
-    lonely = LabeledGraph.from_edges(2, [])
-    state = DiffusionState(frozenset())
+    # refused up front, whichever vertex the schedule draws and whatever the coins say
+    lonely = LabeledGraph.from_edges(3, [(2, 3)])
     for epsilon in (0.0, 0.5, 0.9):
         for seed in range(40):
             config = DiffusionConfig(epsilon=epsilon, horizon=1, seed=seed)
-            with pytest.raises(DomainError, match="isolated"):
-                revise(state, 1, lonely, GAME_THIRD, config)
+            with pytest.raises(DomainError, match="vertex 1 is isolated"):
+                run(lonely, GAME_THIRD, config)
+            with pytest.raises(DomainError, match="vertex 1 is isolated"):
+                hitting_time_stats(lonely, GAME_THIRD, config, trials=2)
 
 
 def test_config_validation():
@@ -123,15 +127,14 @@ def test_payoff_scaling_leaves_trajectories_unchanged():
 def _sweep_to_fixpoint(g, game, initial):
     """Round-robin, noise-free sweeps until the adopter set stabilizes;
     asserts the set never shrinks between sweeps."""
-    config = DiffusionConfig(horizon=1, seed=0)  # revise() consumes no stream
-    state = DiffusionState(frozenset(initial))
+    adopters = frozenset(initial)
     for _ in range(g.n + 1):
-        before = state.adopters
-        for v in g.vertices():
-            state = revise(state, v, g, game, config)
-        assert before <= state.adopters
-        if state.adopters == before:
-            return state.adopters
+        config = DiffusionConfig(init_adopters=tuple(adopters), horizon=g.n,
+                                 schedule="round-robin")
+        before, adopters = adopters, frozenset(run(g, game, config).final_adopters)
+        assert before <= adopters
+        if adopters == before:
+            return adopters
     raise AssertionError("no fixpoint reached")
 
 
@@ -218,29 +221,17 @@ def test_hitting_time_stats_rejects_adoption_fraction_outside_unit_interval(frac
 
 @pytest.mark.parametrize("schedule", ["round-robin", "uniform-random"])
 def test_chained_revise_replays_run(schedule):
-    """revise() over one shared word stream, with the vertex schedule drawn
-    by the caller, reproduces the trajectory to the horizon with noise on,
-    and run()'s trace is its prefix up to the first all-A revision."""
+    """The oracle's chain of single revisions, with noise on, moves the
+    trajectory around, and run()'s trace is its prefix up to the first
+    all-A revision."""
     s3 = build(3).graph
     config = DiffusionConfig(
         epsilon=0.1, init_adopters=(1, 2, 3), horizon=500, seed=41, schedule=schedule
     )
-    expected_counts, expected_final = oracle_run_to_horizon(s3, GAME_THIRD, config)
-    stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
-    state = DiffusionState(frozenset(config.init_adopters))
-    counts = [len(state.adopters)]
-    for t in range(1, config.horizon + 1):
-        if schedule == "round-robin":
-            v = ((t - 1) % s3.n) + 1
-        else:
-            v = stream.index(s3.n) + 1
-        state = revise(state, v, s3, GAME_THIRD, config, stream)
-        counts.append(len(state.adopters))
+    counts, final = oracle_run_to_horizon(s3, GAME_THIRD, config)
+    assert len(counts) == config.horizon + 1
     assert len(set(counts)) > 2  # the noise moves the trajectory around
-    assert tuple(counts) == expected_counts
-    assert tuple(sorted(state.adopters)) == expected_final
-    assert state.t == config.horizon
-    assert run(s3, GAME_THIRD, config) == trace_prefix(s3, expected_counts, expected_final)
+    assert run(s3, GAME_THIRD, config) == trace_prefix(s3, counts, final)
 
 
 def trace_prefix(g, counts, final) -> Trace:
@@ -296,16 +287,6 @@ def test_stopping_at_all_a_matches_the_run_to_horizon(case, fraction, trials):
     assert stats.hit_times == tuple(expected)
 
 
-class OneWord(WordStream):
-    """A stream whose every word is ``word``."""
-
-    def __init__(self, word: int):
-        self.word = word
-
-    def next_word(self) -> int:
-        return self.word
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
@@ -315,12 +296,12 @@ class OneWord(WordStream):
 @example(0.5, 2**63)
 @example(1 - 2**-53, 2**64 - 1)
 def test_noise_cut_decides_like_uniform(epsilon, word):
-    """``word < _noise_cut(epsilon)`` iff ``uniform() < epsilon`` on that word,
-    at the cut, on either side of it and at a random word."""
+    """``word < _noise_cut(epsilon)`` iff the word's 53-bit uniform is below
+    epsilon, at the cut, on either side of it and at a random word."""
     cut = _noise_cut(epsilon)
     for w in (cut - 1, cut, cut + 1, word):
         if 0 <= w < 2**64:
-            assert (w < cut) == (OneWord(w).uniform() < epsilon), (epsilon, w)
+            assert (w < cut) == ((w >> 11) * 2.0**-53 < epsilon), (epsilon, w)
 
 
 @pytest.mark.parametrize("game", CASE_GAMES, ids=lambda game: str(risk_threshold(game)))
