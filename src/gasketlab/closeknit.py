@@ -14,6 +14,9 @@ a sequence of integer-capacity s-t minimum cuts (Dinkelbach's iteration),
 not by visiting subsets.  Certification never computes a minimum: with
 r = p/q it only asks whether every slack q d(S', S) - p vol(S') is
 nonnegative, which is integer arithmetic that stops at the first negative.
+The singleton slacks say that member u needs ceil(p deg(u) / q) in-group
+neighbours; the group search keeps each vertex's in-group neighbour count,
+so a group in which some member falls short is counted but never tested.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .diffusion import _need
 from .errors import DomainError, ResourceLimitError, check_int
 from .graphs import LabeledGraph, as_subset
 
@@ -209,18 +213,15 @@ def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
 
         d(S' + t, S) = d(S', S) + |N(t) & S| - |N(t) & S'|.
 
-    Answers False at the first negative slack; the singletons are checked
-    first.  Integer arithmetic only, and the answer does not depend on the
-    order of the members.
+    Answers False at the first negative slack.  The rest = 0 entry of each
+    block is a singleton; certification hands over only groups whose
+    singletons all pass (``need`` in ``_first_group``).  Integer arithmetic
+    only, and the answer does not depend on the order of the members.
     """
     p, q = r.numerator, r.denominator
     pdeg = [p * len(row) for row in g.adj]
 
     def accept(members: dict[int, int], rows: list[int]) -> bool:
-        # newest members first: the last one added has the fewest in-group neighbours
-        for v, row in zip(reversed(members), reversed(rows)):
-            if q * row.bit_count() < pdeg[v]:
-                return False
         slack = [0]
         for v, nt in zip(members, rows):
             gain = q * nt.bit_count() - pdeg[v]  # slack of the singleton
@@ -234,54 +235,73 @@ def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
 
 
 def _first_group(
-    g: LabeledGraph, v: int, k: int, cap: int, accept: Accept
+    g: LabeledGraph, v: int, k: int, cap: int, accept: Accept,
+    need: list[int] | None = None, nin: list[int] | None = None,
 ) -> tuple[tuple[int, ...] | None, int]:
     """The first connected set of size <= k containing v that ``accept``
     takes, sorted (None if there is none), and the number of sets examined.
 
     ESU enumeration (Wernicke, "Efficient detection of network motifs",
-    2006): the branch that adds u extends the frontier it was handed
-    (ascending labels) by u's neighbours outside ``closed``, the closed
-    neighbourhood of the group before u, and each child takes one frontier
-    vertex and only those listed after it, so no set is examined twice.
-    The group is ``members`` (member -> bit position, in insertion order)
-    with ``rows[t]`` the in-group neighbour mask of member t: adding u
-    flips u's bit in its neighbours' rows, undone when the branch returns.
+    2006): group G tries each vertex u of the frontier it was handed
+    (ascending labels), and G + u hands on the vertices after u plus u's
+    neighbours outside N[G], so no set is examined twice.  The group is
+    ``members`` (member -> bit position, in insertion order) with ``rows[t]``
+    member t's in-group neighbour mask, and ``nin[w]`` counts w's in-group
+    neighbours, so N[G] is the members and the vertices with nin > 0.
+    ``accept`` sees only groups whose members u all have nin[u] >= need[u]
+    (default 0: every group); ``short`` counts the members below, and a
+    group of size k that fails is skipped in its parent's loop before any
+    row is built.  Every set is still counted and cap-checked, in order.
+    ``nin`` is all zero on entry and on return, so one list serves many
+    searches.
     """
     adj, members, rows = g.adj, {}, []
-    examined = 0
+    need = need or [0] * (g.n + 1)
+    nin = nin or [0] * (g.n + 1)
+    examined = short = 0
 
-    def rec(u: int, ext: list[int], closed: frozenset[int]) -> tuple[int, ...] | None:
-        nonlocal examined
-        examined += 1
-        if examined > cap:
-            raise ResourceLimitError(
-                f"connected-group search around vertex {v} exceeded cap {cap}"
-            )
+    def grow(ext: list[int]) -> tuple[int, ...] | None:
+        nonlocal examined, short
         t = len(rows)
-        bit, mask, inside = 1 << t, 0, adj[u].intersection(members)
-        for w in inside:
-            mask |= 1 << members[w]
-            rows[members[w]] |= bit
-        members[u] = t
-        rows.append(mask)
-        found = None
-        if accept(members, rows):
-            found = tuple(sorted(members))
-        elif t + 1 < k:  # a full group never reads its frontier
-            fresh = sorted(adj[u] - closed)
-            ext, closed = ext + fresh, closed.union(fresh)
-            for idx, w in enumerate(ext):
-                found = rec(w, ext[idx + 1 :], closed)
-                if found is not None:
-                    break
-        del members[u]
-        rows.pop()
-        for w in inside:
-            rows[members[w]] ^= bit
-        return found
+        bit, full = 1 << t, t + 1 == k
+        for idx, u in enumerate(ext):
+            examined += 1
+            if examined > cap:
+                raise ResourceLimitError(
+                    f"connected-group search around vertex {v} exceeded cap {cap}"
+                )
+            if full and (nin[u] < need[u] or short and short != sum(
+                    w in members and nin[w] + 1 == need[w] for w in adj[u])):
+                continue  # u, or a member u does not lift to need, is below need
+            mask = 0
+            for w in adj[u]:
+                nin[w] += 1
+                if w in members:
+                    mask |= 1 << members[w]
+                    rows[members[w]] |= bit
+                    short -= nin[w] == need[w]
+            short += nin[u] < need[u]
+            members[u] = t
+            rows.append(mask)
+            found = None
+            if not short and accept(members, rows):
+                found = tuple(sorted(members))
+            elif not full:
+                fresh = sorted([w for w in adj[u] if nin[w] == 1 and w not in members])
+                found = grow(ext[idx + 1 :] + fresh)
+            del members[u]
+            rows.pop()
+            short -= nin[u] < need[u]
+            for w in adj[u]:
+                nin[w] -= 1
+                if w in members:
+                    rows[members[w]] ^= bit
+                    short += nin[w] + 1 == need[w]
+            if found is not None:
+                return found
+        return None
 
-    return rec(v, [], frozenset((v,))), examined
+    return grow([v]), examined
 
 
 def is_rk_closeknit(
@@ -296,8 +316,10 @@ def is_rk_closeknit(
     (declared search scope; a qualifying group found for one vertex is
     reused as the witness for all its members).  Vertices are processed in
     label order and candidates in enumeration order, so the witness map is
-    deterministic.  Each candidate is tested for ratio >= r by integer slack
-    with an early exit (``_ratio_test``), not by computing its minimum.
+    deterministic.  A candidate in which every member u has at least
+    ceil(r deg(u)) in-group neighbours is tested for ratio >= r by integer
+    slack with an early exit (``_ratio_test``), not by computing its
+    minimum; any other candidate has a singleton below r.
     """
     k = check_int(k, "group-size bound k", 1, GROUP_SIZE_MAX)
     groups_cap = check_int(groups_cap, "groups_cap")
@@ -311,12 +333,14 @@ def is_rk_closeknit(
                 f"vertex {v} is isolated; close-knit certification assumes none"
             )
     accept = _ratio_test(g, r)
+    need = [_need(len(row), r) for row in g.adj]  # where a singleton's slack turns >= 0
+    nin = [0] * (g.n + 1)
     witness: dict[int, tuple[int, ...]] = {}
     examined = 0
     for v in g.vertices():
         if v in witness:
             continue
-        found, count = _first_group(g, v, k, groups_cap, accept)
+        found, count = _first_group(g, v, k, groups_cap, accept, need, nin)
         examined += count
         if found is None:
             return CloseKnitResult(r, k, False, None, v, examined)

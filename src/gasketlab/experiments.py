@@ -21,7 +21,7 @@ from . import closeknit, diffusion, ramsey, sierpinski, twopart
 from .errors import DomainError, ResourceLimitError, check_int
 from .graphs import LabeledGraph, as_subset, gnp_sample
 from .isomorphism import automorphism_count as aut_count
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 
 __all__ = [
     "MomentReport",
@@ -161,6 +161,7 @@ def threshold_sweep(
     cheap, not a count of subsets the occurrence search visits.  The bound
     columns are the point of such rows.
     """
+    trials, seed = check_int(trials, "trials", 1), check_seed(seed)
     rows: list[dict[str, object]] = []
     for level in levels:
         pattern = sierpinski.build(level).graph

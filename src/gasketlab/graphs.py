@@ -158,6 +158,7 @@ class EdgeBitString:
     bits: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int(self.n, "vertex count", 0))
         expected = comb(self.n, 2)
         if len(self.bits) != expected:
             raise DomainError(

@@ -256,9 +256,13 @@ def _copy_edges(g: LabeledGraph, subset: tuple[int, ...]) -> list[tuple[int, int
 
 def _validate_coloring(g: LabeledGraph, coloring: TwoColoring) -> TwoColoring:
     normalized: TwoColoring = {}
-    for (i, j), color in coloring.items():
+    for key, color in coloring.items():
         if color not in ("red", "blue"):
             raise DomainError(f"color must be 'red' or 'blue', got {color!r}")
+        try:
+            i, j = (check_int(x, "vertex") for x in key)
+        except (TypeError, ValueError):  # DomainError is a ValueError
+            raise DomainError(f"coloring key {key!r} must be a pair of vertex labels") from None
         a, b = (i, j) if i < j else (j, i)
         if not g.has_edge(a, b):
             raise DomainError(f"colored pair ({a},{b}) is not an edge")

@@ -24,8 +24,14 @@ from gasketlab.diffusion import (
     run,
 )
 from gasketlab.errors import check_int, check_real
-from gasketlab.graphs import as_subset, gnp_sample, pair_at, pos
-from gasketlab.ramsey import bounds_report, find_induced_occurrences, is_host, split_union
+from gasketlab.graphs import EdgeBitString, as_subset, gnp_sample, pair_at, pos
+from gasketlab.ramsey import (
+    bounds_report,
+    find_induced_occurrences,
+    has_mono_induced,
+    is_host,
+    split_union,
+)
 from gasketlab.experiments import threshold_sweep
 from gasketlab.ranking import (
     ceil_log2,
@@ -94,6 +100,19 @@ ESCAPES = {
     "rank_permutation float members": (
         lambda: rank_permutation((1.0, 2.0)), "permutation member"),
     "sweep host size float": (lambda: threshold_sweep([1], [2.5], 1, 0), "host size n"),
+    "sweep trials text": (lambda: threshold_sweep([1], [2], "x", 0), "trials"),
+    "sweep seed text": (lambda: threshold_sweep([1], [2], 1, "s"), "seed"),
+    "sweep trials zero": (lambda: threshold_sweep([1], [2], 0, -5), "trials must be >= 1"),
+    "sweep seed negative": (lambda: threshold_sweep([1], [2], 1, -5), "seed must be in"),
+    "coloring key text label": (
+        lambda: has_mono_induced(K3, {("1", 2): "red", (1, 3): "red", (2, 3): "red"}, K3),
+        r"coloring key \('1', 2\) must be a pair of vertex labels"),
+    "coloring key triple": (
+        lambda: has_mono_induced(K3, {(1, 2, 3): "red"}, K3),
+        r"coloring key \(1, 2, 3\) must be a pair of vertex labels"),
+    "bit string n negative": (lambda: EdgeBitString(-1, ""), "vertex count must be >= 0"),
+    "bit string n float": (lambda: EdgeBitString(2.5, "0"), "vertex count must be an integer"),
+    "bit string n bool": (lambda: EdgeBitString(True, ""), "vertex count must be an integer"),
     "degree vertex float": (lambda: K3.degree(1.5), "vertex"),
     "degree vertex bool": (lambda: K3.degree(True), "vertex"),
     "has_edge vertex float": (lambda: K3.has_edge(1.5, 2), "vertex"),

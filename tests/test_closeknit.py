@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -384,6 +386,63 @@ def test_connected_group_sequence_matches_oracle_on_random_graphs(n, data):
     pairs = list(combinations(range(1, n + 1), 2))
     present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     _assert_same_sequences(LabeledGraph.from_edges(n, [e for e, on in zip(pairs, present) if on]))
+
+
+def _searches(g, r, k, cap, need):
+    """The searches a certificate makes, in its order, through ``_first_group``
+    with the given ``need`` (None: the full search): each one's (found,
+    examined), then its cap error if one is raised.  Under a ``need``, every
+    group handed to ``accept`` is checked to have every member at its need,
+    with the rows ``_first_group`` carries; one ``nin`` serves every search
+    and must come back all zero."""
+    ratio_test, nin, out, done = _ratio_test(g, r), [0] * (g.n + 1), [], set()
+
+    def accept(members, rows):
+        assert (members, rows) == _members_and_rows(g, list(members))
+        assert need is None or all(
+            row.bit_count() >= need[u] for u, row in zip(members, rows))
+        return ratio_test(members, rows)
+
+    for v in g.vertices():
+        if v in done:
+            continue
+        try:
+            found, count = _first_group(g, v, k, cap, accept, need, nin)
+        except ResourceLimitError as exc:
+            return out + [str(exc)]
+        assert not any(nin)
+        out.append((found, count))
+        if found is None:
+            break
+        done.update(found)
+    return out
+
+
+@given(
+    g=st.one_of(_connected_graphs(), st.sampled_from([build(lv).graph for lv in range(1, 6)])),
+    r=st.sampled_from([Fraction(-1, 3), Fraction(0), *RATIOS, Fraction(3, 2)]),
+    k=st.sampled_from(range(1, 9)),
+    cap=st.sampled_from([1, 2, 7, 40, 300, 10**6]),
+)
+@settings(max_examples=300, deadline=None)
+def test_need_pruned_search_matches_the_full_search(g, r, k, cap):
+    need = [math.ceil(r * len(row)) for row in g.adj]
+    assert _searches(g, r, k, cap, need) == _searches(g, r, k, cap, None)
+
+
+def test_certificate_on_a_large_gasket_allocates_no_per_vertex_bit_table():
+    g = build(9).graph  # 9,843 vertices
+    result = is_rk_closeknit(g, Fraction(1, 4), 3)
+    tracemalloc.start()
+    try:
+        assert is_rk_closeknit(g, Fraction(1, 4), 3) == result
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.success, result.groups_examined, len(result.witness)) == (True, 20_776, g.n)
+    assert len(set(result.witness.values())) == 6_561
+    # an n-bit mask per vertex would take n * n / 8 bytes, 12.1 MB here
+    assert peak < g.n * g.n // 32
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
