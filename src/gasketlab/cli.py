@@ -195,11 +195,12 @@ def _cmd_encode_alt(args) -> str:
         args.gen, g.n, ordered=None if args.ordering == "auto" else args.ordering == "ordered"
     )
     enc = twopart.encode_two_part(encode(g), args.occ, side)
-    Path(args.out).write_bytes(twopart.to_bytes(enc, side))
+    blob = twopart.to_bytes(enc, side)
+    report = twopart.length_report(side.n, side.k, side.ordered)
+    Path(args.out).write_bytes(blob)  # after every check, so a refusal leaves no file
     out_path = str(args.out)
     args._extra_paths.append(out_path)
     args.out = None  # the binary is the file output; the report goes to stdout
-    report = twopart.length_report(side.n, side.k, side.ordered)
     return _json_dump(
         {
             "out": out_path,

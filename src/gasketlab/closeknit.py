@@ -27,12 +27,11 @@ from typing import Callable, Iterable
 
 from .diffusion import _need
 from .errors import DomainError, ResourceLimitError, check_int
-from .graphs import LabeledGraph, as_subset
+from .graphs import LabeledGraph, _refuse_isolated, as_subset
 
 __all__ = [
     "GroupReport",
     "CloseKnitResult",
-    "internal_degree",
     "min_ratio",
     "is_rk_closeknit",
     "family_scan",
@@ -63,35 +62,8 @@ class CloseKnitResult:
 
 def _check_group(g: LabeledGraph, members: Iterable[int]) -> tuple[int, ...]:
     group = as_subset(members, g.n, nonempty=True)
-    for v in group:
-        if not g.adj[v]:
-            raise DomainError(
-                f"vertex {v} is isolated; close-knit ratios assume no isolated vertices"
-            )
+    _refuse_isolated(g, group, "close-knit ratios assume no isolated vertices")
     return group
-
-
-def internal_degree(
-    g: LabeledGraph, sprime: Iterable[int], s: Iterable[int]
-) -> int:
-    """d(S', S): edges {i, j} with i in S' and j in S; internal edges once."""
-    s_tup = as_subset(s, g.n, nonempty=True)
-    sp_tup = as_subset(sprime, g.n, nonempty=True)
-    s_set = set(s_tup)
-    sp_set = set(sp_tup)
-    if not sp_set <= s_set:
-        raise DomainError("S' must be a subset of S")
-    count = 0
-    for i in sp_tup:
-        for j in g.adj[i]:
-            if j not in s_set:
-                continue
-            if j in sp_set:
-                if j > i:  # count internal edges once
-                    count += 1
-            else:
-                count += 1
-    return count
 
 
 def _max_flow(nbrs: list[list[int]], w: list[int], b: int) -> tuple[list[int], int]:
@@ -327,11 +299,7 @@ def is_rk_closeknit(
         r = Fraction(r)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"ratio bound r must be a finite rational, got {r!r}") from None
-    for v in g.vertices():
-        if not g.adj[v]:
-            raise DomainError(
-                f"vertex {v} is isolated; close-knit certification assumes none"
-            )
+    _refuse_isolated(g, g.vertices(), "close-knit certification assumes none")
     accept = _ratio_test(g, r)
     need = [_need(len(row), r) for row in g.adj]  # where a singleton's slack turns >= 0
     nin = [0] * (g.n + 1)

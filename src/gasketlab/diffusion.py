@@ -9,8 +9,8 @@ fraction of A-neighbors is at least the game's adoption threshold
 with ties resolved toward A.  With probability epsilon the revision is
 noise and the vertex picks a uniformly random strategy instead.  Both
 coins are exact integer tests: ``_need(deg, r*)`` = ceil(r* * deg)
-A-neighbours make A the best response, and ``_noise_cut(epsilon)`` bounds
-the noise word (exactly "the word's top 53 bits times 2^-53 < epsilon").
+A-neighbours make A the best response, and ``rng.uniform_cut(epsilon)``
+bounds the noise word (exactly "the word's top 53 bits times 2^-53 < epsilon").
 So knife-edge cases (say, exactly one third of the neighborhood adopting
 against r* = 1/3) are deterministic.
 
@@ -35,8 +35,8 @@ from fractions import Fraction
 from statistics import median
 
 from .errors import DomainError, check_int, check_real
-from .graphs import LabeledGraph, as_subset
-from .rng import WordStream, check_seed, derive_seed
+from .graphs import LabeledGraph, _refuse_isolated, as_subset
+from .rng import WordStream, check_seed, derive_seed, uniform_cut
 
 __all__ = [
     "CoordinationGame",
@@ -120,15 +120,6 @@ def _need(deg: int, r_star: Fraction) -> int:
     return -(-r_star.numerator * deg // r_star.denominator)
 
 
-def _noise_cut(epsilon: float) -> int:
-    """The noise coin fires iff its word is below this bound.
-
-    ``(word >> 11) * 2^-53 < epsilon  <=>  word < ceil(epsilon * 2^53) << 11``:
-    the word's top 53 bits as a uniform in [0, 1).
-    """
-    return math.ceil(Fraction(epsilon) * (1 << 53)) << 11
-
-
 def _counts(
     g: LabeledGraph,
     game: CoordinationGame,
@@ -145,9 +136,7 @@ def _counts(
     """
     if g.n == 0:
         raise DomainError("diffusion needs at least one vertex")
-    for v in g.vertices():
-        if not g.adj[v]:
-            raise DomainError(f"vertex {v} is isolated; the revision rule is undefined")
+    _refuse_isolated(g, g.vertices(), "the revision rule is undefined")
     init = as_subset(config.init_adopters, g.n)
     n, adj = g.n, g.adj
     r_star = risk_threshold(game)
@@ -161,7 +150,7 @@ def _counts(
     count = len(init)
     counts = [count]
     noisy = config.epsilon > 0.0
-    cut = _noise_cut(config.epsilon)
+    cut = uniform_cut(config.epsilon)
     round_robin = config.schedule == "round-robin"
     per_revision = (0 if round_robin else 1) + (2 if noisy else 0)  # most words one revision draws
     horizon = 200 * n if config.horizon is None else config.horizon

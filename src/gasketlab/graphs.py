@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import ceil, comb
+from math import comb
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, check_int, check_real
-from .rng import WordStream
+from .rng import WordStream, uniform_cut
 
 __all__ = [
     "LabeledGraph",
@@ -256,6 +256,13 @@ def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tupl
     return sub
 
 
+def _refuse_isolated(g: LabeledGraph, vertices: Iterable[int], consequence: str) -> None:
+    """Raise DomainError naming the first of ``vertices`` with no neighbour."""
+    for v in vertices:
+        if not g.adj[v]:
+            raise DomainError(f"vertex {v} is isolated; {consequence}")
+
+
 def induced_subgraph(g: LabeledGraph, subset: Iterable[int]) -> LabeledGraph:
     """Subgraph induced by ``subset``, relabeled 1..|subset| by rank."""
     sub = as_subset(subset, g.n)
@@ -336,13 +343,12 @@ def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     One 53-bit uniform is consumed per potential edge, in canonical pos
     order; the edge is present iff the uniform is < p.  All C(n, 2) words
     are drawn as bytes at once and each is tested against the exact integer
-    threshold ``uniform < p  <=>  word < ceil(p * 2^53) << 11``, for float
-    and ``Fraction`` p alike.
+    threshold ``rng.uniform_cut(p)``, for float and ``Fraction`` p alike.
     """
     n = check_int(n, "vertex count", 0)
     if not 0.0 <= check_real(p, "edge probability") <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
-    cut = ceil(Fraction(p) * (1 << 53)) << 11
+    cut = uniform_cut(p)
     stream = WordStream(seed, domain=b"gasketlab-gnp")
     flags = _below(stream.word_bytes(comb(n, 2)), cut)
     return _from_square(n, _upper_square(n, flags))

@@ -21,8 +21,17 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from fractions import Fraction
+from math import ceil
 
 from .errors import check_int
+
+
+def uniform_cut(x) -> int:
+    """The bound under which a word's top 53 bits, as a uniform in [0, 1),
+    are below x: ``(word >> 11) * 2^-53 < x  <=>  word < ceil(x * 2^53) << 11``,
+    exact for float and ``Fraction`` x alike."""
+    return ceil(Fraction(x) * (1 << 53)) << 11
 
 
 def check_seed(seed: int) -> int:

@@ -20,19 +20,22 @@ All accounting is exact integer arithmetic with whole-bit ceilings.  The
 codec never walks all C(n,2) pairs one by one: it cuts the residual out of
 the canonical text (or splices it back) at the C(k,2) inside positions
 pos(a, b), checking each inside bit against the pattern, and serializes
-the residual with one ``int(residual, 2)``.  ``from_bytes`` checks the
-header's k against the generator's vertex count without building it.
+the residual with one ``int(residual, 2)``.  ``SideInfo`` checks its own
+fields (u32 sizes with 2 <= k <= n, a bool ``ordered``, a generator id of
+the form ``<sierpinski|complete|empty>:<digits>`` that makes exactly k
+vertices, a gasket level at most 12) and never builds the pattern.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import zlib
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator
 
-from .errors import DomainError, check_int
+from .errors import DomainError, ResourceLimitError, check_int
 from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, as_subset
 from .ranking import (
     ceil_log2,
@@ -59,16 +62,31 @@ __all__ = [
     "from_bytes",
 ]
 
+PATTERN_SIZE_MIN = 2  # a smaller pattern has no inside pair to save
+_U32 = 0xFFFF_FFFF
+_ORDERED = {"sierpinski": True, "complete": False, "empty": False}  # needs ordering info
+_GENERATOR_ID = re.compile(rf"({'|'.join(_ORDERED)}):([0-9]+)")
 
-def _parse_generator(generator_id: str) -> tuple[str, int]:
-    try:
-        family, _, arg = generator_id.partition(":")
-        value = int(arg)
-    except ValueError as exc:
-        raise DomainError(f"unparseable generator id {generator_id!r}") from exc
-    if family not in ("sierpinski", "complete", "empty"):
-        raise DomainError(f"unknown generator family {family!r} in {generator_id!r}")
-    return family, value
+
+def _read_generator(generator_id: str) -> tuple[str, int, int]:
+    """(family, level or size, vertex count) of a generator id, without
+    building the pattern; a gasket level is held to the cap before any power
+    of 3 is formed."""
+    found = _GENERATOR_ID.fullmatch(generator_id) if isinstance(generator_id, str) else None
+    if found is None:
+        raise DomainError(
+            "generator id must be <sierpinski|complete|empty>:<decimal digits>, "
+            f"got {generator_id!r:.60}"
+        )
+    family, digits = found[1], found[2].lstrip("0") or "0"
+    high = sierpinski.MAX_LEVEL_DEFAULT if family == "sierpinski" else _U32
+    if len(digits) > len(str(high)) or int(digits) > high:
+        shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+        if family == "sierpinski":
+            raise ResourceLimitError(f"gasket level {shown} exceeds the configured maximum {high}")
+        raise DomainError(f"pattern size {shown} of {family} exceeds the u32 maximum {high}")
+    value = int(digits)
+    return family, value, sierpinski.vertex_count(value) if family == "sierpinski" else value
 
 
 def generator_graph(generator_id: str) -> tuple[LabeledGraph, bool]:
@@ -77,59 +95,63 @@ def generator_graph(generator_id: str) -> tuple[LabeledGraph, bool]:
     Supported ids: ``sierpinski:<level>`` (ordered), ``complete:<k>`` and
     ``empty:<k>`` (unordered: every relabeling is the same graph).
     """
-    family, value = _parse_generator(generator_id)
+    family, value, _ = _read_generator(generator_id)
     if family == "sierpinski":
-        return sierpinski.build(value).graph, True
-    if family == "complete":
-        return LabeledGraph.complete(value), False
-    return LabeledGraph.empty(value), False
+        pattern = sierpinski.build(value).graph
+    else:
+        pattern = (LabeledGraph.complete if family == "complete" else LabeledGraph.empty)(value)
+    return pattern, _ORDERED[family]
 
 
-def _generator_order(generator_id: str) -> int:
-    """The generator's vertex count, without building the pattern.  Levels
-    past 21 count as level 21, whose 5,230,176,603 vertices already exceed
-    every u32 k."""
-    family, value = _parse_generator(generator_id)
-    if family == "sierpinski":
-        return sierpinski.vertex_count(min(value, 21))
-    return value
+def _residual_bits(n: int, k: int) -> int:
+    return comb(n, 2) - comb(k, 2)
 
 
 @dataclass(frozen=True)
 class SideInfo:
-    """Conditioning information the decoder gets for free."""
+    """Conditioning information the decoder gets for free.
+
+    The constructor checks every field and builds no pattern: n and k are
+    integers that fit the header's u32 fields with 2 <= k <= n, ``ordered``
+    is a bool, and the generator id is ``<family>:<ASCII decimal digits>``
+    with family sierpinski, complete or empty, a gasket level of at most
+    ``sierpinski.MAX_LEVEL_DEFAULT``, and exactly k vertices.
+    """
 
     n: int
     k: int
     generator_id: str
     ordered: bool
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int(self.n, "host size n", 0, _U32))
+        object.__setattr__(self, "k", check_int(self.k, "pattern size k", PATTERN_SIZE_MIN, _U32))
+        if not isinstance(self.ordered, bool):
+            raise DomainError(f"ordered must be a bool, got {self.ordered!r}")
+        _, _, size = _read_generator(self.generator_id)
+        if size != self.k:
+            raise DomainError(f"generator {self.generator_id!r} does not produce k={self.k} vertices")
+        if self.n < self.k:
+            raise DomainError(f"host size n={self.n} must be >= pattern size k={self.k}")
+        if len(self.generator_id) > 0xFFFF:
+            raise DomainError("generator id too long to serialize")
+
     @staticmethod
-    def for_generator(
-        generator_id: str, n: int, ordered: bool | None = None
-    ) -> "SideInfo":
-        family, value = _parse_generator(generator_id)
-        if family == "sierpinski":  # a level past the cap is refused as such, not by size
-            sierpinski._check_level(value, sierpinski.MAX_LEVEL_DEFAULT)
-        size = _generator_order(generator_id)
-        if size > n:
-            raise DomainError(f"generator {generator_id!r} makes k={size} > n={n} vertices")
-        pattern, needs_order = generator_graph(generator_id)
-        return SideInfo(
-            n=n,
-            k=pattern.n,
-            generator_id=generator_id,
-            ordered=needs_order if ordered is None else ordered,
-        )
+    def for_generator(generator_id: str, n: int, ordered: bool | None = None) -> "SideInfo":
+        """Side info for ``generator_id`` in an n-vertex host; ``ordered``
+        defaults to whether the generator needs ordering info."""
+        family, _, k = _read_generator(generator_id)
+        return SideInfo(n, k, generator_id, _ORDERED[family] if ordered is None else ordered)
 
     def pattern(self) -> LabeledGraph:
-        pattern, _ = generator_graph(self.generator_id)
-        if pattern.n != self.k:
-            raise DomainError(
-                f"generator {self.generator_id!r} produces {pattern.n} vertices, "
-                f"but side info declares k={self.k}"
-            )
-        return pattern
+        return generator_graph(self.generator_id)[0]
+
+    def widths(self) -> tuple[int, int, int]:
+        """Bits of the subset index, the ordering index (0 when unordered) and
+        the residual: the serialized body's fields, in order."""
+        n, k = self.n, self.k
+        order_bits = ordering_index_bits(k) if self.ordered else 0
+        return subset_index_bits(n, k), order_bits, _residual_bits(n, k)
 
 
 def subset_index_bits(n: int, k: int) -> int:
@@ -147,11 +169,8 @@ class TwoPartEncoding:
     residual: str  # '0'/'1' text, ascending position order
 
     def length_bits(self, side: SideInfo) -> int:
-        n, k = side.n, side.k
-        length = len(self.residual) + subset_index_bits(n, k)
-        if side.ordered:
-            length += ordering_index_bits(k)
-        return length
+        subset_bits, order_bits, _ = side.widths()
+        return subset_bits + order_bits + len(self.residual)
 
 
 @dataclass(frozen=True)
@@ -163,7 +182,7 @@ class LengthReport:
 
 def gain(n: int, k: int, ordered: bool) -> int:
     """Signed bits saved by the two-part form: C(k,2) minus the index cost."""
-    k, n = check_int(k, "pattern size k", 2), check_int(n, "host size n")
+    k, n = check_int(k, "pattern size k", PATTERN_SIZE_MIN), check_int(n, "host size n")
     if n < k:
         raise DomainError(f"host size n={n} must be >= pattern size k={k}")
     saved = comb(k, 2) - subset_index_bits(n, k)
@@ -211,7 +230,7 @@ class ContainmentBounds:
 
 
 def asymptotic_bounds(k: int) -> ContainmentBounds:
-    k = check_int(k, "pattern size k", 2)
+    k = check_int(k, "pattern size k", PATTERN_SIZE_MIN)
     return ContainmentBounds(
         ordered=2.0 ** ((k - 1) / 2),
         ordered_log_slack=2.0 ** (k * (k - 1) / (2 * (k + 1))),
@@ -265,24 +284,27 @@ def encode_two_part(
     )
 
 
+def _fields(enc: TwoPartEncoding, side: SideInfo) -> tuple[int, int, int]:
+    """``side.widths()``, once ``enc`` is checked to fill them: a permutation
+    rank iff ordered, and a residual of the residual width."""
+    if side.ordered and enc.perm_rank is None:
+        raise DomainError("ordered side info requires a permutation rank")
+    if not side.ordered and enc.perm_rank is not None:
+        raise DomainError("unordered side info must not carry a permutation rank")
+    widths = side.widths()
+    if len(enc.residual) != widths[2]:
+        raise DomainError(
+            f"residual must have C(n,2)-C(k,2)={widths[2]} bits, got {len(enc.residual)}"
+        )
+    return widths
+
+
 def decode_two_part(enc: TwoPartEncoding, side: SideInfo) -> EdgeBitString:
     """Exact inverse of :func:`encode_two_part`."""
     n, k = side.n, side.k
+    _fields(enc, side)
     occ = unrank_subset(enc.subset_rank, n, k)
-    if side.ordered:
-        if enc.perm_rank is None:
-            raise DomainError("ordered side info requires a permutation rank")
-        perm = unrank_permutation(enc.perm_rank, k)
-    else:
-        if enc.perm_rank is not None:
-            raise DomainError("unordered side info must not carry a permutation rank")
-        perm = tuple(range(1, k + 1))
-    expected_residual = comb(n, 2) - comb(k, 2)
-    if len(enc.residual) != expected_residual:
-        raise DomainError(
-            f"residual must have C(n,2)-C(k,2)={expected_residual} bits, "
-            f"got {len(enc.residual)}"
-        )
+    perm = unrank_permutation(enc.perm_rank, k) if side.ordered else tuple(range(1, k + 1))
     pattern = side.pattern()
     # splice the pattern's bits into the residual at the inside positions
     residual = enc.residual
@@ -315,14 +337,12 @@ def compressor_proxy(bits: EdgeBitString) -> int:
 #          ordered (u8: 0/1)
 # body:    subset_rank, then perm_rank (ordered only), then residual,
 #          concatenated MSB-first and zero-padded to a byte boundary.
-# Field widths are recomputed from (n, k) on read, so the format is
+# Field widths are ``SideInfo.widths()`` of the header, so the format is
 # self-delimiting given the header.
 
 
 def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
     gid = side.generator_id.encode("utf-8")
-    if len(gid) > 0xFFFF:
-        raise DomainError("generator id too long to serialize")
     header = (
         side.n.to_bytes(4, "big")
         + side.k.to_bytes(4, "big")
@@ -330,11 +350,10 @@ def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
         + gid
         + bytes([1 if side.ordered else 0])
     )
-    fields = [(enc.subset_rank, subset_index_bits(side.n, side.k))]
+    subset_bits, order_bits, _ = _fields(enc, side)
+    fields = [(enc.subset_rank, subset_bits)]
     if side.ordered:
-        if enc.perm_rank is None:
-            raise DomainError("ordered side info requires a permutation rank")
-        fields.append((enc.perm_rank, ordering_index_bits(side.k)))
+        fields.append((enc.perm_rank, order_bits))
     acc = nbits = 0
     for value, width in fields:
         if width:  # a zero-width field is not written
@@ -352,11 +371,11 @@ def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
 def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
     """Inverse of :func:`to_bytes`.
 
-    The header is checked before any big-integer work: the body must hold at
+    The body length is checked before any big-integer work: it must hold at
     least the C(n,2) - C(k,2) residual bits, plus k - 1 ordering bits when
-    ordered (k! >= 2^(k-1)), so the subset and ordering index widths are only
-    computed for sizes the blob can actually encode.  The generator id must
-    then produce exactly k vertices, which is decided without building it.
+    ordered (k! >= 2^(k-1)).  Only then does the header become a
+    :class:`SideInfo`, which checks the sizes and the generator id, and
+    whose field widths are then computed for sizes the blob can encode.
     """
     if len(blob) < 11:
         raise DomainError("serialized encoding shorter than its fixed header")
@@ -372,22 +391,17 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
     ordered_byte = blob[10 + gid_len]
     if ordered_byte not in (0, 1):
         raise DomainError(f"ordered flag byte must be 0 or 1, got {ordered_byte}")
-    side = SideInfo(n=n, k=k, generator_id=generator_id, ordered=bool(ordered_byte))
-    if k < 1 or n < k:
-        raise DomainError(f"header sizes invalid: n={n}, k={k}")
     body = blob[10 + gid_len + 1 :]
-    residual_bits = comb(n, 2) - comb(k, 2)
-    least_bits = residual_bits + (k - 1 if side.ordered else 0)
+    least_bits = _residual_bits(n, k) + (k - 1 if ordered_byte else 0)
     if 8 * len(body) < least_bits:
         raise DomainError(
             f"serialized encoding body has {8 * len(body)} bits; "
             f"n={n}, k={k} need at least {least_bits}"
         )
-    if _generator_order(generator_id) != k:
-        raise DomainError(f"generator {generator_id!r} does not produce k={k} vertices")
+    side = SideInfo(n=n, k=k, generator_id=generator_id, ordered=bool(ordered_byte))
     # the body is one integer: subset rank, ordering rank, residual, padding
-    order_bits = ordering_index_bits(k) if side.ordered else 0
-    pad = 8 * len(body) - (subset_index_bits(n, k) + order_bits + residual_bits)
+    subset_bits, order_bits, residual_bits = side.widths()
+    pad = 8 * len(body) - (subset_bits + order_bits + residual_bits)
     if pad < 0:
         raise DomainError("truncated bit field in serialized encoding")
     value = int.from_bytes(body, "big")

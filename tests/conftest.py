@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles.
 
 Oracles here deliberately avoid the library's optimized code paths: ratio
-checks use plain Fraction loops over itertools subsets, and isomorphism
-checks go through networkx, so frozen expected values never depend on the
-implementation they test.  The slow paths that the induced-embedding kernel
+checks use plain Fraction loops over itertools subsets and
+``internal_degree``, the d(S', S) count that no library path needs, and
+isomorphism checks go through networkx, so frozen expected values never
+depend on the implementation they test.  The slow paths that the induced-embedding kernel
 and the factored coloring cover replaced are kept here as oracles: the
 scan over all C(n,k) subsets with a backtracking isomorphism test, the
 backtracking automorphism count, the single 2^|E|-bit cover,
@@ -68,6 +69,15 @@ def oracle_min_ratio(g: LabeledGraph, group) -> tuple[Fraction, tuple[int, ...]]
             if best is None or ratio < best or (ratio == best and sp < arg):
                 best, arg = ratio, sp
     return best, arg
+
+
+def internal_degree(g: LabeledGraph, sprime, s) -> int:
+    """d(S', S): edges {i, j} with i in S' and j in S; internal edges once."""
+    s_set = set(as_subset(s, g.n, nonempty=True))
+    sp_set = set(as_subset(sprime, g.n, nonempty=True))
+    if not sp_set <= s_set:
+        raise DomainError("S' must be a subset of S")
+    return sum(1 for i in sp_set for j in g.adj[i] if j in s_set and (j not in sp_set or j > i))
 
 
 def _lex_less(a: int, b: int) -> bool:

@@ -42,6 +42,7 @@ from gasketlab.ranking import (
 )
 from gasketlab.rng import WordStream, derive_seed
 from gasketlab.sierpinski import build, subgaskets, vertex_count
+from gasketlab.twopart import SideInfo
 
 K3 = LabeledGraph.complete(3)
 S2 = build(2)
@@ -120,6 +121,16 @@ ESCAPES = {
     "build level float": (lambda: build(2.5), "gasket level"),
     "subgaskets level float": (lambda: subgaskets(S2, 1.5), "sub-gasket level"),
     "vertex_count text": (lambda: vertex_count("3"), "gasket level"),
+    "side info n float": (lambda: SideInfo.for_generator("complete:2", 2.5), "host size n"),
+    "side info n bool": (lambda: SideInfo.for_generator("complete:2", True), "host size n"),
+    "side info n text": (lambda: SideInfo.for_generator("complete:2", "5"), "host size n"),
+    "side info n past u32": (lambda: SideInfo(2**32, 2, "complete:2", False), "host size n"),
+    "side info k zero": (lambda: SideInfo.for_generator("empty:0", 5), "pattern size k"),
+    "generator id space": (lambda: SideInfo.for_generator("complete: 2", 5), "generator id"),
+    "generator id sign": (lambda: SideInfo.for_generator("complete:+2", 5), "generator id"),
+    "generator id underscore": (
+        lambda: SideInfo.for_generator("complete:2_0", 25), "generator id"),
+    "side info ordered text": (lambda: SideInfo(5, 2, "complete:2", "yes"), "ordered"),
 }
 
 

@@ -511,3 +511,20 @@ def test_unknown_graph_name_without_a_file_exits_1_saying_so(tmp_path, monkeypat
     code, out, err = run_main(["closeknit", "ratio", "--graph", "Q3", "--group", "1"], capsys)
     assert (code, out) == (1, "")
     assert "'Q3' is neither a known graph name nor an existing file" in err
+
+
+@pytest.mark.parametrize(
+    "gen, occ",
+    [("complete:1", "1"), ("empty:0", "1"), ("complete:2", "1,2"), ("complete:3", "1,2"),
+     ("sierpinski:1", "1,2,3")],
+)
+def test_encode_alt_reports_in_full_or_leaves_no_file(tmp_path, capsys, gen, occ):
+    out = tmp_path / "x.bin"
+    argv = ["encode", "alt", "--graph", "K3", "--occ", occ, "--gen", gen, "--out", str(out)]
+    code, stdout, err = run_main(argv, capsys)
+    if code == 0:
+        assert set(json.loads(stdout)) == {"out", "canonical_bits", "encoded_bits", "gain"}
+        assert out.exists()
+    else:
+        assert (code, stdout, out.exists()) == (1, "", False)
+        assert err.startswith("error:")

@@ -19,7 +19,6 @@ from gasketlab.closeknit import (
     _first_group,
     _ratio_test,
     family_scan,
-    internal_degree,
     is_rk_closeknit,
     min_ratio,
 )
@@ -29,6 +28,7 @@ from gasketlab.sierpinski import build
 
 from conftest import (
     grow_connected_group,
+    internal_degree,
     oracle_connected_groups_from,
     oracle_is_rk_closeknit,
     oracle_min_ratio,
@@ -189,7 +189,6 @@ def test_subset_labels_must_be_integers(label):
     k4 = LabeledGraph.complete(4)
     for call in (
         lambda: min_ratio(k4, (label, 3)),
-        lambda: internal_degree(k4, (label,), (1, 2, 3)),
         lambda: induced_subgraph(k4, (label, 3)),
         lambda: plant_occurrence(k4, LabeledGraph.complete(2), (label, 3)),
     ):

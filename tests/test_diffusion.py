@@ -14,12 +14,12 @@ from gasketlab.diffusion import (
     DiffusionConfig,
     Trace,
     _need,
-    _noise_cut,
     hitting_time_stats,
     risk_threshold,
     run,
 )
 from gasketlab.rng import derive_seed
+from gasketlab.rng import uniform_cut as _noise_cut
 from gasketlab.sierpinski import build, elementary_triangles, subgaskets
 
 GAME_THIRD = CoordinationGame(a=2, b=1, c=0, d=0)

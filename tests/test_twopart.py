@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import DomainError, LabeledGraph, encode, gnp_sample, twopart
+from gasketlab import DomainError, LabeledGraph, ResourceLimitError, encode, gnp_sample, twopart
 from gasketlab.experiments import plant_occurrence
 from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build, vertex_count
@@ -150,6 +150,26 @@ def test_for_generator_accepts_a_pattern_of_exactly_n_vertices():
     assert SideInfo.for_generator("empty:20", 20).k == 20
 
 
+def test_generator_ids_past_the_caps_are_refused_without_repeating_them():
+    with pytest.raises(ResourceLimitError, match="^gasket level of 5000 digits exceeds"):
+        SideInfo.for_generator("sierpinski:" + "9" * 5000, 20)
+    with pytest.raises(DomainError, match="^pattern size of 5000 digits of complete exceeds"):
+        SideInfo.for_generator("complete:" + "9" * 5000, 20)
+    with pytest.raises(DomainError, match="^generator id must be") as info:
+        SideInfo.for_generator("complete:" + "9" * 5000 + "x", 20)
+    assert len(str(info.value)) < 200
+
+
+def test_to_bytes_refuses_fields_the_side_info_does_not_hold():
+    side = SideInfo.for_generator("complete:2", 3)  # 2 subset bits, 2 residual bits
+    with pytest.raises(DomainError, match="residual must have C\\(n,2\\)-C\\(k,2\\)=2 bits"):
+        to_bytes(TwoPartEncoding(0, None, "0"), side)
+    with pytest.raises(DomainError, match="must not carry a permutation rank"):
+        to_bytes(TwoPartEncoding(0, 5, "00"), side)
+    blob = to_bytes(TwoPartEncoding(2, None, "10"), side)
+    assert from_bytes(blob) == (TwoPartEncoding(2, None, "10"), side)
+
+
 def test_serialization_byte_exact_golden():
     bits, subset, side = make_planted(12, 1, 31)
     enc = encode_two_part(bits, subset, side)
@@ -220,8 +240,8 @@ HOSTILE_BLOBS = {
 HOSTILE_MESSAGES = {
     "non_utf8_id": "UTF-8",
     "sierpinski_level_mismatch": "does not produce k=15",
-    "huge_sierpinski_level": "does not produce k=15",
-    "level_past_the_clamp": "does not produce",
+    "huge_sierpinski_level": "gasket level of 4001 digits exceeds the configured maximum 12",
+    "level_past_the_clamp": "gasket level 25 exceeds the configured maximum 12",
 }
 
 
