@@ -256,6 +256,13 @@ def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tupl
     return sub
 
 
+def check_graph(value, name: str) -> LabeledGraph:
+    """``value`` unchanged if it is a :class:`LabeledGraph`."""
+    if not isinstance(value, LabeledGraph):
+        raise DomainError(f"{name} must be a LabeledGraph, got {type(value).__name__}")
+    return value
+
+
 def _refuse_isolated(g: LabeledGraph, vertices: Iterable[int], consequence: str) -> None:
     """Raise DomainError naming the first of ``vertices`` with no neighbour."""
     for v in vertices:

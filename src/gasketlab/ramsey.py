@@ -5,15 +5,27 @@ Every search runs on one induced-embedding kernel (candidate filtering in
 the style of Ullmann and VF2).  Pattern vertices are placed in a
 connectivity order; the candidates for each position form a host bitmask:
 the vertices of high enough degree, adjacent to the images of the placed
-neighbours, non-adjacent to the images of the placed non-neighbours, and
-not used yet.  Twins of the pattern (vertices with the same open or the
-same closed neighbourhood) are interchangeable, so they are placed in
-increasing image order and each image set is reached once per ordering of
-the other vertices, not once per permutation of the twins.  Occurrence
-search pins the smallest image vertex s, in increasing order, to one
-vertex of each automorphism orbit of the pattern and restricts every
-other position to vertices above s, so the copies come out grouped by
-their smallest vertex and a ``limit`` stops the search early.
+neighbours, non-adjacent to the images of the placed non-neighbours, not
+used yet, and above the images of the earlier positions its plan names.
+Twins of the pattern (vertices with the same open or the same closed
+neighbourhood) are interchangeable, so each is placed above its latest
+twin's image and each image set is reached once per ordering of the other
+vertices, not once per permutation of the twins.
+
+Occurrence search pins the smallest image vertex s, in increasing order,
+to one vertex r of each automorphism orbit of the pattern and restricts
+every other position to vertices above s, so the copies come out grouped
+by their smallest vertex and a ``limit`` stops the search early.  The
+automorphisms that fix r still map a copy onto itself in several ways;
+the symmetry-breaking conditions of Grochow and Kellis (RECOMB 2007),
+taken over twin classes, keep exactly one: the class whose orbit under
+the automorphisms fixing r is largest gets its first-placed member's image
+below that of every other class in the orbit, the group shrinks to that
+class's stabilizer, and so on until it fixes every class.  Orbits come from
+pinned embedding queries of the pattern into itself, never from listing
+the group, and colour refinement rules out most pairs of classes that no
+automorphism joins without a query.  So each copy is found exactly once.  The plans depend only on
+the pattern and are kept for the last ``PLAN_CACHE_SIZE`` patterns.
 
 A host graph G is *verified* for pattern H when every 2-coloring of E(G)
 contains a monochromatic induced copy of H.  A coloring is an index r (bit
@@ -46,10 +58,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError, check_int, check_real
-from .graphs import LabeledGraph, connected_components, disjoint_union, induced_subgraph
+from .graphs import (
+    LabeledGraph,
+    check_graph,
+    connected_components,
+    disjoint_union,
+    induced_subgraph,
+)
 from . import sierpinski
 
 __all__ = [
@@ -69,6 +88,7 @@ __all__ = [
 ]
 
 PATTERN_SIZE_MAX = 16
+PLAN_CACHE_SIZE = 64  # patterns whose occurrence plans are kept
 COLORING_EDGE_BUDGET = 28
 
 TwoColoring = dict[tuple[int, int], str]
@@ -95,13 +115,18 @@ def _allowed(g: LabeledGraph, pattern: LabeledGraph, order: list[int]) -> list[i
     """Per position of ``order``, the bitmask of the vertices of g whose
     degree is at least that of the pattern vertex placed there."""
     degrees = [len(g.adj[w]) for w in g.vertices()]
-    return [sum(1 << b for b, d in enumerate(degrees) if d >= len(pattern.adj[v])) for v in order]
+    masks = {
+        d: sum(1 << b for b, e in enumerate(degrees) if e >= d)
+        for d in {len(pattern.adj[v]) for v in order}
+    }
+    return [masks[len(pattern.adj[v])] for v in order]
 
 
 def _plan(pattern: LabeledGraph, root: int | None = None):
     """(order, steps): the placement order of the pattern vertices and, per
     position, the earlier positions of its neighbours, of its
-    non-neighbours, and of its latest twin (-1 if none).
+    non-neighbours, and of those whose images must be lower: its latest
+    twin's, if any.
 
     ``root`` (default: a vertex of highest degree) comes first, then always
     the vertex with the most placed neighbours, ties broken by higher degree
@@ -121,7 +146,7 @@ def _plan(pattern: LabeledGraph, root: int | None = None):
         (
             [q for q, u in enumerate(order[:t]) if u in adj[v]],
             [q for q, u in enumerate(order[:t]) if u not in adj[v]],
-            max([q for q, u in enumerate(order[:t]) if key[u] == key[v]], default=-1),
+            [q for q, u in enumerate(order[:t]) if key[u] == key[v]][-1:],
         )
         for t, v in enumerate(order)
     ]
@@ -134,8 +159,11 @@ def _embeddings(rows: list[int], steps, allowed: list[int]) -> Iterator[list[int
     ``rows[b]`` is the neighbour bitmask of host vertex bit b, and
     ``allowed[t]`` the host bits position t may take.  Each embedding is
     yielded as the list of host bits by position, in lexicographic order,
-    with twins in increasing order; the list is reused, so copy what you
-    keep.
+    with each position above the images of the positions its step lists as
+    lower; the list is reused, so copy what you keep.  With the plans of
+    :func:`_root_plans`, pinned as :func:`find_induced_occurrences` pins
+    them, every copy is yielded exactly once; those plans are built once
+    per pattern and kept for the last ``PLAN_CACHE_SIZE`` (64) patterns.
     """
     k = len(steps)
     if not k:  # the empty pattern embeds once
@@ -161,14 +189,14 @@ def _embeddings(rows: list[int], steps, allowed: list[int]) -> Iterator[list[int
             continue
         used |= low
         t += 1
-        adjacent, apart, twin = steps[t]
+        adjacent, apart, lower = steps[t]
         c = allowed[t] & ~used
         for q in adjacent:
             c &= rows[image[q]]
         for q in apart:
             c &= ~rows[image[q]]
-        if twin >= 0:
-            c &= -2 << image[twin]  # only vertices above the twin's image
+        for q in lower:
+            c &= -2 << image[q]  # only vertices above that position's image
         pool[t] = c
 
 
@@ -183,29 +211,117 @@ def _isomorphisms(a: LabeledGraph, b: LabeledGraph) -> Iterator[tuple[list[int],
             yield order, image
 
 
-def _root_plans(pattern: LabeledGraph) -> list:
-    """The (order, steps) plans rooted at the smallest vertex of each
-    automorphism orbit.
+def _refined(pattern: LabeledGraph, colors: list[int]) -> list[int]:
+    """Colour refinement (one-dimensional Weisfeiler-Leman) of per-vertex
+    ``colors`` by the multiset of neighbour colours, until no colour
+    splits.  An automorphism that keeps every starting colour keeps every
+    final one."""
+    count = len(set(colors))
+    while True:
+        signatures = [
+            (c, *sorted(map(colors.__getitem__, nbrs))) for c, nbrs in zip(colors, pattern.adj)
+        ]
+        palette = dict.fromkeys(signatures)
+        if len(palette) == count:
+            return colors
+        count = len(palette)
+        palette = {sig: i for i, sig in enumerate(palette)}
+        colors = [palette[sig] for sig in signatures]
 
-    Twins share an orbit, so only the first vertex v of a twin class can
-    start one.  It joins the orbit of an earlier root r iff an automorphism
-    maps r to one of v's twins: the twin-ordered automorphism that the
-    kernel finds maps r to the smallest image of r's class, which is a twin
-    of v whenever some automorphism maps r to v.
+
+def _class_orbits(pattern: LabeledGraph, plan, classes: list[int], pins: dict[int, int], blocks):
+    """The orbits of twin classes (``classes[v]`` is the bitmask of v's)
+    under the automorphisms that fix each class of ``pins``, as lists
+    inside ``blocks`` (lists of classes, each a union of orbits).
+
+    Class d joins c's orbit iff the kernel finds a twin-ordered embedding of
+    the pattern into itself, by its (order, steps) ``plan``, that maps c
+    onto d and keeps the pins; the query is made only if colour refinement
+    from the pinned classes leaves c and d one colour, and the automorphism
+    found also joins the images of the orbit so far.
     """
-    key, rows = _twin_keys(pattern), pattern.row_masks()[1:]
-    plans: list = []
-    for v in pattern.vertices():
-        twins = sum(1 << (u - 1) for u in pattern.vertices() if key[u] == key[v])
-        if twins & ((1 << (v - 1)) - 1):
-            continue  # an earlier twin stands for v
-        for order, steps in plans:
-            allowed = [twins] + _allowed(pattern, pattern, order)[1:]
-            if next(_embeddings(rows, steps, allowed), None) is not None:
-                break  # v is in the orbit of this plan's root
-        else:
-            plans.append(_plan(pattern, v))
-    return plans
+    (order, steps), rows = plan, pattern.row_masks()[1:]
+    at, allowed = {u: t for t, u in enumerate(order)}, _allowed(pattern, pattern, order)
+    color = None  # refined only if some block holds a pair to query
+    if max(map(len, blocks)) > 1:
+        color = _refined(pattern, [pins.get(c, 0) for c in classes])
+    orbits = []
+    for rest in blocks:
+        while rest:
+            c = rest[0]
+            orbit = [c]
+            for d in rest[1:]:
+                if d in orbit or color[d.bit_length()] != color[c.bit_length()]:
+                    continue
+                onto = {**pins, c: d}
+                pinned = [mask & onto.get(classes[u], -1) for u, mask in zip(order, allowed)]
+                image = next(_embeddings(rows, steps, pinned), None)
+                if image is not None:
+                    orbit += {classes[image[at[x.bit_length()]] + 1] for x in orbit} - set(orbit)
+            rest = [d for d in rest if d not in orbit]
+            orbits.append(orbit)
+    return orbits
+
+
+def _breaking_conditions(pattern: LabeledGraph, plan, classes: list[int]) -> list[tuple[int, int]]:
+    """Position pairs (p, q), p < q, such that exactly one of the
+    twin-ordered embeddings that a plan rooted at r finds for one copy, all
+    with r at one image, has image[p] < image[q] for every pair.
+
+    Those embeddings differ by the automorphisms fixing r's twin class,
+    acting on twin classes.  Each round takes the largest orbit of classes
+    under the automorphisms that fix every class fixed so far, ties to the
+    earliest placed; its earliest-placed class C must have the lowest first
+    image, and C is fixed too.  An orbit of the smaller group lies inside
+    one of the larger group's, so each round only splits the last round's
+    orbits.
+    """
+    first: dict[int, int] = {}  # twin class -> position of its first placed member
+    for t, u in enumerate(plan[0]):
+        first.setdefault(classes[u], t)
+    root, *rest = first
+    pins = {root: root}
+    blocks, pairs = [rest], []
+    while blocks:
+        orbits = [
+            sorted(orbit, key=first.get)
+            for orbit in _class_orbits(pattern, plan, classes, pins, blocks)
+        ]
+        # a class alone in its orbit is fixed already: pinning it only prunes queries
+        pins.update((orbit[0], orbit[0]) for orbit in orbits if len(orbit) == 1)
+        blocks = [orbit for orbit in orbits if len(orbit) > 1]
+        if blocks:
+            c, *others = min(blocks, key=lambda orbit: (-len(orbit), first[orbit[0]]))
+            pairs += [(first[c], first[d]) for d in others]
+            pins[c] = c
+            blocks = [[d for d in orbit if d != c] for orbit in blocks]
+    return pairs
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _root_plans(pattern: LabeledGraph) -> tuple:
+    """The occurrence plans of ``pattern``: an (order, steps) plan rooted at
+    the smallest vertex of each automorphism orbit, each step also listing
+    the earlier positions its breaking conditions put lower.  Twins share
+    an orbit, so the orbits are those of the twin classes, found on the
+    plan rooted at vertex 1."""
+    key = _twin_keys(pattern)
+    classes = [0] + [
+        sum(1 << (u - 1) for u in pattern.vertices() if key[u] == key[v])
+        for v in pattern.vertices()
+    ]
+    probe = _plan(pattern, 1)
+    orbits = _class_orbits(pattern, probe, classes, {}, [list(dict.fromkeys(classes[1:]))])
+    out = []
+    for root in sorted(min(c & -c for c in orbit).bit_length() for orbit in orbits):
+        order, steps = probe if root == 1 else _plan(pattern, root)
+        pairs = _breaking_conditions(pattern, (order, steps), classes)
+        steps = [
+            (tuple(adjacent), tuple(apart), tuple(lower + [p for p, q in pairs if q == t]))
+            for t, (adjacent, apart, lower) in enumerate(steps)
+        ]
+        out.append((tuple(order), tuple(steps)))
+    return tuple(out)
 
 
 def find_induced_occurrences(
@@ -217,9 +333,12 @@ def find_induced_occurrences(
     lexicographic subset order.  The copies are found grouped by their
     smallest vertex s, in increasing order: s is pinned to the root of each
     automorphism orbit of the pattern, every other position is restricted
-    to vertices above s, and image sets are deduplicated.  The search stops
-    after the first group that reaches ``limit``.
+    to vertices above s, and the breaking conditions leave one embedding
+    per copy.  The search stops after the first group that reaches
+    ``limit``.
     """
+    check_graph(g, "host graph")
+    check_graph(pattern, "pattern")
     k = pattern.n
     if k > PATTERN_SIZE_MAX:
         raise DomainError(
@@ -236,12 +355,12 @@ def find_induced_occurrences(
     out: list[tuple[int, ...]] = []
     for s in range(g.n):
         above = -2 << s
-        found = set()
+        group = []
         for steps, allowed in plans:
             if allowed[0] >> s & 1:
                 pinned = [1 << s] + [mask & above for mask in allowed[1:]]
-                found.update(tuple(sorted(image)) for image in _embeddings(rows, steps, pinned))
-        out.extend(tuple(b + 1 for b in image) for image in sorted(found))
+                group += [tuple(sorted(image)) for image in _embeddings(rows, steps, pinned)]
+        out.extend(tuple(b + 1 for b in image) for image in sorted(group))
         if limit is not None and len(out) >= limit:
             return out[:limit]
     return out
@@ -283,6 +402,8 @@ def has_mono_induced(
 
     Non-edges of the copy carry no color constraint.
     """
+    check_graph(g, "host graph")
+    check_graph(pattern, "pattern")
     col = _validate_coloring(g, coloring)
     for subset in find_induced_occurrences(g, pattern):
         colors = {col[e] for e in _copy_edges(g, subset)}
@@ -345,6 +466,8 @@ def is_host(
     smallest such coloring index as witness: the union of the components'
     smallest avoiding colorings, the edges in no copy blue.
     """
+    check_graph(g, "host graph")
+    check_graph(pattern, "pattern")
     max_edges = check_int(max_edges, "max_edges")
     edges = list(g.edges())
     m = len(edges)
@@ -393,6 +516,7 @@ def induced_ramsey_oracle(
     hosts: list[LabeledGraph],
     max_edges: int = COLORING_EDGE_BUDGET,
 ) -> OracleResult:
+    check_graph(pattern, "pattern")  # each host is checked by is_host
     certs: list[HostCertificate] = []
     for idx, host in enumerate(hosts):
         cert = is_host(host, pattern, max_edges=max_edges)
@@ -413,6 +537,8 @@ class UnionConstruction:
 
 
 def construct_union(g1: LabeledGraph, g2: LabeledGraph) -> UnionConstruction:
+    check_graph(g1, "g1")
+    check_graph(g2, "g2")
     union = disjoint_union(g1, g2)
     return UnionConstruction(
         graph=union,
@@ -442,6 +568,8 @@ def split_union(
     raises :class:`ResourceLimitError` for a component over ``max_edges``
     edges, the budget of an exhaustive 2-coloring check.
     """
+    check_graph(g, "host graph")
+    check_graph(pattern, "pattern")
     if mode not in ("fast", "proof-faithful"):
         raise DomainError(f"mode must be 'fast' or 'proof-faithful', got {mode!r}")
     max_edges = check_int(max_edges, "max_edges")
@@ -482,6 +610,7 @@ class BoundsReport:
 
 
 def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
+    check_graph(pattern, "pattern")
     if not (0 < check_real(c, "c") < math.inf and 0 < check_real(c_d, "c_d") < math.inf):
         raise DomainError(f"constants must be positive and finite, got c={c}, c_d={c_d}")
     k = pattern.n

@@ -129,12 +129,16 @@ class SideInfo:
         if not isinstance(self.ordered, bool):
             raise DomainError(f"ordered must be a bool, got {self.ordered!r}")
         _, _, size = _read_generator(self.generator_id)
+        if len(self.generator_id) > 0xFFFF:
+            raise DomainError(
+                f"generator id of {len(self.generator_id)} characters is too long to serialize"
+            )
         if size != self.k:
-            raise DomainError(f"generator {self.generator_id!r} does not produce k={self.k} vertices")
+            raise DomainError(
+                f"generator {self.generator_id!r:.60} does not produce k={self.k} vertices"
+            )
         if self.n < self.k:
             raise DomainError(f"host size n={self.n} must be >= pattern size k={self.k}")
-        if len(self.generator_id) > 0xFFFF:
-            raise DomainError("generator id too long to serialize")
 
     @staticmethod
     def for_generator(generator_id: str, n: int, ordered: bool | None = None) -> "SideInfo":
@@ -272,7 +276,7 @@ def encode_two_part(
         if text[at] != ("1" if t + 1 in pattern.adj[s + 1] else "0"):
             raise DomainError(
                 f"subset {occ} is not an ordered occurrence of "
-                f"{side.generator_id!r}: pair ({occ[s]},{occ[t]}) disagrees"
+                f"{side.generator_id!r:.60}: pair ({occ[s]},{occ[t]}) disagrees"
             )
         pieces.append(text[prev:at])
         prev = at + 1

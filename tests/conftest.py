@@ -30,6 +30,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
 from gasketlab import DomainError, LabeledGraph, ResourceLimitError, induced_subgraph, sierpinski
 from gasketlab.closeknit import CloseKnitResult, min_ratio
@@ -44,6 +45,16 @@ def to_nx(g: LabeledGraph) -> nx.Graph:
     G.add_nodes_from(range(1, g.n + 1))
     G.add_edges_from(g.edges())
     return G
+
+
+def atlas_graphs(max_n: int = 6) -> list[LabeledGraph]:
+    """The networkx atlas graphs on at most ``max_n`` vertices (at most 7),
+    labelled 1..n, in atlas order: by vertex count, then edge count."""
+    return [
+        LabeledGraph.from_edges(a.number_of_nodes(), [(i + 1, j + 1) for i, j in a.edges()])
+        for a in graph_atlas_g()
+        if a.number_of_nodes() <= max_n
+    ]
 
 
 def nx_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:

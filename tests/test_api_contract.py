@@ -3,8 +3,9 @@ argument that once escaped as a TypeError, ValueError, AttributeError or
 RecursionError, or was silently taken as some other value (a bool as 0/1, a
 float truncated or carried through the arithmetic).
 
-Integer arguments all go through ``errors.check_int`` and real ones through
-``errors.check_real``; the boundary rows check that the shared checks still
+Integer arguments all go through ``errors.check_int``, real ones through
+``errors.check_real`` and the graphs of the search entry points through
+``graphs.check_graph``; the boundary rows check that the shared checks still
 take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
 the largest group size, ``limit=1``).
 """
@@ -27,8 +28,10 @@ from gasketlab.errors import check_int, check_real
 from gasketlab.graphs import EdgeBitString, as_subset, gnp_sample, pair_at, pos
 from gasketlab.ramsey import (
     bounds_report,
+    construct_union,
     find_induced_occurrences,
     has_mono_induced,
+    induced_ramsey_oracle,
     is_host,
     split_union,
 )
@@ -131,6 +134,26 @@ ESCAPES = {
     "generator id underscore": (
         lambda: SideInfo.for_generator("complete:2_0", 25), "generator id"),
     "side info ordered text": (lambda: SideInfo(5, 2, "complete:2", "yes"), "ordered"),
+    "side info id past u16": (
+        lambda: SideInfo(20, 4, "complete:" + "0" * 70000 + "3", False),
+        "^generator id of 70010 characters is too long to serialize$"),
+    "side info id k mismatch": (
+        lambda: SideInfo(20, 4, "complete:" + "0" * 60000 + "3", False),
+        r"^generator 'complete:0{50} does not produce k=4 vertices$"),
+    "occurrences host text": (lambda: find_induced_occurrences("x", K3), "host graph must be a"),
+    "occurrences pattern list": (
+        lambda: find_induced_occurrences(K3, [[1, 2]]), "pattern must be a LabeledGraph, got list"),
+    "mono host text": (lambda: has_mono_induced("x", {}, K3), "host graph"),
+    "mono pattern none": (lambda: has_mono_induced(K3, {}, None), "pattern"),
+    "host host text": (lambda: is_host("x", K3), "host graph"),
+    "host pattern dict": (lambda: is_host(K3, {}), "pattern must be a LabeledGraph, got dict"),
+    "oracle pattern text": (lambda: induced_ramsey_oracle("K3", [K3]), "pattern"),
+    "oracle host text": (lambda: induced_ramsey_oracle(K3, ["K6"]), "host graph"),
+    "union g1 text": (lambda: construct_union("x", K3), "g1 must be a LabeledGraph"),
+    "union g2 none": (lambda: construct_union(K3, None), "g2 must be a LabeledGraph"),
+    "split host text": (lambda: split_union("x", K3), "host graph"),
+    "split pattern text": (lambda: split_union(K3, "K3"), "pattern"),
+    "bounds pattern text": (lambda: bounds_report("S2", 1, 3), "pattern must be a LabeledGraph"),
 }
 
 

@@ -2,6 +2,7 @@
 coloring search against the slow paths they replaced (kept in conftest) and
 networkx."""
 
+import random
 import time
 from itertools import combinations
 
@@ -11,9 +12,16 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from gasketlab import LabeledGraph, disjoint_union, gnp_sample
 from gasketlab.isomorphism import automorphism_count, find_isomorphism
-from gasketlab.ramsey import _root_plans, find_induced_occurrences, is_host
+from gasketlab.ramsey import (
+    _allowed,
+    _embeddings,
+    _root_plans,
+    find_induced_occurrences,
+    is_host,
+)
 
 from conftest import (
+    atlas_graphs,
     oracle_automorphism_count,
     oracle_find_isomorphism,
     oracle_is_host,
@@ -82,6 +90,73 @@ def test_search_roots_are_the_automorphism_orbit_minima(pattern):
         for v, w in auto.items():
             orbit_min[w] = min(orbit_min[w], v)
     assert [order[0] for order, _ in _root_plans(pattern)] == sorted(set(orbit_min.values()))
+
+
+def kernel_images(g, pattern):
+    """Every image set the kernel yields for the occurrence plans, pinned as
+    ``find_induced_occurrences`` pins them, duplicates kept."""
+    rows, out = g.row_masks()[1:], []
+    for order, steps in _root_plans(pattern):
+        allowed = _allowed(g, pattern, order)
+        for s in range(g.n):
+            if allowed[0] >> s & 1:
+                pinned = [1 << s] + [mask & (-2 << s) for mask in allowed[1:]]
+                images = _embeddings(rows, steps, pinned)
+                out += [tuple(sorted(b + 1 for b in image)) for image in images]
+    return out
+
+
+def with_copies(pattern, clones, extra, seed):
+    """``pattern`` with ``clones`` of its vertices duplicated (a clone has the
+    original's neighbours and a random edge to it, so swapping it in is a
+    second copy) and ``extra`` vertices of random edges, all relabelled at
+    random."""
+    rnd = random.Random(seed)
+    k, n = pattern.n, pattern.n + clones + extra
+    edges = list(pattern.edges())
+    for w, v in enumerate(rnd.sample(list(pattern.vertices()), clones), k + 1):
+        edges += [(u, w) for u in pattern.adj[v]] + [(v, w)] * (rnd.random() < 0.5)
+    for w in range(k + clones + 1, n + 1):
+        edges += [(u, w) for u in range(1, w) if rnd.random() < 0.5]
+    perm = rnd.sample(range(1, n + 1), n)
+    return LabeledGraph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in edges])
+
+
+def test_each_copy_is_yielded_once_for_every_small_pattern():
+    # every atlas graph on 1-6 vertices, against G(9, 1/2) and a host with
+    # copies of it that share all but one or two vertices
+    for index, pattern in enumerate(atlas_graphs()[1:]):
+        for g in (gnp_sample(9, 0.5, index), with_copies(pattern, min(pattern.n, 2), 1, index)):
+            expected = oracle_occurrences(g, pattern)
+            assert sorted(kernel_images(g, pattern)) == expected
+            assert find_induced_occurrences(g, pattern) == expected
+
+
+def union_of(*parts):
+    pattern = LabeledGraph.empty(0)
+    for part in parts:
+        pattern = disjoint_union(pattern, part)
+    return pattern
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        union_of(*[LabeledGraph.complete(2)] * 8),
+        union_of(*[LabeledGraph.complete(3)] * 5, LabeledGraph.empty(1)),
+        LabeledGraph.from_edges(  # the 4-cube Q4: labels 1 + a and 1 + a + bit
+            16, [(1 + a, 1 + a + bit) for a in range(16) for bit in (1, 2, 4, 8) if not a & bit]
+        ),
+    ],
+    ids=["8K2", "5K3+K1", "Q4"],
+)
+def test_each_copy_is_yielded_once_for_large_symmetric_patterns(pattern):
+    for clones, extra in ((1, 1), (2, 2)):
+        g = with_copies(pattern, clones, extra, pattern.edge_count)
+        expected = oracle_occurrences(g, pattern)
+        assert len(expected) >= 2
+        assert sorted(kernel_images(g, pattern)) == expected
+        assert find_induced_occurrences(g, pattern) == expected
 
 
 @pytest.mark.parametrize(

@@ -14,22 +14,12 @@ import random
 import sys
 from pathlib import Path
 
-from networkx.generators.atlas import graph_atlas_g
-
 from gasketlab import LabeledGraph
 from gasketlab.isomorphism import automorphism_count, find_isomorphism
 
+from conftest import atlas_graphs
+
 GOLDEN = Path(__file__).resolve().parent / "golden" / "isomorphism_maps.jsonl"
-MAX_VERTICES = 6
-
-
-def atlas_graphs() -> list[LabeledGraph]:
-    """The atlas graphs on at most ``MAX_VERTICES`` vertices, labelled 1..n."""
-    return [
-        LabeledGraph.from_edges(a.number_of_nodes(), [(i + 1, j + 1) for i, j in a.edges()])
-        for a in graph_atlas_g()
-        if a.number_of_nodes() <= MAX_VERTICES
-    ]
 
 
 def records() -> list[dict]:
