@@ -13,10 +13,13 @@ against 1/2) never touch floating point.  ``min_ratio`` finds the minimum by
 a sequence of integer-capacity s-t minimum cuts (Dinkelbach's iteration),
 not by visiting subsets.  Certification never computes a minimum: with
 r = p/q it only asks whether every slack q d(S', S) - p vol(S') is
-nonnegative, which is integer arithmetic that stops at the first negative.
-The singleton slacks say that member u needs ceil(p deg(u) / q) in-group
-neighbours; the group search keeps each vertex's in-group neighbour count,
-so a group in which some member falls short is counted but never tested.
+nonnegative, which is integer arithmetic.  The singleton slacks say that
+member u needs ceil(p deg(u) / q) in-group neighbours; the group search
+keeps each vertex's in-group neighbour count, so a group in which some
+member falls short is counted but never tested.  A tested group is checked
+on S' = S first, in O(|S|), and only then subset by subset, stopping at the
+first negative.  Since d(S, S) = e(S) <= vol(S) / 2, ratio(S) <= 1/2 bounds
+every minimum, and for r > 1/2 every tested group is rejected on S alone.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .diffusion import _need
-from .errors import DomainError, ResourceLimitError, check_int
-from .graphs import LabeledGraph, _refuse_isolated, as_subset
+from .errors import DomainError, ResourceLimitError, check_int, check_real
+from .graphs import LabeledGraph, _refuse_isolated, as_subset, check_graph
 
 __all__ = [
     "GroupReport",
@@ -61,7 +64,7 @@ class CloseKnitResult:
 
 
 def _check_group(g: LabeledGraph, members: Iterable[int]) -> tuple[int, ...]:
-    group = as_subset(members, g.n, nonempty=True)
+    group = as_subset(members, check_graph(g, "graph").n, nonempty=True)
     _refuse_isolated(g, group, "close-knit ratios assume no isolated vertices")
     return group
 
@@ -179,9 +182,12 @@ def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
 def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
     """``accept`` for ``_first_group``: whether min_ratio(g, group) >= r.
 
-    With r = p/q, tracks slack(S') = q d(S', S) - p vol(S') over every
-    subset, in blocks: the masks of block t are {t} | rest for each rest
-    below bit t, and
+    With r = p/q, slack(S') = q d(S', S) - p vol(S').  S' = S comes first:
+    d(S, S) is half the sum of the members' in-group degrees, so the group
+    fails in O(|S|) when 2 slack(S) < 0, as every group does for r > 1/2
+    (ratio(S) <= 1/2).  Only a group that passes goes on to every subset,
+    in blocks: the masks of block t are {t} | rest for each rest below bit
+    t, and
 
         d(S' + t, S) = d(S', S) + |N(t) & S| - |N(t) & S'|.
 
@@ -194,6 +200,8 @@ def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
     pdeg = [p * len(row) for row in g.adj]
 
     def accept(members: dict[int, int], rows: list[int]) -> bool:
+        if q * sum(map(int.bit_count, rows)) < 2 * sum(map(pdeg.__getitem__, members)):
+            return False  # slack(S) < 0: S itself is below r
         slack = [0]
         for v, nt in zip(members, rows):
             gain = q * nt.bit_count() - pdeg[v]  # slack of the singleton
@@ -276,6 +284,15 @@ def _first_group(
     return grow([v]), examined
 
 
+def _ratio_bound(r) -> Fraction:
+    """``r`` as a Fraction: a real number, not a bool, and finite."""
+    r = check_real(r, "ratio bound r")
+    try:
+        return Fraction(r)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"ratio bound r must be a finite rational, got {r!r}") from None
+
+
 def is_rk_closeknit(
     g: LabeledGraph,
     r: Fraction | int,
@@ -290,15 +307,15 @@ def is_rk_closeknit(
     label order and candidates in enumeration order, so the witness map is
     deterministic.  A candidate in which every member u has at least
     ceil(r deg(u)) in-group neighbours is tested for ratio >= r by integer
-    slack with an early exit (``_ratio_test``), not by computing its
-    minimum; any other candidate has a singleton below r.
+    slack (``_ratio_test``), not by computing its minimum: first on the
+    whole group, then subset by subset with an early exit.  Any other
+    candidate has a singleton below r.  Since ratio(S) <= 1/2 for every
+    group, no graph is (r, k)-close-knit for r > 1/2.
     """
+    check_graph(g, "graph")
     k = check_int(k, "group-size bound k", 1, GROUP_SIZE_MAX)
     groups_cap = check_int(groups_cap, "groups_cap")
-    try:
-        r = Fraction(r)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"ratio bound r must be a finite rational, got {r!r}") from None
+    r = _ratio_bound(r)
     _refuse_isolated(g, g.vertices(), "close-knit certification assumes none")
     accept = _ratio_test(g, r)
     need = [_need(len(row), r) for row in g.adj]  # where a singleton's slack turns >= 0
@@ -328,7 +345,12 @@ def family_scan(
     value None records that no k <= k_cap succeeded.  Each certificate
     searches at most ``GROUPS_PER_VERTEX_CAP`` groups per vertex.
     """
+    if not isinstance(graphs, dict):
+        raise DomainError(f"graphs must be a dict of LabeledGraph, got {type(graphs).__name__}")
     k_cap = check_int(k_cap, "k_cap", 1, GROUP_SIZE_MAX)
+    r = _ratio_bound(r)
+    for key, g in graphs.items():
+        check_graph(g, f"graphs[{key!r}]")
     ks = range(1, k_cap + 1)
     return {
         key: next((k for k in ks if is_rk_closeknit(graphs[key], r, k).success), None)

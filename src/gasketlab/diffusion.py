@@ -120,6 +120,14 @@ def _need(deg: int, r_star: Fraction) -> int:
     return -(-r_star.numerator * deg // r_star.denominator)
 
 
+def _check_types(g, game, config) -> None:
+    """Refuse a graph, game or config of the wrong type before any is read."""
+    kinds = (LabeledGraph, CoordinationGame, DiffusionConfig)
+    for value, name, kind in zip((g, game, config), ("graph", "game", "config"), kinds):
+        if not isinstance(value, kind):
+            raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _counts(
     g: LabeledGraph,
     game: CoordinationGame,
@@ -205,6 +213,7 @@ def run(
     epsilon > 0), then strategy coin (only if the noise fired; A iff the word
     is odd).  With epsilon = 0 the all-A state is absorbing.
     """
+    _check_types(g, game, config)
     counts, final = _counts(g, game, config, g.n)
     hit = len(counts) - 1 if counts[-1] == g.n else None
     return Trace(tuple(counts), hit, final)
@@ -232,6 +241,7 @@ def hitting_time_stats(
     at its first count >= target: that revision is its hit.  The statistics
     are exact over the samples.
     """
+    _check_types(g, game, config)
     trials = check_int(trials, "trials", 1)
     if not 0 < check_real(adoption_fraction, "adoption_fraction") <= 1:
         raise DomainError(f"adoption_fraction must be in (0, 1], got {adoption_fraction}")

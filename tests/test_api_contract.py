@@ -4,10 +4,11 @@ RecursionError, or was silently taken as some other value (a bool as 0/1, a
 float truncated or carried through the arithmetic).
 
 Integer arguments all go through ``errors.check_int``, real ones through
-``errors.check_real`` and the graphs of the search entry points through
-``graphs.check_graph``; the boundary rows check that the shared checks still
-take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
-the largest group size, ``limit=1``).
+``errors.check_real``, the graphs of the search and close-knit entry points
+through ``graphs.check_graph``, and the graph, game and config of the
+diffusion entry points through one ``isinstance`` check; the boundary rows
+check that the shared checks still take what they should (seeds 0 and
+2^64 - 1, objects with ``__index__``, the largest group size, ``limit=1``).
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketlab import DomainError, LabeledGraph
-from gasketlab.closeknit import GROUP_SIZE_MAX, is_rk_closeknit
+from gasketlab.closeknit import GROUP_SIZE_MAX, family_scan, is_rk_closeknit, min_ratio
 from gasketlab.diffusion import (
     CoordinationGame,
     DiffusionConfig,
@@ -83,6 +84,24 @@ ESCAPES = {
     "derive_seed master bool": (lambda: derive_seed(True, "x"), "seed"),
     "cert k bool": (lambda: is_rk_closeknit(K3, HALF, True), "k must be an integer"),
     "cert groups_cap float": (lambda: is_rk_closeknit(K3, HALF, 3, groups_cap=2.5), "groups_cap"),
+    "cert r bool": (lambda: is_rk_closeknit(S2.graph, True, 3), "^ratio bound r must be a real"),
+    "cert r text": (lambda: is_rk_closeknit(S2.graph, "1/2", 3), "^ratio bound r must be a real"),
+    "scan r bool": (lambda: family_scan({1: S2.graph}, True), "^ratio bound r must be a real"),
+    "scan r text": (lambda: family_scan({}, "1/2"), "^ratio bound r must be a real"),
+    "cert graph text": (lambda: is_rk_closeknit("x", HALF, 3), "^graph must be a LabeledGraph"),
+    "ratio graph text": (lambda: min_ratio("x", (1,)), "^graph must be a LabeledGraph, got str"),
+    "scan graphs text": (lambda: family_scan("x", HALF), "^graphs must be a dict"),
+    "scan graphs list": (lambda: family_scan([S2.graph], HALF), "^graphs must be a dict"),
+    "scan graph value text": (
+        lambda: family_scan({1: S2.graph, 2: "x"}, HALF), r"^graphs\[2\] must be a LabeledGraph"),
+    "run graph text": (lambda: run("x", GAME, DiffusionConfig()), "^graph must be a LabeledGraph"),
+    "run game text": (lambda: run(K3, "x", DiffusionConfig()), "^game must be a CoordinationGame"),
+    "run config dict": (lambda: run(K3, GAME, {}), "^config must be a DiffusionConfig, got dict"),
+    "stats graph text": (
+        lambda: hitting_time_stats("x", GAME, DiffusionConfig(), 1), "^graph must be a"),
+    "stats game none": (
+        lambda: hitting_time_stats(K3, None, DiffusionConfig(), 1), "^game must be a"),
+    "stats config none": (lambda: hitting_time_stats(K3, GAME, None, 1), "^config must be a"),
     "host max_edges float": (lambda: is_host(K3, K3, max_edges=2.5), "max_edges"),
     "split max_edges text": (lambda: split_union(K3, K3, max_edges="x"), "max_edges"),
     "bounds c text": (lambda: bounds_report(K3, "x", 3), "c must"),

@@ -221,6 +221,49 @@ def test_ratio_at_least_matches_exact_minimum(kind, n, seed, data):
         assert _ratio_test(g, r)(members, rows) == (exact >= r), r
 
 
+def _with_leaves(n: int, edges, owners) -> LabeledGraph:
+    """Vertices 1..n with ``edges``, and two pendant leaves on each owner."""
+    leaves = [(v, n + 1 + 2 * i + j) for i, v in enumerate(owners) for j in (0, 1)]
+    return LabeledGraph.from_edges(n + len(leaves), list(edges) + leaves)
+
+
+def _subset_ratio(g: LabeledGraph, sub, group) -> Fraction:
+    return Fraction(internal_degree(g, sub, group), sum(g.degree(v) for v in sub))
+
+
+# A 4-cycle whose members each have two leaves outside it: ratio 1/4 on the
+# whole group, at least 1/3 on every proper subset.
+WHOLE_ONLY = (_with_leaves(4, [(1, 2), (2, 3), (3, 4), (1, 4)], (1, 2, 3, 4)), (1, 2, 3, 4))
+# Two triangles joined by the edge 3-4, with two leaves on each of 1, 2, 3:
+# ratio 7/20 on the whole group and >= 1/2 on each singleton, but 4/13 on the
+# triangle {1, 2, 3}.
+SUBSET_ONLY = (
+    _with_leaves(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)], (1, 2, 3)),
+    (1, 2, 3, 4, 5, 6),
+)
+
+
+@pytest.mark.parametrize("g, group, r", [(*WHOLE_ONLY, Fraction(3, 10)),
+                                         (*SUBSET_ONLY, Fraction(1, 3))],
+                         ids=["whole group only", "proper subset only"])
+def test_ratio_test_rejects_on_the_whole_group_and_on_subsets_alike(g, group, r):
+    exact, argmin = oracle_min_ratio(g, group)
+    whole = _subset_ratio(g, group, group)
+    if argmin == group:  # only S' = S is below r
+        proper = [sub for size in range(1, len(group)) for sub in combinations(group, size)]
+        assert all(_subset_ratio(g, sub, group) >= r for sub in proper)
+    else:  # S and every singleton pass, so only the subset blocks can reject
+        assert whole >= r and all(_subset_ratio(g, (v,), group) >= r for v in group)
+    assert exact < r
+    eps = Fraction(1, 1000)
+    knife_edge = [r, exact, exact - eps, exact + eps, whole, whole - eps, whole + eps]
+    for order in (group, group[::-1], group[1::2] + group[::2]):
+        members, rows = _members_and_rows(g, order)
+        for bound in knife_edge + [Fraction(-1, 3), Fraction(0), Fraction(1, 2),
+                                   Fraction(3, 5), Fraction(3, 2)]:
+            assert _ratio_test(g, bound)(members, rows) == (exact >= bound), (order, bound)
+
+
 RATIOS = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)]
 
 
