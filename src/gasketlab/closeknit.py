@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .diffusion import _need
+from .diffusion import _needs
 from .errors import DomainError, ResourceLimitError, check_int, check_real
 from .graphs import LabeledGraph, _refuse_isolated, as_subset, check_graph
 
@@ -318,7 +318,7 @@ def is_rk_closeknit(
     r = _ratio_bound(r)
     _refuse_isolated(g, g.vertices(), "close-knit certification assumes none")
     accept = _ratio_test(g, r)
-    need = [_need(len(row), r) for row in g.adj]  # where a singleton's slack turns >= 0
+    need = _needs(g.adj, r)  # where a singleton's slack turns >= 0
     nin = [0] * (g.n + 1)
     witness: dict[int, tuple[int, ...]] = {}
     examined = 0

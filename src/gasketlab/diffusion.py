@@ -8,8 +8,8 @@ fraction of A-neighbors is at least the game's adoption threshold
 
 with ties resolved toward A.  With probability epsilon the revision is
 noise and the vertex picks a uniformly random strategy instead.  Both
-coins are exact integer tests: ``_need(deg, r*)`` = ceil(r* * deg)
-A-neighbours make A the best response, and ``rng.uniform_cut(epsilon)``
+coins are exact integer tests: ``_needs`` gives ceil(r* * deg), the fewest
+A-neighbours that make A the best response, and ``rng.uniform_cut(epsilon)``
 bounds the noise word (exactly "the word's top 53 bits times 2^-53 < epsilon").
 So knife-edge cases (say, exactly one third of the neighborhood adopting
 against r* = 1/3) are deterministic.
@@ -112,12 +112,14 @@ class DiffusionConfig:
             )
 
 
-def _need(deg: int, r_star: Fraction) -> int:
-    """The fewest A-neighbours, out of deg, at which best response is A.
+def _needs(rows, r_star: Fraction) -> list[int]:
+    """Per neighbour set in ``rows``, of size deg, the fewest A-neighbours at
+    which best response is A.
 
     Exact, ties to A: a/deg >= p/q  <=>  a*q >= p*deg  <=>  a >= ceil(p*deg/q).
     """
-    return -(-r_star.numerator * deg // r_star.denominator)
+    p, q = r_star.numerator, r_star.denominator
+    return [-(-p * len(row) // q) for row in rows]
 
 
 def _check_types(g, game, config) -> None:
@@ -148,7 +150,7 @@ def _counts(
     init = as_subset(config.init_adopters, g.n)
     n, adj = g.n, g.adj
     r_star = risk_threshold(game)
-    need = [0] + [_need(len(adj[v]), r_star) for v in range(1, n + 1)]
+    need = _needs(adj, r_star)  # adj[0] is empty, so need[0] = 0
     plays = [False] * (n + 1)
     cnt = [0] * (n + 1)
     for v in init:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import closeknit, diffusion, ramsey, sierpinski, twopart
 from .errors import DomainError, ResourceLimitError, check_int
-from .graphs import LabeledGraph, as_subset, gnp_sample
+from .graphs import LabeledGraph, _with_flags, as_subset, check_graph, gnp_sample
 from .isomorphism import automorphism_count as aut_count
 from .rng import check_seed, derive_seed
 
@@ -76,7 +76,13 @@ def plant_occurrence(
     g: LabeledGraph, pattern: LabeledGraph, subset: Iterable[int]
 ) -> LabeledGraph:
     """Overwrite the edges inside ``subset`` so it induces ``pattern``
-    exactly under rank relabeling; all other edges untouched."""
+    exactly under rank relabeling; all other edges untouched.
+
+    When ``g`` keeps its canonical flags, the planted graph keeps a copy
+    with the C(k, 2) positions inside the subset overwritten.
+    """
+    check_graph(g, "graph")
+    check_graph(pattern, "pattern")
     sub = as_subset(subset, g.n, nonempty=True)
     if len(sub) != pattern.n:
         raise DomainError(
@@ -88,7 +94,15 @@ def plant_occurrence(
     adj = list(g.adj)
     for t, v in enumerate(sub, 1):
         adj[v] = (adj[v] - inside) | {sub[b - 1] for b in pattern.adj[t]}
-    return LabeledGraph(g.n, tuple(adj))
+    planted = LabeledGraph(g.n, tuple(adj))
+    if g._flags is None:
+        return planted
+    flags = bytearray(g._flags)
+    for t, i in enumerate(sub, 1):
+        row = (i - 1) * g.n - i * (i + 1) // 2 - 1  # flags[row + j] is pair (i, j)
+        for b in range(t + 1, len(sub) + 1):
+            flags[row + sub[b - 1]] = b in pattern.adj[t]
+    return _with_flags(planted, bytes(flags))
 
 
 def sample_pattern_free(

@@ -9,11 +9,15 @@ presence bit of edge {i, j}, with pairs in lexicographic order
 
 so encodings are bit-exact across implementations.  Row i of the encoding
 (the pairs (i, j), j > i) is the contiguous slice of n - i bits starting at
-pos(i, i+1).  ``encode`` writes each row as 0/1 bytes from one ``map`` over
-the neighbour set.  ``decode`` and ``gnp_sample`` lay their rows out as the
-upper triangle of an n x n square of 0/1 bytes, one byte per pair, and
-build every neighbour set from that square's row v OR its column v (a
-strided slice), so no Python code runs per edge.
+pos(i, i+1).  ``decode`` and ``gnp_sample`` hold the encoding as C(n,2)
+0/1 flag bytes in pos order.  They lay them out as the upper triangle of an
+n x n square of 0/1 bytes and build every neighbour set from that square's
+row v OR its column v (a strided slice), so no Python code runs per edge.
+The graph they return keeps those flag bytes (not a dataclass field, so
+``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never see them), and
+``encode`` and ``io.to_graph6`` read them instead of asking the neighbour
+sets again.  A graph built any other way has no flags; ``encode`` then
+writes each row as 0/1 bytes from one ``map`` over the neighbour set.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ class LabeledGraph:
 
     n: int
     adj: tuple[frozenset[int], ...]  # index 0 unused
+    _flags = None  # canonical 0/1 flag bytes, kept by _with_flags; not a field
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "LabeledGraph":
@@ -185,6 +190,13 @@ def _from_square(n: int, square: bytes) -> LabeledGraph:
     return LabeledGraph(n, tuple(adj))
 
 
+def _with_flags(g: LabeledGraph, flags: bytes) -> LabeledGraph:
+    """``g``, now keeping ``flags``: its canonical C(n, 2) 0/1 flag bytes in
+    pos order, which the caller built ``g.adj`` from or to agree with."""
+    object.__setattr__(g, "_flags", flags)
+    return g
+
+
 def _upper_square(n: int, flags: bytes) -> bytes:
     """The canonical order's C(n, 2) flags laid out as the upper triangle of
     an n x n square: row i is i zero bytes, then the flags of (i, i+1..n)."""
@@ -213,18 +225,25 @@ def _ascii_bits(text: str, what: str = "bit string") -> bytes:
 def encode(g: LabeledGraph) -> EdgeBitString:
     """Canonical bit-string encoding; exact inverse of :func:`decode`.
 
-    Row i is one 0/1 flag per j = i+1..n, asked of the neighbour set in one
-    ``map``; one ``translate`` turns all rows into '0'/'1' text.
+    One ``translate`` turns the graph's kept flags into '0'/'1' text.  A
+    graph without them gets row i as one 0/1 flag per j = i+1..n, asked of
+    the neighbour set in one ``map``.
     """
-    n, adj = g.n, g.adj
-    rows = [bytes(map(adj[i].__contains__, range(i + 1, n + 1))) for i in range(1, n + 1)]
-    return EdgeBitString(n, b"".join(rows).translate(_TEXT).decode("ascii"))
+    check_graph(g, "graph")
+    n, adj, flags = g.n, g.adj, g._flags
+    if flags is None:
+        flags = b"".join(
+            bytes(map(adj[i].__contains__, range(i + 1, n + 1))) for i in range(1, n + 1)
+        )
+    return EdgeBitString(n, flags.translate(_TEXT).decode("ascii"))
 
 
 def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
     """Graph whose canonical encoding is ``bits``, built from the upper
-    square of its flags."""
+    square of its flags, which it keeps."""
     text = bits.bits if isinstance(bits, EdgeBitString) else bits
+    if not isinstance(text, str):
+        raise DomainError(f"bits must be an EdgeBitString or a str, got {type(bits).__name__}")
     n = check_int(n, "vertex count n")
     if n < 0:
         raise DomainError(f"decode needs n >= 0 vertices, got {n}")
@@ -234,7 +253,7 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
             f"decode(n={n}) expects C(n,2)={expected} bits, got {len(text)}"
         )
     flags = _ascii_bits(text).translate(_FLAGS)
-    return _from_square(n, _upper_square(n, flags))
+    return _with_flags(_from_square(n, _upper_square(n, flags)), flags)
 
 
 def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tuple[int, ...]:
@@ -351,6 +370,7 @@ def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     order; the edge is present iff the uniform is < p.  All C(n, 2) words
     are drawn as bytes at once and each is tested against the exact integer
     threshold ``rng.uniform_cut(p)``, for float and ``Fraction`` p alike.
+    The sample keeps those C(n, 2) flags.
     """
     n = check_int(n, "vertex count", 0)
     if not 0.0 <= check_real(p, "edge probability") <= 1.0:
@@ -358,4 +378,4 @@ def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     cut = uniform_cut(p)
     stream = WordStream(seed, domain=b"gasketlab-gnp")
     flags = _below(stream.word_bytes(comb(n, 2)), cut)
-    return _from_square(n, _upper_square(n, flags))
+    return _with_flags(_from_square(n, _upper_square(n, flags)), flags)

@@ -6,9 +6,11 @@ matrix in column-major order, packed 6 bits per printable byte (offset 63).
 Our 1-based labels map to graph6 vertex i-1.  Both directions go through
 one '0'/'1' string of the column-major bits, ``int(bits, 2)`` and base64
 (whose alphabet maps one-to-one onto the 64 graph6 byte values).  Column j
-(the pairs (i, j), i < j) is written as 0/1 bytes from one ``map`` over j's
-neighbour set, and read back as row j of the lower triangle of an n x n
-square of 0/1 bytes, from which ``graphs`` builds every neighbour set.
+(the pairs (i, j), i < j) is written as one strided slice of the upper
+square of the graph's kept canonical flags (see ``graphs``), or, for a
+graph without them, as 0/1 bytes from one ``map`` over j's neighbour set.
+It is read back as row j of the lower triangle of an n x n square of 0/1
+bytes, from which ``graphs`` builds every neighbour set.
 JSON edge lists are type-checked field by field: n and every label must be
 a JSON integer (not a bool), n at most ``JSON_VERTEX_MAX``, and every edge
 a pair.
@@ -20,7 +22,7 @@ import binascii
 import json
 
 from .errors import DomainError, check_int
-from .graphs import _FLAGS, _TEXT, LabeledGraph, _from_square
+from .graphs import _FLAGS, _TEXT, LabeledGraph, _from_square, _upper_square, check_graph
 
 __all__ = [
     "to_graph6",
@@ -84,9 +86,16 @@ def to_graph6(g: LabeledGraph) -> str:
 
     The column-major upper triangle is built as '0'/'1' text one column at a
     time, read as one integer and packed six bits per byte through base64.
+    Column j is a strided slice of the upper square of the graph's kept
+    flags, or else one ``map`` over j's neighbour set.
     """
-    adj = g.adj
-    columns = [bytes(map(adj[j].__contains__, range(1, j))) for j in range(2, g.n + 1)]
+    check_graph(g, "graph")
+    n, adj, flags = g.n, g.adj, g._flags
+    if flags is None:
+        columns = [bytes(map(adj[j].__contains__, range(1, j))) for j in range(2, n + 1)]
+    else:
+        square = _upper_square(n, flags)
+        columns = [square[c : c * n : n] for c in range(1, n)]  # column c + 1, rows 1..c
     bits = b"".join(columns).translate(_TEXT)
     chars = (len(bits) + 5) // 6
     body = b""
@@ -94,7 +103,7 @@ def to_graph6(g: LabeledGraph) -> str:
         padded = 24 * ((len(bits) + 23) // 24)  # whole base64 quanta
         raw = (int(bits, 2) << (padded - len(bits))).to_bytes(padded // 8, "big")
         body = binascii.b2a_base64(raw, newline=False)[:chars].translate(_B64_TO_G6)
-    return (_g6_size_bytes(g.n) + body).decode("ascii")
+    return (_g6_size_bytes(n) + body).decode("ascii")
 
 
 def from_graph6(text: str) -> LabeledGraph:
@@ -103,6 +112,8 @@ def from_graph6(text: str) -> LabeledGraph:
     The body is unpacked through base64 into one '0'/'1' string; column j
     becomes row j of a lower-triangular square of 0/1 bytes.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"graph6 text must be a str, got {type(text).__name__}")
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
@@ -135,6 +146,7 @@ def from_graph6(text: str) -> LabeledGraph:
 
 
 def to_json_edges(g: LabeledGraph) -> str:
+    check_graph(g, "graph")
     payload = {"n": g.n, "edges": [[i, j] for i, j in g.edges()]}
     return json.dumps(payload, sort_keys=True)
 
@@ -142,6 +154,8 @@ def to_json_edges(g: LabeledGraph) -> str:
 def from_json_edges(text: str) -> LabeledGraph:
     """Graph from ``{"n": int, "edges": [[i, j], ...]}``; every field is
     type-checked, so a malformed file raises :class:`DomainError`."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DomainError(f"JSON edge list text must be a str or bytes, got {type(text).__name__}")
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
@@ -163,6 +177,7 @@ def from_json_edges(text: str) -> LabeledGraph:
 
 
 def to_dot(g: LabeledGraph) -> str:
+    check_graph(g, "graph")
     lines = ["graph G {"]
     isolated = [v for v in g.vertices() if not g.adj[v]]
     lines.extend(f"  {v};" for v in isolated)

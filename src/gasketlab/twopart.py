@@ -381,6 +381,8 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
     :class:`SideInfo`, which checks the sizes and the generator id, and
     whose field widths are then computed for sizes the blob can encode.
     """
+    if not isinstance(blob, (bytes, bytearray)):
+        raise DomainError(f"serialized encoding must be bytes, got {type(blob).__name__}")
     if len(blob) < 11:
         raise DomainError("serialized encoding shorter than its fixed header")
     n = int.from_bytes(blob[0:4], "big")

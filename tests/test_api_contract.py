@@ -4,8 +4,9 @@ RecursionError, or was silently taken as some other value (a bool as 0/1, a
 float truncated or carried through the arithmetic).
 
 Integer arguments all go through ``errors.check_int``, real ones through
-``errors.check_real``, the graphs of the search and close-knit entry points
-through ``graphs.check_graph``, and the graph, game and config of the
+``errors.check_real``, the graphs of the search, close-knit and codec entry
+points through ``graphs.check_graph``, the text or bytes of the codecs
+through one ``isinstance`` check each, and the graph, game and config of the
 diffusion entry points through one ``isinstance`` check; the boundary rows
 check that the shared checks still take what they should (seeds 0 and
 2^64 - 1, objects with ``__index__``, the largest group size, ``limit=1``).
@@ -26,7 +27,8 @@ from gasketlab.diffusion import (
     run,
 )
 from gasketlab.errors import check_int, check_real
-from gasketlab.graphs import EdgeBitString, as_subset, gnp_sample, pair_at, pos
+from gasketlab.graphs import EdgeBitString, as_subset, decode, encode, gnp_sample, pair_at, pos
+from gasketlab.io import from_graph6, from_json_edges, to_dot, to_graph6, to_json_edges
 from gasketlab.ramsey import (
     bounds_report,
     construct_union,
@@ -36,7 +38,7 @@ from gasketlab.ramsey import (
     is_host,
     split_union,
 )
-from gasketlab.experiments import threshold_sweep
+from gasketlab.experiments import plant_occurrence, threshold_sweep
 from gasketlab.ranking import (
     ceil_log2,
     rank_permutation,
@@ -46,7 +48,7 @@ from gasketlab.ranking import (
 )
 from gasketlab.rng import WordStream, derive_seed
 from gasketlab.sierpinski import build, subgaskets, vertex_count
-from gasketlab.twopart import SideInfo
+from gasketlab.twopart import SideInfo, from_bytes
 
 K3 = LabeledGraph.complete(3)
 S2 = build(2)
@@ -173,6 +175,18 @@ ESCAPES = {
     "split host text": (lambda: split_union("x", K3), "host graph"),
     "split pattern text": (lambda: split_union(K3, "K3"), "pattern"),
     "bounds pattern text": (lambda: bounds_report("S2", 1, 3), "pattern must be a LabeledGraph"),
+    "encode graph text": (lambda: encode("x"), "^graph must be a LabeledGraph, got str"),
+    "decode bits int": (lambda: decode(0, 1), "^bits must be an EdgeBitString or a str, got int"),
+    "to_graph6 graph text": (lambda: to_graph6("x"), "^graph must be a LabeledGraph, got str"),
+    "from_graph6 text int": (lambda: from_graph6(0), "^graph6 text must be a str, got int"),
+    "to_json_edges graph text": (lambda: to_json_edges("x"), "^graph must be a LabeledGraph"),
+    "from_json_edges text int": (
+        lambda: from_json_edges(0), "^JSON edge list text must be a str or bytes, got int"),
+    "to_dot graph text": (lambda: to_dot("x"), "^graph must be a LabeledGraph, got str"),
+    "plant graph text": (lambda: plant_occurrence("x", K3, (1, 2, 3)), "^graph must be a"),
+    "plant pattern text": (
+        lambda: plant_occurrence(K3, "K3", (1, 2, 3)), "^pattern must be a LabeledGraph"),
+    "from_bytes blob int": (lambda: from_bytes(0), "^serialized encoding must be bytes, got int"),
 }
 
 

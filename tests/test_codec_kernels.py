@@ -10,6 +10,8 @@ The hypothesis tests compare each whole-row kernel with the per-bit loop it
 replaced, kept in ``tests/conftest.py``.
 """
 
+import copy
+import dataclasses
 import json
 import random
 import sys
@@ -279,6 +281,45 @@ def test_unordered_two_part_codec_matches_oracles(n, seed, data):
     enc = encode_two_part(bits, subset, side)
     assert enc == oracle_encode_two_part(bits, subset, side)
     assert decode_two_part(enc, side) == oracle_decode_two_part(enc, side) == bits
+
+
+@given(st.integers(0, 40), probabilities, seeds, st.data())
+@settings(max_examples=150, deadline=None)
+def test_kept_flags_agree_with_adj_and_the_encoders_with_the_oracles(n, p, seed, data):
+    """gnp_sample, decode and plant_occurrence keep flags equal to those of
+    their adjacency; encode and to_graph6 read the same bits off a graph
+    with flags and off the same graph without them."""
+    sampled = gnp_sample(n, p, seed)
+    built = [sampled, decode(oracle_encode(sampled).bits, n)]
+    if n:
+        k = data.draw(st.integers(1, min(n, 6)))
+        pairs = st.tuples(st.integers(1, k), st.integers(1, k)).filter(lambda e: e[0] != e[1])
+        pattern = LabeledGraph.from_edges(k, data.draw(st.lists(pairs, max_size=15)))
+        subset = data.draw(st.permutations(range(1, n + 1)))[:k]
+        built.append(plant_occurrence(sampled, pattern, subset))
+        bare_plant = plant_occurrence(LabeledGraph(n, sampled.adj), pattern, subset)
+        assert bare_plant._flags is None and bare_plant == built[-1]
+    for g in built:
+        assert g._flags == oracle_encode(g).bits.encode().translate(graphs._FLAGS)
+        bare = LabeledGraph(g.n, g.adj)
+        assert bare._flags is None
+        for h in (g, bare):
+            assert encode(h) == oracle_encode(h)
+            assert to_graph6(h) == oracle_to_graph6(h)
+
+
+def test_kept_flags_are_not_seen_by_the_dataclass():
+    g = gnp_sample(12, 0.5, 3)
+    bare = LabeledGraph(12, g.adj)
+    assert g._flags is not None and bare._flags is None
+    assert [f.name for f in dataclasses.fields(g)] == ["n", "adj"]
+    assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+    assert dataclasses.replace(g) == g and dataclasses.replace(g)._flags is None
+    emptied = dataclasses.replace(g, adj=LabeledGraph.empty(12).adj)
+    assert emptied._flags is None and encode(emptied).bits == "0" * 66
+    assert copy.copy(g)._flags == g._flags
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g._flags = bytes(66)
 
 
 def test_encode_two_part_still_checks_every_inside_bit():

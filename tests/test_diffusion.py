@@ -13,7 +13,7 @@ from gasketlab.diffusion import (
     CoordinationGame,
     DiffusionConfig,
     Trace,
-    _need,
+    _needs,
     hitting_time_stats,
     risk_threshold,
     run,
@@ -307,9 +307,10 @@ def test_noise_cut_decides_like_uniform(epsilon, word):
 @pytest.mark.parametrize("game", CASE_GAMES, ids=lambda game: str(risk_threshold(game)))
 def test_need_is_the_exact_best_response_count(game):
     r_star = risk_threshold(game)
+    need = _needs([range(deg) for deg in range(13)], r_star)
     for deg in range(1, 13):
         for a_count in range(deg + 1):
-            assert (a_count >= _need(deg, r_star)) == (Fraction(a_count, deg) >= r_star)
+            assert (a_count >= need[deg]) == (Fraction(a_count, deg) >= r_star)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.02, 0.3])
