@@ -148,9 +148,23 @@ def _certificate_json(cert: ramsey.HostCertificate) -> dict:
     }
 
 
-def _config_hash(params: dict) -> str:
+def _as_given(value: object) -> object:
+    """An argument as config hashes and manifests record it: a comma list as
+    the text given, anything else as parsed."""
+    return value.text if isinstance(value, _CommaList) else value
+
+
+def _csv_table(rows: list[dict], args, keys: tuple[str, ...]) -> str:
+    """``rows`` as CSV, headed by the hash of the ``keys`` arguments as
+    given, the master seed and the version."""
+    params = {key: _as_given(getattr(args, key)) for key in keys}
     canonical = json.dumps(params, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    metadata = {
+        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
+        "master_seed": args.seed,
+        "version": __version__,
+    }
+    return experiments.table_to_csv(rows, metadata)
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -398,14 +412,7 @@ def _cmd_experiment_sweep(args) -> str:
     rows = experiments.threshold_sweep(
         list(args.levels), list(args.n_values), args.trials, args.seed
     )
-    metadata = {
-        "config_hash": _config_hash(
-            {"levels": args.levels.text, "n_values": args.n_values.text, "trials": args.trials}
-        ),
-        "master_seed": args.seed,
-        "version": __version__,
-    }
-    return experiments.table_to_csv(rows, metadata)
+    return _csv_table(rows, args, ("levels", "n_values", "trials"))
 
 
 def _cmd_experiment_link(args) -> str:
@@ -421,195 +428,141 @@ def _cmd_experiment_link(args) -> str:
         config,
         args.trials,
     )
-    metadata = {
-        "config_hash": _config_hash(
-            {
-                "levels": args.levels.text,
-                "payoffs": args.payoffs.text,
-                "epsilon": args.epsilon,
-                "trials": args.trials,
-            }
-        ),
-        "master_seed": args.seed,
-        "version": __version__,
-    }
-    return experiments.table_to_csv(rows, metadata)
+    return _csv_table(rows, args, ("levels", "payoffs", "epsilon", "trials"))
 
 
 # --- parser ---------------------------------------------------------------
 
+# The flags that several subcommands take, each with its keywords.  A row of
+# _COMMANDS names one of these, or gives a (flag, keywords) pair of its own.
+_FLAGS = {
+    "--graph": dict(required=True),
+    "--pattern": dict(required=True),
+    "--n": dict(type=int, required=True),
+    "--r": dict(type=_fraction, required=True),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, required=True),
+    "--levels": dict(type=_levels, required=True),
+    "--format": dict(choices=_FORMATS, default="graph6"),
+    "--max-edges": dict(type=int, default=ramsey.COLORING_EDGE_BUDGET),
+    "--payoffs": dict(type=_payoffs, required=True, help="a,b,c,d"),
+    "--epsilon": dict(type=float, default=0.0),
+    "--horizon": dict(type=int, default=0, help="0 = 200*n"),
+    "--schedule": dict(choices=("uniform-random", "round-robin"), default="uniform-random"),
+    "--jobs": dict(type=int, default=1, help="ignored; trials run in order"),
+}
+_DIFFUSE = (
+    "--graph", "--payoffs", "--epsilon",
+    ("--init", dict(type=_int_list, default="", help="initial adopters, e.g. 1,2,3")),
+    "--horizon", "--seed", "--schedule",
+    ("--config", dict(type=Path, help="JSON file with epsilon/init_adopters/horizon/seed/"
+                      "schedule; replaces the individual flags")),
+)
+
+# (group, group help, rows): a row is (subcommand, handler, flags), in help
+# order.  Every subcommand also takes --out and --manifest, declared in
+# build_parser; a row's own "--out" pair replaces the default one.
+_COMMANDS = (
+    ("gen", "generate graphs", (
+        ("sierpinski", _cmd_gen_sierpinski, (
+            ("--level", dict(type=int, required=True)),
+            ("--max-level", dict(type=int, default=sierpinski.MAX_LEVEL_DEFAULT)),
+            "--format", ("--coords-out", dict(type=Path)))),
+        ("gnp", _cmd_gen_gnp, (
+            "--n", ("--p", dict(type=float, required=True)), "--seed", "--format")),
+        ("plant", _cmd_gen_plant, (
+            "--graph", "--pattern", ("--subset", dict(type=_int_list, required=True)), "--format")),
+    )),
+    ("encode", "canonical and two-part codecs", (
+        ("canonical", _cmd_encode_canonical, ("--graph",)),
+        ("alt", _cmd_encode_alt, (
+            ("--out", dict(type=Path, required=True, help="write the two-part binary here")),
+            "--graph",
+            ("--occ", dict(type=_int_list, required=True)),
+            ("--gen", dict(required=True, help="generator id, e.g. sierpinski:2")),
+            ("--ordering", dict(choices=("auto", "ordered", "unordered"), default="auto")))),
+    )),
+    ("decode", "inverse codecs", (
+        ("canonical", _cmd_decode_canonical, (
+            ("--bits", dict(required=True, help="bit string or path to one")), "--n", "--format")),
+        ("alt", _cmd_decode_alt, (
+            ("--alt", dict(type=Path, required=True)),
+            ("--format", dict(choices=_FORMATS + ("bits",), default="bits")))),
+    )),
+    ("closeknit", "close-knit ratios and certificates", (
+        ("ratio", _cmd_closeknit_ratio, (
+            "--graph",
+            ("--group", dict(type=_int_list, required=True, help="comma-separated labels")))),
+        ("cert", _cmd_closeknit_cert, ("--graph", "--r", ("--k", dict(type=int, required=True)))),
+        ("scan", _cmd_closeknit_scan, (
+            ("--levels", dict(type=_levels, required=True, help="e.g. 1-4 or 2,3")),
+            "--r", ("--k-cap", dict(type=int, default=8)))),
+    )),
+    ("ramsey", "induced occurrences, hosts, unions, bounds", (
+        ("occurrences", _cmd_ramsey_occurrences, (
+            "--graph", "--pattern", ("--limit", dict(type=int)))),
+        ("host-check", _cmd_ramsey_host_check, (
+            ("--host", dict(required=True)), "--pattern", "--max-edges")),
+        ("oracle", _cmd_ramsey_oracle, (
+            "--pattern",
+            ("--hosts", dict(required=True, help="comma-separated candidates, in order")),
+            "--max-edges")),
+        ("union", _cmd_ramsey_union, (
+            ("--g1", dict(required=True)), ("--g2", dict(required=True)),
+            ("--format", dict(choices=_FORMATS + ("roles",), default="roles")))),
+        ("split", _cmd_ramsey_split, (
+            "--graph", "--pattern",
+            ("--mode", dict(choices=("fast", "proof-faithful"), default="fast")),
+            "--max-edges")),
+        ("bounds", _cmd_ramsey_bounds, (
+            "--pattern", ("--c", dict(type=float, default=1.0)),
+            ("--c-d", dict(type=float, default=3.0)))),
+        ("crossover", _cmd_ramsey_crossover, (("--c-d", dict(type=_fraction, required=True)),)),
+    )),
+    ("diffuse", "adoption dynamics", (
+        ("run", _cmd_diffuse_run, (*_DIFFUSE, ("--trace-out", dict(type=Path)))),
+        ("stats", _cmd_diffuse_stats, (*_DIFFUSE, "--trials", "--jobs")),
+    )),
+    ("experiment", "sampling experiments and sweeps", (
+        ("containment", _cmd_experiment_containment, (
+            "--n", "--pattern", "--trials", "--seed", ("--p", dict(type=float, default=0.5)),
+            "--jobs")),
+        ("threshold-sweep", _cmd_experiment_sweep, (
+            "--levels",
+            ("--n-values", dict(type=_int_list, required=True, help="comma-separated host sizes")),
+            ("--trials", dict(type=int, default=50)), "--seed")),
+        ("link", _cmd_experiment_link, (
+            "--levels", "--payoffs", ("--epsilon", dict(type=float, default=0.02)),
+            ("--horizon", dict(type=int, default=0, help="0 = 200*n per level")),
+            ("--trials", dict(type=int, default=100)), "--seed", "--schedule", "--jobs")),
+    )),
+)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it
-    unchanged)."""
+    """The argument parser, built once per process from ``_COMMANDS``
+    (parsing leaves it unchanged).  ``--out`` and ``--manifest`` are
+    declared only here, so both follow the subcommand."""
     parser = argparse.ArgumentParser(
         prog="gasketlab",
         description="Sierpinski gasket graphs: codecs, close-knit ratios, "
         "induced-Ramsey checks, and adoption dynamics.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    def sub(group, name, func, **out_options):
-        """A subcommand parser; the only place ``--out`` and ``--manifest``
-        are declared, so both follow the subcommand."""
-        sp = group.add_parser(name)
-        sp.set_defaults(func=func)
-        out_options.setdefault("help", "write output here instead of stdout")
-        sp.add_argument("--out", type=Path, **out_options)
-        sp.add_argument("--manifest", type=Path, help="write a run manifest JSON")
-        return sp
-
-    # gen
-    gen = top.add_parser("gen", help="generate graphs").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sp = sub(gen, "sierpinski", _cmd_gen_sierpinski)
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--max-level", type=int, default=sierpinski.MAX_LEVEL_DEFAULT)
-    sp.add_argument("--format", choices=_FORMATS, default="graph6")
-    sp.add_argument("--coords-out", type=Path)
-    sp = sub(gen, "gnp", _cmd_gen_gnp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=_FORMATS, default="graph6")
-    sp = sub(gen, "plant", _cmd_gen_plant)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--subset", type=_int_list, required=True)
-    sp.add_argument("--format", choices=_FORMATS, default="graph6")
-
-    # encode / decode
-    enc = top.add_parser("encode", help="canonical and two-part codecs").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sp = sub(enc, "canonical", _cmd_encode_canonical)
-    sp.add_argument("--graph", required=True)
-    sp = sub(enc, "alt", _cmd_encode_alt, required=True, help="write the two-part binary here")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--occ", type=_int_list, required=True)
-    sp.add_argument("--gen", required=True, help="generator id, e.g. sierpinski:2")
-    sp.add_argument(
-        "--ordering", choices=("auto", "ordered", "unordered"), default="auto"
-    )
-
-    dec = top.add_parser("decode", help="inverse codecs").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sp = sub(dec, "canonical", _cmd_decode_canonical)
-    sp.add_argument("--bits", required=True, help="bit string or path to one")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--format", choices=_FORMATS, default="graph6")
-    sp = sub(dec, "alt", _cmd_decode_alt)
-    sp.add_argument("--alt", type=Path, required=True)
-    sp.add_argument("--format", choices=_FORMATS + ("bits",), default="bits")
-
-    # closeknit
-    ck = top.add_parser("closeknit", help="close-knit ratios and certificates").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sp = sub(ck, "ratio", _cmd_closeknit_ratio)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--group", type=_int_list, required=True, help="comma-separated labels")
-    sp = sub(ck, "cert", _cmd_closeknit_cert)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--r", type=_fraction, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp = sub(ck, "scan", _cmd_closeknit_scan)
-    sp.add_argument("--levels", type=_levels, required=True, help="e.g. 1-4 or 2,3")
-    sp.add_argument("--r", type=_fraction, required=True)
-    sp.add_argument("--k-cap", type=int, default=8)
-
-    # ramsey
-    rm = top.add_parser("ramsey", help="induced occurrences, hosts, unions, bounds").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sp = sub(rm, "occurrences", _cmd_ramsey_occurrences)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--limit", type=int)
-    sp = sub(rm, "host-check", _cmd_ramsey_host_check)
-    sp.add_argument("--host", required=True)
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--max-edges", type=int, default=ramsey.COLORING_EDGE_BUDGET)
-    sp = sub(rm, "oracle", _cmd_ramsey_oracle)
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--hosts", required=True, help="comma-separated candidates, in order")
-    sp.add_argument("--max-edges", type=int, default=ramsey.COLORING_EDGE_BUDGET)
-    sp = sub(rm, "union", _cmd_ramsey_union)
-    sp.add_argument("--g1", required=True)
-    sp.add_argument("--g2", required=True)
-    sp.add_argument("--format", choices=_FORMATS + ("roles",), default="roles")
-    sp = sub(rm, "split", _cmd_ramsey_split)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--mode", choices=("fast", "proof-faithful"), default="fast")
-    sp.add_argument("--max-edges", type=int, default=ramsey.COLORING_EDGE_BUDGET)
-    sp = sub(rm, "bounds", _cmd_ramsey_bounds)
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--c-d", type=float, default=3.0)
-    sp = sub(rm, "crossover", _cmd_ramsey_crossover)
-    sp.add_argument("--c-d", type=_fraction, required=True)
-
-    # diffuse
-    df = top.add_parser("diffuse", help="adoption dynamics").add_subparsers(
-        dest="subcommand", required=True
-    )
-
-    def add_diffuse_common(sp):
-        sp.add_argument("--graph", required=True)
-        sp.add_argument("--payoffs", type=_payoffs, required=True, help="a,b,c,d")
-        sp.add_argument("--epsilon", type=float, default=0.0)
-        sp.add_argument("--init", type=_int_list, default="", help="initial adopters, e.g. 1,2,3")
-        sp.add_argument("--horizon", type=int, default=0, help="0 = 200*n")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--schedule", choices=("uniform-random", "round-robin"), default="uniform-random"
+    for group, group_help, rows in _COMMANDS:
+        subs = top.add_parser(group, help=group_help).add_subparsers(
+            dest="subcommand", required=True
         )
-        sp.add_argument(
-            "--config", type=Path,
-            help="JSON file with epsilon/init_adopters/horizon/seed/schedule; "
-            "replaces the individual flags",
-        )
-
-    sp = sub(df, "run", _cmd_diffuse_run)
-    add_diffuse_common(sp)
-    sp.add_argument("--trace-out", type=Path)
-    sp = sub(df, "stats", _cmd_diffuse_stats)
-    add_diffuse_common(sp)
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1, help="ignored; trials run in order")
-
-    # experiment
-    ex = top.add_parser("experiment", help="sampling experiments and sweeps").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sp = sub(ex, "containment", _cmd_experiment_containment)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--jobs", type=int, default=1, help="ignored; trials run in order")
-    sp = sub(ex, "threshold-sweep", _cmd_experiment_sweep)
-    sp.add_argument("--levels", type=_levels, required=True)
-    sp.add_argument("--n-values", type=_int_list, required=True, help="comma-separated host sizes")
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    sp = sub(ex, "link", _cmd_experiment_link)
-    sp.add_argument("--levels", type=_levels, required=True)
-    sp.add_argument("--payoffs", type=_payoffs, required=True, help="a,b,c,d")
-    sp.add_argument("--epsilon", type=float, default=0.02)
-    sp.add_argument("--horizon", type=int, default=0, help="0 = 200*n per level")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--schedule", choices=("uniform-random", "round-robin"), default="uniform-random"
-    )
-    sp.add_argument("--jobs", type=int, default=1, help="ignored; trials run in order")
-
+        for name, func, flags in rows:
+            sp = subs.add_parser(name)
+            sp.set_defaults(func=func)
+            specs = dict((f, _FLAGS[f]) if isinstance(f, str) else f for f in flags)
+            out = specs.pop("--out", dict(type=Path, help="write output here instead of stdout"))
+            sp.add_argument("--out", **out)
+            sp.add_argument("--manifest", type=Path, help="write a run manifest JSON")
+            for flag, keywords in specs.items():
+                sp.add_argument(flag, **keywords)
     return parser
 
 
@@ -618,8 +571,7 @@ def _manifest(args, paths: list[str]) -> dict:
     for key, value in sorted(vars(args).items()):
         if key in ("func", "manifest") or key.startswith("_"):
             continue
-        if isinstance(value, _CommaList):
-            value = value.text
+        value = _as_given(value)
         params[key] = str(value) if not isinstance(value, (int, float, bool, str, type(None))) else value
     return {
         "subcommand": f"{args.command} {getattr(args, 'subcommand', '')}".strip(),

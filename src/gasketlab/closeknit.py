@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .diffusion import _needs
 from .errors import DomainError, ResourceLimitError, check_int, check_real
-from .graphs import LabeledGraph, _refuse_isolated, as_subset, check_graph
+from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset, check_graph
 
 __all__ = [
     "GroupReport",
@@ -310,7 +309,9 @@ def is_rk_closeknit(
     slack (``_ratio_test``), not by computing its minimum: first on the
     whole group, then subset by subset with an early exit.  Any other
     candidate has a singleton below r.  Since ratio(S) <= 1/2 for every
-    group, no graph is (r, k)-close-knit for r > 1/2.
+    group, no graph is (r, k)-close-knit for r > 1/2.  Every ratio is at
+    least 0, so any r <= 0 is met by every group: such an r is accepted,
+    not refused, and each vertex's witness is its own singleton.
     """
     check_graph(g, "graph")
     k = check_int(k, "group-size bound k", 1, GROUP_SIZE_MAX)

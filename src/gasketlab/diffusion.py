@@ -35,7 +35,7 @@ from fractions import Fraction
 from statistics import median
 
 from .errors import DomainError, check_int, check_real
-from .graphs import LabeledGraph, _refuse_isolated, as_subset
+from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset
 from .rng import WordStream, check_seed, derive_seed, uniform_cut
 
 __all__ = [
@@ -110,16 +110,6 @@ class DiffusionConfig:
             raise DomainError(
                 f"schedule must be 'uniform-random' or 'round-robin', got {self.schedule!r}"
             )
-
-
-def _needs(rows, r_star: Fraction) -> list[int]:
-    """Per neighbour set in ``rows``, of size deg, the fewest A-neighbours at
-    which best response is A.
-
-    Exact, ties to A: a/deg >= p/q  <=>  a*q >= p*deg  <=>  a >= ceil(p*deg/q).
-    """
-    p, q = r_star.numerator, r_star.denominator
-    return [-(-p * len(row) // q) for row in rows]
 
 
 def _check_types(g, game, config) -> None:
@@ -241,7 +231,10 @@ def hitting_time_stats(
 
     Trial i is the run with seed derive_seed(config.seed, "trial", i), stopped
     at its first count >= target: that revision is its hit.  The statistics
-    are exact over the samples.
+    are exact over the samples.  The target is ceil(adoption_fraction * n)
+    for the exact binary value of a float, as in ``gnp_sample`` and
+    ``rng.uniform_cut``: 0.9 is slightly above 9/10, so on 10 vertices it
+    targets all 10; pass ``Fraction(9, 10)`` for 9.
     """
     _check_types(g, game, config)
     trials = check_int(trials, "trials", 1)

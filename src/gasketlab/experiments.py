@@ -58,7 +58,7 @@ class MomentReport:
 
 def expected_occurrences(n: int, pattern: LabeledGraph) -> MomentReport:
     n = check_int(n, "host size n", 0)
-    k = pattern.n
+    k = check_graph(pattern, "pattern").n
     aut = aut_count(pattern)
     per_subset = Fraction(1, 2 ** comb(k, 2))
     labelled = comb(n, k) * per_subset

@@ -289,9 +289,21 @@ def _refuse_isolated(g: LabeledGraph, vertices: Iterable[int], consequence: str)
             raise DomainError(f"vertex {v} is isolated; {consequence}")
 
 
+def _needs(rows, r: Fraction) -> list[int]:
+    """Per neighbour set in ``rows``, of size deg, the fewest of those
+    neighbours that make a fraction of at least r, ceil(r deg): where a
+    diffusion best response turns to A, and a close-knit singleton's slack
+    turns nonnegative.
+
+    Exact: a/deg >= p/q  <=>  a*q >= p*deg  <=>  a >= ceil(p*deg/q).
+    """
+    p, q = r.numerator, r.denominator
+    return [-(-p * len(row) // q) for row in rows]
+
+
 def induced_subgraph(g: LabeledGraph, subset: Iterable[int]) -> LabeledGraph:
     """Subgraph induced by ``subset``, relabeled 1..|subset| by rank."""
-    sub = as_subset(subset, g.n)
+    sub = as_subset(subset, check_graph(g, "graph").n)
     rank = {v: t + 1 for t, v in enumerate(sub)}
     edges = []
     for a_idx, v in enumerate(sub):
@@ -306,8 +318,8 @@ def is_ordered_occurrence(
     g: LabeledGraph, subset: Iterable[int], pattern: LabeledGraph
 ) -> bool:
     """True iff ``subset`` induces exactly ``pattern`` after rank relabeling."""
-    sub = as_subset(subset, g.n)
-    if len(sub) != pattern.n:
+    sub = as_subset(subset, check_graph(g, "graph").n)
+    if len(sub) != check_graph(pattern, "pattern").n:
         raise DomainError(
             f"subset size {len(sub)} must equal pattern size {pattern.n}"
         )
@@ -316,7 +328,7 @@ def is_ordered_occurrence(
 
 def connected_components(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components, members sorted, components by smallest member."""
-    seen = [False] * (g.n + 1)
+    seen = [False] * (check_graph(g, "graph").n + 1)
     components = []
     for start in range(1, g.n + 1):
         if seen[start]:
@@ -337,7 +349,8 @@ def connected_components(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:
 
 def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """g1 on labels 1..n1, g2 shifted to n1+1..n1+n2, no additional edges."""
-    shift = g1.n
+    check_graph(g2, "g2")
+    shift = check_graph(g1, "g1").n
     edges = list(g1.edges())
     edges.extend((i + shift, j + shift) for i, j in g2.edges())
     return LabeledGraph.from_edges(g1.n + g2.n, edges)

@@ -1,16 +1,9 @@
 """Induced-pattern search, exhaustive 2-coloring verification, and the
 union/split construction for induced-Ramsey hosts.
 
-Every search runs on one induced-embedding kernel (candidate filtering in
-the style of Ullmann and VF2).  Pattern vertices are placed in a
-connectivity order; the candidates for each position form a host bitmask:
-the vertices of high enough degree, adjacent to the images of the placed
-neighbours, non-adjacent to the images of the placed non-neighbours, not
-used yet, and above the images of the earlier positions its plan names.
-Twins of the pattern (vertices with the same open or the same closed
-neighbourhood) are interchangeable, so each is placed above its latest
-twin's image and each image set is reached once per ordering of the other
-vertices, not once per permutation of the twins.
+Every search runs on the induced-embedding kernel of
+:mod:`gasketlab.isomorphism`, which places a pattern's twins in increasing
+image order.
 
 Occurrence search pins the smallest image vertex s, in increasing order,
 to one vertex r of each automorphism orbit of the pattern and restricts
@@ -55,11 +48,9 @@ exhaustive-coloring edge budget.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError, check_int, check_real
 from .graphs import (
@@ -69,6 +60,7 @@ from .graphs import (
     disjoint_union,
     induced_subgraph,
 )
+from .isomorphism import _allowed, _embeddings, _plan, _twin_keys
 from . import sierpinski
 
 __all__ = [
@@ -94,121 +86,7 @@ COLORING_EDGE_BUDGET = 28
 TwoColoring = dict[tuple[int, int], str]
 
 
-# --- the induced-embedding kernel ------------------------------------------
-
-
-def _twin_keys(pattern: LabeledGraph) -> list:
-    """Per vertex (index 0 unused), a key shared exactly by its twins:
-    vertices with one open, or one closed, neighbourhood.  Any permutation
-    of a twin class is an automorphism; an open neighbourhood never equals
-    a closed one, and no vertex has twins of both kinds."""
-    adj = pattern.adj
-    seen = Counter([adj[v] for v in pattern.vertices()])
-    seen.update(adj[v] | {v} for v in pattern.vertices())
-    return [
-        adj[v] if seen[adj[v]] > 1 else adj[v] | {v} if seen[adj[v] | {v}] > 1 else v
-        for v in range(pattern.n + 1)
-    ]
-
-
-def _allowed(g: LabeledGraph, pattern: LabeledGraph, order: list[int]) -> list[int]:
-    """Per position of ``order``, the bitmask of the vertices of g whose
-    degree is at least that of the pattern vertex placed there."""
-    degrees = [len(g.adj[w]) for w in g.vertices()]
-    masks = {
-        d: sum(1 << b for b, e in enumerate(degrees) if e >= d)
-        for d in {len(pattern.adj[v]) for v in order}
-    }
-    return [masks[len(pattern.adj[v])] for v in order]
-
-
-def _plan(pattern: LabeledGraph, root: int | None = None):
-    """(order, steps): the placement order of the pattern vertices and, per
-    position, the earlier positions of its neighbours, of its
-    non-neighbours, and of those whose images must be lower: its latest
-    twin's, if any.
-
-    ``root`` (default: a vertex of highest degree) comes first, then always
-    the vertex with the most placed neighbours, ties broken by higher degree
-    and then smaller label.
-    """
-    adj, key = pattern.adj, _twin_keys(pattern)
-    order = [] if root is None else [root]
-    while len(order) < pattern.n:
-        placed = set(order)
-        order.append(
-            min(
-                set(pattern.vertices()) - placed,
-                key=lambda u: (-len(adj[u] & placed), -len(adj[u]), u),
-            )
-        )
-    steps = [
-        (
-            [q for q, u in enumerate(order[:t]) if u in adj[v]],
-            [q for q, u in enumerate(order[:t]) if u not in adj[v]],
-            [q for q, u in enumerate(order[:t]) if key[u] == key[v]][-1:],
-        )
-        for t, v in enumerate(order)
-    ]
-    return order, steps
-
-
-def _embeddings(rows: list[int], steps, allowed: list[int]) -> Iterator[list[int]]:
-    """Induced embeddings of a planned pattern into a host, depth first.
-
-    ``rows[b]`` is the neighbour bitmask of host vertex bit b, and
-    ``allowed[t]`` the host bits position t may take.  Each embedding is
-    yielded as the list of host bits by position, in lexicographic order,
-    with each position above the images of the positions its step lists as
-    lower; the list is reused, so copy what you keep.  With the plans of
-    :func:`_root_plans`, pinned as :func:`find_induced_occurrences` pins
-    them, every copy is yielded exactly once; those plans are built once
-    per pattern and kept for the last ``PLAN_CACHE_SIZE`` (64) patterns.
-    """
-    k = len(steps)
-    if not k:  # the empty pattern embeds once
-        yield []
-        return
-    image = [0] * k
-    pool = [0] * k  # candidates of each position not tried yet
-    pool[0] = allowed[0]
-    used = 0
-    t = 0
-    while t >= 0:
-        c = pool[t]
-        if not c:  # position t is exhausted: back up one position
-            t -= 1
-            if t >= 0:
-                used ^= 1 << image[t]
-            continue
-        low = c & -c
-        pool[t] = c ^ low
-        image[t] = low.bit_length() - 1
-        if t + 1 == k:
-            yield image
-            continue
-        used |= low
-        t += 1
-        adjacent, apart, lower = steps[t]
-        c = allowed[t] & ~used
-        for q in adjacent:
-            c &= rows[image[q]]
-        for q in apart:
-            c &= ~rows[image[q]]
-        for q in lower:
-            c &= -2 << image[q]  # only vertices above that position's image
-        pool[t] = c
-
-
-def _isomorphisms(a: LabeledGraph, b: LabeledGraph) -> Iterator[tuple[list[int], list[int]]]:
-    """Isomorphisms a -> b with a's twins in increasing image order, as
-    (order, image): image[t] is the 0-based image of vertex order[t], and
-    the list is reused between yields.  Every isomorphism is one of these
-    followed by a permutation inside a's twin classes."""
-    if a.degree_multiset() == b.degree_multiset():
-        order, steps = _plan(a)
-        for image in _embeddings(b.row_masks()[1:], steps, _allowed(b, a, order)):
-            yield order, image
+# --- occurrence plans ----------------------------------------------------
 
 
 def _refined(pattern: LabeledGraph, colors: list[int]) -> list[int]:

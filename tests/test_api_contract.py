@@ -4,8 +4,9 @@ RecursionError, or was silently taken as some other value (a bool as 0/1, a
 float truncated or carried through the arithmetic).
 
 Integer arguments all go through ``errors.check_int``, real ones through
-``errors.check_real``, the graphs of the search, close-knit and codec entry
-points through ``graphs.check_graph``, the text or bytes of the codecs
+``errors.check_real``, the graphs of the graph-operation, search,
+isomorphism, close-knit and codec entry points through
+``graphs.check_graph``, the text or bytes of the codecs
 through one ``isinstance`` check each, and the graph, game and config of the
 diffusion entry points through one ``isinstance`` check; the boundary rows
 check that the shared checks still take what they should (seeds 0 and
@@ -27,8 +28,21 @@ from gasketlab.diffusion import (
     run,
 )
 from gasketlab.errors import check_int, check_real
-from gasketlab.graphs import EdgeBitString, as_subset, decode, encode, gnp_sample, pair_at, pos
+from gasketlab.graphs import (
+    EdgeBitString,
+    as_subset,
+    connected_components,
+    decode,
+    disjoint_union,
+    encode,
+    gnp_sample,
+    induced_subgraph,
+    is_ordered_occurrence,
+    pair_at,
+    pos,
+)
 from gasketlab.io import from_graph6, from_json_edges, to_dot, to_graph6, to_json_edges
+from gasketlab.isomorphism import automorphism_count, find_isomorphism, is_isomorphic
 from gasketlab.ramsey import (
     bounds_report,
     construct_union,
@@ -38,7 +52,7 @@ from gasketlab.ramsey import (
     is_host,
     split_union,
 )
-from gasketlab.experiments import plant_occurrence, threshold_sweep
+from gasketlab.experiments import expected_occurrences, plant_occurrence, threshold_sweep
 from gasketlab.ranking import (
     ceil_log2,
     rank_permutation,
@@ -187,6 +201,23 @@ ESCAPES = {
     "plant pattern text": (
         lambda: plant_occurrence(K3, "K3", (1, 2, 3)), "^pattern must be a LabeledGraph"),
     "from_bytes blob int": (lambda: from_bytes(0), "^serialized encoding must be bytes, got int"),
+    "induced_subgraph graph text": (
+        lambda: induced_subgraph("x", (1,)), "^graph must be a LabeledGraph, got str"),
+    "components graph text": (
+        lambda: connected_components("x"), "^graph must be a LabeledGraph, got str"),
+    "disjoint_union g1 text": (lambda: disjoint_union("x", K3), "^g1 must be a LabeledGraph"),
+    "disjoint_union g2 text": (lambda: disjoint_union(K3, "x"), "^g2 must be a LabeledGraph"),
+    "ordered occurrence graph text": (
+        lambda: is_ordered_occurrence("x", (1, 2, 3), K3), "^graph must be a LabeledGraph"),
+    "ordered occurrence pattern text": (
+        lambda: is_ordered_occurrence(K3, (1, 2, 3), "x"), "^pattern must be a LabeledGraph"),
+    "expected_occurrences pattern text": (
+        lambda: expected_occurrences(5, "x"), "^pattern must be a LabeledGraph, got str"),
+    "find_isomorphism a text": (lambda: find_isomorphism("x", K3), "^graph a must be a"),
+    "find_isomorphism b text": (lambda: find_isomorphism(K3, "x"), "^graph b must be a"),
+    "is_isomorphic a text": (lambda: is_isomorphic("x", K3), "^graph a must be a LabeledGraph"),
+    "automorphism_count graph text": (
+        lambda: automorphism_count("x"), "^graph must be a LabeledGraph, got str"),
 }
 
 
@@ -241,6 +272,29 @@ def test_vertex_accessors_take_exactly_1_to_n():
 
 def test_config_keeps_init_adopters_as_a_tuple():
     assert DiffusionConfig(init_adopters=[3, 1]).init_adopters == (3, 1)
+
+
+def test_closeknit_takes_every_r_at_most_zero_with_singleton_witnesses():
+    """Every ratio is >= 0, so r <= 0 is accepted, not refused, and each
+    vertex's own singleton qualifies."""
+    s3 = build(3).graph
+    for r in (0, -1, Fraction(-1, 3)):
+        result = is_rk_closeknit(s3, r, 3)
+        assert result.success and result.groups_examined == s3.n
+        assert result.witness == {v: (v,) for v in s3.vertices()}
+
+
+def test_adoption_fraction_is_read_at_its_exact_binary_value():
+    """The float 0.9 is slightly above 9/10, so on 10 vertices it targets
+    all 10 adopters, as 1.0 does; the Fraction 9/10 targets 9."""
+    k10 = LabeledGraph.complete(10)
+    config = DiffusionConfig(init_adopters=(1, 2, 3, 4))
+
+    def hits(fraction):
+        return hitting_time_stats(k10, GAME, config, 5, adoption_fraction=fraction).hit_times
+
+    assert hits(0.9) == hits(1.0)
+    assert all(a < b for a, b in zip(hits(Fraction(9, 10)), hits(0.9)))
 
 
 JSON_VALUES = st.recursive(

@@ -1,0 +1,53 @@
+"""Module layering and the CLI command table.
+
+A module loads only the layers it uses: close-knit certification does not
+load the diffusion dynamics, and isomorphism search, which holds the
+embedding kernel, does not load the Ramsey host search built on it.  Each
+check runs in a fresh interpreter, so no import made earlier in the test
+process can hide a dependency.
+
+``cli.build_parser`` is built from ``cli._COMMANDS``; every handler must
+have its row and every shared flag spec in ``cli._FLAGS`` a reader.
+"""
+
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from gasketlab import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "module, absent", [("closeknit", "diffusion"), ("isomorphism", "ramsey")]
+)
+def test_a_module_does_not_load_a_layer_above_it(module, absent):
+    code = f"import sys, gasketlab.{module}; print('gasketlab.{absent}' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def _rows():
+    return [row for _, _, rows in cli._COMMANDS for row in rows]
+
+
+def test_every_handler_has_exactly_one_command_row():
+    handlers = {name for name in vars(cli) if name.startswith("_cmd_")}
+    rows = Counter(func.__name__ for _, func, _ in _rows())
+    assert rows == Counter(handlers)
+
+
+def test_every_shared_flag_spec_is_named_by_some_row():
+    named = {flag for _, _, flags in _rows() for flag in flags if isinstance(flag, str)}
+    assert named == set(cli._FLAGS)
