@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, check_instance
 from .graphs import LabeledGraph
 from .io import JSON_VERTEX_MAX
 from . import sierpinski
@@ -25,7 +25,7 @@ def named_graph(name: str) -> LabeledGraph:
     The size is checked before anything is built: at most ``JSON_VERTEX_MAX``
     vertices for E, P and C, and as many edges for K; S has its level cap.
     """
-    m = re.fullmatch(r"([KSPCE])0*(\d+)", name.strip())
+    m = re.fullmatch(r"([KSPCE])0*(\d+)", check_instance(name, str, "graph name").strip())
     if not m:
         raise UnknownGraphName(
             f"unknown graph name {name!r}; expected one of {NAMED_PATTERNS}"

@@ -212,12 +212,10 @@ def _cmd_encode_alt(args) -> str:
     blob = twopart.to_bytes(enc, side)
     report = twopart.length_report(side.n, side.k, side.ordered)
     Path(args.out).write_bytes(blob)  # after every check, so a refusal leaves no file
-    out_path = str(args.out)
-    args._extra_paths.append(out_path)
-    args.out = None  # the binary is the file output; the report goes to stdout
+    args._extra_paths.append(str(args.out))
     return _json_dump(
         {
-            "out": out_path,
+            "out": str(args.out),
             "canonical_bits": report.canonical_bits,
             "encoded_bits": enc.length_bits(side),
             "gain": report.gain,
@@ -461,7 +459,8 @@ _DIFFUSE = (
 
 # (group, group help, rows): a row is (subcommand, handler, flags), in help
 # order.  Every subcommand also takes --out and --manifest, declared in
-# build_parser; a row's own "--out" pair replaces the default one.
+# build_parser; a row's own "--out" pair replaces the default one, and its
+# handler writes that file itself while its text goes to stdout.
 _COMMANDS = (
     ("gen", "generate graphs", (
         ("sierpinski", _cmd_gen_sierpinski, (
@@ -539,6 +538,9 @@ _COMMANDS = (
 )
 
 
+_OUT = dict(type=Path, help="write output here instead of stdout")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process from ``_COMMANDS``
@@ -556,10 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for name, func, flags in rows:
             sp = subs.add_parser(name)
-            sp.set_defaults(func=func)
             specs = dict((f, _FLAGS[f]) if isinstance(f, str) else f for f in flags)
-            out = specs.pop("--out", dict(type=Path, help="write output here instead of stdout"))
-            sp.add_argument("--out", **out)
+            own_out = specs.pop("--out", None)
+            sp.set_defaults(func=func, _text_out=own_out is None)
+            sp.add_argument("--out", **own_out or _OUT)
             sp.add_argument("--manifest", type=Path, help="write a run manifest JSON")
             for flag, keywords in specs.items():
                 sp.add_argument(flag, **keywords)
@@ -588,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = args.func(args)
         paths = list(args._extra_paths)
-        if args.out:
+        if args.out and args._text_out:
             Path(args.out).write_text(text)
             paths.append(str(args.out))
         else:

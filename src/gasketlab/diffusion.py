@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from statistics import median
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_instance, check_int, check_real
 from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset
 from .rng import WordStream, check_seed, derive_seed, uniform_cut
 
@@ -116,8 +116,7 @@ def _check_types(g, game, config) -> None:
     """Refuse a graph, game or config of the wrong type before any is read."""
     kinds = (LabeledGraph, CoordinationGame, DiffusionConfig)
     for value, name, kind in zip((g, game, config), ("graph", "game", "config"), kinds):
-        if not isinstance(value, kind):
-            raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        check_instance(value, kind, name)
 
 
 def _counts(

@@ -5,7 +5,8 @@ Every public entry point either returns or raises :class:`DomainError`.
 Scalar arguments go through :func:`check_int` or :func:`check_real`, so
 "is this a usable number in range" is decided in one place: a bool is
 never a number here, an integer is anything with ``__index__``, and the
-message names the argument.
+message names the argument.  Any other argument of a fixed type (a graph,
+a bit string, a side info) goes through :func:`check_instance`.
 """
 
 from numbers import Real
@@ -38,6 +39,14 @@ def check_int(value, name: str, low: int | None = None, high: int | None = None)
         if low is None:
             raise DomainError(f"{name} must be <= {high}, got {value}")
         raise DomainError(f"{name} must be in {low}..{high}, got {value}")
+    return value
+
+
+def check_instance(value, kind: type, name: str):
+    """``value`` unchanged if it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -14,10 +14,10 @@ pos(i, i+1).  ``decode`` and ``gnp_sample`` hold the encoding as C(n,2)
 n x n square of 0/1 bytes and build every neighbour set from that square's
 row v OR its column v (a strided slice), so no Python code runs per edge.
 The graph they return keeps those flag bytes (not a dataclass field, so
-``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never see them), and
-``encode`` and ``io.to_graph6`` read them instead of asking the neighbour
-sets again.  A graph built any other way has no flags; ``encode`` then
-writes each row as 0/1 bytes from one ``map`` over the neighbour set.
+``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never see them).
+Only this module knows the layout: ``encode``, ``io.to_graph6``, planting
+and the two-part codec take a graph's flags from ``_canonical_flags`` and
+the positions inside a subset from ``_inside_positions``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_instance, check_int, check_real
 from .rng import WordStream, uniform_cut
 
 __all__ = [
@@ -164,6 +164,7 @@ class EdgeBitString:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int(self.n, "vertex count", 0))
+        check_instance(self.bits, str, "bits")
         expected = comb(self.n, 2)
         if len(self.bits) != expected:
             raise DomainError(
@@ -197,6 +198,25 @@ def _with_flags(g: LabeledGraph, flags: bytes) -> LabeledGraph:
     return g
 
 
+def _canonical_flags(g: LabeledGraph) -> bytes:
+    """The canonical C(n, 2) 0/1 flag bytes of ``g`` in pos order: the ones
+    it keeps, or else row i as one flag per j = i+1..n, asked of the
+    neighbour set in one ``map``, and not kept."""
+    if g._flags is not None:
+        return g._flags
+    n, adj = g.n, g.adj
+    return b"".join(bytes(map(adj[i].__contains__, range(i + 1, n + 1))) for i in range(1, n + 1))
+
+
+def _inside_positions(sub: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int]]:
+    """(s, t, pos(sub[s], sub[t]) - 1) for s < t: the C(k, 2) 0-based
+    canonical positions inside the sorted subset, in ascending order."""
+    for s, a in enumerate(sub):
+        base = (a - 1) * n - a * (a - 1) // 2 - a - 1  # pos(a, b) - 1 - b
+        for t in range(s + 1, len(sub)):
+            yield s, t, base + sub[t]
+
+
 def _upper_square(n: int, flags: bytes) -> bytes:
     """The canonical order's C(n, 2) flags laid out as the upper triangle of
     an n x n square: row i is i zero bytes, then the flags of (i, i+1..n)."""
@@ -223,19 +243,10 @@ def _ascii_bits(text: str, what: str = "bit string") -> bytes:
 
 
 def encode(g: LabeledGraph) -> EdgeBitString:
-    """Canonical bit-string encoding; exact inverse of :func:`decode`.
-
-    One ``translate`` turns the graph's kept flags into '0'/'1' text.  A
-    graph without them gets row i as one 0/1 flag per j = i+1..n, asked of
-    the neighbour set in one ``map``.
-    """
-    check_graph(g, "graph")
-    n, adj, flags = g.n, g.adj, g._flags
-    if flags is None:
-        flags = b"".join(
-            bytes(map(adj[i].__contains__, range(i + 1, n + 1))) for i in range(1, n + 1)
-        )
-    return EdgeBitString(n, flags.translate(_TEXT).decode("ascii"))
+    """Canonical bit-string encoding; exact inverse of :func:`decode`: one
+    ``translate`` of the graph's canonical flags into '0'/'1' text."""
+    flags = _canonical_flags(check_graph(g, "graph"))
+    return EdgeBitString(g.n, flags.translate(_TEXT).decode("ascii"))
 
 
 def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
@@ -277,9 +288,7 @@ def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tupl
 
 def check_graph(value, name: str) -> LabeledGraph:
     """``value`` unchanged if it is a :class:`LabeledGraph`."""
-    if not isinstance(value, LabeledGraph):
-        raise DomainError(f"{name} must be a LabeledGraph, got {type(value).__name__}")
-    return value
+    return check_instance(value, LabeledGraph, name)
 
 
 def _refuse_isolated(g: LabeledGraph, vertices: Iterable[int], consequence: str) -> None:

@@ -7,10 +7,9 @@ Our 1-based labels map to graph6 vertex i-1.  Both directions go through
 one '0'/'1' string of the column-major bits, ``int(bits, 2)`` and base64
 (whose alphabet maps one-to-one onto the 64 graph6 byte values).  Column j
 (the pairs (i, j), i < j) is written as one strided slice of the upper
-square of the graph's kept canonical flags (see ``graphs``), or, for a
-graph without them, as 0/1 bytes from one ``map`` over j's neighbour set.
-It is read back as row j of the lower triangle of an n x n square of 0/1
-bytes, from which ``graphs`` builds every neighbour set.
+square of the graph's canonical flags (see ``graphs``).  It is read back
+as row j of the lower triangle of an n x n square of 0/1 bytes, from which
+``graphs`` builds every neighbour set.
 JSON edge lists are type-checked field by field: n and every label must be
 a JSON integer (not a bool), n at most ``JSON_VERTEX_MAX``, and every edge
 a pair.
@@ -22,7 +21,9 @@ import binascii
 import json
 
 from .errors import DomainError, check_int
-from .graphs import _FLAGS, _TEXT, LabeledGraph, _from_square, _upper_square, check_graph
+from .graphs import (
+    _FLAGS, _TEXT, LabeledGraph, _canonical_flags, _from_square, _upper_square, check_graph
+)
 
 __all__ = [
     "to_graph6",
@@ -86,16 +87,11 @@ def to_graph6(g: LabeledGraph) -> str:
 
     The column-major upper triangle is built as '0'/'1' text one column at a
     time, read as one integer and packed six bits per byte through base64.
-    Column j is a strided slice of the upper square of the graph's kept
-    flags, or else one ``map`` over j's neighbour set.
+    Column j is a strided slice of the upper square of the graph's flags.
     """
-    check_graph(g, "graph")
-    n, adj, flags = g.n, g.adj, g._flags
-    if flags is None:
-        columns = [bytes(map(adj[j].__contains__, range(1, j))) for j in range(2, n + 1)]
-    else:
-        square = _upper_square(n, flags)
-        columns = [square[c : c * n : n] for c in range(1, n)]  # column c + 1, rows 1..c
+    n = check_graph(g, "graph").n
+    square = _upper_square(n, _canonical_flags(g))
+    columns = [square[c : c * n : n] for c in range(1, n)]  # column c + 1, rows 1..c
     bits = b"".join(columns).translate(_TEXT)
     chars = (len(bits) + 5) // 6
     body = b""

@@ -474,7 +474,9 @@ class BoundsReport:
     Both constants are caller-supplied parameters, not asserted values.
     ``incompressible_lower`` = 2^((k-1)/2) is the exponential host-size
     bound from two-part description-length accounting, and
-    ``incompressible_upper`` adds the polynomial bound on top of it.
+    ``incompressible_upper`` adds the polynomial bound on top of it.  Every
+    field is a finite float: a pattern size k (every k >= 2049) or constant
+    that would pass the largest float raises DomainError naming it.
     """
 
     pattern_size: int
@@ -498,7 +500,10 @@ def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
         chvatal = k * 2.0**exponent
     except OverflowError as exc:
         raise DomainError(f"c={c} makes 2^(c*D*log2 D) too large for a float") from exc
-    lower = 2.0 ** ((k - 1) / 2)
+    try:
+        lower = 2.0 ** ((k - 1) / 2)
+    except OverflowError as exc:
+        raise DomainError(f"pattern size k={k} makes 2^((k-1)/2) too large for a float") from exc
     # k^c_d >= 2^(c_d (bitlen(k) - 1)) cannot be a float once that reaches 2^1024
     if c_d * max(k.bit_length() - 1, 0) >= 1024:
         raise DomainError(f"c_d={c_d} makes k^c_d = {k}^{c_d} too large for a float")
@@ -510,6 +515,8 @@ def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
         upper = lower + luczak_rodl
     except OverflowError as exc:
         raise DomainError(f"c_d={c_d} makes k^c_d = {k}^{c_d} too large for a float") from exc
+    if math.isinf(upper):
+        raise DomainError(f"pattern size k={k} and c_d={c_d} make 2^((k-1)/2) + k^c_d too large")
     return BoundsReport(
         pattern_size=k,
         max_degree=delta,

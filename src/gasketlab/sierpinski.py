@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError, check_int
+from .errors import ResourceLimitError, check_instance, check_int
 from .graphs import LabeledGraph
 
 __all__ = [
@@ -81,7 +81,7 @@ def build(level: int, max_level: int = MAX_LEVEL_DEFAULT) -> SierpinskiGraph:
 
 def corners(s: SierpinskiGraph) -> tuple[int, int, int]:
     """Labels of the three outer corners (degree 2 for level > 1)."""
-    return s.corner_labels
+    return check_instance(s, SierpinskiGraph, "gasket").corner_labels
 
 
 def _collect_offsets(level: int, target: int, r0: int, c0: int, out: list[Coord]) -> None:
@@ -112,6 +112,7 @@ def _coord_points(level: int) -> list[Coord]:
 def subgaskets(s: SierpinskiGraph, sub_level: int) -> list[tuple[int, ...]]:
     """The 3^(l-j) canonical level-j sub-gasket vertex sets, in recursion
     order (top copy, then lower-left, then lower-right)."""
+    check_instance(s, SierpinskiGraph, "gasket")
     sub_level = check_int(sub_level, "sub-gasket level", 1, s.level)
     offsets: list[Coord] = []
     _collect_offsets(s.level, sub_level, 0, 0, offsets)

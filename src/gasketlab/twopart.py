@@ -19,11 +19,14 @@ from measured length, mirroring conditional description-length accounting.
 All accounting is exact integer arithmetic with whole-bit ceilings.  The
 codec never walks all C(n,2) pairs one by one: it cuts the residual out of
 the canonical text (or splices it back) at the C(k,2) inside positions
-pos(a, b), checking each inside bit against the pattern, and serializes
-the residual with one ``int(residual, 2)``.  ``SideInfo`` checks its own
-fields (u32 sizes with 2 <= k <= n, a bool ``ordered``, a generator id of
-the form ``<sierpinski|complete|empty>:<digits>`` that makes exactly k
-vertices, a gasket level at most 12) and never builds the pattern.
+pos(a, b) that ``graphs`` walks, checking each inside bit against the
+pattern, and serializes the residual with one ``int(residual, 2)``.  The
+exact break-even host size is found by doubling and bisection on n, and a
+float bound past the largest float raises DomainError naming k.
+``SideInfo`` checks its own fields (u32 sizes with 2 <= k <= n, a bool
+``ordered``, a generator id of the form ``<sierpinski|complete|empty>:<digits>``
+that makes exactly k vertices, a gasket level at most 12) and never builds
+the pattern.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ import re
 import zlib
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator
 
-from .errors import DomainError, ResourceLimitError, check_int
-from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, as_subset
+from .errors import DomainError, ResourceLimitError, check_instance, check_int
+from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, _inside_positions, as_subset
 from .ranking import (
     ceil_log2,
     rank_subset,
@@ -173,7 +175,7 @@ class TwoPartEncoding:
     residual: str  # '0'/'1' text, ascending position order
 
     def length_bits(self, side: SideInfo) -> int:
-        subset_bits, order_bits, _ = side.widths()
+        subset_bits, order_bits, _ = check_instance(side, SideInfo, "side").widths()
         return subset_bits + order_bits + len(self.residual)
 
 
@@ -205,14 +207,22 @@ def threshold_exact(k: int, ordered: bool) -> int | None:
     """Largest host size n with gain > 0, or None if no n qualifies.
 
     The gain is non-increasing in n (the subset index only grows), so an
-    ascending scan from n = k terminates at the first non-positive value.
+    upper bracket is found by doubling from n = k and the last n with a
+    positive gain by bisection: O(k) gain evaluations, as the threshold is
+    about 2^(k/2).
     """
     if gain(k, k, ordered) <= 0:
         return None
-    n = k
-    while gain(n + 1, k, ordered) > 0:
-        n += 1
-    return n
+    low, high = k, 2 * k  # gain(low) > 0
+    while gain(high, k, ordered) > 0:
+        low, high = high, 2 * high
+    while high - low > 1:  # gain(low) > 0 >= gain(high)
+        mid = (low + high) // 2
+        if gain(mid, k, ordered) > 0:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,9 @@ class ContainmentBounds:
     an extra log n of slack.  ``unordered`` is k 2^(k/2) / (e sqrt 2), the
     Stirling form when no ordering index is needed; the o(1) correction is
     dropped, so all three are asymptotic guides, not exact thresholds -
-    use :func:`threshold_exact` for whole-bit answers.
+    use :func:`threshold_exact` for whole-bit answers.  They are floats, so
+    a k whose bounds pass the largest float (every k >= 2027) raises
+    DomainError naming k rather than returning an infinity.
     """
 
     ordered: float
@@ -235,20 +247,17 @@ class ContainmentBounds:
 
 def asymptotic_bounds(k: int) -> ContainmentBounds:
     k = check_int(k, "pattern size k", PATTERN_SIZE_MIN)
-    return ContainmentBounds(
-        ordered=2.0 ** ((k - 1) / 2),
-        ordered_log_slack=2.0 ** (k * (k - 1) / (2 * (k + 1))),
-        unordered=k * 2.0 ** (k / 2) / (math.e * math.sqrt(2)),
-    )
-
-
-def _inside_positions(occ: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int]]:
-    """(s, t, pos(occ[s], occ[t]) - 1) for s < t: the C(k,2) 0-based canonical
-    positions inside the occurrence, in ascending order."""
-    for s, a in enumerate(occ):
-        base = (a - 1) * n - a * (a - 1) // 2 - a - 1  # pos(a, b) - 1 - b
-        for t in range(s + 1, len(occ)):
-            yield s, t, base + occ[t]
+    try:
+        bounds = ContainmentBounds(
+            ordered=2.0 ** ((k - 1) / 2),
+            ordered_log_slack=2.0 ** (k * (k - 1) / (2 * (k + 1))),
+            unordered=k * 2.0 ** (k / 2) / (math.e * math.sqrt(2)),
+        )
+        if not math.isinf(bounds.unordered):  # the largest of the three
+            return bounds
+    except OverflowError:
+        pass
+    raise DomainError(f"pattern size k={k} makes its break-even bounds too large for a float")
 
 
 def encode_two_part(
@@ -259,7 +268,8 @@ def encode_two_part(
     ``occurrence`` must induce the pattern exactly under rank relabeling;
     anything else is rejected so the codec never silently corrupts.
     """
-    if side.n != bits.n:
+    check_instance(bits, EdgeBitString, "bits")
+    if check_instance(side, SideInfo, "side").n != bits.n:
         raise DomainError(f"side info n={side.n} != bit string n={bits.n}")
     occ = as_subset(occurrence, side.n, nonempty=True)
     if len(occ) != side.k:
@@ -291,7 +301,8 @@ def encode_two_part(
 def _fields(enc: TwoPartEncoding, side: SideInfo) -> tuple[int, int, int]:
     """``side.widths()``, once ``enc`` is checked to fill them: a permutation
     rank iff ordered, and a residual of the residual width."""
-    if side.ordered and enc.perm_rank is None:
+    check_instance(enc, TwoPartEncoding, "encoding")
+    if check_instance(side, SideInfo, "side").ordered and enc.perm_rank is None:
         raise DomainError("ordered side info requires a permutation rank")
     if not side.ordered and enc.perm_rank is not None:
         raise DomainError("unordered side info must not carry a permutation rank")
@@ -305,8 +316,8 @@ def _fields(enc: TwoPartEncoding, side: SideInfo) -> tuple[int, int, int]:
 
 def decode_two_part(enc: TwoPartEncoding, side: SideInfo) -> EdgeBitString:
     """Exact inverse of :func:`encode_two_part`."""
-    n, k = side.n, side.k
     _fields(enc, side)
+    n, k = side.n, side.k
     occ = unrank_subset(enc.subset_rank, n, k)
     perm = unrank_permutation(enc.perm_rank, k) if side.ordered else tuple(range(1, k + 1))
     pattern = side.pattern()
@@ -330,7 +341,7 @@ def compressor_proxy(bits: EdgeBitString) -> int:
     informational: container overhead makes this an upper bound only, and
     no correctness check compares it against the exact codec.
     """
-    text = bits.bits
+    text = check_instance(bits, EdgeBitString, "bits").bits
     packed = int(text, 2).to_bytes((len(text) + 7) // 8, "big") if text else b""
     return 8 * len(zlib.compress(packed, 9))
 
@@ -346,6 +357,7 @@ def compressor_proxy(bits: EdgeBitString) -> int:
 
 
 def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
+    subset_bits, order_bits, _ = _fields(enc, side)
     gid = side.generator_id.encode("utf-8")
     header = (
         side.n.to_bytes(4, "big")
@@ -354,7 +366,6 @@ def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
         + gid
         + bytes([1 if side.ordered else 0])
     )
-    subset_bits, order_bits, _ = _fields(enc, side)
     fields = [(enc.subset_rank, subset_bits)]
     if side.ordered:
         fields.append((enc.perm_rank, order_bits))

@@ -8,9 +8,12 @@ Integer arguments all go through ``errors.check_int``, real ones through
 isomorphism, close-knit and codec entry points through
 ``graphs.check_graph``, the text or bytes of the codecs
 through one ``isinstance`` check each, and the graph, game and config of the
-diffusion entry points through one ``isinstance`` check; the boundary rows
-check that the shared checks still take what they should (seeds 0 and
-2^64 - 1, objects with ``__index__``, the largest group size, ``limit=1``).
+diffusion entry points, the bit strings, encodings and side infos of the
+two-part codec, a graph name and a gasket through ``errors.check_instance``.
+A float bound that would pass the largest float raises DomainError naming
+the pattern size.  The boundary rows check that the shared checks still
+take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
+the largest group size, ``limit=1``, the largest k with finite bounds).
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketlab import DomainError, LabeledGraph
+from gasketlab.catalog import named_graph
 from gasketlab.closeknit import GROUP_SIZE_MAX, family_scan, is_rk_closeknit, min_ratio
 from gasketlab.diffusion import (
     CoordinationGame,
@@ -61,13 +65,25 @@ from gasketlab.ranking import (
     unrank_subset,
 )
 from gasketlab.rng import WordStream, derive_seed
-from gasketlab.sierpinski import build, subgaskets, vertex_count
-from gasketlab.twopart import SideInfo, from_bytes
+from gasketlab.sierpinski import build, corners, elementary_triangles, subgaskets, vertex_count
+from gasketlab.twopart import (
+    SideInfo,
+    TwoPartEncoding,
+    asymptotic_bounds,
+    compressor_proxy,
+    decode_two_part,
+    encode_two_part,
+    from_bytes,
+    to_bytes,
+)
 
 K3 = LabeledGraph.complete(3)
 S2 = build(2)
 GAME = CoordinationGame(2, 1, 0, 0)
 HALF = Fraction(1, 2)
+SIDE = SideInfo.for_generator("complete:2", 3)
+ENC = TwoPartEncoding(0, None, "11")
+BITS = EdgeBitString(3, "111")
 
 
 class Index:
@@ -218,6 +234,33 @@ ESCAPES = {
     "is_isomorphic a text": (lambda: is_isomorphic("x", K3), "^graph a must be a LabeledGraph"),
     "automorphism_count graph text": (
         lambda: automorphism_count("x"), "^graph must be a LabeledGraph, got str"),
+    "encode_two_part bits text": (
+        lambda: encode_two_part("x", (1, 2), SIDE), "^bits must be an EdgeBitString, got str"),
+    "encode_two_part side text": (
+        lambda: encode_two_part(BITS, (1, 2), "x"), "^side must be a SideInfo, got str"),
+    "decode_two_part encoding text": (
+        lambda: decode_two_part("x", SIDE), "^encoding must be a TwoPartEncoding, got str"),
+    "decode_two_part side text": (
+        lambda: decode_two_part(ENC, "x"), "^side must be a SideInfo, got str"),
+    "to_bytes encoding text": (
+        lambda: to_bytes("x", SIDE), "^encoding must be a TwoPartEncoding, got str"),
+    "to_bytes side text": (lambda: to_bytes(ENC, "x"), "^side must be a SideInfo, got str"),
+    "length_bits side text": (lambda: ENC.length_bits("x"), "^side must be a SideInfo, got str"),
+    "compressor_proxy bits text": (
+        lambda: compressor_proxy("x"), "^bits must be an EdgeBitString, got str"),
+    "bit string bits bytes": (lambda: EdgeBitString(3, b"010"), "^bits must be a str, got bytes"),
+    "bit string bits none": (lambda: EdgeBitString(3, None), "^bits must be a str, got NoneType"),
+    "named_graph name int": (lambda: named_graph(0), "^graph name must be a str, got int"),
+    "elementary_triangles gasket text": (
+        lambda: elementary_triangles("x"), "^gasket must be a SierpinskiGraph, got str"),
+    "subgaskets gasket text": (
+        lambda: subgaskets("x", 1), "^gasket must be a SierpinskiGraph, got str"),
+    "corners gasket text": (lambda: corners("x"), "^gasket must be a SierpinskiGraph, got str"),
+    "asymptotic_bounds k past the float range": (
+        lambda: asymptotic_bounds(2027), r"^pattern size k=2027 makes its break-even bounds"),
+    "bounds k past the float range": (
+        lambda: bounds_report(LabeledGraph.empty(2049), 1, 3),
+        r"^pattern size k=2049 makes 2\^\(\(k-1\)/2\) too large for a float$"),
 }
 
 
@@ -252,6 +295,13 @@ def test_index_objects_are_taken_as_their_integers():
     assert is_rk_closeknit(K3, HALF, Index(3)) == is_rk_closeknit(K3, HALF, 3)
     config = DiffusionConfig(init_adopters=[Index(1)], horizon=Index(5), seed=Index(2))
     assert config == DiffusionConfig(init_adopters=(1,), horizon=5, seed=2)
+
+
+def test_the_largest_pattern_sizes_with_finite_bounds_are_taken():
+    assert asymptotic_bounds(2026).unordered < float("inf")
+    assert bounds_report(LabeledGraph.empty(2048), 1, 3).incompressible_upper < float("inf")
+    with pytest.raises(DomainError, match="^pattern size k=2048 and c_d=93 make"):
+        bounds_report(LabeledGraph.empty(2048), 1, 93)
 
 
 def test_largest_group_size_and_smallest_limit_are_taken():

@@ -528,3 +528,30 @@ def test_encode_alt_reports_in_full_or_leaves_no_file(tmp_path, capsys, gen, occ
     else:
         assert (code, stdout, out.exists()) == (1, "", False)
         assert err.startswith("error:")
+
+
+def test_encode_alt_manifest_records_out_as_given(tmp_path, capsys):
+    out, manifest = tmp_path / "x.bin", tmp_path / "m.json"
+    argv = ["encode", "alt", "--graph", "S3", "--occ", "1,2,3", "--gen", "sierpinski:1",
+            "--out", str(out)]
+    code, plain, _ = run_main(argv, capsys)
+    blob = out.read_bytes()
+    out.unlink()
+    assert run_main(argv + ["--manifest", str(manifest)], capsys) == (0, plain, "") and code == 0
+    assert out.read_bytes() == blob and json.loads(plain)["out"] == str(out)
+    payload = json.loads(manifest.read_text())
+    assert payload["parameters"]["out"] == str(out)
+    assert payload["output_paths"] == [str(out)]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(("experiment", "threshold-sweep", "--levels", "8", "--n-values", "10", "--trials", "1",
+       "--seed", "1"), "error: pattern size k=3282 makes its break-even bounds too large"),
+     (("ramsey", "bounds", "--pattern", "S8"), "error: pattern size k=3282 makes 2^((k-1)/2)")],
+)
+def test_bounds_past_the_largest_float_exit_1_with_one_error_line(args, message):
+    result = run_cli(*args)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr

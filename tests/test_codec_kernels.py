@@ -288,7 +288,8 @@ def test_unordered_two_part_codec_matches_oracles(n, seed, data):
 def test_kept_flags_agree_with_adj_and_the_encoders_with_the_oracles(n, p, seed, data):
     """gnp_sample, decode and plant_occurrence keep flags equal to those of
     their adjacency; encode and to_graph6 read the same bits off a graph
-    with flags and off the same graph without them."""
+    with flags and off the same graph without them, and planting a graph
+    without flags gives it the flags that planting its flagged twin does."""
     sampled = gnp_sample(n, p, seed)
     built = [sampled, decode(oracle_encode(sampled).bits, n)]
     if n:
@@ -297,8 +298,12 @@ def test_kept_flags_agree_with_adj_and_the_encoders_with_the_oracles(n, p, seed,
         pattern = LabeledGraph.from_edges(k, data.draw(st.lists(pairs, max_size=15)))
         subset = data.draw(st.permutations(range(1, n + 1)))[:k]
         built.append(plant_occurrence(sampled, pattern, subset))
-        bare_plant = plant_occurrence(LabeledGraph(n, sampled.adj), pattern, subset)
-        assert bare_plant._flags is None and bare_plant == built[-1]
+        bare_host = LabeledGraph(n, sampled.adj)
+        bare_plant = plant_occurrence(bare_host, pattern, subset)
+        assert bare_host._flags is None
+        assert bare_plant._flags == built[-1]._flags
+        assert bare_plant == built[-1] == oracle_plant_occurrence(bare_host, pattern, subset)
+        built.append(bare_plant)
     for g in built:
         assert g._flags == oracle_encode(g).bits.encode().translate(graphs._FLAGS)
         bare = LabeledGraph(g.n, g.adj)
@@ -306,6 +311,15 @@ def test_kept_flags_agree_with_adj_and_the_encoders_with_the_oracles(n, p, seed,
         for h in (g, bare):
             assert encode(h) == oracle_encode(h)
             assert to_graph6(h) == oracle_to_graph6(h)
+
+
+@given(st.integers(0, 40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_inside_positions_are_pos_minus_one_over_every_pair(n, data):
+    k = data.draw(st.integers(0, min(n, 8)))
+    occ = tuple(sorted(data.draw(st.permutations(range(1, n + 1)))[:k]))
+    expected = [(s, t, pos(occ[s], occ[t], n) - 1) for s in range(k) for t in range(s + 1, k)]
+    assert list(graphs._inside_positions(occ, n)) == expected
 
 
 def test_kept_flags_are_not_seen_by_the_dataclass():

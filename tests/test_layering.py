@@ -6,11 +6,15 @@ embedding kernel, does not load the Ramsey host search built on it.  Each
 check runs in a fresh interpreter, so no import made earlier in the test
 process can hide a dependency.
 
+Only ``graphs`` knows the canonical pair layout: no other module in
+``src/`` reads or writes a graph's kept ``_flags``.
+
 ``cli.build_parser`` is built from ``cli._COMMANDS``; every handler must
 have its row and every shared flag spec in ``cli._FLAGS`` a reader.
 """
 
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -36,6 +40,15 @@ def test_a_module_does_not_load_a_layer_above_it(module, absent):
         timeout=60,
     )
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def test_only_graphs_touches_the_kept_flags():
+    touching = {
+        path.name
+        for path in (SRC / "gasketlab").glob("*.py")
+        if re.search(r"\b_flags\b", path.read_text())
+    }
+    assert touching == {"graphs.py"}
 
 
 def _rows():

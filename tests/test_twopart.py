@@ -77,6 +77,44 @@ def test_threshold_exact_values():
     assert threshold_exact(3, True) is None  # ordering cost eats all savings
 
 
+def _threshold_by_scan(k, ordered):
+    """The last n with a positive gain, by an ascending scan from n = k."""
+    if gain(k, k, ordered) <= 0:
+        return None
+    n = k
+    while gain(n + 1, k, ordered) > 0:
+        n += 1
+    return n
+
+
+def test_threshold_exact_equals_the_scan():
+    for k in range(2, 31):
+        for ordered in (True, False):
+            assert threshold_exact(k, ordered) == _threshold_by_scan(k, ordered), (k, ordered)
+
+
+def test_threshold_exact_of_s5_returns_within_a_time_bound():
+    # a subprocess, so that a scan of about 2^61 host sizes fails at the timeout
+    script = (
+        "from gasketlab.twopart import gain, threshold_exact\n"
+        "n = threshold_exact(123, True)\n"
+        "print(n, gain(n, 123, True) > 0 >= gain(n + 1, 123, True))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert result.stdout == "2283546579399248946 True\n", result.stderr
+
+
+def test_asymptotic_bounds_are_finite_up_to_the_largest_float():
+    assert asymptotic_bounds(2026).unordered < float("inf")
+    for k in (2027, 2100, 10**400):
+        with pytest.raises(DomainError, match=f"^pattern size k={k} makes"):
+            asymptotic_bounds(k)
+
+
 def test_gain_monotone_in_n_and_unordered_dominates():
     for k in (3, 6):
         values = [gain(n, k, True) for n in range(k, 40)]
