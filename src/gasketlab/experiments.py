@@ -19,10 +19,7 @@ from typing import Iterable, Sequence
 
 from . import closeknit, diffusion, ramsey, sierpinski, twopart
 from .errors import DomainError, ResourceLimitError, check_int
-from .graphs import (
-    LabeledGraph, _canonical_flags, _inside_positions, _with_flags, as_subset, check_graph,
-    gnp_sample,
-)
+from .graphs import LabeledGraph, _with_host_flags, as_subset, check_graph, gnp_sample
 from .isomorphism import automorphism_count as aut_count
 from .rng import check_seed, derive_seed
 
@@ -81,8 +78,8 @@ def plant_occurrence(
     """Overwrite the edges inside ``subset`` so it induces ``pattern``
     exactly under rank relabeling; all other edges untouched.
 
-    The planted graph keeps a copy of ``g``'s canonical flags with the
-    C(k, 2) positions inside the subset overwritten.
+    When ``g`` keeps its canonical flags, the planted graph keeps a copy
+    with the C(k, 2) positions inside the subset overwritten.
     """
     check_graph(g, "graph")
     check_graph(pattern, "pattern")
@@ -97,10 +94,7 @@ def plant_occurrence(
     adj = list(g.adj)
     for t, v in enumerate(sub, 1):
         adj[v] = (adj[v] - inside) | {sub[b - 1] for b in pattern.adj[t]}
-    flags = bytearray(_canonical_flags(g))
-    for s, t, at in _inside_positions(sub, g.n):
-        flags[at] = t + 1 in pattern.adj[s + 1]
-    return _with_flags(LabeledGraph(g.n, tuple(adj)), bytes(flags))
+    return _with_host_flags(LabeledGraph(g.n, tuple(adj)), g, sub)
 
 
 def sample_pattern_free(

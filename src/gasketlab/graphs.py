@@ -15,9 +15,9 @@ n x n square of 0/1 bytes and build every neighbour set from that square's
 row v OR its column v (a strided slice), so no Python code runs per edge.
 The graph they return keeps those flag bytes (not a dataclass field, so
 ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never see them).
-Only this module knows the layout: ``encode``, ``io.to_graph6``, planting
-and the two-part codec take a graph's flags from ``_canonical_flags`` and
-the positions inside a subset from ``_inside_positions``.
+Only this module knows the layout: ``encode`` and ``io.to_graph6`` read
+``_canonical_flags``, planting keeps a host's flags with ``_with_host_flags``,
+and it and the two-part codec walk a subset's ``_inside_positions``.
 """
 
 from __future__ import annotations
@@ -199,9 +199,8 @@ def _with_flags(g: LabeledGraph, flags: bytes) -> LabeledGraph:
 
 
 def _canonical_flags(g: LabeledGraph) -> bytes:
-    """The canonical C(n, 2) 0/1 flag bytes of ``g`` in pos order: the ones
-    it keeps, or else row i as one flag per j = i+1..n, asked of the
-    neighbour set in one ``map``, and not kept."""
+    """The canonical C(n, 2) 0/1 flag bytes of ``g`` in pos order: the kept
+    ones, or else, not kept, one ``map`` per row over its neighbour set."""
     if g._flags is not None:
         return g._flags
     n, adj = g.n, g.adj
@@ -215,6 +214,18 @@ def _inside_positions(sub: tuple[int, ...], n: int) -> Iterator[tuple[int, int, 
         base = (a - 1) * n - a * (a - 1) // 2 - a - 1  # pos(a, b) - 1 - b
         for t in range(s + 1, len(sub)):
             yield s, t, base + sub[t]
+
+
+def _with_host_flags(g: LabeledGraph, host: LabeledGraph, sub: tuple[int, ...]) -> LabeledGraph:
+    """``g``, equal to ``host`` outside the sorted subset, keeping ``host``'s
+    flags with the positions inside read off ``g``; if ``host`` keeps none,
+    ``g`` as it is, so a 10^5-vertex host never builds its C(n, 2) flags."""
+    if host._flags is None:
+        return g
+    flags = bytearray(host._flags)
+    for s, t, at in _inside_positions(sub, g.n):
+        flags[at] = sub[t] in g.adj[sub[s]]
+    return _with_flags(g, bytes(flags))
 
 
 def _upper_square(n: int, flags: bytes) -> bytes:

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 PATTERN_SIZE_MIN = 2  # a smaller pattern has no inside pair to save
+BOUNDS_K_MAX = 2029  # the largest k whose unordered bound, the largest, is a finite float
 _U32 = 0xFFFF_FFFF
 _ORDERED = {"sierpinski": True, "complete": False, "empty": False}  # needs ordering info
 _GENERATOR_ID = re.compile(rf"({'|'.join(_ORDERED)}):([0-9]+)")
@@ -236,8 +237,8 @@ class ContainmentBounds:
     Stirling form when no ordering index is needed; the o(1) correction is
     dropped, so all three are asymptotic guides, not exact thresholds -
     use :func:`threshold_exact` for whole-bit answers.  They are floats, so
-    a k whose bounds pass the largest float (every k >= 2027) raises
-    DomainError naming k rather than returning an infinity.
+    a k whose bounds pass the largest float (every k > ``BOUNDS_K_MAX``)
+    raises DomainError naming k rather than returning an infinity.
     """
 
     ordered: float
@@ -247,17 +248,13 @@ class ContainmentBounds:
 
 def asymptotic_bounds(k: int) -> ContainmentBounds:
     k = check_int(k, "pattern size k", PATTERN_SIZE_MIN)
-    try:
-        bounds = ContainmentBounds(
-            ordered=2.0 ** ((k - 1) / 2),
-            ordered_log_slack=2.0 ** (k * (k - 1) / (2 * (k + 1))),
-            unordered=k * 2.0 ** (k / 2) / (math.e * math.sqrt(2)),
-        )
-        if not math.isinf(bounds.unordered):  # the largest of the three
-            return bounds
-    except OverflowError:
-        pass
-    raise DomainError(f"pattern size k={k} makes its break-even bounds too large for a float")
+    if k > BOUNDS_K_MAX:
+        raise DomainError(f"pattern size k={k} makes its break-even bounds too large for a float")
+    return ContainmentBounds(
+        ordered=2.0 ** ((k - 1) / 2),
+        ordered_log_slack=2.0 ** (k * (k - 1) / (2 * (k + 1))),
+        unordered=k / (math.e * math.sqrt(2)) * 2.0 ** (k / 2),
+    )
 
 
 def encode_two_part(

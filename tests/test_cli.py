@@ -5,6 +5,8 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -278,6 +280,22 @@ def run_main(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_plant_into_a_large_host_without_flags_builds_no_flags(capsys):
+    # a named path keeps no canonical flags; planting must not build its
+    # C(n, 2) flag bytes, which json output never reads
+    argv = ["gen", "plant", "--graph", "P5000", "--pattern", "K3", "--subset", "1,2,3",
+            "--format", "json"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "") and peak < comb(5000, 2)
+    payload = json.loads(out)
+    assert payload["n"] == 5000 and payload["edges"][:4] == [[1, 2], [1, 3], [2, 3], [3, 4]]
 
 
 @pytest.mark.parametrize(

@@ -375,3 +375,7 @@ def test_bounds_report_rejects_constants_whose_bound_overflows_a_float():
     assert bounds_report(s2, c=1.0, c_d=396).luczak_rodl == 6**396  # still a float
     with pytest.raises(DomainError, match="c="):
         bounds_report(s2, c=1000.0, c_d=3.0)
+    # the largest pattern size with a finite 2^((k-1)/2)
+    assert bounds_report(LabeledGraph.empty(2048), 1, 3).incompressible_upper < float("inf")
+    with pytest.raises(DomainError, match="^pattern size k=2048 and c_d=93 make"):
+        bounds_report(LabeledGraph.empty(2048), 1, 93)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from gasketlab.experiments import plant_occurrence
 from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build, vertex_count
 from gasketlab.twopart import (
+    BOUNDS_K_MAX,
     SideInfo,
     TwoPartEncoding,
     asymptotic_bounds,
@@ -109,10 +111,11 @@ def test_threshold_exact_of_s5_returns_within_a_time_bound():
 
 
 def test_asymptotic_bounds_are_finite_up_to_the_largest_float():
-    assert asymptotic_bounds(2026).unordered < float("inf")
-    for k in (2027, 2100, 10**400):
-        with pytest.raises(DomainError, match=f"^pattern size k={k} makes"):
-            asymptotic_bounds(k)
+    assert asymptotic_bounds(BOUNDS_K_MAX).unordered < float("inf")
+    k = BOUNDS_K_MAX + 1
+    assert k / (math.e * math.sqrt(2)) * 2.0 ** (k / 2) == float("inf")
+    with pytest.raises(DomainError, match="^pattern size k=10{400} makes"):
+        asymptotic_bounds(10**400)
 
 
 def test_gain_monotone_in_n_and_unordered_dominates():
