@@ -22,7 +22,7 @@ import json
 
 from .errors import DomainError, check_int
 from .graphs import (
-    _FLAGS, _TEXT, LabeledGraph, _canonical_flags, _from_square, _upper_square, check_graph
+    _FLAGS, _TEXT, LabeledGraph, _canonical_flags, _from_lower_square, _upper_square, check_graph
 )
 
 __all__ = [
@@ -106,7 +106,9 @@ def from_graph6(text: str) -> LabeledGraph:
     """Decode a graph6 string (optional ``>>graph6<<`` header allowed).
 
     The body is unpacked through base64 into one '0'/'1' string; column j
-    becomes row j of a lower-triangular square of 0/1 bytes.
+    becomes row j of a lower-triangular square of 0/1 bytes.  The graph
+    keeps the canonical flags read off that square, so encoding it again
+    or planting into it reuses them.
     """
     if not isinstance(text, str):
         raise DomainError(f"graph6 text must be a str, got {type(text).__name__}")
@@ -138,7 +140,7 @@ def from_graph6(text: str) -> LabeledGraph:
     for j in range(1, n + 1):  # column j: pairs (i, j), i < j
         rows += (flags[start : start + j - 1], bytes(n - j + 1))
         start += j - 1
-    return _from_square(n, b"".join(rows))
+    return _from_lower_square(n, b"".join(rows))
 
 
 def to_json_edges(g: LabeledGraph) -> str:

@@ -13,6 +13,13 @@ whole blocks hashed back to back, with the unread tail of the last block
 kept for the next call.  ``words(count)`` unpacks those bytes into ints, so
 the two draw the same words and mix freely.
 
+Blocks are hashed without Python code per block: one ``struct`` packer
+maps the prefix and the block numbers to messages, and ``map`` feeds them
+to the SHA-256 constructor and the digest method.  The constructor is
+CPython's built-in one, reached through ``hashlib``, whose per-call cost
+is far below OpenSSL's on these one-block messages; where it is missing,
+``hashlib.sha256`` is used.  Both give the same digests.
+
 Changing this mapping is a breaking change; sampled graphs and simulation
 traces are part of tested behaviour (``tests/golden/codec_vectors.jsonl``).
 """
@@ -22,16 +29,31 @@ from __future__ import annotations
 import hashlib
 import struct
 from fractions import Fraction
+from itertools import repeat
 from math import ceil
 
-from .errors import check_int
+from .errors import DomainError, check_instance, check_int, check_real
+
+__all__ = ["WordStream", "derive_seed", "check_seed", "uniform_cut"]
+
+try:  # _sha256 on 3.11, _sha2 from 3.12: reached by name through hashlib only
+    _sha256 = hashlib.__get_builtin_constructor("sha256")
+except (AttributeError, ValueError):
+    _sha256 = hashlib.sha256
+_digest = type(_sha256()).digest
 
 
 def uniform_cut(x) -> int:
     """The bound under which a word's top 53 bits, as a uniform in [0, 1),
     are below x: ``(word >> 11) * 2^-53 < x  <=>  word < ceil(x * 2^53) << 11``,
-    exact for float and ``Fraction`` x alike."""
-    return ceil(Fraction(x) * (1 << 53)) << 11
+    exact for float and ``Fraction`` x alike.  A NaN or an infinity has no
+    such bound and raises DomainError."""
+    check_real(x, "probability")
+    try:
+        x = Fraction(x)
+    except (ValueError, OverflowError):  # NaN, an infinity
+        raise DomainError(f"probability must be finite, got {x!r}") from None
+    return ceil(x * (1 << 53)) << 11
 
 
 def check_seed(seed: int) -> int:
@@ -43,7 +65,7 @@ class WordStream:
     """Endless stream of 64-bit words determined by (seed, domain)."""
 
     def __init__(self, seed: int, domain: bytes = b"gasketlab"):
-        self._prefix = domain + check_seed(seed).to_bytes(8, "big")
+        self._prefix = check_instance(domain, bytes, "domain") + check_seed(seed).to_bytes(8, "big")
         self._block = 0
         self._spare = b""  # unread tail of the last block hashed, 0 to 24 bytes
 
@@ -54,9 +76,10 @@ class WordStream:
         if size > len(data):
             start = self._block
             self._block += (size - len(data) + 31) // 32
-            prefix, sha256 = self._prefix, hashlib.sha256
-            blocks = range(start, self._block)
-            data += b"".join([sha256(prefix + b.to_bytes(8, "big")).digest() for b in blocks])
+            prefix = self._prefix
+            pack = struct.Struct(f">{len(prefix)}sQ").pack
+            messages = map(pack, repeat(prefix), range(start, self._block))
+            data += b"".join(map(_digest, map(_sha256, messages)))
         self._spare = data[size:]
         return data[:size]
 

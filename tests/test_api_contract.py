@@ -9,7 +9,9 @@ isomorphism, close-knit and codec entry points through
 ``graphs.check_graph``, the text or bytes of the codecs
 through one ``isinstance`` check each, and the graph, game and config of the
 diffusion entry points, the bit strings, encodings and side infos of the
-two-part codec, a graph name and a gasket through ``errors.check_instance``.
+two-part codec, a graph name, a gasket and a word stream's domain through
+``errors.check_instance``.  ``rng.uniform_cut`` refuses a NaN or an
+infinity, and ``gnp_sample`` an n over ``GNP_VERTEX_MAX`` before it hashes.
 A float bound that would pass the largest float raises DomainError naming
 the pattern size.  The boundary rows check that the shared checks still
 take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import DomainError, LabeledGraph
+from gasketlab import DomainError, LabeledGraph, ResourceLimitError
 from gasketlab.catalog import named_graph
 from gasketlab.closeknit import GROUP_SIZE_MAX, family_scan, is_rk_closeknit, min_ratio
 from gasketlab.diffusion import (
@@ -33,6 +35,7 @@ from gasketlab.diffusion import (
 )
 from gasketlab.errors import check_int, check_real
 from gasketlab.graphs import (
+    GNP_VERTEX_MAX,
     EdgeBitString,
     as_subset,
     connected_components,
@@ -64,7 +67,7 @@ from gasketlab.ranking import (
     unrank_permutation,
     unrank_subset,
 )
-from gasketlab.rng import WordStream, derive_seed
+from gasketlab.rng import WordStream, derive_seed, uniform_cut
 from gasketlab.sierpinski import build, corners, elementary_triangles, subgaskets, vertex_count
 from gasketlab.twopart import (
     SideInfo,
@@ -113,6 +116,11 @@ ESCAPES = {
     "occurrences limit float": (lambda: find_induced_occurrences(K3, K3, limit=2.5), "limit"),
     "word stream seed bool": (lambda: WordStream(True), "seed"),
     "word_bytes count float": (lambda: WordStream(0).word_bytes(1.5), "word count"),
+    "word stream domain text": (
+        lambda: WordStream(1, domain="abc"), "^domain must be a bytes, got str"),
+    "uniform_cut text": (lambda: uniform_cut("x"), "^probability must be a real number"),
+    "uniform_cut nan": (lambda: uniform_cut(float("nan")), "^probability must be finite"),
+    "uniform_cut inf": (lambda: uniform_cut(float("inf")), "^probability must be finite"),
     "derive_seed master bool": (lambda: derive_seed(True, "x"), "seed"),
     "cert k bool": (lambda: is_rk_closeknit(K3, HALF, True), "k must be an integer"),
     "cert groups_cap float": (lambda: is_rk_closeknit(K3, HALF, 3, groups_cap=2.5), "groups_cap"),
@@ -143,6 +151,9 @@ ESCAPES = {
     "from_edges n float": (lambda: LabeledGraph.from_edges(2.5, []), "vertex count"),
     "complete n float": (lambda: LabeledGraph.complete(2.5), "vertex count"),
     "gnp p bool": (lambda: gnp_sample(3, True, 0), "edge probability"),
+    "gnp n past the cap": (
+        lambda: gnp_sample(GNP_VERTEX_MAX + 1, 0.5, 0),
+        f"^G\\(n, p\\) sample of n={GNP_VERTEX_MAX + 1} vertices exceeds the cap GNP_VERTEX_MAX"),
     "pos i float": (lambda: pos(1.5, 2, 3), "i must"),
     "pair_at position float": (lambda: pair_at(1.5, 3), "position"),
     "unrank_subset rank float": (lambda: unrank_subset(1.5, 5, 2), "subset rank"),
@@ -268,6 +279,11 @@ ESCAPES = {
 def test_escape_raises_domain_error_naming_the_argument(call, name):
     with pytest.raises(DomainError, match=name):
         call()
+
+
+def test_gnp_past_the_vertex_cap_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError, match="GNP_VERTEX_MAX = 4096"):
+        gnp_sample(10**5, 0.5, 0)
 
 
 def test_boundary_seeds_are_taken():

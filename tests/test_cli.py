@@ -321,6 +321,14 @@ def test_crossover_in_the_band_answers_in_under_a_second(capsys):
     assert code == 0 and '"max_level": 15' in out
 
 
+def test_gnp_past_the_vertex_cap_exits_1_at_once_with_one_error_line(capsys):
+    start = time.perf_counter()
+    code, out, err = run_main(["gen", "gnp", "--n", "100000", "--p", "0.5"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: G(n, p) sample of n=100000 vertices exceeds the cap GNP_VERTEX_MAX = 4096\n"
+
+
 def test_manifest_before_the_subcommand_is_a_usage_error(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     argv = ["--manifest", str(manifest), "gen", "gnp", "--n", "4", "--p", "0.5"]

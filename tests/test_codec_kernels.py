@@ -12,8 +12,11 @@ replaced, kept in ``tests/conftest.py``.
 
 import copy
 import dataclasses
+import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import ceil, comb
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import DomainError, LabeledGraph, catalog, encode, gnp_sample, graphs
+from gasketlab import DomainError, LabeledGraph, catalog, encode, gnp_sample, graphs, rng
 from gasketlab.experiments import plant_occurrence
 from gasketlab.graphs import EdgeBitString, decode, pos
 from gasketlab.io import from_graph6, from_json_edges, to_graph6
@@ -106,6 +109,42 @@ def test_oracle_words_match_the_frozen_stream_words():
     assert len(frozen) == 9
     for r in frozen:
         assert _take(oracle_words(r["seed"], r["domain"].encode()), 9) == r["words"]
+
+
+def test_the_fallback_sha256_reproduces_the_frozen_golden():
+    """With CPython's built-in SHA-256 module unimportable (``_sha256`` on
+    3.11, ``_sha2`` from 3.12), the stream hashes through hashlib.sha256
+    and every record stays the same."""
+    here = Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib, json, test_codec_kernels\n"
+        "from gasketlab import rng\n"
+        "assert rng._sha256 is hashlib.sha256, rng._sha256\n"
+        "for record in test_codec_kernels._records():\n"
+        "    sys.stdout.write(json.dumps(record, sort_keys=True) + '\\n')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == GOLDEN.read_text()
+
+
+# the message lengths of the three stream domains (prefix + 8-byte block),
+# and those around SHA-256's 55/56-byte padding boundary
+MESSAGE_LENGTHS = (25, 29, 35, 54, 55, 56, 57, 63, 64, 65)
+
+
+@given(st.one_of(
+    st.sampled_from(MESSAGE_LENGTHS).flatmap(lambda k: st.binary(min_size=k, max_size=k)),
+    st.binary(max_size=200),
+))
+@settings(max_examples=200, deadline=None)
+def test_the_stream_sha256_gives_hashlib_digests(message):
+    assert rng._digest(rng._sha256(message)) == hashlib.sha256(message).digest()
 
 
 # --- differential tests against the per-bit oracles ------------------------
@@ -286,18 +325,22 @@ def test_unordered_two_part_codec_matches_oracles(n, seed, data):
 @given(st.integers(0, 40), probabilities, seeds, st.data())
 @settings(max_examples=150, deadline=None)
 def test_kept_flags_agree_with_adj_and_the_encoders_with_the_oracles(n, p, seed, data):
-    """gnp_sample, decode and plant_occurrence keep flags equal to those of
-    their adjacency; encode and to_graph6 read the same bits off a graph
-    with flags and off the same graph without them, and planting a graph
-    without flags gives, without flags, the graph its flagged twin gives."""
+    """gnp_sample, decode, from_graph6 and plant_occurrence keep flags equal
+    to those of their adjacency, planting into a graph read from graph6
+    too; encode and to_graph6 read the same bits off a graph with flags and
+    off the same graph without them, and planting a graph without flags
+    gives, without flags, the graph its flagged twin gives."""
     sampled = gnp_sample(n, p, seed)
-    built = [sampled, decode(oracle_encode(sampled).bits, n)]
+    read = from_graph6(oracle_to_graph6(sampled))
+    built = [sampled, decode(oracle_encode(sampled).bits, n), read]
     if n:
         k = data.draw(st.integers(1, min(n, 6)))
         pairs = st.tuples(st.integers(1, k), st.integers(1, k)).filter(lambda e: e[0] != e[1])
         pattern = LabeledGraph.from_edges(k, data.draw(st.lists(pairs, max_size=15)))
         subset = data.draw(st.permutations(range(1, n + 1)))[:k]
         built.append(plant_occurrence(sampled, pattern, subset))
+        built.append(plant_occurrence(read, pattern, subset))
+        assert built[-1] == built[-2]
         bare_host = LabeledGraph(n, sampled.adj)
         bare_plant = plant_occurrence(bare_host, pattern, subset)
         assert bare_plant._flags is None
