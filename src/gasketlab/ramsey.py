@@ -60,7 +60,7 @@ from .graphs import (
     disjoint_union,
     induced_subgraph,
 )
-from .isomorphism import _allowed, _embeddings, _plan, _twin_keys
+from .isomorphism import _allowed, _embeddings, _first, _masks, _plan, _twin_keys
 from . import sierpinski
 
 __all__ = [
@@ -113,13 +113,14 @@ def _class_orbits(pattern: LabeledGraph, plan, classes: list[int], pins: dict[in
     inside ``blocks`` (lists of classes, each a union of orbits).
 
     Class d joins c's orbit iff the kernel finds a twin-ordered embedding of
-    the pattern into itself, by its (order, steps) ``plan``, that maps c
-    onto d and keeps the pins; the query is made only if colour refinement
-    from the pinned classes leaves c and d one colour, and the automorphism
-    found also joins the images of the orbit so far.
+    the pattern into itself, by its (order, ahead, allowed, masks) ``plan``
+    (:func:`_self_plan`), that maps c onto d and keeps the pins; the query
+    is made only if colour refinement from the pinned classes leaves c and
+    d one colour, and the automorphism found also joins the images of the
+    orbit so far.
     """
-    (order, steps), rows = plan, pattern.row_masks()[1:]
-    at, allowed = {u: t for t, u in enumerate(order)}, _allowed(pattern, pattern, order)
+    order, ahead, allowed, masks = plan
+    at = {u: t for t, u in enumerate(order)}
     color = None  # refined only if some block holds a pair to query
     if max(map(len, blocks)) > 1:
         color = _refined(pattern, [pins.get(c, 0) for c in classes])
@@ -133,8 +134,9 @@ def _class_orbits(pattern: LabeledGraph, plan, classes: list[int], pins: dict[in
                     continue
                 onto = {**pins, c: d}
                 pinned = [mask & onto.get(classes[u], -1) for u, mask in zip(order, allowed)]
-                image = next(_embeddings(rows, steps, pinned), None)
-                if image is not None:
+                found = next(_embeddings(masks, [(ahead, pinned)]), None)
+                if found is not None:
+                    image = _first(*found)
                     orbit += {classes[image[at[x.bit_length()]] + 1] for x in orbit} - set(orbit)
             rest = [d for d in rest if d not in orbit]
             orbits.append(orbit)
@@ -176,29 +178,32 @@ def _breaking_conditions(pattern: LabeledGraph, plan, classes: list[int]) -> lis
     return pairs
 
 
+def _self_plan(pattern: LabeledGraph, masks, root: int) -> tuple:
+    """A plan rooted at ``root`` with the inputs of its searches of the
+    pattern into itself, built once: (order, ahead, allowed, masks)."""
+    order, ahead = _plan(pattern, root)
+    return order, ahead, _allowed(pattern, pattern, order), masks
+
+
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _root_plans(pattern: LabeledGraph) -> tuple:
-    """The occurrence plans of ``pattern``: an (order, steps) plan rooted at
-    the smallest vertex of each automorphism orbit, each step also listing
-    the earlier positions its breaking conditions put lower.  Twins share
-    an orbit, so the orbits are those of the twin classes, found on the
-    plan rooted at vertex 1."""
+    """The occurrence plans of ``pattern``: an (order, ahead) plan rooted at
+    the smallest vertex of each automorphism orbit, whose forward
+    constraints also put each position's image above those its breaking
+    conditions name.  Twins share an orbit, so the orbits are those of the
+    twin classes, found on the plan rooted at vertex 1."""
     key = _twin_keys(pattern)
     classes = [0] + [
         sum(1 << (u - 1) for u in pattern.vertices() if key[u] == key[v])
         for v in pattern.vertices()
     ]
-    probe = _plan(pattern, 1)
+    masks = _masks(pattern.row_masks()[1:])
+    probe = _self_plan(pattern, masks, 1)
     orbits = _class_orbits(pattern, probe, classes, {}, [list(dict.fromkeys(classes[1:]))])
     out = []
     for root in sorted(min(c & -c for c in orbit).bit_length() for orbit in orbits):
-        order, steps = probe if root == 1 else _plan(pattern, root)
-        pairs = _breaking_conditions(pattern, (order, steps), classes)
-        steps = [
-            (tuple(adjacent), tuple(apart), tuple(lower + [p for p, q in pairs if q == t]))
-            for t, (adjacent, apart, lower) in enumerate(steps)
-        ]
-        out.append((tuple(order), tuple(steps)))
+        plan = probe if root == 1 else _self_plan(pattern, masks, root)
+        out.append(_plan(pattern, root, _breaking_conditions(pattern, plan, classes)))
     return tuple(out)
 
 
@@ -228,20 +233,31 @@ def find_induced_occurrences(
         return []
     if k == 0:
         return [()]
-    rows = g.row_masks()[1:]
-    plans = [(steps, _allowed(g, pattern, order)) for order, steps in _root_plans(pattern)]
+    masks = _masks(g.row_masks()[1:])
+    plans = [(ahead, _allowed(g, pattern, order)) for order, ahead in _root_plans(pattern)]
     out: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        above = -2 << s
-        group = []
-        for steps, allowed in plans:
-            if allowed[0] >> s & 1:
-                pinned = [1 << s] + [mask & above for mask in allowed[1:]]
-                group += [tuple(sorted(image)) for image in _embeddings(rows, steps, pinned)]
-        out.extend(tuple(b + 1 for b in image) for image in sorted(group))
-        if limit is not None and len(out) >= limit:
-            return out[:limit]
-    return out
+    group: list[tuple[int, ...]] = []
+
+    def searches():
+        # the kernel asks for the searches of s + 1 only once those of s
+        # are done, so the group of s is complete here
+        for s in range(g.n):
+            above = -2 << s
+            for ahead, allowed in plans:
+                if allowed[0] >> s & 1:
+                    yield ahead, [1 << s] + [mask & above for mask in allowed[1:]]
+            out.extend(sorted(group))
+            group.clear()
+            if limit is not None and len(out) >= limit:
+                return
+
+    for image, last in _embeddings(masks, searches()):
+        head = [b + 1 for b in image]
+        while last:
+            low = last & -last
+            last ^= low
+            group.append(tuple(sorted([*head, low.bit_length()])))
+    return out[:limit]
 
 
 def _copy_edges(g: LabeledGraph, subset: tuple[int, ...]) -> list[tuple[int, int]]:

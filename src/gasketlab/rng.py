@@ -11,7 +11,9 @@ There are two ways to draw.  ``WordStream.word_bytes(count)`` hands out
 the next ``count`` words in one call, as ``8 * count`` big-endian bytes:
 whole blocks hashed back to back, with the unread tail of the last block
 kept for the next call.  ``words(count)`` unpacks those bytes into ints, so
-the two draw the same words and mix freely.
+the two draw the same words and mix freely.  One call draws at most
+``WORDS_PER_DRAW_MAX`` words (64 MiB), checked before anything is hashed;
+that admits the C(4096, 2) words of the largest G(n, p) sample.
 
 Blocks are hashed without Python code per block: one ``struct`` packer
 maps the prefix and the block numbers to messages, and ``map`` feeds them
@@ -32,9 +34,11 @@ from fractions import Fraction
 from itertools import repeat
 from math import ceil
 
-from .errors import DomainError, check_instance, check_int, check_real
+from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real
 
 __all__ = ["WordStream", "derive_seed", "check_seed", "uniform_cut"]
+
+WORDS_PER_DRAW_MAX = 1 << 23  # the most words one call draws: 64 MiB
 
 try:  # _sha256 on 3.11, _sha2 from 3.12: reached by name through hashlib only
     _sha256 = hashlib.__get_builtin_constructor("sha256")
@@ -70,8 +74,14 @@ class WordStream:
         self._spare = b""  # unread tail of the last block hashed, 0 to 24 bytes
 
     def word_bytes(self, count: int) -> bytes:
-        """The next ``count`` words as ``8 * count`` big-endian bytes."""
-        size = 8 * check_int(count, "word count", 0)
+        """The next ``count`` words as ``8 * count`` big-endian bytes; more
+        than ``WORDS_PER_DRAW_MAX`` raises ResourceLimitError."""
+        count = check_int(count, "word count", 0)
+        if count > WORDS_PER_DRAW_MAX:
+            raise ResourceLimitError(
+                f"draw of {count} words exceeds the cap WORDS_PER_DRAW_MAX = {WORDS_PER_DRAW_MAX}"
+            )
+        size = 8 * count
         data = self._spare
         if size > len(data):
             start = self._block
@@ -85,7 +95,8 @@ class WordStream:
 
     def words(self, count: int) -> list[int]:
         """The next ``count`` words as ints."""
-        return list(struct.unpack(f">{count}Q", self.word_bytes(count)))
+        data = self.word_bytes(count)
+        return list(struct.unpack(f">{len(data) // 8}Q", data))
 
 
 def derive_seed(master: int, *labels: object) -> int:

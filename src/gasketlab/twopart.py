@@ -26,7 +26,10 @@ float bound past the largest float raises DomainError naming k.
 ``SideInfo`` checks its own fields (u32 sizes with 2 <= k <= n, a bool
 ``ordered``, a generator id of the form ``<sierpinski|complete|empty>:<digits>``
 that makes exactly k vertices, a gasket level at most 12) and never builds
-the pattern.
+the pattern.  The digits may have leading zeros: ``complete:0002`` names the
+pattern ``complete:2`` names, and the serialized header keeps the id as
+given, so one pattern has several headers and every blob written so far
+reads back unchanged.
 """
 
 from __future__ import annotations

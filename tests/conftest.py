@@ -7,7 +7,8 @@ isomorphism checks go through networkx, so frozen expected values never
 depend on the implementation they test.  The slow paths that the induced-embedding kernel
 and the factored coloring cover replaced are kept here as oracles: the
 scan over all C(n,k) subsets with a backtracking isomorphism test, the
-backtracking automorphism count, the single 2^|E|-bit cover,
+backtracking automorphism count, the embedding kernel that checked each
+position only when it reached it and yielded every last image one by one, the single 2^|E|-bit cover,
 certification by computing each candidate group's exact minimum ratio,
 the crossover scan that decides every undecided level by the exact power
 (and one by 60-digit logarithms, for levels where that power is too slow),
@@ -262,6 +263,52 @@ def oracle_occurrences(g: LabeledGraph, pattern: LabeledGraph, limit=None):
             if limit is not None and len(out) >= limit:
                 break
     return out
+
+
+def oracle_embeddings(rows: list[int], steps, allowed: list[int]):
+    """Induced embeddings of a planned pattern into a host, depth first.
+
+    ``rows[b]`` is the neighbour bitmask of host vertex bit b, and
+    ``allowed[t]`` the host bits position t may take.  Each embedding is
+    yielded as the list of host bits by position, in lexicographic order,
+    with each position above the images of the positions its step lists as
+    lower; the list is reused, so copy what you keep.  With the plans of
+    ``ramsey._root_plans``, pinned as ``ramsey.find_induced_occurrences``
+    pins them, every copy is yielded exactly once.
+    """
+    k = len(steps)
+    if not k:  # the empty pattern embeds once
+        yield []
+        return
+    image = [0] * k
+    pool = [0] * k  # candidates of each position not tried yet
+    pool[0] = allowed[0]
+    used = 0
+    t = 0
+    while t >= 0:
+        c = pool[t]
+        if not c:  # position t is exhausted: back up one position
+            t -= 1
+            if t >= 0:
+                used ^= 1 << image[t]
+            continue
+        low = c & -c
+        pool[t] = c ^ low
+        image[t] = low.bit_length() - 1
+        if t + 1 == k:
+            yield image
+            continue
+        used |= low
+        t += 1
+        adjacent, apart, lower = steps[t]
+        c = allowed[t] & ~used
+        for q in adjacent:
+            c &= rows[image[q]]
+        for q in apart:
+            c &= ~rows[image[q]]
+        for q in lower:
+            c &= -2 << image[q]  # only vertices above that position's image
+        pool[t] = c
 
 
 def oracle_is_host(g: LabeledGraph, pattern: LabeledGraph):

@@ -11,14 +11,17 @@ through one ``isinstance`` check each, and the graph, game and config of the
 diffusion entry points, the bit strings, encodings and side infos of the
 two-part codec, a graph name, a gasket and a word stream's domain through
 ``errors.check_instance``.  ``rng.uniform_cut`` refuses a NaN or an
-infinity, and ``gnp_sample`` an n over ``GNP_VERTEX_MAX`` before it hashes.
+infinity, ``gnp_sample`` an n over ``GNP_VERTEX_MAX`` and a word stream a
+draw over ``WORDS_PER_DRAW_MAX`` words before they hash.
 A float bound that would pass the largest float raises DomainError naming
 the pattern size.  The boundary rows check that the shared checks still
 take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
 the largest group size, ``limit=1``).
 """
 
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +70,7 @@ from gasketlab.ranking import (
     unrank_permutation,
     unrank_subset,
 )
-from gasketlab.rng import WordStream, derive_seed, uniform_cut
+from gasketlab.rng import WORDS_PER_DRAW_MAX, WordStream, derive_seed, uniform_cut
 from gasketlab.sierpinski import build, corners, elementary_triangles, subgaskets, vertex_count
 from gasketlab.twopart import (
     SideInfo,
@@ -116,6 +119,9 @@ ESCAPES = {
     "occurrences limit float": (lambda: find_induced_occurrences(K3, K3, limit=2.5), "limit"),
     "word stream seed bool": (lambda: WordStream(True), "seed"),
     "word_bytes count float": (lambda: WordStream(0).word_bytes(1.5), "word count"),
+    "word_bytes count past the cap": (
+        lambda: WordStream(0).word_bytes(10**10),
+        "^draw of 10000000000 words exceeds the cap WORDS_PER_DRAW_MAX = 8388608$"),
     "word stream domain text": (
         lambda: WordStream(1, domain="abc"), "^domain must be a bytes, got str"),
     "uniform_cut text": (lambda: uniform_cut("x"), "^probability must be a real number"),
@@ -286,6 +292,21 @@ def test_gnp_past_the_vertex_cap_is_a_resource_limit():
         gnp_sample(10**5, 0.5, 0)
 
 
+def test_word_draws_past_the_cap_are_refused_at_once():
+    stream = WordStream(0)
+    start = time.perf_counter()
+    for draw in (stream.word_bytes, stream.words):
+        with pytest.raises(ResourceLimitError, match=f"^draw of {WORDS_PER_DRAW_MAX + 1} words"):
+            draw(WORDS_PER_DRAW_MAX + 1)
+    assert time.perf_counter() - start < 0.1  # nothing was hashed
+    assert stream.words(2) == WordStream(0).words(2)  # nor drawn
+
+
+def test_the_word_cap_admits_the_largest_gnp_sample():
+    # gnp_sample draws its C(n, 2) words in one call
+    assert comb(GNP_VERTEX_MAX, 2) <= WORDS_PER_DRAW_MAX
+
+
 def test_boundary_seeds_are_taken():
     for seed in (0, 2**64 - 1):
         assert WordStream(seed).words(1) == WordStream(Index(seed)).words(1)
@@ -297,6 +318,7 @@ def test_boundary_seeds_are_taken():
 
 def test_index_objects_are_taken_as_their_integers():
     assert gnp_sample(Index(5), HALF, 7) == gnp_sample(5, HALF, 7)
+    assert WordStream(0).words(Index(2)) == WordStream(0).words(2)
     assert LabeledGraph.complete(Index(3)) == K3
     assert LabeledGraph.from_edges(3, [(Index(1), 2)]) == LabeledGraph.from_edges(3, [(1, 2)])
     assert as_subset((Index(2), 1), 3) == (1, 2)

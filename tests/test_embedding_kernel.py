@@ -1,6 +1,7 @@
 """Differential tests: the induced-embedding kernel and the per-component
 coloring search against the slow paths they replaced (kept in conftest) and
-networkx."""
+networkx.  The forward-checking kernel is checked image by image, in
+order, against the kernel it replaced, ``oracle_embeddings``."""
 
 import random
 import time
@@ -11,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from gasketlab import LabeledGraph, disjoint_union, gnp_sample
+from gasketlab.catalog import named_graph
 from gasketlab.isomorphism import automorphism_count, find_isomorphism
 from gasketlab.ramsey import (
     _allowed,
     _embeddings,
+    _masks,
+    _plan,
     _root_plans,
     find_induced_occurrences,
     is_host,
@@ -23,6 +27,7 @@ from gasketlab.ramsey import (
 from conftest import (
     atlas_graphs,
     oracle_automorphism_count,
+    oracle_embeddings,
     oracle_find_isomorphism,
     oracle_is_host,
     oracle_occurrences,
@@ -92,18 +97,61 @@ def test_search_roots_are_the_automorphism_orbit_minima(pattern):
     assert [order[0] for order, _ in _root_plans(pattern)] == sorted(set(orbit_min.values()))
 
 
-def kernel_images(g, pattern):
-    """Every image set the kernel yields for the occurrence plans, pinned as
-    ``find_induced_occurrences`` pins them, duplicates kept."""
-    rows, out = g.row_masks()[1:], []
-    for order, steps in _root_plans(pattern):
+def expanded(found):
+    """The embeddings of the kernel's batches: each image completed by each
+    bit of its last position's mask, in ascending bit order."""
+    for image, last in found:
+        assert last > 0
+        for b in range(last.bit_length()):
+            if last >> b & 1:
+                yield [*image, b]
+
+
+def oracle_steps(ahead):
+    """A plan's forward constraints as the (adjacent, apart, lower) steps of
+    the kernel they replaced: per position, the earlier positions of its
+    neighbours, of its non-neighbours, and of the images it must lie above."""
+    steps = [([], [], []) for _ in ahead]
+    for t, later in enumerate(ahead):
+        for u, kind in later:
+            steps[u][kind & 1].append(t)
+            if kind & 2:
+                steps[u][2].append(t)
+    return steps
+
+
+def pinned_searches(g, pattern):
+    """The searches of ``find_induced_occurrences``: each occurrence plan
+    with its root pinned to each host vertex s and the rest above s."""
+    for order, ahead in _root_plans(pattern):
         allowed = _allowed(g, pattern, order)
         for s in range(g.n):
             if allowed[0] >> s & 1:
-                pinned = [1 << s] + [mask & (-2 << s) for mask in allowed[1:]]
-                images = _embeddings(rows, steps, pinned)
-                out += [tuple(sorted(b + 1 for b in image)) for image in images]
-    return out
+                yield ahead, [1 << s] + [mask & (-2 << s) for mask in allowed[1:]]
+
+
+def assert_kernel_matches_oracle(g, searches):
+    """The kernel, its batches expanded, yields the oracle's images in the
+    oracle's order, over all ``searches`` in one call and search by search."""
+    searches = list(searches)
+    rows = g.row_masks()[1:]
+    expected = [
+        list(image)
+        for ahead, allowed in searches
+        for image in oracle_embeddings(rows, oracle_steps(ahead), allowed)
+    ]
+    assert list(expanded(_embeddings(_masks(rows), searches))) == expected
+    assert [
+        image for search in searches for image in expanded(_embeddings(_masks(rows), [search]))
+    ] == expected
+
+
+def kernel_images(g, pattern):
+    """Every image set the kernel yields for the occurrence plans, pinned as
+    ``find_induced_occurrences`` pins them, duplicates kept: one per bit of
+    each batch's last mask."""
+    images = _embeddings(_masks(g.row_masks()[1:]), pinned_searches(g, pattern))
+    return [tuple(sorted(b + 1 for b in image)) for image in expanded(images)]
 
 
 def with_copies(pattern, clones, extra, seed):
@@ -130,6 +178,57 @@ def test_each_copy_is_yielded_once_for_every_small_pattern():
             expected = oracle_occurrences(g, pattern)
             assert sorted(kernel_images(g, pattern)) == expected
             assert find_induced_occurrences(g, pattern) == expected
+
+
+def test_kernel_yields_the_oracle_images_in_order_for_every_small_pattern():
+    # the occurrence plans pinned as the search pins them, their roots
+    # unpinned, and the twin-ordered plan of isomorphism search
+    for index, pattern in enumerate(atlas_graphs()[1:]):
+        for g in (gnp_sample(9, 0.5, index), with_copies(pattern, min(pattern.n, 2), 1, index)):
+            assert_kernel_matches_oracle(g, pinned_searches(g, pattern))
+            for order, ahead in (*_root_plans(pattern), _plan(pattern)):
+                assert_kernel_matches_oracle(g, [(ahead, _allowed(g, pattern, order))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), graphs(min_n=1, max_n=6), graphs(max_n=9))
+def test_kernel_yields_the_oracle_images_in_order_for_any_masks(data, pattern, g):
+    # any candidate masks, a root pinned or with no candidate, and any
+    # extra positions put above earlier ones
+    k = pattern.n
+    root = data.draw(st.integers(1, k))
+    later = [(t, u) for u in range(k) for t in range(u)]
+    _, ahead = _plan(pattern, root, data.draw(st.lists(st.sampled_from(later))) if later else ())
+    mask = st.integers(0, (1 << g.n) - 1)
+    searches = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        allowed = data.draw(st.lists(mask, min_size=k, max_size=k))
+        first = data.draw(st.sampled_from(["free", "pinned", "empty"]))
+        if first == "pinned" and g.n:
+            allowed[0] = 1 << data.draw(st.integers(0, g.n - 1))
+        elif first == "empty":
+            allowed[0] = 0
+        searches.append((ahead, allowed))
+    assert_kernel_matches_oracle(g, searches)
+
+
+def test_the_empty_pattern_embeds_once():
+    assert list(_embeddings([], [((), [])])) == [([], 1)]
+    assert list(oracle_embeddings([], [], [])) == [[]]
+
+
+def test_a_limit_inside_a_batch_keeps_the_first_copies_in_order():
+    # a limit can fall inside one last-position mask, and inside a group
+    claw = LabeledGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    cases = [(named_graph("S2"), gnp_sample(12, 0.5, seed)) for seed in range(2)]
+    cases += [(LabeledGraph.complete(3), gnp_sample(10, 0.5, seed)) for seed in range(3)]
+    cases += [(claw, with_copies(claw, 3, 3, 5))]
+    for pattern, g in cases:
+        batches = _embeddings(_masks(g.row_masks()[1:]), pinned_searches(g, pattern))
+        assert any(last & (last - 1) for _, last in batches)  # a batch of two or more copies
+        full = find_induced_occurrences(g, pattern)
+        for m in range(1, len(full) + 1):
+            assert find_induced_occurrences(g, pattern, limit=m) == full[:m]
 
 
 def union_of(*parts):

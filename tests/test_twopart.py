@@ -211,6 +211,19 @@ def test_to_bytes_refuses_fields_the_side_info_does_not_hold():
     assert from_bytes(blob) == (TwoPartEncoding(2, None, "10"), side)
 
 
+def test_a_generator_id_with_leading_zeros_is_kept_as_given():
+    # "complete:0002" names K2, as "complete:2" does; the header keeps the
+    # id as written, so blobs written with it read back unchanged
+    side = SideInfo.for_generator("complete:0002", 3)
+    assert side.pattern() == SideInfo.for_generator("complete:2", 3).pattern()
+    bits = encode(LabeledGraph.from_edges(3, [(1, 2), (2, 3)]))
+    enc = encode_two_part(bits, (1, 2), side)
+    blob = to_bytes(enc, side)
+    assert blob[8:23] == (13).to_bytes(2, "big") + b"complete:0002"
+    assert from_bytes(blob) == (enc, side)
+    assert decode_two_part(enc, side) == bits
+
+
 def test_serialization_byte_exact_golden():
     bits, subset, side = make_planted(12, 1, 31)
     enc = encode_two_part(bits, subset, side)
