@@ -17,9 +17,10 @@ nonnegative, which is integer arithmetic.  The singleton slacks say that
 member u needs ceil(p deg(u) / q) in-group neighbours; the group search
 keeps each vertex's in-group neighbour count, so a group in which some
 member falls short is counted but never tested.  A tested group is checked
-on S' = S first, in O(|S|), and only then subset by subset, stopping at the
-first negative.  Since d(S, S) = e(S) <= vol(S) / 2, ratio(S) <= 1/2 bounds
-every minimum, and for r > 1/2 every tested group is rejected on S alone.
+on S' = S first, in O(|S|), and only then by one minimum cut in the network
+of ``min_ratio`` at lambda = r.  Since d(S, S) = e(S) <= vol(S) / 2,
+ratio(S) <= 1/2 bounds every minimum, and for r > 1/2 every tested group
+is rejected on S alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import DomainError, ResourceLimitError, check_int, check_real
+from .errors import DomainError, ResourceLimitError, check_int, check_iterable, check_real
 from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset, check_graph
 
 __all__ = [
@@ -63,20 +64,21 @@ class CloseKnitResult:
 
 
 def _check_group(g: LabeledGraph, members: Iterable[int]) -> tuple[int, ...]:
-    group = as_subset(members, check_graph(g, "graph").n, nonempty=True)
+    n = check_graph(g, "graph").n
+    group = as_subset(check_iterable(members, "group"), n, nonempty=True)
     _refuse_isolated(g, group, "close-knit ratios assume no isolated vertices")
     return group
 
 
-def _max_flow(nbrs: list[list[int]], w: list[int], b: int) -> tuple[list[int], int]:
-    """Residual out-masks after a maximum s-t flow, and the group vertices
-    s still reaches: the source side of the minimal minimum cut.
+def _max_flow(nbrs: list[list[int]], w: list[int], b: int) -> tuple[list[list[int]], int]:
+    """The residual capacities after a maximum s-t flow, and the group
+    vertices s still reaches: the source side of the minimal minimum cut.
 
     Nodes 0..m-1 are the group, t = m and s = m + 1; arcs s -> i carry -w_i
     where w_i < 0, i -> t carry w_i where w_i > 0, and each group edge
     carries b both ways.  Augments along shortest paths (BFS) until t is
-    unreachable.  Bit j of out-mask i is set when the residual arc i -> j
-    exists (j = m is t).
+    unreachable.  Entry [i][j] of the returned matrix is the residual
+    capacity of the arc i -> j.
     """
     m = len(nbrs)
     t, s = m, m + 1
@@ -110,8 +112,7 @@ def _max_flow(nbrs: list[list[int]], w: list[int], b: int) -> tuple[list[int], i
         for u, v in path:
             r[u][v] -= delta
             r[v][u] += delta
-    out = [sum(1 << v for v in links[u] if r[u][v] and v != s) for u in range(m)]
-    return out, sum(1 << v for v in parent if v != s)
+    return r, sum(1 << v for v in parent if v != s)
 
 
 def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
@@ -158,11 +159,13 @@ def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
     lam = min(map(Fraction, ind, deg))
     while True:
         a, b = lam.numerator, lam.denominator
-        out, source_side = _max_flow(nbrs, [b * x - 2 * a * y for x, y in zip(ind, deg)], b)
+        res, source_side = _max_flow(nbrs, [b * x - 2 * a * y for x, y in zip(ind, deg)], b)
         if not source_side:
             break
         lam = ratio(source_side)
-    reach = [out[i] | 1 << i for i in range(m)]  # Warshall closure on bit rows
+    # bit j of reach[i]: the residual arc i -> j exists (j = m is t); then
+    # Warshall closure on the bit rows
+    reach = [sum(1 << j for j in row + [m] if res[i][j]) | 1 << i for i, row in enumerate(nbrs)]
     for k in range(m):
         for i in range(m):
             if reach[i] >> k & 1:
@@ -184,16 +187,13 @@ def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
     With r = p/q, slack(S') = q d(S', S) - p vol(S').  S' = S comes first:
     d(S, S) is half the sum of the members' in-group degrees, so the group
     fails in O(|S|) when 2 slack(S) < 0, as every group does for r > 1/2
-    (ratio(S) <= 1/2).  Only a group that passes goes on to every subset,
-    in blocks: the masks of block t are {t} | rest for each rest below bit
-    t, and
-
-        d(S' + t, S) = d(S', S) + |N(t) & S| - |N(t) & S'|.
-
-    Answers False at the first negative slack.  The rest = 0 entry of each
-    block is a singleton; certification hands over only groups whose
-    singletons all pass (``need`` in ``_first_group``).  Integer arithmetic
-    only, and the answer does not depend on the order of the members.
+    (ratio(S) <= 1/2).  A group that passes is decided by one maximum flow
+    in the network of ``min_ratio`` at lambda = r, with w_i = q d_S(i) -
+    2p deg(i): the cut with source side {s} + S' has capacity 2 slack(S')
+    plus a constant, so the minimal minimum cut's source side is empty
+    exactly when no slack is negative (Picard & Queyranne, 1980).  Integer
+    arithmetic only, and the answer does not depend on the order of the
+    members.
     """
     p, q = r.numerator, r.denominator
     pdeg = [p * len(row) for row in g.adj]
@@ -201,14 +201,9 @@ def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
     def accept(members: dict[int, int], rows: list[int]) -> bool:
         if q * sum(map(int.bit_count, rows)) < 2 * sum(map(pdeg.__getitem__, members)):
             return False  # slack(S) < 0: S itself is below r
-        slack = [0]
-        for v, nt in zip(members, rows):
-            gain = q * nt.bit_count() - pdeg[v]  # slack of the singleton
-            block = [slack[rest] + gain - q * (nt & rest).bit_count() for rest in range(len(slack))]
-            if min(block) < 0:
-                return False
-            slack += block
-        return True
+        nbrs = [[j for j in range(len(rows)) if nt >> j & 1] for nt in rows]
+        w = [q * len(row) - 2 * pdeg[v] for v, row in zip(members, nbrs)]
+        return not _max_flow(nbrs, w, q)[1]
 
     return accept
 
@@ -307,8 +302,8 @@ def is_rk_closeknit(
     deterministic.  A candidate in which every member u has at least
     ceil(r deg(u)) in-group neighbours is tested for ratio >= r by integer
     slack (``_ratio_test``), not by computing its minimum: first on the
-    whole group, then subset by subset with an early exit.  Any other
-    candidate has a singleton below r.  Since ratio(S) <= 1/2 for every
+    whole group, then over all its subsets at once by one minimum cut.  Any
+    other candidate has a singleton below r.  Since ratio(S) <= 1/2 for every
     group, no graph is (r, k)-close-knit for r > 1/2.  Every ratio is at
     least 0, so any r <= 0 is met by every group: such an r is accepted,
     not refused, and each vertex's witness is its own singleton.

@@ -76,6 +76,7 @@ class CoordinationGame:
 
 def risk_threshold(game: CoordinationGame) -> Fraction:
     """Adoption threshold r* = (b-c)/((a-d)+(b-c)); A is risk-dominant iff r* < 1/2."""
+    game = check_instance(game, CoordinationGame, "game")
     return (game.b - game.c) / ((game.a - game.d) + (game.b - game.c))
 
 

@@ -6,7 +6,9 @@ Scalar arguments go through :func:`check_int` or :func:`check_real`, so
 "is this a usable number in range" is decided in one place: a bool is
 never a number here, an integer is anything with ``__index__``, and the
 message names the argument.  Any other argument of a fixed type (a graph,
-a bit string, a side info) goes through :func:`check_instance`.
+a bit string, a side info) goes through :func:`check_instance`, and a
+collection of labels through :func:`check_iterable` before its items are
+checked.
 """
 
 from numbers import Real
@@ -47,6 +49,15 @@ def check_instance(value, kind: type, name: str):
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise DomainError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def check_iterable(value, name: str):
+    """``value`` unchanged if it is iterable."""
+    try:
+        iter(value)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, got {type(value).__name__}") from None
     return value
 
 

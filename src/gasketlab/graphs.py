@@ -31,7 +31,9 @@ from math import comb
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real
+from .errors import (
+    DomainError, ResourceLimitError, check_instance, check_int, check_iterable, check_real,
+)
 from .rng import WordStream, uniform_cut
 
 __all__ = [
@@ -292,7 +294,7 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
 def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tuple[int, ...]:
     """Validate and normalize a vertex subset to a sorted tuple."""
     labels = []
-    for v in members:
+    for v in check_iterable(members, "subset"):
         try:
             labels.append(check_int(v, "subset label"))
         except DomainError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_iterable
 
 __all__ = [
     "ceil_log2",
@@ -35,7 +35,7 @@ def ceil_log2(x: int) -> int:
 def rank_subset(members: Sequence[int], n: int) -> int:
     """Colex combinadic rank of a sorted subset of {1..n}."""
     n = check_int(n, "host size n", 0)
-    members = [check_int(v, "subset member", 1, n) for v in members]
+    members = [check_int(v, "subset member", 1, n) for v in check_iterable(members, "subset")]
     if any(a >= b for a, b in zip(members, members[1:])):
         raise DomainError("subset must be strictly increasing")
     return sum(comb(v - 1, t) for t, v in enumerate(members, start=1))
@@ -59,7 +59,7 @@ def unrank_subset(rank: int, n: int, k: int) -> tuple[int, ...]:
 
 def rank_permutation(perm: Sequence[int]) -> int:
     """Lehmer rank of a permutation of {1..k}."""
-    perm = [check_int(v, "permutation member") for v in perm]
+    perm = [check_int(v, "permutation member") for v in check_iterable(perm, "permutation")]
     k = len(perm)
     if sorted(perm) != list(range(1, k + 1)):
         raise DomainError(f"{tuple(perm)} is not a permutation of 1..{k}")

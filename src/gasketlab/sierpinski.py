@@ -30,28 +30,38 @@ __all__ = [
 ]
 
 MAX_LEVEL_DEFAULT = 12
+# The counts take levels up to here: 3^level then has about 15,850 bits.
+COUNT_LEVEL_MAX = 10_000
 
 Coord = tuple[int, int]
 
 
 def vertex_count(level: int) -> int:
+    """n_l for a level in 1..COUNT_LEVEL_MAX; a level past the cap raises
+    ResourceLimitError before any power of 3 is formed."""
     level = _check_level(level)
     return 3 * (3 ** (level - 1) + 1) // 2
 
 
 def edge_count(level: int) -> int:
+    """m_l for a level in 1..COUNT_LEVEL_MAX, refused past the cap as in
+    :func:`vertex_count`."""
     level = _check_level(level)
     return 3**level
 
 
 def _check_level(level: int, max_level: int | None = None) -> int:
-    """The level as an int; reject a level below 1, and one above
-    ``max_level`` if that is given."""
+    """The level as an int; reject a level below 1, one above
+    ``max_level`` if that is given, and one above COUNT_LEVEL_MAX."""
     level = check_int(level, "gasket level", 1)
     if max_level is not None and level > max_level:
         raise ResourceLimitError(
             f"gasket level {level} exceeds the configured maximum {max_level}; "
             "raise max_level to override"
+        )
+    if level > COUNT_LEVEL_MAX:
+        raise ResourceLimitError(
+            f"gasket level {level} exceeds the cap COUNT_LEVEL_MAX = {COUNT_LEVEL_MAX}"
         )
     return level
 

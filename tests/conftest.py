@@ -13,7 +13,9 @@ certification by computing each candidate group's exact minimum ratio,
 the crossover scan that decides every undecided level by the exact power
 (and one by 60-digit logarithms, for levels where that power is too slow),
 the one-pass block DP over all 2^|S| subset bitmasks that computed
-``min_ratio`` before the parametric minimum cut, and the per-bit and
+``min_ratio`` before the parametric minimum cut, the block DP over the
+same subsets that decided a certificate's candidate groups before one
+minimum cut did, and the per-bit and
 per-pair loops of the G(n,p) sampler, the canonical, graph6 and two-part
 codecs, ``plant_occurrence`` and ``to_bytes``.  The
 diffusion loop that ran every trial to its horizon, past all-A, is kept too,
@@ -125,6 +127,35 @@ def oracle_min_ratio_blocks(g: LabeledGraph, group) -> tuple[Fraction, tuple[int
                 best_num, best_den, best = x, y, top | rest
     argmin = tuple(v for t, v in enumerate(s_tup) if best >> t & 1)
     return Fraction(best_num, best_den), argmin
+
+
+def oracle_ratio_test(g: LabeledGraph, r: Fraction):
+    """``accept`` for ``_first_group`` by slack over every subset: whether
+    min_ratio(g, group) >= r, for a group carried as member -> bit position
+    with each member's in-group neighbour mask.
+
+    With r = p/q, slack(S') = q d(S', S) - p vol(S'); S' = S is tried first,
+    then the masks of block t, {t} | rest for each rest below bit t, with
+
+        d(S' + t, S) = d(S', S) + |N(t) & S| - |N(t) & S'|,
+
+    answering False at the first negative slack."""
+    p, q = r.numerator, r.denominator
+    pdeg = [p * len(row) for row in g.adj]
+
+    def accept(members: dict[int, int], rows: list[int]) -> bool:
+        if q * sum(map(int.bit_count, rows)) < 2 * sum(map(pdeg.__getitem__, members)):
+            return False  # slack(S) < 0: S itself is below r
+        slack = [0]
+        for v, nt in zip(members, rows):
+            gain = q * nt.bit_count() - pdeg[v]  # slack of the singleton
+            block = [slack[rest] + gain - q * (nt & rest).bit_count() for rest in range(len(slack))]
+            if min(block) < 0:
+                return False
+            slack += block
+        return True
+
+    return accept
 
 
 def grow_connected_group(g: LabeledGraph, size: int, seed: int) -> tuple[int, ...]:

@@ -10,15 +10,18 @@ isomorphism, close-knit and codec entry points through
 through one ``isinstance`` check each, and the graph, game and config of the
 diffusion entry points, the bit strings, encodings and side infos of the
 two-part codec, a graph name, a gasket and a word stream's domain through
-``errors.check_instance``.  ``rng.uniform_cut`` refuses a NaN or an
-infinity, ``gnp_sample`` an n over ``GNP_VERTEX_MAX`` and a word stream a
-draw over ``WORDS_PER_DRAW_MAX`` words before they hash.
+``errors.check_instance``, and the subset, group and permutation arguments
+through ``errors.check_iterable``.  ``rng.uniform_cut`` refuses a NaN or an
+infinity, ``gnp_sample`` an n over ``GNP_VERTEX_MAX``, a word stream a
+draw over ``WORDS_PER_DRAW_MAX`` words before they hash, and the gasket
+counts a level over ``COUNT_LEVEL_MAX`` before any power of 3.
 A float bound that would pass the largest float raises DomainError naming
 the pattern size.  The boundary rows check that the shared checks still
 take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
 the largest group size, ``limit=1``).
 """
 
+import faulthandler
 import time
 from fractions import Fraction
 from math import comb
@@ -34,6 +37,7 @@ from gasketlab.diffusion import (
     CoordinationGame,
     DiffusionConfig,
     hitting_time_stats,
+    risk_threshold,
     run,
 )
 from gasketlab.errors import check_int, check_real
@@ -71,7 +75,14 @@ from gasketlab.ranking import (
     unrank_subset,
 )
 from gasketlab.rng import WORDS_PER_DRAW_MAX, WordStream, derive_seed, uniform_cut
-from gasketlab.sierpinski import build, corners, elementary_triangles, subgaskets, vertex_count
+from gasketlab.sierpinski import (
+    build,
+    corners,
+    edge_count,
+    elementary_triangles,
+    subgaskets,
+    vertex_count,
+)
 from gasketlab.twopart import (
     SideInfo,
     TwoPartEncoding,
@@ -136,6 +147,8 @@ ESCAPES = {
     "scan r text": (lambda: family_scan({}, "1/2"), "^ratio bound r must be a real"),
     "cert graph text": (lambda: is_rk_closeknit("x", HALF, 3), "^graph must be a LabeledGraph"),
     "ratio graph text": (lambda: min_ratio("x", (1,)), "^graph must be a LabeledGraph, got str"),
+    "ratio group none": (lambda: min_ratio(K3, None), "^group must be iterable, got NoneType"),
+    "ratio group int": (lambda: min_ratio(K3, 5), "^group must be iterable, got int"),
     "scan graphs text": (lambda: family_scan("x", HALF), "^graphs must be a dict"),
     "scan graphs list": (lambda: family_scan([S2.graph], HALF), "^graphs must be a dict"),
     "scan graph value text": (
@@ -153,6 +166,7 @@ ESCAPES = {
     "bounds c text": (lambda: bounds_report(K3, "x", 3), "c must"),
     "bounds c_d bool": (lambda: bounds_report(K3, 1, True), "c_d"),
     "subset bool label": (lambda: as_subset((True, 2), 3), "subset label True"),
+    "subset none": (lambda: as_subset(None, 3), "^subset must be iterable, got NoneType"),
     "from_edges bool label": (lambda: LabeledGraph.from_edges(3, [(True, 2)]), "integer labels"),
     "from_edges n float": (lambda: LabeledGraph.from_edges(2.5, []), "vertex count"),
     "complete n float": (lambda: LabeledGraph.complete(2.5), "vertex count"),
@@ -171,6 +185,10 @@ ESCAPES = {
     "rank_subset text members": (lambda: rank_subset("ab", 3), "subset member"),
     "rank_permutation float members": (
         lambda: rank_permutation((1.0, 2.0)), "permutation member"),
+    "rank_subset members none": (
+        lambda: rank_subset(None, 3), "^subset must be iterable, got NoneType"),
+    "rank_permutation none": (
+        lambda: rank_permutation(None), "^permutation must be iterable, got NoneType"),
     "sweep host size float": (lambda: threshold_sweep([1], [2.5], 1, 0), "host size n"),
     "sweep trials text": (lambda: threshold_sweep([1], [2], "x", 0), "trials"),
     "sweep seed text": (lambda: threshold_sweep([1], [2], 1, "s"), "seed"),
@@ -192,6 +210,12 @@ ESCAPES = {
     "build level float": (lambda: build(2.5), "gasket level"),
     "subgaskets level float": (lambda: subgaskets(S2, 1.5), "sub-gasket level"),
     "vertex_count text": (lambda: vertex_count("3"), "gasket level"),
+    "vertex_count level past the cap": (
+        lambda: vertex_count(2**70), f"^gasket level {2**70} exceeds the cap COUNT_LEVEL_MAX"),
+    "edge_count level past the cap": (
+        lambda: edge_count(2**70), f"^gasket level {2**70} exceeds the cap COUNT_LEVEL_MAX"),
+    "risk_threshold game text": (
+        lambda: risk_threshold("x"), "^game must be a CoordinationGame, got str"),
     "side info n float": (lambda: SideInfo.for_generator("complete:2", 2.5), "host size n"),
     "side info n bool": (lambda: SideInfo.for_generator("complete:2", True), "host size n"),
     "side info n text": (lambda: SideInfo.for_generator("complete:2", "5"), "host size n"),
@@ -281,10 +305,22 @@ ESCAPES = {
 }
 
 
+CALL_SECONDS = 2
+
+
 @pytest.mark.parametrize("call, name", ESCAPES.values(), ids=ESCAPES.keys())
 def test_escape_raises_domain_error_naming_the_argument(call, name):
-    with pytest.raises(DomainError, match=name):
-        call()
+    """Each row raises within CALL_SECONDS; one that hangs inside a C-level
+    computation, where no signal handler runs, ends the run after ten times
+    that, with a traceback."""
+    faulthandler.dump_traceback_later(10 * CALL_SECONDS, exit=True)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match=name):
+            call()
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert time.perf_counter() - start < CALL_SECONDS
 
 
 def test_gnp_past_the_vertex_cap_is_a_resource_limit():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gasketlab import (
@@ -33,6 +33,7 @@ from conftest import (
     oracle_is_rk_closeknit,
     oracle_min_ratio,
     oracle_min_ratio_blocks,
+    oracle_ratio_test,
 )
 
 
@@ -221,6 +222,33 @@ def test_ratio_at_least_matches_exact_minimum(kind, n, seed, data):
         assert _ratio_test(g, r)(members, rows) == (exact >= r), r
 
 
+@st.composite
+def _ratio_groups(draw) -> tuple[LabeledGraph, tuple[int, ...]]:
+    """A group of 1-14 members: grown connected on S5 or S6, as the
+    certificate's search grows its groups, or drawn from a G(n, p) graph."""
+    kind = draw(st.sampled_from(["S5", "S6", "gnp"]))
+    if kind != "gnp":
+        g = named_graph(kind)
+        return g, grow_connected_group(g, draw(st.integers(1, 14)), draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 14))
+    g = gnp_sample(n, draw(st.sampled_from([0.3, 0.6, 0.9])), draw(st.integers(0, 10**6)))
+    group = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1))))
+    assume(all(g.degree(v) for v in group))
+    return g, group
+
+
+@given(_ratio_groups(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ratio_test_matches_the_subset_dp_it_replaced(case, data):
+    g, group = case
+    exact, _ = oracle_min_ratio_blocks(g, group)
+    members, rows = _members_and_rows(g, data.draw(st.permutations(group)))
+    eps = Fraction(1, 1000)
+    for r in [Fraction(-1, 3), Fraction(0), exact - eps, exact, exact + eps, Fraction(1, 3),
+              Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(3, 2)]:
+        assert _ratio_test(g, r)(members, rows) == oracle_ratio_test(g, r)(members, rows), r
+
+
 def _with_leaves(n: int, edges, owners) -> LabeledGraph:
     """Vertices 1..n with ``edges``, and two pendant leaves on each owner."""
     leaves = [(v, n + 1 + 2 * i + j) for i, v in enumerate(owners) for j in (0, 1)]
@@ -252,7 +280,7 @@ def test_ratio_test_rejects_on_the_whole_group_and_on_subsets_alike(g, group, r)
     if argmin == group:  # only S' = S is below r
         proper = [sub for size in range(1, len(group)) for sub in combinations(group, size)]
         assert all(_subset_ratio(g, sub, group) >= r for sub in proper)
-    else:  # S and every singleton pass, so only the subset blocks can reject
+    else:  # S and every singleton pass, so only a larger proper subset can reject
         assert whole >= r and all(_subset_ratio(g, (v,), group) >= r for v in group)
     assert exact < r
     eps = Fraction(1, 1000)
@@ -485,6 +513,20 @@ def test_certificate_on_a_large_gasket_allocates_no_per_vertex_bit_table():
     assert len(set(result.witness.values())) == 6_561
     # an n-bit mask per vertex would take n * n / 8 bytes, 12.1 MB here
     assert peak < g.n * g.n // 32
+
+
+def test_certificate_with_20_member_groups_allocates_no_subset_table():
+    g, r = build(6).graph, Fraction(9, 20)
+    tracemalloc.start()
+    try:
+        result = is_rk_closeknit(g, r, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.success, result.groups_examined) == (True, 3_828)
+    assert result == oracle_is_rk_closeknit(g, r, 20)
+    # a 2^|S|-entry slack table for a 20-member group alone takes tens of MiB
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
