@@ -40,6 +40,9 @@ __all__ = [
     "family_scan",
 ]
 
+# The largest group size: the k of a certificate's ESU enumeration and of
+# family_scan, and the |S| of min_ratio, whose flow network has |S| + 2 nodes
+# and an |S| x |S| residual matrix.  No 2^|S| table depends on it.
 GROUP_SIZE_MAX = 20
 GROUPS_PER_VERTEX_CAP = 200_000
 

@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from . import closeknit, diffusion, ramsey, sierpinski, twopart
-from .errors import DomainError, ResourceLimitError, check_int
+from .errors import DomainError, ResourceLimitError, check_instance, check_int
 from .graphs import LabeledGraph, _with_host_flags, as_subset, check_graph, gnp_sample
 from .isomorphism import automorphism_count as aut_count
 from .rng import check_seed, derive_seed
@@ -242,7 +242,11 @@ def closeknit_diffusion_link(
 def table_to_csv(
     rows: list[dict[str, object]], metadata: dict[str, object]
 ) -> str:
-    """Render a sweep table as CSV with '#'-prefixed metadata header lines."""
+    """Render a sweep table as CSV with '#'-prefixed metadata header lines;
+    ``rows`` is a list of dicts and ``metadata`` a dict."""
+    for row in check_instance(rows, list, "rows"):
+        check_instance(row, dict, "each row")
+    check_instance(metadata, dict, "metadata")
     lines = [f"# {key} = {json.dumps(metadata[key], sort_keys=True)}" for key in sorted(metadata)]
     if rows:
         columns = list(rows[0].keys())

@@ -213,11 +213,19 @@ def _with_flags(g: LabeledGraph, flags: bytes) -> LabeledGraph:
 
 def _canonical_flags(g: LabeledGraph) -> bytes:
     """The canonical C(n, 2) 0/1 flag bytes of ``g`` in pos order: the kept
-    ones, or else, not kept, one ``map`` per row over its neighbour set."""
+    ones, or else, not kept, zeros with a 1 set at each edge's position, so
+    the Python work is O(n + m) and no zero pair is visited."""
     if g._flags is not None:
         return g._flags
     n, adj = g.n, g.adj
-    return b"".join(bytes(map(adj[i].__contains__, range(i + 1, n + 1))) for i in range(1, n + 1))
+    flags = bytearray(comb(n, 2))
+    start = 0  # the 0-based position of (i, i + 1); (i, j) is at start - i - 1 + j
+    for i in range(1, n + 1):
+        for j in adj[i]:
+            if j > i:
+                flags[start - i - 1 + j] = 1
+        start += n - i
+    return bytes(flags)
 
 
 def _inside_positions(sub: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int]]:

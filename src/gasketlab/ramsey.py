@@ -581,6 +581,7 @@ def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
     eventually dominates; the scan stops once failure is certain by a
     doubling margin that only grows with the level.
     """
+    c_d = check_real(c_d, "c_d")
     try:
         frac = Fraction(c_d)
     except (ValueError, OverflowError):

@@ -69,6 +69,9 @@ __all__ = [
 
 PATTERN_SIZE_MIN = 2  # a smaller pattern has no inside pair to save
 BOUNDS_K_MAX = 2029  # the largest k whose unordered bound, the largest, is a finite float
+# threshold_exact's largest k: its O(k) C(n, k) of about k^2/2 bits each take
+# about half a second at the cap on a 2-core machine, and 30 s at k = 1000
+THRESHOLD_K_MAX = 400
 _U32 = 0xFFFF_FFFF
 _ORDERED = {"sierpinski": True, "complete": False, "empty": False}  # needs ordering info
 _GENERATOR_ID = re.compile(rf"({'|'.join(_ORDERED)}):([0-9]+)")
@@ -213,8 +216,14 @@ def threshold_exact(k: int, ordered: bool) -> int | None:
     The gain is non-increasing in n (the subset index only grows), so an
     upper bracket is found by doubling from n = k and the last n with a
     positive gain by bisection: O(k) gain evaluations, as the threshold is
-    about 2^(k/2).
+    about 2^(k/2).  A k past ``THRESHOLD_K_MAX`` raises ResourceLimitError
+    before any factorial or binomial is formed.
     """
+    k = check_int(k, "pattern size k", PATTERN_SIZE_MIN)
+    if k > THRESHOLD_K_MAX:
+        raise ResourceLimitError(
+            f"pattern size k={k} exceeds the cap THRESHOLD_K_MAX = {THRESHOLD_K_MAX}"
+        )
     if gain(k, k, ordered) <= 0:
         return None
     low, high = k, 2 * k  # gain(low) > 0

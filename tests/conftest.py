@@ -16,8 +16,12 @@ the one-pass block DP over all 2^|S| subset bitmasks that computed
 ``min_ratio`` before the parametric minimum cut, the block DP over the
 same subsets that decided a certificate's candidate groups before one
 minimum cut did, and the per-bit and
-per-pair loops of the G(n,p) sampler, the canonical, graph6 and two-part
-codecs, ``plant_occurrence`` and ``to_bytes``.  The
+per-pair loops of the G(n,p) sampler, the canonical flags of a graph
+without kept flags, the canonical, graph6 and two-part codecs,
+``plant_occurrence`` and ``to_bytes``.  The gasket built from coordinates
+(every elementary triangle's edges listed, the points sorted and
+labelled, the graph made by ``from_edges``) is kept with the sub-gasket
+extraction that read its template off those sorted points.  The
 diffusion loop that ran every trial to its horizon, past all-A, is kept too,
 and so is the branch-and-forbid connected-group enumerator that tracked a
 forbidden set and scanned the frontier list.  The oracles that draw random
@@ -41,6 +45,52 @@ from gasketlab.graphs import EdgeBitString, as_subset
 from gasketlab.io import _g6_read_size, _g6_size_bytes
 from gasketlab.ranking import rank_subset, unrank_permutation, unrank_subset
 from gasketlab.twopart import TwoPartEncoding, ordering_index_bits, subset_index_bits
+
+
+def _collect_offsets(level: int, target: int, r0: int, c0: int, out) -> None:
+    if level == target:
+        out.append((r0, c0))
+        return
+    span = 2 ** (level - 2)
+    _collect_offsets(level - 1, target, r0, c0, out)
+    _collect_offsets(level - 1, target, r0 + span, c0, out)
+    _collect_offsets(level - 1, target, r0 + span, c0 + span, out)
+
+
+def _coord_edges(level: int):
+    """Edges of the triangles at the level-1 offsets, in recursion order."""
+    offsets = []
+    _collect_offsets(level, 1, 0, 0, offsets)
+    edges = []
+    for r0, c0 in offsets:
+        a, b, c = (r0, c0), (r0 + 1, c0), (r0 + 1, c0 + 1)
+        edges += [(a, b), (a, c), (b, c)]
+    return edges
+
+
+def oracle_sierpinski(level: int) -> sierpinski.SierpinskiGraph:
+    """The level-``level`` gasket from its coordinates: labels follow the
+    sorted points, and ``from_edges`` checks every edge."""
+    coord_edges = _coord_edges(level)
+    points = sorted({p for e in coord_edges for p in e})
+    label = {p: t + 1 for t, p in enumerate(points)}
+    graph = LabeledGraph.from_edges(
+        len(points), [(label[a], label[b]) for a, b in coord_edges]
+    )
+    span = 2 ** (level - 1)
+    corner_labels = (label[(0, 0)], label[(span, 0)], label[(span, span)])
+    coords = {label[p]: p for p in points}
+    return sierpinski.SierpinskiGraph(level, graph, coords, corner_labels)
+
+
+def oracle_subgaskets(s: sierpinski.SierpinskiGraph, sub_level: int) -> list[tuple[int, ...]]:
+    """The level-``sub_level`` sub-gaskets, each the sorted level-j points
+    placed at its offset."""
+    offsets = []
+    _collect_offsets(s.level, sub_level, 0, 0, offsets)
+    template = sorted({p for e in _coord_edges(sub_level) for p in e})
+    label = {coord: v for v, coord in s.coords.items()}
+    return [tuple(sorted(label[(r0 + r, c0 + c)] for r, c in template)) for r0, c0 in offsets]
 
 
 def to_nx(g: LabeledGraph) -> nx.Graph:
@@ -434,6 +484,12 @@ def oracle_gnp_sample(n: int, p, seed: int) -> LabeledGraph:
             if (next(words) >> 11) * 2.0**-53 < p:
                 edges.append((i, j))
     return LabeledGraph.from_edges(n, edges)
+
+
+def oracle_canonical_flags(g: LabeledGraph) -> bytes:
+    """The per-pair rule: one ``map`` per row over its neighbour set."""
+    n, adj = g.n, g.adj
+    return b"".join(bytes(map(adj[i].__contains__, range(i + 1, n + 1))) for i in range(1, n + 1))
 
 
 def oracle_encode(g: LabeledGraph) -> EdgeBitString:

@@ -64,9 +64,12 @@ from gasketlab.ramsey import (
     has_mono_induced,
     induced_ramsey_oracle,
     is_host,
+    poly_exp_crossover_level,
     split_union,
 )
-from gasketlab.experiments import expected_occurrences, plant_occurrence, threshold_sweep
+from gasketlab.experiments import (
+    expected_occurrences, plant_occurrence, table_to_csv, threshold_sweep,
+)
 from gasketlab.ranking import (
     ceil_log2,
     rank_permutation,
@@ -91,6 +94,7 @@ from gasketlab.twopart import (
     decode_two_part,
     encode_two_part,
     from_bytes,
+    threshold_exact,
     to_bytes,
 )
 
@@ -302,6 +306,24 @@ ESCAPES = {
     "bounds k past the float range": (
         lambda: bounds_report(LabeledGraph.empty(2049), 1, 3),
         r"^pattern size k=2049 makes 2\^\(\(k-1\)/2\) too large for a float$"),
+    "table_to_csv rows text": (lambda: table_to_csv("x", "x"), "^rows must be a list, got str"),
+    "table_to_csv row int": (
+        lambda: table_to_csv([1], {}), "^each row must be a dict, got int"),
+    "table_to_csv none": (lambda: table_to_csv(None, None), "^rows must be a list, got NoneType"),
+    "table_to_csv metadata list": (
+        lambda: table_to_csv([], []), "^metadata must be a dict, got list"),
+    "crossover c_d none": (
+        lambda: poly_exp_crossover_level(None), "^c_d must be a real number, got None"),
+    "unrank_permutation k past u64": (
+        lambda: unrank_permutation(0, 2**70),
+        f"^permutation size k={2**70} exceeds the cap PERMUTATION_SIZE_MAX = 4096"),
+    "unrank_permutation k a million": (
+        lambda: unrank_permutation(0, 10**6), "^permutation size k=1000000 exceeds the cap"),
+    "threshold_exact k past u64": (
+        lambda: threshold_exact(2**70, True),
+        f"^pattern size k={2**70} exceeds the cap THRESHOLD_K_MAX = 400"),
+    "threshold_exact k of 10^5": (
+        lambda: threshold_exact(10**5, True), "^pattern size k=100000 exceeds the cap"),
 }
 
 

@@ -41,6 +41,7 @@ from gasketlab.twopart import (
 )
 
 from conftest import (
+    oracle_canonical_flags,
     oracle_decode,
     oracle_decode_two_part,
     oracle_encode,
@@ -347,11 +348,44 @@ def test_kept_flags_agree_with_adj_and_the_encoders_with_the_oracles(n, p, seed,
         assert bare_plant == built[-1] == oracle_plant_occurrence(bare_host, pattern, subset)
     for g in built:
         assert g._flags == oracle_encode(g).bits.encode().translate(graphs._FLAGS)
+        assert graphs._canonical_flags(g) is g._flags  # kept flags are returned first
         bare = LabeledGraph(g.n, g.adj)
         assert bare._flags is None
+        assert graphs._canonical_flags(bare) == oracle_canonical_flags(bare)
         for h in (g, bare):
             assert encode(h) == oracle_encode(h)
             assert to_graph6(h) == oracle_to_graph6(h)
+
+
+FLAGLESS_NAMES = (
+    "S1", "S2", "S3", "S5", "S6", "K0", "K1", "K2", "K30",
+    "P1", "P2", "P50", "C3", "C40", "E0", "E1", "E2", "E10",
+)
+
+
+def _assert_flags_match_the_per_pair_rule(g):
+    assert graphs._canonical_flags(g) == oracle_canonical_flags(g)
+    assert encode(g) == oracle_encode(g)
+    assert to_graph6(g) == oracle_to_graph6(g)
+
+
+@pytest.mark.parametrize("name", FLAGLESS_NAMES)
+def test_flags_of_named_graphs_match_the_per_pair_rule(name):
+    g = catalog.named_graph(name)
+    assert g._flags is None
+    _assert_flags_match_the_per_pair_rule(g)
+    read = from_json_edges(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}))
+    assert read._flags is None
+    _assert_flags_match_the_per_pair_rule(read)
+
+
+@given(st.integers(0, 40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_flags_of_edge_list_graphs_match_the_per_pair_rule(n, data):
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    g = LabeledGraph.from_edges(n, data.draw(st.lists(pairs, max_size=3 * n)) if n else [])
+    assert g._flags is None
+    _assert_flags_match_the_per_pair_rule(g)
 
 
 @given(st.integers(0, 40), st.data())

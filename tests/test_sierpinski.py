@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from gasketlab.sierpinski import (
     vertex_count,
 )
 
-from conftest import nx_isomorphic
+from conftest import nx_isomorphic, oracle_sierpinski, oracle_subgaskets
 
 
 def test_closed_form_counts():
@@ -99,6 +100,31 @@ def test_subgasket_counts_and_isomorphism(level, sub_level):
     reference = build(sub_level).graph
     for subset in subs:
         assert nx_isomorphic(induced_subgraph(s.graph, subset), reference)
+
+
+@pytest.mark.parametrize("level", range(1, 11))
+def test_build_matches_the_coordinate_construction(level):
+    s, oracle = build(level), oracle_sierpinski(level)
+    assert s.graph == oracle.graph
+    assert list(s.coords.items()) == list(oracle.coords.items())  # key order too
+    assert s.corner_labels == oracle.corner_labels
+    if level <= 7:
+        for sub_level in range(1, level + 1):
+            assert subgaskets(s, sub_level) == oracle_subgaskets(oracle, sub_level)
+
+
+def test_build_allocates_little_beyond_the_gasket_it_returns():
+    # the coordinate construction peaked at about 2.4 times what it kept
+    # (26.9 MiB against 11.0 MiB at level 10); three copies of the level
+    # below peak at about 1.05 times
+    tracemalloc.start()
+    try:
+        s = build(10)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.graph.n == vertex_count(10)
+    assert peak < 1.5 * kept
 
 
 def test_default_max_level_is_buildable():
