@@ -25,11 +25,12 @@ exact break-even host size is found by doubling and bisection on n, and a
 float bound past the largest float raises DomainError naming k.
 ``SideInfo`` checks its own fields (u32 sizes with 2 <= k <= n, a bool
 ``ordered``, a generator id of the form ``<sierpinski|complete|empty>:<digits>``
-that makes exactly k vertices, a gasket level at most 12) and never builds
-the pattern.  The digits may have leading zeros: ``complete:0002`` names the
-pattern ``complete:2`` names, and the serialized header keeps the id as
-given, so one pattern has several headers and every blob written so far
-reads back unchanged.
+that makes exactly k vertices, a gasket level at most 12, an ordered k at
+most ``ranking.PERMUTATION_SIZE_MAX`` = 10,000, which admits sierpinski:9)
+and never builds the pattern.  The digits may have leading zeros:
+``complete:0002`` names the pattern ``complete:2`` names, and the
+serialized header keeps the id as given, so one pattern has several
+headers and every blob written so far reads back unchanged.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from math import comb, factorial
 from .errors import DomainError, ResourceLimitError, check_instance, check_int
 from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, _inside_positions, as_subset
 from .ranking import (
+    PERMUTATION_SIZE_MAX,
     ceil_log2,
     rank_subset,
     unrank_permutation,
@@ -124,7 +126,11 @@ class SideInfo:
     integers that fit the header's u32 fields with 2 <= k <= n, ``ordered``
     is a bool, and the generator id is ``<family>:<ASCII decimal digits>``
     with family sierpinski, complete or empty, a gasket level of at most
-    ``sierpinski.MAX_LEVEL_DEFAULT``, and exactly k vertices.
+    ``sierpinski.MAX_LEVEL_DEFAULT``, and exactly k vertices.  When
+    ``ordered``, k is at most ``ranking.PERMUTATION_SIZE_MAX``, the largest
+    size whose ordering rank the decoder unranks; a larger one raises
+    ResourceLimitError, so the encoder, the serializer and the decoder
+    refuse the same sizes and no k! past the cap is formed.
     """
 
     n: int
@@ -148,6 +154,11 @@ class SideInfo:
             )
         if self.n < self.k:
             raise DomainError(f"host size n={self.n} must be >= pattern size k={self.k}")
+        if self.ordered and self.k > PERMUTATION_SIZE_MAX:
+            raise ResourceLimitError(
+                f"ordered pattern size k={self.k} exceeds the cap "
+                f"PERMUTATION_SIZE_MAX = {PERMUTATION_SIZE_MAX}"
+            )
 
     @staticmethod
     def for_generator(generator_id: str, n: int, ordered: bool | None = None) -> "SideInfo":

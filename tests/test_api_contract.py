@@ -316,9 +316,12 @@ ESCAPES = {
         lambda: poly_exp_crossover_level(None), "^c_d must be a real number, got None"),
     "unrank_permutation k past u64": (
         lambda: unrank_permutation(0, 2**70),
-        f"^permutation size k={2**70} exceeds the cap PERMUTATION_SIZE_MAX = 4096"),
+        f"^permutation size k={2**70} exceeds the cap PERMUTATION_SIZE_MAX = 10000"),
     "unrank_permutation k a million": (
         lambda: unrank_permutation(0, 10**6), "^permutation size k=1000000 exceeds the cap"),
+    "ordered side info k past the permutation cap": (
+        lambda: SideInfo.for_generator("complete:3000000", 3000000, ordered=True),
+        "^ordered pattern size k=3000000 exceeds the cap PERMUTATION_SIZE_MAX = 10000$"),
     "threshold_exact k past u64": (
         lambda: threshold_exact(2**70, True),
         f"^pattern size k={2**70} exceeds the cap THRESHOLD_K_MAX = 400"),

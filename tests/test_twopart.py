@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gasketlab import DomainError, LabeledGraph, ResourceLimitError, encode, gnp_sample, twopart
 from gasketlab.experiments import plant_occurrence
+from gasketlab.ranking import PERMUTATION_SIZE_MAX, unrank_permutation
 from gasketlab.rng import derive_seed
 from gasketlab.sierpinski import build, vertex_count
 from gasketlab.twopart import (
@@ -290,12 +291,16 @@ HOSTILE_BLOBS = {
     "huge_sierpinski_level": _header(15, 15, b"sierpinski:9" + b"9" * 4000, 1) + bytes(6),
     # unordered, so no body: k is the level-20 count, the id says level 25
     "level_past_the_clamp": _header(vertex_count(20), vertex_count(20), b"sierpinski:25", 0),
+    # k - 1 ordering bits are there, but an ordered k past the cap is not unranked
+    "ordered_past_the_permutation_cap": _header(10_001, 10_001, b"complete:10001", 1)
+    + bytes(1250),
 }
 HOSTILE_MESSAGES = {
     "non_utf8_id": "UTF-8",
     "sierpinski_level_mismatch": "does not produce k=15",
     "huge_sierpinski_level": "gasket level of 4001 digits exceeds the configured maximum 12",
     "level_past_the_clamp": "gasket level 25 exceeds the configured maximum 12",
+    "ordered_past_the_permutation_cap": "k=10001 exceeds the cap PERMUTATION_SIZE_MAX = 10000",
 }
 
 
@@ -320,3 +325,31 @@ def test_from_bytes_rejects_hostile_header_quickly(name):
     )
     assert result.returncode == 0, result.stderr
     assert HOSTILE_MESSAGES.get(name, "need at least") in result.stdout
+
+
+def test_the_codec_refuses_the_ordered_sizes_the_decoder_cannot_unrank():
+    cap = PERMUTATION_SIZE_MAX
+    assert vertex_count(9) <= cap  # every blob of a sierpinski:9 occurrence decodes
+    # at the cap, the side info, both serializers and the unranking work
+    side = SideInfo.for_generator(f"complete:{cap}", cap, ordered=True)
+    last = TwoPartEncoding(subset_rank=0, perm_rank=factorial(cap) - 1, residual="")
+    assert from_bytes(to_bytes(last, side)) == (last, side)
+    assert unrank_permutation(last.perm_rank, cap) == tuple(range(cap, 0, -1))
+    # one past it, the encoder's side info, the decoder's and the blob reader
+    # all refuse, and so does the unranking
+    refusal = f"k={cap + 1} exceeds the cap PERMUTATION_SIZE_MAX = {cap}$"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        SideInfo.for_generator(f"complete:{cap + 1}", cap + 1, ordered=True)
+    with pytest.raises(ResourceLimitError, match=refusal):
+        SideInfo(n=cap + 1, k=cap + 1, generator_id=f"complete:{cap + 1}", ordered=True)
+    body = bytes(-(-ordering_index_bits(cap + 1) // 8))  # a full-width ordering rank
+    with pytest.raises(ResourceLimitError, match=refusal):
+        from_bytes(_header(cap + 1, cap + 1, f"complete:{cap + 1}".encode(), 1) + body)
+    with pytest.raises(ResourceLimitError, match=refusal):
+        unrank_permutation(0, cap + 1)
+    # a gasket past the cap is refused as ordered side info; unordered, it
+    # has no ordering rank to unrank and is taken
+    n10 = vertex_count(10)
+    with pytest.raises(ResourceLimitError, match=f"k={n10} exceeds the cap"):
+        SideInfo.for_generator("sierpinski:10", n10)
+    assert SideInfo.for_generator("sierpinski:10", n10, ordered=False).widths() == (0, 0, 0)
