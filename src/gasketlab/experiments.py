@@ -242,17 +242,31 @@ def closeknit_diffusion_link(
 def table_to_csv(
     rows: list[dict[str, object]], metadata: dict[str, object]
 ) -> str:
-    """Render a sweep table as CSV with '#'-prefixed metadata header lines;
-    ``rows`` is a list of dicts and ``metadata`` a dict."""
+    """Render a sweep table as CSV with '#'-prefixed metadata header lines.
+
+    ``rows`` is a list of dicts; the first row's keys, each a str, are the
+    columns, and every row must have them all.  ``metadata`` is a dict with
+    str keys, written sorted, and values JSON can write.  Anything else
+    raises DomainError naming the row or the key."""
     for row in check_instance(rows, list, "rows"):
         check_instance(row, dict, "each row")
     check_instance(metadata, dict, "metadata")
-    lines = [f"# {key} = {json.dumps(metadata[key], sort_keys=True)}" for key in sorted(metadata)]
+    columns = list(rows[0].keys()) if rows else []
+    for where, keys in (("column", columns), ("metadata", metadata)):
+        for key in keys:
+            if not isinstance(key, str):
+                raise DomainError(f"{where} key {key!r} must be a str, got {type(key).__name__}")
+    lines = []
+    for key in sorted(metadata):
+        try:
+            lines.append(f"# {key} = {json.dumps(metadata[key], sort_keys=True)}")
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"metadata value of {key!r} is not JSON: {exc}") from None
     if rows:
-        columns = list(rows[0].keys())
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(
-                ",".join("" if row[c] is None else str(row[c]) for c in columns)
-            )
+    for t, row in enumerate(rows):
+        try:
+            lines.append(",".join("" if row[c] is None else str(row[c]) for c in columns))
+        except KeyError as exc:
+            raise DomainError(f"row {t} has no value for column {exc.args[0]!r}") from None
     return "\n".join(lines) + "\n"

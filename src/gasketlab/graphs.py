@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import comb
+from math import comb, isqrt
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -61,17 +61,18 @@ def pos(i: int, j: int, n: int) -> int:
 
 
 def pair_at(position: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pos`."""
+    """Inverse of :func:`pos`, in O(1) big-integer operations.
+
+    The rows after row i hold C(n - i, 2) positions, so row i is n - t for
+    the largest t with C(t, 2) <= C(n, 2) - position, which is
+    (1 + isqrt(1 + 8 (C(n, 2) - position))) // 2.
+    """
     n = check_int(n, "vertex count n")
     if n < 0:
         raise DomainError(f"pair_at needs n >= 0 vertices, got {n}")
     position = check_int(position, "position", 1, comb(n, 2))
-    i = 1
-    remaining = position
-    while remaining > n - i:
-        remaining -= n - i
-        i += 1
-    return i, i + remaining
+    i = n - (1 + isqrt(1 + 8 * (comb(n, 2) - position))) // 2
+    return i, position - (i - 1) * n + i * (i - 1) // 2 + i
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""The induced-embedding kernel, and isomorphism and automorphism search for
-small graphs on it.
+"""The induced-embedding kernel, and isomorphism and symmetry search on it.
 
 The kernel filters candidates in the style of Ullmann and VF2, with the
 forward checking of Haralick and Elliott (1980).  Pattern vertices are
@@ -17,10 +16,17 @@ vertices, not once per permutation of the twins.
 :mod:`gasketlab.ramsey` builds its occurrence plans on this kernel.
 
 An isomorphism is an induced embedding between graphs with equal degree
-multisets.  The search is complete (no heuristics that can miss).  Every
-permutation inside a twin class is an automorphism, so the automorphism
-count is the number of embeddings found times the product of the twin
-classes' factorials.
+multisets.  The search is complete (no heuristics that can miss).
+
+A plan rooted at a vertex r finds a copy once per automorphism fixing r's
+twin class.  The symmetry-breaking conditions of Grochow and Kellis (RECOMB
+2007), taken over twin classes, keep exactly one: the class whose orbit
+under those automorphisms is largest gets its first-placed member's image
+below that of every other class in the orbit, the group shrinks to that
+class's stabilizer, and so on until it fixes every class.  Orbits come
+from pinned embedding queries of the pattern into itself, never from
+listing the group, and colour refinement rules out most pairs of classes
+that no automorphism joins without a query.  This chain also counts |Aut|.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .graphs import LabeledGraph, check_graph
 
 __all__ = ["is_isomorphic", "find_isomorphism", "automorphism_count"]
 
-AUT_MAX_VERTICES = 10
+PATTERN_SIZE_MAX = 16  # largest pattern searched for, or whose symmetry is found
 
 
 def _twin_keys(pattern: LabeledGraph) -> list:
@@ -166,17 +172,119 @@ def _first(image: list[int], last: int) -> list[int]:
     return [*image, (last & -last).bit_length() - 1]
 
 
-def _isomorphisms(a: LabeledGraph, b: LabeledGraph) -> Iterator[tuple[tuple, list[int], int]]:
-    """Isomorphisms a -> b with a's twins in increasing image order, as
-    (order, image, last): image[t] is the 0-based image of vertex order[t]
-    for all but the last (the list is reused between yields), and each bit
-    of ``last`` an image of the last vertex.  Every isomorphism is one of
-    these followed by a permutation inside a's twin classes."""
-    if a.degree_multiset() == b.degree_multiset():
-        order, ahead = _plan(a)
-        masks = _masks(b.row_masks()[1:])
-        for image, last in _embeddings(masks, [(ahead, _allowed(b, a, order))]):
-            yield order, image, last
+def _refined(pattern: LabeledGraph, colors: list[int]) -> list[int]:
+    """Colour refinement (one-dimensional Weisfeiler-Leman) of per-vertex
+    ``colors`` by the multiset of neighbour colours, until no colour
+    splits.  An automorphism that keeps every starting colour keeps every
+    final one."""
+    count = len(set(colors))
+    while True:
+        signatures = [
+            (c, *sorted(map(colors.__getitem__, nbrs))) for c, nbrs in zip(colors, pattern.adj)
+        ]
+        palette = dict.fromkeys(signatures)
+        if len(palette) == count:
+            return colors
+        count = len(palette)
+        palette = {sig: i for i, sig in enumerate(palette)}
+        colors = [palette[sig] for sig in signatures]
+
+
+def _class_orbits(pattern: LabeledGraph, plan, classes: list[int], pins: dict[int, int], blocks):
+    """The orbits of twin classes (``classes[v]`` is the bitmask of v's)
+    under the automorphisms that fix each class of ``pins``, as lists
+    inside ``blocks`` (lists of classes, each a union of orbits).
+
+    Class d joins c's orbit iff the kernel finds a twin-ordered embedding of
+    the pattern into itself, by its (order, ahead, allowed, masks) ``plan``
+    (see :func:`_symmetry`), that maps c onto d and keeps the pins; the query
+    is made only if colour refinement from the pinned classes leaves c and
+    d one colour, and the automorphism found also joins the images of the
+    orbit so far.
+    """
+    order, ahead, allowed, masks = plan
+    at = {u: t for t, u in enumerate(order)}
+    color = None  # refined only if some block holds a pair to query
+    if max(map(len, blocks)) > 1:
+        color = _refined(pattern, [pins.get(c, 0) for c in classes])
+    orbits = []
+    for rest in blocks:
+        while rest:
+            c = rest[0]
+            orbit = [c]
+            for d in rest[1:]:
+                if d in orbit or color[d.bit_length()] != color[c.bit_length()]:
+                    continue
+                onto = {**pins, c: d}
+                pinned = [mask & onto.get(classes[u], -1) for u, mask in zip(order, allowed)]
+                found = next(_embeddings(masks, [(ahead, pinned)]), None)
+                if found is not None:
+                    image = _first(*found)
+                    orbit += {classes[image[at[x.bit_length()]] + 1] for x in orbit} - set(orbit)
+            rest = [d for d in rest if d not in orbit]
+            orbits.append(orbit)
+    return orbits
+
+
+def _breaking_conditions(pattern: LabeledGraph, plan, classes: list[int]) -> list[tuple[int, int]]:
+    """Position pairs (p, q), p < q, such that exactly one of the
+    twin-ordered embeddings that a plan rooted at r finds for one copy, all
+    with r at one image, has image[p] < image[q] for every pair.
+
+    Those embeddings differ by the automorphisms fixing r's twin class,
+    acting on twin classes.  Each round takes the largest orbit of classes
+    under the automorphisms that fix every class fixed so far, ties to the
+    earliest placed; its earliest-placed class C must have the lowest first
+    image, and C is fixed too.  An orbit of the smaller group lies inside
+    one of the larger group's, so each round only splits the last round's
+    orbits.
+    """
+    first: dict[int, int] = {}  # twin class -> position of its first placed member
+    for t, u in enumerate(plan[0]):
+        first.setdefault(classes[u], t)
+    root, *rest = first
+    pins = {root: root}
+    blocks, pairs = [rest], []
+    while blocks:
+        orbits = [
+            sorted(orbit, key=first.get)
+            for orbit in _class_orbits(pattern, plan, classes, pins, blocks)
+        ]
+        # a class alone in its orbit is fixed already: pinning it only prunes queries
+        pins.update((orbit[0], orbit[0]) for orbit in orbits if len(orbit) == 1)
+        blocks = [orbit for orbit in orbits if len(orbit) > 1]
+        if blocks:
+            c, *others = min(blocks, key=lambda orbit: (-len(orbit), first[orbit[0]]))
+            pairs += [(first[c], first[d]) for d in others]
+            pins[c] = c
+            blocks = [[d for d in orbit if d != c] for orbit in blocks]
+    return pairs
+
+
+def _symmetry(pattern: LabeledGraph) -> tuple:
+    """(classes, roots): ``classes[v]`` is the bitmask of v's twin class, and
+    ``roots`` yields, per automorphism orbit by ascending smallest vertex r,
+    (r, the orbit's size in twin classes, the plan rooted at r's breaking
+    conditions), each worked out when asked for.  Twins share an orbit, so
+    the orbits are those of the twin classes, found on the plan rooted at 1."""
+    key = _twin_keys(pattern)
+    classes = [0] + [
+        sum(1 << (u - 1) for u in pattern.vertices() if key[u] == key[v])
+        for v in pattern.vertices()
+    ]
+
+    def self_plan(root: int) -> tuple:  # a plan with its searches into the pattern
+        order, ahead = _plan(pattern, root)
+        return order, ahead, _allowed(pattern, pattern, order), _masks(pattern.row_masks()[1:])
+
+    probe = self_plan(1) if pattern.n else None
+    blocks = [list(dict.fromkeys(classes[1:]))]
+    orbits = _class_orbits(pattern, probe, classes, {}, blocks) if probe else []
+    roots = sorted((min(c & -c for c in orbit).bit_length(), len(orbit)) for orbit in orbits)
+    return classes, (
+        (r, size, _breaking_conditions(pattern, self_plan(r) if r > 1 else probe, classes))
+        for r, size in roots
+    )
 
 
 def find_isomorphism(a: LabeledGraph, b: LabeledGraph) -> tuple[int, ...] | None:
@@ -186,9 +294,12 @@ def find_isomorphism(a: LabeledGraph, b: LabeledGraph) -> tuple[int, ...] | None
     """
     check_graph(a, "graph a")
     check_graph(b, "graph b")
-    for order, image, last in _isomorphisms(a, b):
-        image = _first(image, last)
-        return tuple(image[order.index(v)] + 1 for v in a.vertices())
+    if a.degree_multiset() == b.degree_multiset():
+        order, ahead = _plan(a)
+        masks = _masks(b.row_masks()[1:])
+        for image, last in _embeddings(masks, [(ahead, _allowed(b, a, order))]):
+            image = _first(image, last)
+            return tuple(image[order.index(v)] + 1 for v in a.vertices())
     return None
 
 
@@ -197,10 +308,17 @@ def is_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
 
 
 def automorphism_count(g: LabeledGraph) -> int:
-    """Order of the automorphism group, by complete search (n <= AUT_MAX_VERTICES)."""
-    if check_graph(g, "graph").n > AUT_MAX_VERTICES:
+    """Order of the automorphism group (n <= ``PATTERN_SIZE_MAX``, else
+    DomainError), from the stabilizer chain of :func:`_symmetry`: the size
+    of vertex 1's orbit of twin classes, times the orbit size of each class
+    the chain of the plan rooted at 1 fixes (1 plus the number of breaking
+    pairs that class heads), times each twin class size's factorial, as
+    every permutation inside a twin class is an automorphism."""
+    if check_graph(g, "graph").n > PATTERN_SIZE_MAX:
         raise DomainError(
-            f"automorphism search is limited to {AUT_MAX_VERTICES} vertices, got {g.n}"
+            f"automorphism search is limited to {PATTERN_SIZE_MAX} vertices, got {g.n}"
         )
-    twin_orders = prod(factorial(size) for size in Counter(_twin_keys(g)[1:]).values())
-    return sum(last.bit_count() for *_, last in _isomorphisms(g, g)) * twin_orders
+    classes, roots = _symmetry(g)
+    _, size, pairs = next(roots, (1, 1, ()))  # vertex 1's orbit; none in the empty graph
+    twins = prod(factorial(c.bit_count()) for c in {*classes[1:]})
+    return twins * size * prod(1 + n for n in Counter(p for p, _ in pairs).values())

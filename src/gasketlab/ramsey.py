@@ -9,16 +9,9 @@ Occurrence search pins the smallest image vertex s, in increasing order,
 to one vertex r of each automorphism orbit of the pattern and restricts
 every other position to vertices above s, so the copies come out grouped
 by their smallest vertex and a ``limit`` stops the search early.  The
-automorphisms that fix r still map a copy onto itself in several ways;
-the symmetry-breaking conditions of Grochow and Kellis (RECOMB 2007),
-taken over twin classes, keep exactly one: the class whose orbit under
-the automorphisms fixing r is largest gets its first-placed member's image
-below that of every other class in the orbit, the group shrinks to that
-class's stabilizer, and so on until it fixes every class.  Orbits come from
-pinned embedding queries of the pattern into itself, never from listing
-the group, and colour refinement rules out most pairs of classes that no
-automorphism joins without a query.  So each copy is found exactly once.  The plans depend only on
-the pattern and are kept for the last ``PLAN_CACHE_SIZE`` patterns.
+orbits and the breaking conditions of :mod:`gasketlab.isomorphism` keep
+one embedding per copy.  The plans depend only on the pattern and are
+kept for the last ``PLAN_CACHE_SIZE`` patterns.
 
 A host graph G is *verified* for pattern H when every 2-coloring of E(G)
 contains a monochromatic induced copy of H.  A coloring is an index r (bit
@@ -60,7 +53,7 @@ from .graphs import (
     disjoint_union,
     induced_subgraph,
 )
-from .isomorphism import _allowed, _embeddings, _first, _masks, _plan, _twin_keys
+from .isomorphism import PATTERN_SIZE_MAX, _allowed, _embeddings, _masks, _plan, _symmetry
 from . import sierpinski
 
 __all__ = [
@@ -79,7 +72,6 @@ __all__ = [
     "poly_exp_crossover_level",
 ]
 
-PATTERN_SIZE_MAX = 16
 PLAN_CACHE_SIZE = 64  # patterns whose occurrence plans are kept
 COLORING_EDGE_BUDGET = 28
 
@@ -89,122 +81,12 @@ TwoColoring = dict[tuple[int, int], str]
 # --- occurrence plans ----------------------------------------------------
 
 
-def _refined(pattern: LabeledGraph, colors: list[int]) -> list[int]:
-    """Colour refinement (one-dimensional Weisfeiler-Leman) of per-vertex
-    ``colors`` by the multiset of neighbour colours, until no colour
-    splits.  An automorphism that keeps every starting colour keeps every
-    final one."""
-    count = len(set(colors))
-    while True:
-        signatures = [
-            (c, *sorted(map(colors.__getitem__, nbrs))) for c, nbrs in zip(colors, pattern.adj)
-        ]
-        palette = dict.fromkeys(signatures)
-        if len(palette) == count:
-            return colors
-        count = len(palette)
-        palette = {sig: i for i, sig in enumerate(palette)}
-        colors = [palette[sig] for sig in signatures]
-
-
-def _class_orbits(pattern: LabeledGraph, plan, classes: list[int], pins: dict[int, int], blocks):
-    """The orbits of twin classes (``classes[v]`` is the bitmask of v's)
-    under the automorphisms that fix each class of ``pins``, as lists
-    inside ``blocks`` (lists of classes, each a union of orbits).
-
-    Class d joins c's orbit iff the kernel finds a twin-ordered embedding of
-    the pattern into itself, by its (order, ahead, allowed, masks) ``plan``
-    (:func:`_self_plan`), that maps c onto d and keeps the pins; the query
-    is made only if colour refinement from the pinned classes leaves c and
-    d one colour, and the automorphism found also joins the images of the
-    orbit so far.
-    """
-    order, ahead, allowed, masks = plan
-    at = {u: t for t, u in enumerate(order)}
-    color = None  # refined only if some block holds a pair to query
-    if max(map(len, blocks)) > 1:
-        color = _refined(pattern, [pins.get(c, 0) for c in classes])
-    orbits = []
-    for rest in blocks:
-        while rest:
-            c = rest[0]
-            orbit = [c]
-            for d in rest[1:]:
-                if d in orbit or color[d.bit_length()] != color[c.bit_length()]:
-                    continue
-                onto = {**pins, c: d}
-                pinned = [mask & onto.get(classes[u], -1) for u, mask in zip(order, allowed)]
-                found = next(_embeddings(masks, [(ahead, pinned)]), None)
-                if found is not None:
-                    image = _first(*found)
-                    orbit += {classes[image[at[x.bit_length()]] + 1] for x in orbit} - set(orbit)
-            rest = [d for d in rest if d not in orbit]
-            orbits.append(orbit)
-    return orbits
-
-
-def _breaking_conditions(pattern: LabeledGraph, plan, classes: list[int]) -> list[tuple[int, int]]:
-    """Position pairs (p, q), p < q, such that exactly one of the
-    twin-ordered embeddings that a plan rooted at r finds for one copy, all
-    with r at one image, has image[p] < image[q] for every pair.
-
-    Those embeddings differ by the automorphisms fixing r's twin class,
-    acting on twin classes.  Each round takes the largest orbit of classes
-    under the automorphisms that fix every class fixed so far, ties to the
-    earliest placed; its earliest-placed class C must have the lowest first
-    image, and C is fixed too.  An orbit of the smaller group lies inside
-    one of the larger group's, so each round only splits the last round's
-    orbits.
-    """
-    first: dict[int, int] = {}  # twin class -> position of its first placed member
-    for t, u in enumerate(plan[0]):
-        first.setdefault(classes[u], t)
-    root, *rest = first
-    pins = {root: root}
-    blocks, pairs = [rest], []
-    while blocks:
-        orbits = [
-            sorted(orbit, key=first.get)
-            for orbit in _class_orbits(pattern, plan, classes, pins, blocks)
-        ]
-        # a class alone in its orbit is fixed already: pinning it only prunes queries
-        pins.update((orbit[0], orbit[0]) for orbit in orbits if len(orbit) == 1)
-        blocks = [orbit for orbit in orbits if len(orbit) > 1]
-        if blocks:
-            c, *others = min(blocks, key=lambda orbit: (-len(orbit), first[orbit[0]]))
-            pairs += [(first[c], first[d]) for d in others]
-            pins[c] = c
-            blocks = [[d for d in orbit if d != c] for orbit in blocks]
-    return pairs
-
-
-def _self_plan(pattern: LabeledGraph, masks, root: int) -> tuple:
-    """A plan rooted at ``root`` with the inputs of its searches of the
-    pattern into itself, built once: (order, ahead, allowed, masks)."""
-    order, ahead = _plan(pattern, root)
-    return order, ahead, _allowed(pattern, pattern, order), masks
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _root_plans(pattern: LabeledGraph) -> tuple:
-    """The occurrence plans of ``pattern``: an (order, ahead) plan rooted at
-    the smallest vertex of each automorphism orbit, whose forward
-    constraints also put each position's image above those its breaking
-    conditions name.  Twins share an orbit, so the orbits are those of the
-    twin classes, found on the plan rooted at vertex 1."""
-    key = _twin_keys(pattern)
-    classes = [0] + [
-        sum(1 << (u - 1) for u in pattern.vertices() if key[u] == key[v])
-        for v in pattern.vertices()
-    ]
-    masks = _masks(pattern.row_masks()[1:])
-    probe = _self_plan(pattern, masks, 1)
-    orbits = _class_orbits(pattern, probe, classes, {}, [list(dict.fromkeys(classes[1:]))])
-    out = []
-    for root in sorted(min(c & -c for c in orbit).bit_length() for orbit in orbits):
-        plan = probe if root == 1 else _self_plan(pattern, masks, root)
-        out.append(_plan(pattern, root, _breaking_conditions(pattern, plan, classes)))
-    return tuple(out)
+    """The occurrence plans of ``pattern``: per automorphism orbit, an
+    (order, ahead) plan rooted at its smallest vertex that also puts each
+    position's image above those its breaking conditions name."""
+    return tuple(_plan(pattern, r, pairs) for r, _, pairs in _symmetry(pattern)[1])
 
 
 def find_induced_occurrences(

@@ -74,6 +74,9 @@ BOUNDS_K_MAX = 2029  # the largest k whose unordered bound, the largest, is a fi
 # threshold_exact's largest k: its O(k) C(n, k) of about k^2/2 bits each take
 # about half a second at the cap on a 2-core machine, and 30 s at k = 1000
 THRESHOLD_K_MAX = 400
+# gain's largest ordered k: the vertex count of S12, the largest gasket a sweep
+# builds, whose ceil(log2 k!) takes 0.8-1.1 s on a 2-core machine
+GAIN_ORDERED_K_MAX = sierpinski.vertex_count(sierpinski.MAX_LEVEL_DEFAULT)
 _U32 = 0xFFFF_FFFF
 _ORDERED = {"sierpinski": True, "complete": False, "empty": False}  # needs ordering info
 _GENERATOR_ID = re.compile(rf"({'|'.join(_ORDERED)}):([0-9]+)")
@@ -205,10 +208,19 @@ class LengthReport:
 
 
 def gain(n: int, k: int, ordered: bool) -> int:
-    """Signed bits saved by the two-part form: C(k,2) minus the index cost."""
+    """Signed bits saved by the two-part form: C(k,2) minus the index cost.
+
+    An ordered k past ``GAIN_ORDERED_K_MAX`` = 265,722 (S12) raises
+    ResourceLimitError before k! is formed; at the cap the call takes
+    0.8-1.1 s (2 cores, CPython 3.11.7), and a million took 7.6 s.
+    """
     k, n = check_int(k, "pattern size k", PATTERN_SIZE_MIN), check_int(n, "host size n")
     if n < k:
         raise DomainError(f"host size n={n} must be >= pattern size k={k}")
+    if ordered and k > GAIN_ORDERED_K_MAX:
+        raise ResourceLimitError(
+            f"ordered pattern size k={k} exceeds the cap GAIN_ORDERED_K_MAX = {GAIN_ORDERED_K_MAX}"
+        )
     saved = comb(k, 2) - subset_index_bits(n, k)
     if ordered:
         saved -= ordering_index_bits(k)

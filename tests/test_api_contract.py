@@ -14,7 +14,10 @@ two-part codec, a graph name, a gasket and a word stream's domain through
 through ``errors.check_iterable``.  ``rng.uniform_cut`` refuses a NaN or an
 infinity, ``gnp_sample`` an n over ``GNP_VERTEX_MAX``, a word stream a
 draw over ``WORDS_PER_DRAW_MAX`` words before they hash, and the gasket
-counts a level over ``COUNT_LEVEL_MAX`` before any power of 3.
+counts a level over ``COUNT_LEVEL_MAX`` before any power of 3, and the
+two-part gain an ordered k over ``GAIN_ORDERED_K_MAX`` before any factorial.
+``table_to_csv`` names the row or key of a missing column, a key that is
+not a str or a metadata value JSON cannot write.
 A float bound that would pass the largest float raises DomainError naming
 the pattern size.  The boundary rows check that the shared checks still
 take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
@@ -94,6 +97,8 @@ from gasketlab.twopart import (
     decode_two_part,
     encode_two_part,
     from_bytes,
+    gain,
+    length_report,
     threshold_exact,
     to_bytes,
 )
@@ -312,6 +317,14 @@ ESCAPES = {
     "table_to_csv none": (lambda: table_to_csv(None, None), "^rows must be a list, got NoneType"),
     "table_to_csv metadata list": (
         lambda: table_to_csv([], []), "^metadata must be a dict, got list"),
+    "table_to_csv row without a column": (
+        lambda: table_to_csv([{"a": 1}, {"b": 2}], {}), "^row 1 has no value for column 'a'$"),
+    "table_to_csv column key int": (
+        lambda: table_to_csv([{1: 2}], {}), "^column key 1 must be a str, got int$"),
+    "table_to_csv metadata keys mixed": (
+        lambda: table_to_csv([], {1: 2, "a": 3}), "^metadata key 1 must be a str, got int$"),
+    "table_to_csv metadata value not json": (
+        lambda: table_to_csv([], {"a": object()}), "^metadata value of 'a' is not JSON"),
     "crossover c_d none": (
         lambda: poly_exp_crossover_level(None), "^c_d must be a real number, got None"),
     "unrank_permutation k past u64": (
@@ -327,6 +340,14 @@ ESCAPES = {
         f"^pattern size k={2**70} exceeds the cap THRESHOLD_K_MAX = 400"),
     "threshold_exact k of 10^5": (
         lambda: threshold_exact(10**5, True), "^pattern size k=100000 exceeds the cap"),
+    "gain ordered k of a million": (
+        lambda: gain(10**6, 10**6, True),
+        "^ordered pattern size k=1000000 exceeds the cap GAIN_ORDERED_K_MAX = 265722$"),
+    "length_report ordered k past u32": (
+        lambda: length_report(2**32 - 1, 2**32 - 1, True),
+        "^ordered pattern size k=4294967295 exceeds the cap GAIN_ORDERED_K_MAX"),
+    "pair_at position past C(n, 2) of a huge n": (
+        lambda: pair_at(comb(10**12, 2) + 1, 10**12), "^position must be"),
 }
 
 

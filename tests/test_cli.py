@@ -314,6 +314,17 @@ def test_report_json_keys_are_the_report_fields(argv, report, capsys):
     assert list(json.loads(out)) == sorted(f.name for f in dataclasses.fields(report))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["experiment", "threshold-sweep", "--levels", "3", "--n-values", "15,20", "--trials", "2"],
+     ["experiment", "containment", "--n", "20", "--pattern", "S3", "--trials", "2"]],
+)
+def test_experiments_on_the_15_vertex_gasket_exit_0(argv, capsys):
+    # their first-moment column needs |Aut(S3)|, a count on 15 vertices
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "") and out
+
+
 def test_crossover_in_the_band_answers_in_under_a_second(capsys):
     start = time.perf_counter()
     code, out, _ = run_main(["ramsey", "crossover", "--c-d", "439252"], capsys)

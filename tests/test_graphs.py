@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,26 @@ def test_pos_is_a_bijection(n):
             assert pair_at(p, n) == (i, j)
             seen.add(p)
     assert seen == set(range(1, comb(n, 2) + 1))
+
+
+def test_pair_at_inverts_pos_at_every_position_up_to_60_vertices():
+    for n in range(61):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        positions = list(range(1, comb(n, 2) + 1))
+        assert [pos(i, j, n) for i, j in pairs] == positions
+        assert [pair_at(p, n) for p in positions] == pairs
+
+
+def test_pair_at_answers_at_once_for_a_huge_n():
+    start = time.perf_counter()
+    assert pair_at(comb(10**7, 2), 10**7) == (10**7 - 1, 10**7)
+    assert time.perf_counter() - start < 0.1  # a walk over the rows took about a second
+    for n in (10**12, 2**64 + 3):
+        last = comb(n, 2)
+        assert [pair_at(p, n) for p in (1, n - 1, n)] == [(1, 2), (1, n), (2, 3)]
+        assert [pair_at(p, n) for p in (last - 2, last - 1, last)] == [
+            (n - 2, n - 1), (n - 2, n), (n - 1, n)]
+        assert pos(*pair_at(last // 3, n), n) == last // 3
 
 
 def test_graph_invariants_rejected():

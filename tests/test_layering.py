@@ -7,12 +7,15 @@ check runs in a fresh interpreter, so no import made earlier in the test
 process can hide a dependency.
 
 Only ``graphs`` knows the canonical pair layout: no other module in
-``src/`` reads or writes a graph's kept ``_flags``.
+``src/`` reads or writes a graph's kept ``_flags``.  Only ``isomorphism``
+works out a pattern's symmetry, and ``ramsey`` takes from it only the
+embedding kernel and ``_symmetry``.
 
 ``cli.build_parser`` is built from ``cli._COMMANDS``; every handler must
 have its row and every shared flag spec in ``cli._FLAGS`` a reader.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -49,6 +52,33 @@ def test_only_graphs_touches_the_kept_flags():
         if re.search(r"\b_flags\b", path.read_text())
     }
     assert touching == {"graphs.py"}
+
+
+SYMMETRY = {"_class_orbits", "_breaking_conditions", "_symmetry"}
+
+
+def test_only_isomorphism_defines_the_symmetry_code():
+    defining = {}
+    for path in (SRC / "gasketlab").glob("*.py"):
+        names = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        if names & SYMMETRY:
+            defining[path.name] = names & SYMMETRY
+    assert defining == {"isomorphism.py": SYMMETRY}
+
+
+def test_ramsey_takes_only_the_kernel_and_the_symmetry_from_isomorphism():
+    taken = set()
+    for node in ast.walk(ast.parse((SRC / "gasketlab" / "ramsey.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert "isomorphism" not in names  # no reach into the module itself
+            if node.module in ("isomorphism", "gasketlab.isomorphism"):
+                taken |= names
+        elif isinstance(node, ast.Import):
+            assert "gasketlab.isomorphism" not in {alias.name for alias in node.names}
+    kernel = {"_allowed", "_embeddings", "_masks", "_plan", "PATTERN_SIZE_MAX"}
+    assert taken == kernel | {"_symmetry"}
 
 
 def _rows():

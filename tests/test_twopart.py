@@ -74,6 +74,15 @@ def test_gain_values():
     assert gain(6, 6, True) == 5
 
 
+def test_the_ordered_gain_cap_admits_the_largest_gasket():
+    k = vertex_count(12)  # S12, the largest gasket a sweep builds
+    assert twopart.GAIN_ORDERED_K_MAX == k
+    assert gain(k, k, True) < gain(k, k, False)
+    with pytest.raises(ResourceLimitError, match=f"^ordered pattern size k={k + 1} exceeds"):
+        length_report(k + 1, k + 1, True)
+    assert gain(k + 1, k + 1, False) == comb(k + 1, 2)  # unordered needs no k!
+
+
 def test_threshold_exact_values():
     assert threshold_exact(6, True) == 7
     assert threshold_exact(6, False) == 17
