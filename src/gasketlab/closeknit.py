@@ -290,6 +290,40 @@ def _ratio_bound(r) -> Fraction:
         raise DomainError(f"ratio bound r must be a finite rational, got {r!r}") from None
 
 
+def _certify(
+    g: LabeledGraph, r: Fraction, k: int, k_max: int, cap: int
+) -> tuple[int, dict[int, tuple[int, ...]] | None, int | None, int]:
+    """The certification loop: vertices in label order, each not yet in a
+    witness searched for a group of size <= k (``_first_group``), and one
+    that has none searched again alone at k + 1, k + 2, ... up to ``k_max``.
+    A vertex covered at a smaller k stays covered, since (r, k) implies
+    (r, k + 1), so the final k is the least for which g is (r, k)-close-knit
+    when the loop starts at k = 1.  Returns that k, the witness map (None
+    when some vertex has no group at ``k_max``), the failed vertex and the
+    number of groups examined; ``cap`` bounds each (vertex, k) search.
+    """
+    _refuse_isolated(g, g.vertices(), "close-knit certification assumes none")
+    accept = _ratio_test(g, r)
+    need = _needs(g.adj, r)  # where a singleton's slack turns >= 0
+    nin = [0] * (g.n + 1)
+    witness: dict[int, tuple[int, ...]] = {}
+    examined = 0
+    for v in g.vertices():
+        if v in witness:
+            continue
+        while True:
+            found, count = _first_group(g, v, k, cap, accept, need, nin)
+            examined += count
+            if found is not None:
+                break
+            if k == k_max:
+                return k, None, v, examined
+            k += 1
+        for u in found:
+            witness.setdefault(u, found)
+    return k, witness, None, examined
+
+
 def is_rk_closeknit(
     g: LabeledGraph,
     r: Fraction | int,
@@ -309,28 +343,15 @@ def is_rk_closeknit(
     other candidate has a singleton below r.  Since ratio(S) <= 1/2 for every
     group, no graph is (r, k)-close-knit for r > 1/2.  Every ratio is at
     least 0, so any r <= 0 is met by every group: such an r is accepted,
-    not refused, and each vertex's witness is its own singleton.
+    not refused, and each vertex's witness is its own singleton.  This is
+    ``_certify`` with k fixed.
     """
     check_graph(g, "graph")
     k = check_int(k, "group-size bound k", 1, GROUP_SIZE_MAX)
     groups_cap = check_int(groups_cap, "groups_cap")
     r = _ratio_bound(r)
-    _refuse_isolated(g, g.vertices(), "close-knit certification assumes none")
-    accept = _ratio_test(g, r)
-    need = _needs(g.adj, r)  # where a singleton's slack turns >= 0
-    nin = [0] * (g.n + 1)
-    witness: dict[int, tuple[int, ...]] = {}
-    examined = 0
-    for v in g.vertices():
-        if v in witness:
-            continue
-        found, count = _first_group(g, v, k, groups_cap, accept, need, nin)
-        examined += count
-        if found is None:
-            return CloseKnitResult(r, k, False, None, v, examined)
-        for u in found:
-            witness.setdefault(u, found)
-    return CloseKnitResult(r, k, True, witness, None, examined)
+    _, witness, failed, examined = _certify(g, r, k, k, groups_cap)
+    return CloseKnitResult(r, k, witness is not None, witness, failed, examined)
 
 
 def family_scan(
@@ -341,8 +362,10 @@ def family_scan(
     """Minimal k <= k_cap for which each graph is (r, k)-close-knit.
 
     Keys of ``graphs`` are arbitrary identifiers (typically gasket levels);
-    value None records that no k <= k_cap succeeded.  Each certificate
-    searches at most ``GROUPS_PER_VERTEX_CAP`` groups per vertex.
+    value None records that no k <= k_cap succeeded.  Each graph is one
+    ``_certify`` pass from k = 1 with k rising to k_cap, not one
+    certificate per k, and ``GROUPS_PER_VERTEX_CAP`` bounds each (vertex, k)
+    search.
     """
     if not isinstance(graphs, dict):
         raise DomainError(f"graphs must be a dict of LabeledGraph, got {type(graphs).__name__}")
@@ -350,8 +373,8 @@ def family_scan(
     r = _ratio_bound(r)
     for key, g in graphs.items():
         check_graph(g, f"graphs[{key!r}]")
-    ks = range(1, k_cap + 1)
-    return {
-        key: next((k for k in ks if is_rk_closeknit(graphs[key], r, k).success), None)
-        for key in sorted(graphs)
-    }
+    minimal = {}
+    for key in sorted(graphs):
+        k, witness, _, _ = _certify(graphs[key], r, 1, k_cap, GROUPS_PER_VERTEX_CAP)
+        minimal[key] = k if witness is not None else None
+    return minimal

@@ -19,23 +19,30 @@ myopic best response; the adoption threshold is the single constant that
 couples the game to close-knit structure.
 
 The kernel behind ``run`` and ``hitting_time_stats`` keeps each vertex's
-count of A-neighbours, updated only when a vertex switches.  It stops at the
-first revision whose adoption count reaches its stop, or at the horizon
-(200*n if none is set): ``run`` stops at all-A, and a ``hitting_time_stats``
-trial at its target, the hit, since a count moves by at most one per
-revision.  Trials run in order in the calling thread: the simulation is
-pure Python, so threads would add no speed.
+count of A-neighbours and whether its best response differs from what it
+plays, both updated only when a vertex switches, so a quiet revision is
+one list read.  It records only the switches, and stops at the first
+revision whose adoption count reaches its stop, or at the horizon (200*n
+if none is set): ``run`` stops at all-A and expands the switches into its
+trace, and a ``hitting_time_stats`` trial stops at its target, the hit,
+since a count moves by at most one per revision, in memory that grows
+with its switches, not its revisions.  Work that does not depend on the
+seed is done once per call.  Trials run in order in the calling thread:
+the simulation is pure Python, so threads would add no speed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from statistics import median
 
-from .errors import DomainError, check_instance, check_int, check_real
-from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset
+from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real
+from .graphs import LabeledGraph, _below, _needs, _refuse_isolated, as_subset
 from .rng import WordStream, check_seed, derive_seed, uniform_cut
 
 __all__ = [
@@ -47,6 +54,11 @@ __all__ = [
     "run",
     "hitting_time_stats",
 ]
+
+# The longest horizon ``run`` takes: its trace holds horizon + 1 counts, and
+# the default horizon 200 n of S9 (1,968,600 revisions) fits.
+TRACE_REVISIONS_MAX = 1 << 21
+_SWAP = sys.byteorder == "little"  # the stream's words are big-endian
 
 
 @dataclass(frozen=True)
@@ -120,67 +132,107 @@ def _check_types(g, game, config) -> None:
         check_instance(value, kind, name)
 
 
-def _counts(
-    g: LabeledGraph,
-    game: CoordinationGame,
-    config: DiffusionConfig,
-    stop: int,
-) -> tuple[list[int], tuple[int, ...]]:
-    """Adoption counts per revision, up to the first count >= ``stop`` or the
-    horizon, and the final adopters.
+def _kernel(g: LabeledGraph, game: CoordinationGame, config: DiffusionConfig):
+    """The per-call constants of the dynamics and ``trial(seed, stop)``, the
+    one statement of the revision rule.  A trial runs to the first revision
+    whose adoption count reaches ``stop``, or to the horizon, and returns
+    its switch events ``(revision, count)`` led by ``(0, initial count)``,
+    the number of revisions run and the final strategies (A = True) of
+    vertices 0..n-1.
 
-    A revision compares ``cnt[v]``, v's number of A-neighbours, with
-    ``need[v]``.  Words are drawn in order in chunks of 16 doubling to 1024,
-    never more than the rest of the horizon could use, so a short run hashes
-    few words it does not read.
+    Besides ``cnt[v]``, v's number of A-neighbours, each vertex keeps
+    ``off[v]``: whether its best response, A iff cnt[v] >= need[v], differs
+    from what it plays.  Only a switch changes either, at the switching
+    vertex and its neighbours, so a quiet revision of v switches iff off[v].
+    A revision draws its schedule word (uniform-random only), then its
+    noise coin (epsilon > 0 only), then, if the coin fired, its strategy
+    word.  Words are drawn in chunks of 16 doubling to 1024, never more
+    than the rest of the horizon could use; a chunk is decoded at once into
+    an array, with its coins flagged by ``_below``, so the revisions up to
+    the next fired coin are quiet and their schedule words are one stride
+    slice of the chunk.  With epsilon = 0 and no vertex off, the state is
+    absorbing: the trial runs on to the horizon without drawing a word.
     """
     if g.n == 0:
         raise DomainError("diffusion needs at least one vertex")
     _refuse_isolated(g, g.vertices(), "the revision rule is undefined")
     init = as_subset(config.init_adopters, g.n)
-    n, adj = g.n, g.adj
-    r_star = risk_threshold(game)
-    need = _needs(adj, r_star)  # adj[0] is empty, so need[0] = 0
-    plays = [False] * (n + 1)
-    cnt = [0] * (n + 1)
+    n = g.n
+    adj = [[u - 1 for u in row] for row in g.adj[1:]]
+    need = _needs(adj, risk_threshold(game))
+    plays0, cnt0 = [False] * n, [0] * n
     for v in init:
-        plays[v] = True
-        for u in adj[v]:
-            cnt[u] += 1
-    count = len(init)
-    counts = [count]
+        plays0[v - 1] = True
+        for u in adj[v - 1]:
+            cnt0[u] += 1
+    off0 = [(c >= k) != a for c, k, a in zip(cnt0, need, plays0)]
     noisy = config.epsilon > 0.0
     cut = uniform_cut(config.epsilon)
     round_robin = config.schedule == "round-robin"
-    per_revision = (0 if round_robin else 1) + (2 if noisy else 0)  # most words one revision draws
+    stride = (0 if round_robin else 1) + noisy  # words a quiet revision draws
+    most = stride + noisy  # words a fired revision draws
     horizon = 200 * n if config.horizon is None else config.horizon
-    stream = WordStream(config.seed, domain=b"gasketlab-diffusion")
-    words: list[int] = []
-    i, chunk, t = 0, 16, 0
-    while count < stop and t < horizon:
-        if len(words) - i < per_revision:
-            words = words[i:] + stream.words(min(chunk, per_revision * (horizon - t)))
-            i, chunk = 0, min(2 * chunk, 1024)
-        if round_robin:
-            v = t % n + 1
-        else:
-            v = words[i] % n + 1
-            i += 1
-        t += 1
-        if noisy and words[i] < cut:  # noise fired: the next word's low bit picks
-            a = bool(words[i + 1] & 1)
-            i += 2
-        else:
-            a = cnt[v] >= need[v]
-            i += noisy  # the noise coin, if one was drawn
-        if a != plays[v]:
-            plays[v] = a
+
+    def trial(seed: int, stop: int) -> tuple[list[tuple[int, int]], int, list[bool]]:
+        plays, cnt, off = plays0[:], cnt0[:], off0[:]
+        count, n_off = len(init), sum(off)
+        events = [(0, count)]
+
+        def switch(v: int, t: int) -> bool:
+            """v switches at revision t; whether the trial ends there."""
+            nonlocal count, n_off
+            a = plays[v] = not plays[v]
+            o = off[v] = not off[v]  # v's best response is unchanged
+            n_off += 1 if o else -1
             step = 1 if a else -1
             count += step
             for u in adj[v]:
-                cnt[u] += step
-        counts.append(count)
-    return counts, tuple(v for v in range(1, n + 1) if plays[v])
+                c = cnt[u] = cnt[u] + step
+                o = (c >= need[u]) != plays[u]
+                if o != off[u]:
+                    off[u] = o
+                    n_off += 1 if o else -1
+            events.append((t, count))
+            return count >= stop or not (n_off or noisy)
+
+        if count >= stop:
+            return events, 0, plays
+        if not (n_off or noisy):
+            return events, horizon, plays
+        stream = WordStream(seed, domain=b"gasketlab-diffusion")
+        data, words, views, p, chunk, t = b"", array("Q"), (), 0, 16, 0
+        while t < horizon:
+            if stride and len(words) - p < most:
+                data = data[8 * p :] + stream.word_bytes(min(chunk, most * (horizon - t)))
+                words = array("Q", data)
+                if _SWAP:
+                    words.byteswap()
+                p, chunk = 0, min(2 * chunk, 1024)
+                if noisy:
+                    flags = _below(data, cut)
+                    views = [flags[r::stride] for r in range(stride)]
+            quiet = (len(words) - p) // stride if stride else horizon - t
+            fired = False
+            if noisy:  # coins at c, c + stride, ...: the next one below cut ends the run
+                c = p + stride - 1
+                i = views[c % stride].find(1, c // stride)
+                if i >= 0:
+                    quiet, fired = i - c // stride, True
+            if quiet >= horizon - t:
+                quiet, fired = horizon - t, False
+            source = range(t, t + quiet) if round_robin else words[p : p + quiet * stride : stride]
+            for t, w in enumerate(source, t + 1):
+                if off[w % n] and switch(w % n, t):
+                    return events, t if count >= stop else horizon, plays
+            p += quiet * stride
+            if fired and p + stride < len(words):  # the strategy word is in this chunk
+                v = (t if round_robin else words[p]) % n
+                t, p = t + 1, p + most
+                if bool(words[p - 1] & 1) != plays[v] and switch(v, t):
+                    return events, t if count >= stop else horizon, plays
+        return events, horizon, plays
+
+    return trial, horizon
 
 
 @dataclass(frozen=True)
@@ -203,12 +255,23 @@ def run(
     Word-stream consumption order per revision: schedule draw (uniform-random
     schedule only; vertex ``word mod n + 1``), then noise coin (only if
     epsilon > 0), then strategy coin (only if the noise fired; A iff the word
-    is odd).  With epsilon = 0 the all-A state is absorbing.
+    is odd).  With epsilon = 0 the all-A state is absorbing.  The trace holds
+    a count per revision, so a horizon past ``TRACE_REVISIONS_MAX`` raises
+    ResourceLimitError before any word is drawn; ``hitting_time_stats`` has
+    no such cap.
     """
     _check_types(g, game, config)
-    counts, final = _counts(g, game, config, g.n)
-    hit = len(counts) - 1 if counts[-1] == g.n else None
-    return Trace(tuple(counts), hit, final)
+    trial, horizon = _kernel(g, game, config)
+    if horizon > TRACE_REVISIONS_MAX:
+        shown = horizon if horizon < 1 << 64 else f"of {horizon.bit_length()} bits"
+        raise ResourceLimitError(
+            f"horizon {shown} exceeds the trace cap TRACE_REVISIONS_MAX = {TRACE_REVISIONS_MAX}"
+        )
+    events, revisions, plays = trial(config.seed, g.n)
+    ends = [t for t, _ in events[1:]] + [revisions + 1]
+    counts = chain.from_iterable(repeat(c, end - t) for (t, c), end in zip(events, ends))
+    hit = revisions if events[-1][1] == g.n else None
+    return Trace(tuple(counts), hit, tuple(v + 1 for v, a in enumerate(plays) if a))
 
 
 @dataclass(frozen=True)
@@ -241,9 +304,9 @@ def hitting_time_stats(
     if not 0 < check_real(adoption_fraction, "adoption_fraction") <= 1:
         raise DomainError(f"adoption_fraction must be in (0, 1], got {adoption_fraction}")
     target = math.ceil(Fraction(adoption_fraction) * g.n)
-    seeds = (derive_seed(config.seed, "trial", i) for i in range(trials))
-    runs = (_counts(g, game, replace(config, seed=s), target)[0] for s in seeds)
-    hits = tuple(len(counts) - 1 if counts[-1] >= target else None for counts in runs)
+    trial, _ = _kernel(g, game, config)
+    runs = (trial(derive_seed(config.seed, "trial", i), target) for i in range(trials))
+    hits = tuple(revisions if events[-1][1] >= target else None for events, revisions, _ in runs)
     successes = sorted(h for h in hits if h is not None)
     rate = len(successes) / trials
     if not successes:

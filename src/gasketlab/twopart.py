@@ -77,6 +77,11 @@ THRESHOLD_K_MAX = 400
 # gain's largest ordered k: the vertex count of S12, the largest gasket a sweep
 # builds, whose ceil(log2 k!) takes 0.8-1.1 s on a 2-core machine
 GAIN_ORDERED_K_MAX = sierpinski.vertex_count(sierpinski.MAX_LEVEL_DEFAULT)
+# gain's largest subset index, as the bound j (len(n) - len(j) + 3) >= log2 C(n, k)
+# on j = min(k, n - k) and bit lengths: the slowest C(n, k) inside it, about
+# C(131072, 65536), takes 0.2-0.3 s on a 2-core machine, where C(10^6, 5 10^5)
+# took 9.3 s; threshold_exact's bound stays below 2^17 bits
+GAIN_INDEX_BITS_MAX = 1 << 18
 _U32 = 0xFFFF_FFFF
 _ORDERED = {"sierpinski": True, "complete": False, "empty": False}  # needs ordering info
 _GENERATOR_ID = re.compile(rf"({'|'.join(_ORDERED)}):([0-9]+)")
@@ -212,7 +217,11 @@ def gain(n: int, k: int, ordered: bool) -> int:
 
     An ordered k past ``GAIN_ORDERED_K_MAX`` = 265,722 (S12) raises
     ResourceLimitError before k! is formed; at the cap the call takes
-    0.8-1.1 s (2 cores, CPython 3.11.7), and a million took 7.6 s.
+    0.8-1.1 s (2 cores, CPython 3.11.7), and a million took 7.6 s.  So does
+    an (n, k) whose subset index may pass ``GAIN_INDEX_BITS_MAX`` bits,
+    before C(n, k) is formed: the test is the integer upper bound
+    j (len(n) - len(j) + 3) on log2 C(n, j) = log2 C(n, k), with
+    j = min(k, n - k) and len the bit length, from C(n, j) <= (e n / j)^j.
     """
     k, n = check_int(k, "pattern size k", PATTERN_SIZE_MIN), check_int(n, "host size n")
     if n < k:
@@ -220,6 +229,12 @@ def gain(n: int, k: int, ordered: bool) -> int:
     if ordered and k > GAIN_ORDERED_K_MAX:
         raise ResourceLimitError(
             f"ordered pattern size k={k} exceeds the cap GAIN_ORDERED_K_MAX = {GAIN_ORDERED_K_MAX}"
+        )
+    j = min(k, n - k)
+    if j * (n.bit_length() - j.bit_length() + 3) > GAIN_INDEX_BITS_MAX:
+        raise ResourceLimitError(  # no digits of n: a huge n has too many to print
+            f"subset index of C(n, k) may pass the cap GAIN_INDEX_BITS_MAX = "
+            f"{GAIN_INDEX_BITS_MAX} bits"
         )
     saved = comb(k, 2) - subset_index_bits(n, k)
     if ordered:

@@ -23,7 +23,8 @@ without kept flags, the canonical, graph6 and two-part codecs,
 labelled, the graph made by ``from_edges``) is kept with the sub-gasket
 extraction that read its template off those sorted points.  The
 diffusion loop that ran every trial to its horizon, past all-A, is kept too,
-and so is the branch-and-forbid connected-group enumerator that tracked a
+as is the family scan that ran one full certificate per k, and so is the
+branch-and-forbid connected-group enumerator that tracked a
 forbidden set and scanned the frontier list.  The oracles that draw random
 words take them from ``oracle_words``, which hashes the SHA-256 blocks as
 the ``rng`` docstring states the mapping, not from ``WordStream``.
@@ -40,7 +41,7 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from gasketlab import DomainError, LabeledGraph, ResourceLimitError, induced_subgraph, sierpinski
-from gasketlab.closeknit import CloseKnitResult, min_ratio
+from gasketlab.closeknit import GROUPS_PER_VERTEX_CAP, CloseKnitResult, is_rk_closeknit, min_ratio
 from gasketlab.graphs import EdgeBitString, as_subset
 from gasketlab.io import _g6_read_size, _g6_size_bytes
 from gasketlab.ranking import rank_subset, unrank_permutation, unrank_subset
@@ -237,6 +238,18 @@ def oracle_is_rk_closeknit(
         for u in group:
             witness.setdefault(u, group)
     return CloseKnitResult(r, k, True, witness, None, examined)
+
+
+def oracle_family_scan(
+    graphs: dict, r: Fraction, k_cap: int = 8, groups_cap: int = GROUPS_PER_VERTEX_CAP
+) -> dict:
+    """Per graph, the first k = 1, 2, ..., k_cap whose full certificate
+    succeeds, or None: one ``is_rk_closeknit`` from scratch per k."""
+    ks = range(1, k_cap + 1)
+    return {
+        key: next((k for k in ks if is_rk_closeknit(graphs[key], r, k, groups_cap).success), None)
+        for key in sorted(graphs)
+    }
 
 
 def oracle_connected_groups_from(g: LabeledGraph, v: int, k: int, cap: int):

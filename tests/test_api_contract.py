@@ -14,8 +14,11 @@ two-part codec, a graph name, a gasket and a word stream's domain through
 through ``errors.check_iterable``.  ``rng.uniform_cut`` refuses a NaN or an
 infinity, ``gnp_sample`` an n over ``GNP_VERTEX_MAX``, a word stream a
 draw over ``WORDS_PER_DRAW_MAX`` words before they hash, and the gasket
-counts a level over ``COUNT_LEVEL_MAX`` before any power of 3, and the
-two-part gain an ordered k over ``GAIN_ORDERED_K_MAX`` before any factorial.
+counts a level over ``COUNT_LEVEL_MAX`` before any power of 3, the
+two-part gain an ordered k over ``GAIN_ORDERED_K_MAX`` before any factorial
+and an (n, k) whose subset index may pass ``GAIN_INDEX_BITS_MAX`` bits
+before any binomial, and ``diffusion.run`` a horizon over
+``TRACE_REVISIONS_MAX`` before any word is drawn.
 ``table_to_csv`` names the row or key of a missing column, a key that is
 not a str or a metadata value JSON cannot write.
 A float bound that would pass the largest float raises DomainError naming
@@ -346,6 +349,19 @@ ESCAPES = {
     "length_report ordered k past u32": (
         lambda: length_report(2**32 - 1, 2**32 - 1, True),
         "^ordered pattern size k=4294967295 exceeds the cap GAIN_ORDERED_K_MAX"),
+    "gain unordered index of a million choose half": (
+        lambda: gain(10**6, 5 * 10**5, False),
+        r"^subset index of C\(n, k\) may pass the cap GAIN_INDEX_BITS_MAX = 262144 bits$"),
+    "length_report index past u32": (
+        lambda: length_report(2**40, 2**39, False), r"^subset index of C\(n, k\) may pass"),
+    "gain index of a 5000-digit n": (
+        lambda: gain(10**5000, 10**4999, False), r"^subset index of C\(n, k\) may pass"),
+    "run horizon of a billion": (
+        lambda: run(K3, GAME, DiffusionConfig(horizon=10**9)),
+        "^horizon 1000000000 exceeds the trace cap TRACE_REVISIONS_MAX = 2097152$"),
+    "run horizon of 5000 digits": (
+        lambda: run(K3, GAME, DiffusionConfig(horizon=10**5000)),
+        "^horizon of 16610 bits exceeds the trace cap"),
     "pair_at position past C(n, 2) of a huge n": (
         lambda: pair_at(comb(10**12, 2) + 1, 10**12), "^position must be"),
 }

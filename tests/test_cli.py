@@ -340,6 +340,15 @@ def test_gnp_past_the_vertex_cap_exits_1_at_once_with_one_error_line(capsys):
     assert err == "error: G(n, p) sample of n=100000 vertices exceeds the cap GNP_VERTEX_MAX = 4096\n"
 
 
+def test_diffuse_run_past_the_trace_cap_exits_1_at_once_with_one_error_line(capsys):
+    start = time.perf_counter()
+    argv = ["diffuse", "run", "--graph", "K3", "--payoffs", "1,2,0,0", "--horizon", "2097153"]
+    code, out, err = run_main(argv, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == "error: horizon 2097153 exceeds the trace cap TRACE_REVISIONS_MAX = 2097152\n"
+
+
 def test_manifest_before_the_subcommand_is_a_usage_error(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     argv = ["--manifest", str(manifest), "gen", "gnp", "--n", "4", "--p", "0.5"]

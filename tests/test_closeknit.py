@@ -16,6 +16,7 @@ from gasketlab import (
     induced_subgraph,
 )
 from gasketlab.closeknit import (
+    _certify,
     _first_group,
     _ratio_test,
     family_scan,
@@ -30,6 +31,7 @@ from conftest import (
     grow_connected_group,
     internal_degree,
     oracle_connected_groups_from,
+    oracle_family_scan,
     oracle_is_rk_closeknit,
     oracle_min_ratio,
     oracle_min_ratio_blocks,
@@ -560,6 +562,76 @@ def test_family_scan_minimal_k_frozen_values():
     assert family_scan(graphs, Fraction(0)) == {1: 1, 2: 1, 3: 1, 4: 1}
     assert family_scan(graphs, Fraction(1, 4)) == {1: 2, 2: 3, 3: 3, 4: 3}
     assert family_scan(graphs, Fraction(1, 3)) == {1: 3, 2: 4, 3: 5, 4: 5}
+
+
+SCAN_RATIOS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(9, 20),
+               Fraction(1, 2), Fraction(3, 5)]
+
+
+@pytest.mark.parametrize("r", SCAN_RATIOS, ids=str)
+def test_family_scan_matches_the_per_k_scan_on_gaskets(r):
+    """The rising-k pass answers what one full certificate per k answers,
+    on S1-S5 for every k_cap from 1 to 8."""
+    graphs = {level: build(level).graph for level in range(1, 6)}
+    for k_cap in range(1, 9):
+        assert family_scan(graphs, r, k_cap) == oracle_family_scan(graphs, r, k_cap), k_cap
+
+
+def _without_isolated(g: LabeledGraph) -> LabeledGraph:
+    """g with each isolated vertex v joined to v % n + 1."""
+    edges = {(u, v) for u in g.vertices() for v in g.adj[u] if u < v}
+    edges |= {tuple(sorted((v, v % g.n + 1))) for v in g.vertices() if not g.adj[v]}
+    return LabeledGraph.from_edges(g.n, sorted(edges))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)]),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(SCAN_RATIOS),
+    st.integers(1, 8),
+)
+def test_family_scan_matches_the_per_k_scan_on_random_graphs(n, p, seed, r, k_cap):
+    g = _without_isolated(gnp_sample(n, p, seed))
+    assert family_scan({0: g}, r, k_cap) == oracle_family_scan({0: g}, r, k_cap)
+
+
+def _per_k_scan(g, r, cap):
+    return oracle_family_scan({0: g}, r, 8, cap)[0]
+
+
+def _rising_scan(g, r, cap):  # family_scan's pass, at a cap of the test's choosing
+    k, witness, _, _ = _certify(g, r, 1, 8, cap)
+    return k if witness is not None else None
+
+
+def _scan_or_raise(scan, g, r, cap):
+    try:
+        return scan(g, r, cap)
+    except ResourceLimitError:
+        return "raise"
+
+
+@pytest.mark.parametrize(
+    "seed, r, caps, parent, now",
+    [
+        (4, Fraction(1, 4), range(16, 24), "raise", 4),
+        (21, Fraction(1, 3), range(34, 40), 5, "raise"),
+    ],
+)
+def test_family_scan_cap_edge(seed, r, caps, parent, now):
+    """The groups cap bounds each (vertex, k) search, and the rising pass
+    runs other searches than one certificate per k, so within a few groups
+    of the cap an input can answer where the per-k scan raised, or raise
+    where it answered.  Two G(12, 0.35) samples show both; at the caps just
+    outside these ranges the two scans agree."""
+    g = gnp_sample(12, 0.35, seed)
+    for cap in caps:
+        assert _scan_or_raise(_per_k_scan, g, r, cap) == parent, cap
+        assert _scan_or_raise(_rising_scan, g, r, cap) == now, cap
+    for cap in (caps.start - 1, caps.stop):
+        assert _scan_or_raise(_rising_scan, g, r, cap) == _scan_or_raise(_per_k_scan, g, r, cap)
 
 
 def test_certification_refuses_non_integer_k_and_non_finite_r():

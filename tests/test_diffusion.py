@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from itertools import accumulate
 from fractions import Fraction
 from statistics import median
 
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_run_to_horizon
-from gasketlab import DomainError, LabeledGraph
+from conftest import oracle_run_to_horizon, oracle_words
+from gasketlab import DomainError, LabeledGraph, ResourceLimitError, diffusion
 from gasketlab.diffusion import (
+    TRACE_REVISIONS_MAX,
     CoordinationGame,
     DiffusionConfig,
     Trace,
@@ -18,9 +21,9 @@ from gasketlab.diffusion import (
     risk_threshold,
     run,
 )
-from gasketlab.rng import derive_seed
+from gasketlab.rng import WordStream, derive_seed
 from gasketlab.rng import uniform_cut as _noise_cut
-from gasketlab.sierpinski import build, elementary_triangles, subgaskets
+from gasketlab.sierpinski import build, elementary_triangles, subgaskets, vertex_count
 
 GAME_THIRD = CoordinationGame(a=2, b=1, c=0, d=0)
 GAME_QUARTER = CoordinationGame(a=3, b=1, c=0, d=0)
@@ -338,3 +341,144 @@ def test_kernel_matches_the_oracle_on_gaskets(level, game, schedule, epsilon):
                          for counts in oracle)
         stats = hitting_time_stats(g, game, config, trials, adoption_fraction=fraction)
         assert stats.hit_times == expected, fraction
+
+
+GAME_NINE_TENTHS = CoordinationGame(a=1, b=9, c=0, d=0)  # all-A needs every neighbour
+
+
+def revision_words(config, horizon):
+    """Per revision, in the oracle's draw order (schedule word for
+    uniform-random, then the noise coin when epsilon > 0, then the strategy
+    word when the coin fired): the stream index of its first and last word,
+    and whether its coin fired."""
+    words = oracle_words(config.seed, b"gasketlab-diffusion")
+    out, i = [], 0
+    for _ in range(horizon):
+        first, fired = i, False
+        if config.schedule == "uniform-random":
+            next(words)
+            i += 1
+        if config.epsilon > 0:
+            fired = (next(words) >> 11) * 2.0**-53 < config.epsilon
+            i += 1
+            if fired:
+                next(words)
+                i += 1
+        out.append((first, i - 1, fired))
+    return out
+
+
+class CountingStream(WordStream):
+    """A word stream that records the size of every draw."""
+
+    draws: list[int] = []
+
+    def word_bytes(self, count):
+        CountingStream.draws.append(count)
+        return super().word_bytes(count)
+
+
+@pytest.mark.parametrize("schedule", ["uniform-random", "round-robin"])
+def test_a_fired_revision_across_a_draw_boundary_matches_the_oracle(monkeypatch, schedule):
+    """Runs in which a fired revision's words straddle two draws: its coin
+    is the last word of one and its strategy word the first of the next, or
+    its schedule word ends one draw and its coin starts the next.  Every
+    trace, horizons 1 to 586 included, is the oracle's."""
+    monkeypatch.setattr(diffusion, "WordStream", CountingStream)
+    s3 = build(3).graph
+    straddles = set()
+    for seed in range(40):
+        horizon = 1 + seed * 15
+        config = DiffusionConfig(epsilon=0.3, horizon=horizon, seed=seed, schedule=schedule)
+        counts, final = oracle_run_to_horizon(s3, GAME_NINE_TENTHS, config)
+        CountingStream.draws = []
+        assert run(s3, GAME_NINE_TENTHS, config) == trace_prefix(s3, counts, final), seed
+        starts = set(accumulate(CountingStream.draws))
+        for first, last, fired in revision_words(config, horizon):
+            crossing = [b for b in starts if first < b <= last]
+            if fired and crossing:
+                straddles.add(last - crossing[0])  # 0: only the strategy word is past it
+    assert 0 in straddles and (schedule == "round-robin" or 1 in straddles)
+
+
+@pytest.mark.parametrize("schedule", ["uniform-random", "round-robin"])
+def test_a_stop_reached_on_a_fired_revision_matches_the_oracle(schedule):
+    """hitting_time_stats reads the oracle's first count >= target, whether
+    the revision that reaches it is a noise-fired one or a best response."""
+    s3 = build(3).graph
+    config = DiffusionConfig(epsilon=0.3, init_adopters=(1, 2, 3), horizon=400, seed=8,
+                             schedule=schedule)
+    target = math.ceil(Fraction(2, 3) * s3.n)
+    expected, fired = [], set()
+    for i in range(12):
+        trial = replace(config, seed=derive_seed(config.seed, "trial", i))
+        counts, _ = oracle_run_to_horizon(s3, GAME_THIRD, trial)
+        hit = next((t for t, c in enumerate(counts) if c >= target), None)
+        expected.append(hit)
+        fired.add(revision_words(trial, hit)[hit - 1][2])
+    stats = hitting_time_stats(s3, GAME_THIRD, config, 12, adoption_fraction=Fraction(2, 3))
+    assert stats.hit_times == tuple(expected)
+    assert fired == {True, False}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_a_stop_at_or_below_the_initial_count_runs_no_revision(epsilon):
+    s3 = build(3).graph
+    config = DiffusionConfig(epsilon=epsilon, init_adopters=(1, 2, 3), seed=4)
+    stats = hitting_time_stats(s3, GAME_THIRD, config, 5, adoption_fraction=Fraction(1, 5))
+    assert stats.hit_times == (0,) * 5
+    everyone = replace(config, init_adopters=tuple(s3.vertices()))
+    assert run(s3, GAME_THIRD, everyone) == Trace((s3.n,), 0, tuple(s3.vertices()))
+
+
+@pytest.mark.parametrize("schedule", ["uniform-random", "round-robin"])
+def test_a_noise_free_run_stops_drawing_at_its_absorbing_state(monkeypatch, schedule):
+    """With epsilon = 0 a state with no vertex off its best response never
+    changes: the trace runs on at its count to the horizon, as the oracle's
+    does, and no word is drawn past the chunk of its last switch."""
+    gasket = build(4)
+    g = gasket.graph
+    config = DiffusionConfig(init_adopters=elementary_triangles(gasket)[0], horizon=3000,
+                             seed=12, schedule=schedule)
+    counts, final = oracle_run_to_horizon(g, GAME_THIRD, config)
+    last_switch = max(t for t in range(1, len(counts)) if counts[t] != counts[t - 1])
+    assert 0 < last_switch < 1000 and counts[-1] < g.n
+    assert run(g, GAME_THIRD, config) == Trace(counts, None, final)
+    monkeypatch.setattr(diffusion, "WordStream", CountingStream)
+    CountingStream.draws = []
+    long_run = run(g, GAME_THIRD, replace(config, horizon=10**6))
+    assert long_run.adoption_counts[: len(counts)] == counts
+    assert set(long_run.adoption_counts[len(counts) :]) == {counts[-1]}
+    assert sum(CountingStream.draws) <= (last_switch + 1024 if schedule == "uniform-random" else 0)
+
+
+def test_hitting_time_memory_grows_with_switches_not_revisions():
+    """hitting_time_stats keeps the switches of a trial, not a count per
+    revision: a 10^6-revision horizon that absorbs at once, and a noisy
+    10^5-revision one that never hits, stay within a bound set by the
+    switch count (a count per revision is 8 bytes each)."""
+    s3 = build(3).graph
+    absorbing = DiffusionConfig(horizon=10**6, seed=3)
+    noisy = DiffusionConfig(epsilon=0.002, horizon=10**5, seed=3)
+    for config in (absorbing, noisy):
+        trace = run(s3, GAME_NINE_TENTHS, replace(config, seed=derive_seed(3, "trial", 0)))
+        switches = sum(a != b for a, b in zip(trace.adoption_counts, trace.adoption_counts[1:]))
+        tracemalloc.start()
+        try:
+            stats = hitting_time_stats(s3, GAME_NINE_TENTHS, config, 1, adoption_fraction=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.hit_times == (None,)
+        assert peak < 64 * 1024 + 160 * switches, (config.horizon, switches, peak)
+
+
+def test_the_trace_cap_is_checked_before_any_word_is_drawn(monkeypatch):
+    monkeypatch.setattr(diffusion, "WordStream", CountingStream)
+    CountingStream.draws = []
+    config = DiffusionConfig(epsilon=0.1, horizon=TRACE_REVISIONS_MAX + 1)
+    with pytest.raises(ResourceLimitError, match=f"^horizon {TRACE_REVISIONS_MAX + 1} exceeds"):
+        run(build(2).graph, GAME_THIRD, config)
+    assert CountingStream.draws == []
+    # the default horizon of S9, 200 n, is taken; S10's is not
+    assert 200 * vertex_count(9) <= TRACE_REVISIONS_MAX < 200 * vertex_count(10)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import comb, factorial
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from gasketlab.twopart import (
     gain,
     length_report,
     ordering_index_bits,
+    subset_index_bits,
     threshold_exact,
     to_bytes,
 )
@@ -81,6 +83,28 @@ def test_the_ordered_gain_cap_admits_the_largest_gasket():
     with pytest.raises(ResourceLimitError, match=f"^ordered pattern size k={k + 1} exceeds"):
         length_report(k + 1, k + 1, True)
     assert gain(k + 1, k + 1, False) == comb(k + 1, 2)  # unordered needs no k!
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3000), st.data())
+def test_the_gain_index_bound_is_at_least_the_index_width(n, data):
+    """The cap's test, j (len(n) - len(j) + 3) with j = min(k, n - k), bounds
+    ceil(log2 C(n, k)) from above, so no index within the cap is refused."""
+    k = data.draw(st.integers(2, n))
+    j = min(k, n - k)
+    assert subset_index_bits(n, k) <= j * (n.bit_length() - j.bit_length() + 3)
+
+
+def test_the_gain_index_cap_edge():
+    """C(131072, 65536), about 0.2 s, is at the cap, and C(131074, 65537)
+    is refused at once."""
+    assert 65536 * (18 - 17 + 3) == twopart.GAIN_INDEX_BITS_MAX < 65537 * (18 - 17 + 3)
+    assert gain(131072, 65536, False) == comb(65536, 2) - subset_index_bits(131072, 65536)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^subset index of C\(n, k\) may pass"):
+        gain(131074, 65537, False)
+    assert time.perf_counter() - start < 0.01
+    assert threshold_exact(400, False) is not None  # its binomials stay far below the cap
 
 
 def test_threshold_exact_values():
