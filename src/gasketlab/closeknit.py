@@ -20,7 +20,10 @@ member falls short is counted but never tested.  A tested group is checked
 on S' = S first, in O(|S|), and only then by one minimum cut in the network
 of ``min_ratio`` at lambda = r.  Since d(S, S) = e(S) <= vol(S) / 2,
 ratio(S) <= 1/2 bounds every minimum, and for r > 1/2 every tested group
-is rejected on S alone.
+is rejected on S alone.  The search also bounds that S' = S slack over a
+whole subtree of groups from the neighbours each member can still gain;
+a subtree whose bound is negative is counted, not walked, so the witness,
+the count of groups examined and the cap error stay those of the walk.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import DomainError, ResourceLimitError, check_int, check_iterable, check_real
+from .errors import DomainError, ResourceLimitError, check_int, check_iterable, check_real, shown
 from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset, check_graph
 
 __all__ = [
@@ -47,6 +50,7 @@ GROUP_SIZE_MAX = 20
 GROUPS_PER_VERTEX_CAP = 200_000
 
 Accept = Callable[[dict[int, int], list[int]], bool]
+Slack = tuple[int, list[int], int]  # q, own slack, gain: see _slack
 
 
 @dataclass(frozen=True)
@@ -211,9 +215,22 @@ def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
     return accept
 
 
+def _slack(g: LabeledGraph, r: Fraction, k: int) -> Slack:
+    """``slack`` for ``_first_group`` when ``accept`` is ``_ratio_test(g, r)``
+    and groups have at most k members: q; per vertex, (q - 2p) deg, the
+    S' = S slack a member adds when all its neighbours are in the group;
+    and ``gain``, the most any further member can add, the largest
+    q min(d, k - 1) - 2p d over the graph's degrees d, or 0."""
+    p, q = r.numerator, r.denominator
+    degrees = set(map(len, g.adj))
+    gain = max(q * min(d, k - 1) - 2 * p * d for d in degrees)
+    return q, [(q - 2 * p) * len(row) for row in g.adj], max(gain, 0)
+
+
 def _first_group(
     g: LabeledGraph, v: int, k: int, cap: int, accept: Accept,
     need: list[int] | None = None, nin: list[int] | None = None,
+    slack: Slack | None = None,
 ) -> tuple[tuple[int, ...] | None, int]:
     """The first connected set of size <= k containing v that ``accept``
     takes, sorted (None if there is none), and the number of sets examined.
@@ -229,24 +246,70 @@ def _first_group(
     (default 0: every group); ``short`` counts the members below, and a
     group of size k that fails is skipped in its parent's loop before any
     row is built.  Every set is still counted and cap-checked, in order.
-    ``nin`` is all zero on entry and on return, so one list serves many
-    searches.
+
+    With ``slack`` (see ``_slack``), sound only when ``accept`` is the ratio
+    test at r = p/q, a subtree that holds no acceptable set is counted, not
+    walked.  Every set S that test takes passes its S' = S pre-test, the
+    sum over w in S of q nin_S(w) - 2p deg(w) >= 0.  A frontier vertex that
+    has been tried is ``out`` for the rest of its frame: no set below holds
+    it, and the fresh vertices found below touch no member of G' = G + u.
+    So in every set below G' a member w has at most av(w) = deg(w) - |N(w)
+    & out| in-group neighbours, and each of the at most k - |G'| further
+    members adds at most ``gain``.  ``room`` is the sum over the members of
+    q av(w) - 2p deg(w): a joining vertex adds its own term, and marking a
+    vertex out takes q for each member it touches (its member mask), so av
+    is not capped at k - 1.  When room + (k - |G'|) gain < 0, ``tally``
+    counts the sets below G' by a lean walk that keeps only ``nin`` and
+    ``members``, with closed forms for its last two levels: a frame one
+    short of k examines its frontier F, and one two short examines
+    |F|(|F| + 1)/2 sets plus, per u in F, u's neighbours outside N[G].  The
+    count is cap-checked as the walk is, so the result, the count and any
+    cap error are the walk's.  ``nin`` is all zero on entry and on return,
+    so one list serves many searches.
     """
     adj, members, rows = g.adj, {}, []
     need = need or [0] * (g.n + 1)
     nin = nin or [0] * (g.n + 1)
     examined = short = 0
+    if slack is not None:
+        q, own, gain = slack
+        out: set[int] = set()
 
-    def grow(ext: list[int]) -> tuple[int, ...] | None:
+    def over() -> None:
+        if examined > cap:
+            raise ResourceLimitError(
+                f"connected-group search around vertex {v} exceeded cap {shown(cap)}"
+            )
+
+    def tally(ext: list[int], t: int) -> None:  # the sets grow(ext) would examine
+        nonlocal examined
+        if t + 2 >= k:
+            examined += len(ext) if t + 1 == k else len(ext) * (len(ext) + 1) // 2 + sum(
+                not nin[w] and w not in members for u in ext for w in adj[u])
+            return over()
+        for idx, u in enumerate(ext):
+            examined += 1
+            over()
+            for w in adj[u]:
+                nin[w] += 1
+            members[u] = t
+            tally(ext[idx + 1 :] + [w for w in adj[u] if nin[w] == 1 and w not in members], t + 1)
+            del members[u]
+            for w in adj[u]:
+                nin[w] -= 1
+
+    def grow(ext: list[int], room: int) -> tuple[int, ...] | None:
         nonlocal examined, short
         t = len(rows)
         bit, full = 1 << t, t + 1 == k
+        bound = slack is not None and not full
+        if bound:
+            spare = (k - t - 1) * gain  # the most the members after G + u can add
+        found = None
         for idx, u in enumerate(ext):
             examined += 1
             if examined > cap:
-                raise ResourceLimitError(
-                    f"connected-group search around vertex {v} exceeded cap {cap}"
-                )
+                over()
             if full and (nin[u] < need[u] or short and short != sum(
                     w in members and nin[w] + 1 == need[w] for w in adj[u])):
                 continue  # u, or a member u does not lift to need, is below need
@@ -260,12 +323,16 @@ def _first_group(
             short += nin[u] < need[u]
             members[u] = t
             rows.append(mask)
-            found = None
             if not short and accept(members, rows):
                 found = tuple(sorted(members))
             elif not full:
-                fresh = sorted([w for w in adj[u] if nin[w] == 1 and w not in members])
-                found = grow(ext[idx + 1 :] + fresh)
+                fresh = [w for w in adj[u] if nin[w] == 1 and w not in members]
+                if not bound:
+                    found = grow(ext[idx + 1 :] + sorted(fresh), 0)
+                elif (below := room + own[u] - q * len(adj[u] & out)) + spare < 0:
+                    tally(ext[idx + 1 :] + fresh, t + 1)
+                else:
+                    found = grow(ext[idx + 1 :] + sorted(fresh), below)
             del members[u]
             rows.pop()
             short -= nin[u] < need[u]
@@ -275,10 +342,15 @@ def _first_group(
                     rows[members[w]] ^= bit
                     short += nin[w] + 1 == need[w]
             if found is not None:
-                return found
-        return None
+                break
+            if bound:
+                out.add(u)
+                room -= q * mask.bit_count()
+        if bound:
+            out.difference_update(ext)
+        return found
 
-    return grow([v]), examined
+    return grow([v], 0), examined
 
 
 def _ratio_bound(r) -> Fraction:
@@ -306,19 +378,21 @@ def _certify(
     accept = _ratio_test(g, r)
     need = _needs(g.adj, r)  # where a singleton's slack turns >= 0
     nin = [0] * (g.n + 1)
+    slack = _slack(g, r, k)
     witness: dict[int, tuple[int, ...]] = {}
     examined = 0
     for v in g.vertices():
         if v in witness:
             continue
         while True:
-            found, count = _first_group(g, v, k, cap, accept, need, nin)
+            found, count = _first_group(g, v, k, cap, accept, need, nin, slack)
             examined += count
             if found is not None:
                 break
             if k == k_max:
                 return k, None, v, examined
             k += 1
+            slack = _slack(g, r, k)
         for u in found:
             witness.setdefault(u, found)
     return k, witness, None, examined

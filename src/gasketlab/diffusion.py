@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from statistics import median
 
-from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real
+from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real, shown
 from .graphs import LabeledGraph, _below, _needs, _refuse_isolated, as_subset
 from .rng import WordStream, check_seed, derive_seed, uniform_cut
 
@@ -81,8 +81,8 @@ class CoordinationGame:
         if self.a <= self.d or self.b <= self.c:
             raise DomainError(
                 "coordination game requires a > d and b > c so that all-A and "
-                f"all-B are strict equilibria; got a={self.a}, b={self.b}, "
-                f"c={self.c}, d={self.d}"
+                "all-B are strict equilibria; got "
+                + ", ".join(f"{x}={shown(getattr(self, x), str)}" for x in "abcd")
             )
 
 
@@ -109,13 +109,13 @@ class DiffusionConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= check_real(self.epsilon, "epsilon") < 1.0:
-            raise DomainError(f"epsilon must be in [0, 1), got {self.epsilon}")
+            raise DomainError(f"epsilon must be in [0, 1), got {shown(self.epsilon, str)}")
         if self.horizon is not None:
             object.__setattr__(self, "horizon", check_int(self.horizon, "horizon", 1))
         object.__setattr__(self, "seed", check_seed(self.seed))
         if not isinstance(self.init_adopters, (list, tuple)):
             raise DomainError(
-                f"init_adopters must be a list or tuple of labels, got {self.init_adopters!r}"
+                f"init_adopters must be a list or tuple of labels, got {shown(self.init_adopters)}"
             )
         labels = tuple(check_int(v, "init_adopters label") for v in self.init_adopters)
         object.__setattr__(self, "init_adopters", labels)
@@ -302,7 +302,9 @@ def hitting_time_stats(
     _check_types(g, game, config)
     trials = check_int(trials, "trials", 1)
     if not 0 < check_real(adoption_fraction, "adoption_fraction") <= 1:
-        raise DomainError(f"adoption_fraction must be in (0, 1], got {adoption_fraction}")
+        raise DomainError(
+            f"adoption_fraction must be in (0, 1], got {shown(adoption_fraction, str)}"
+        )
     target = math.ceil(Fraction(adoption_fraction) * g.n)
     trial, _ = _kernel(g, game, config)
     runs = (trial(derive_seed(config.seed, "trial", i), target) for i in range(trials))

@@ -8,7 +8,8 @@ never a number here, an integer is anything with ``__index__``, and the
 message names the argument.  Any other argument of a fixed type (a graph,
 a bit string, a side info) goes through :func:`check_instance`, and a
 collection of labels through :func:`check_iterable` before its items are
-checked.
+checked.  A message shows a caller's value through :func:`shown`, so an
+integer too long to print still ends in a :class:`DomainError`.
 """
 
 from numbers import Real
@@ -27,6 +28,19 @@ class ResourceLimitError(DomainError):
     """An instance exceeds a configured search or memory budget."""
 
 
+def shown(value, form=repr) -> str:
+    """``form(value)`` for a message.  CPython refuses to turn an int of
+    more than 4300 digits (by default) into text, with a ValueError; such an
+    int is named by its bit length instead, and any other value that holds
+    one by its type."""
+    try:
+        return form(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too large to print"
+
+
 def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int in ``low..high`` (either end may be open)."""
     try:
@@ -34,13 +48,13 @@ def check_int(value, name: str, low: int | None = None, high: int | None = None)
             raise TypeError
         value = index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {shown(value)}") from None
     if low is not None and value < low or high is not None and value > high:
         if high is None:
-            raise DomainError(f"{name} must be >= {low}, got {value}")
+            raise DomainError(f"{name} must be >= {low}, got {shown(value)}")
         if low is None:
-            raise DomainError(f"{name} must be <= {high}, got {value}")
-        raise DomainError(f"{name} must be in {low}..{high}, got {value}")
+            raise DomainError(f"{name} must be <= {high}, got {shown(value)}")
+        raise DomainError(f"{name} must be in {low}..{high}, got {shown(value)}")
     return value
 
 
@@ -64,5 +78,5 @@ def check_iterable(value, name: str):
 def check_real(value, name: str):
     """``value`` unchanged if it is a real number (``numbers.Real``, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        raise DomainError(f"{name} must be a real number, got {shown(value)}")
     return value

@@ -32,7 +32,7 @@ from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DomainError, ResourceLimitError, check_instance, check_int, check_iterable, check_real,
+    DomainError, ResourceLimitError, check_instance, check_int, check_iterable, check_real, shown,
 )
 from .rng import WordStream, uniform_cut
 
@@ -56,7 +56,9 @@ def pos(i: int, j: int, n: int) -> int:
     """1-based bit position of pair (i, j), i < j, in the canonical order."""
     i, j, n = check_int(i, "i"), check_int(j, "j"), check_int(n, "n")
     if not (1 <= i < j <= n):
-        raise DomainError(f"pos requires 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+        raise DomainError(
+            f"pos requires 1 <= i < j <= n, got i={shown(i)}, j={shown(j)}, n={shown(n)}"
+        )
     return (i - 1) * n - i * (i - 1) // 2 + (j - i)
 
 
@@ -69,7 +71,7 @@ def pair_at(position: int, n: int) -> tuple[int, int]:
     """
     n = check_int(n, "vertex count n")
     if n < 0:
-        raise DomainError(f"pair_at needs n >= 0 vertices, got {n}")
+        raise DomainError(f"pair_at needs n >= 0 vertices, got {shown(n)}")
     position = check_int(position, "position", 1, comb(n, 2))
     i = n - (1 + isqrt(1 + 8 * (comb(n, 2) - position))) // 2
     return i, position - (i - 1) * n + i * (i - 1) // 2 + i
@@ -94,12 +96,12 @@ class LabeledGraph:
                     raise TypeError  # a bool is not a label
                 i, j = index(a), index(b)
             except (TypeError, ValueError):
-                raise DomainError(f"edge {e!r} must be a pair of integer labels") from None
+                raise DomainError(f"edge {shown(e)} must be a pair of integer labels") from None
             if i == j:
-                raise DomainError(f"self-loop {{{i},{j}}} not allowed")
+                raise DomainError(f"self-loop {{{shown(i)},{shown(j)}}} not allowed")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise DomainError(
-                    f"edge {{{i},{j}}} out of range for vertex labels 1..{n}"
+                    f"edge {{{shown(i)},{shown(j)}}} out of range for vertex labels 1..{n}"
                 )
             nbrs[i].add(j)
             nbrs[j].add(i)
@@ -173,7 +175,7 @@ class EdgeBitString:
         expected = comb(self.n, 2)
         if len(self.bits) != expected:
             raise DomainError(
-                f"bit string for n={self.n} must have length C(n,2)={expected}, "
+                f"bit string for n={shown(self.n)} must have length C(n,2)={shown(expected)}, "
                 f"got {len(self.bits)}"
             )
         _ascii_bits(self.bits)
@@ -290,11 +292,11 @@ def decode(bits: EdgeBitString | str, n: int) -> LabeledGraph:
         raise DomainError(f"bits must be an EdgeBitString or a str, got {type(bits).__name__}")
     n = check_int(n, "vertex count n")
     if n < 0:
-        raise DomainError(f"decode needs n >= 0 vertices, got {n}")
+        raise DomainError(f"decode needs n >= 0 vertices, got {shown(n)}")
     expected = comb(n, 2)
     if len(text) != expected:
         raise DomainError(
-            f"decode(n={n}) expects C(n,2)={expected} bits, got {len(text)}"
+            f"decode(n={shown(n)}) expects C(n,2)={shown(expected)} bits, got {len(text)}"
         )
     flags = _ascii_bits(text).translate(_FLAGS)
     return _with_flags(_from_square(n, _upper_square(n, flags)), flags)
@@ -307,15 +309,15 @@ def as_subset(members: Iterable[int], n: int, *, nonempty: bool = False) -> tupl
         try:
             labels.append(check_int(v, "subset label"))
         except DomainError:
-            raise DomainError(f"subset label {v!r} is not an integer") from None
+            raise DomainError(f"subset label {shown(v)} is not an integer") from None
     sub = tuple(sorted(labels))
     if nonempty and not sub:
         raise DomainError("subset must be nonempty")
     for a, b in zip(sub, sub[1:]):
         if a == b:
-            raise DomainError(f"subset has duplicate vertex {a}")
+            raise DomainError(f"subset has duplicate vertex {shown(a)}")
     if sub and not (1 <= sub[0] and sub[-1] <= n):
-        raise DomainError(f"subset {sub} has vertices outside 1..{n}")
+        raise DomainError(f"subset {shown(sub, str)} has vertices outside 1..{n}")
     return sub
 
 
@@ -438,10 +440,11 @@ def gnp_sample(n: int, p: float | Fraction, seed: int) -> LabeledGraph:
     n = check_int(n, "vertex count", 0)
     if n > GNP_VERTEX_MAX:
         raise ResourceLimitError(
-            f"G(n, p) sample of n={n} vertices exceeds the cap GNP_VERTEX_MAX = {GNP_VERTEX_MAX}"
+            f"G(n, p) sample of n={shown(n)} vertices exceeds the cap "
+            f"GNP_VERTEX_MAX = {GNP_VERTEX_MAX}"
         )
     if not 0.0 <= check_real(p, "edge probability") <= 1.0:
-        raise DomainError(f"edge probability must be in [0, 1], got {p}")
+        raise DomainError(f"edge probability must be in [0, 1], got {shown(p, str)}")
     cut = uniform_cut(p)
     stream = WordStream(seed, domain=b"gasketlab-gnp")
     flags = _below(stream.word_bytes(comb(n, 2)), cut)

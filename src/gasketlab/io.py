@@ -20,7 +20,7 @@ from __future__ import annotations
 import binascii
 import json
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, shown
 from .graphs import (
     _FLAGS, _TEXT, LabeledGraph, _canonical_flags, _from_lower_square, _upper_square, check_graph
 )
@@ -39,7 +39,7 @@ JSON_VERTEX_MAX = 100_000  # a JSON "n" allocates n + 1 neighbour sets up front
 
 def _g6_size_bytes(n: int) -> bytes:
     if n < 0:
-        raise DomainError(f"graph6 requires n >= 0, got {n}")
+        raise DomainError(f"graph6 requires n >= 0, got {shown(n)}")
     if n <= 62:
         return bytes([n + 63])
     if n <= 258047:
@@ -50,7 +50,7 @@ def _g6_size_bytes(n: int) -> bytes:
         return bytes([126, 126]) + bytes(
             (((n >> shift) & 63) + 63) for shift in (30, 24, 18, 12, 6, 0)
         )
-    raise DomainError(f"graph6 supports n < 2^36, got {n}")
+    raise DomainError(f"graph6 supports n < 2^36, got {shown(n)}")
 
 
 def _g6_read_size(data: bytes) -> tuple[int, int]:

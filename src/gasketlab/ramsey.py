@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, ResourceLimitError, check_int, check_real
+from .errors import DomainError, ResourceLimitError, check_int, check_real, shown
 from .graphs import (
     LabeledGraph,
     check_graph,
@@ -157,10 +157,12 @@ def _validate_coloring(g: LabeledGraph, coloring: TwoColoring) -> TwoColoring:
         try:
             i, j = (check_int(x, "vertex") for x in key)
         except (TypeError, ValueError):  # DomainError is a ValueError
-            raise DomainError(f"coloring key {key!r} must be a pair of vertex labels") from None
+            raise DomainError(
+                f"coloring key {shown(key)} must be a pair of vertex labels"
+            ) from None
         a, b = (i, j) if i < j else (j, i)
         if not g.has_edge(a, b):
-            raise DomainError(f"colored pair ({a},{b}) is not an edge")
+            raise DomainError(f"colored pair ({shown(a)},{shown(b)}) is not an edge")
         normalized[(a, b)] = color
     missing = [e for e in g.edges() if e not in normalized]
     if missing:
@@ -250,7 +252,7 @@ def is_host(
     if m > max_edges:
         raise ResourceLimitError(
             f"host has {m} edges; exhaustive 2-coloring is limited to "
-            f"{max_edges} edges (2^{m} colorings)"
+            f"{shown(max_edges)} edges (2^{m} colorings)"
         )
     edge_index = {e: t for t, e in enumerate(edges)}
     components: list[list] = []  # [edge mask, copy edge masks]
@@ -356,7 +358,7 @@ def split_union(
         if mode == "proof-faithful" and comp_graph.edge_count > max_edges:
             raise ResourceLimitError(
                 f"component {component[:4]}... has {comp_graph.edge_count} edges, "
-                f"over the proof-faithful budget {max_edges}; use fast mode"
+                f"over the proof-faithful budget {shown(max_edges)}; use fast mode"
             )
         hosts_copy = bool(find_induced_occurrences(comp_graph, pattern, limit=1))
         (g2 if hosts_copy else g1).extend(component)
@@ -390,21 +392,24 @@ class BoundsReport:
 def bounds_report(pattern: LabeledGraph, c: float, c_d: float) -> BoundsReport:
     check_graph(pattern, "pattern")
     if not (0 < check_real(c, "c") < math.inf and 0 < check_real(c_d, "c_d") < math.inf):
-        raise DomainError(f"constants must be positive and finite, got c={c}, c_d={c_d}")
+        raise DomainError(
+            f"constants must be positive and finite, got c={shown(c, str)}, c_d={shown(c_d, str)}"
+        )
     k = pattern.n
     delta = max(map(len, pattern.adj))
-    exponent = c * delta * math.log2(delta) if delta >= 2 else 0.0
     try:
+        exponent = c * delta * math.log2(delta) if delta >= 2 else 0.0
         chvatal = k * 2.0**exponent
     except OverflowError as exc:
-        raise DomainError(f"c={c} makes 2^(c*D*log2 D) too large for a float") from exc
+        raise DomainError(f"c={shown(c, str)} makes 2^(c*D*log2 D) too large for a float") from exc
     try:
         lower = 2.0 ** ((k - 1) / 2)
     except OverflowError as exc:
         raise DomainError(f"pattern size k={k} makes 2^((k-1)/2) too large for a float") from exc
     # k^c_d >= 2^(c_d (bitlen(k) - 1)) cannot be a float once that reaches 2^1024
     if c_d * max(k.bit_length() - 1, 0) >= 1024:
-        raise DomainError(f"c_d={c_d} makes k^c_d = {k}^{c_d} too large for a float")
+        shown_c_d = shown(c_d, str)
+        raise DomainError(f"c_d={shown_c_d} makes k^c_d = {k}^{shown_c_d} too large for a float")
     try:
         if float(c_d).is_integer():
             luczak_rodl: float = k ** int(c_d)
@@ -469,7 +474,7 @@ def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
     except (ValueError, OverflowError):
         raise DomainError(f"c_d must be a finite number, got {c_d}") from None
     if frac <= 0:
-        raise DomainError(f"c_d must be positive, got {c_d}")
+        raise DomainError(f"c_d must be positive, got {shown(c_d, str)}")
     p, q = frac.numerator, frac.denominator
     best: int | None = None
     level = 1

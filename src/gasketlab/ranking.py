@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import DomainError, ResourceLimitError, check_int, check_iterable
+from .errors import DomainError, ResourceLimitError, check_int, check_iterable, shown
 
 __all__ = [
     "ceil_log2",
@@ -67,7 +67,7 @@ def rank_permutation(perm: Sequence[int]) -> int:
     perm = [check_int(v, "permutation member") for v in check_iterable(perm, "permutation")]
     k = len(perm)
     if sorted(perm) != list(range(1, k + 1)):
-        raise DomainError(f"{tuple(perm)} is not a permutation of 1..{k}")
+        raise DomainError(f"{shown(tuple(perm), str)} is not a permutation of 1..{k}")
     rank = 0
     for i in range(k):
         smaller_later = sum(1 for j in range(i + 1, k) if perm[j] < perm[i])
@@ -85,7 +85,8 @@ def unrank_permutation(rank: int, k: int) -> tuple[int, ...]:
     k = check_int(k, "permutation size k", 0)
     if k > PERMUTATION_SIZE_MAX:
         raise ResourceLimitError(
-            f"permutation size k={k} exceeds the cap PERMUTATION_SIZE_MAX = {PERMUTATION_SIZE_MAX}"
+            f"permutation size k={shown(k)} exceeds the cap "
+            f"PERMUTATION_SIZE_MAX = {PERMUTATION_SIZE_MAX}"
         )
     r = check_int(rank, "permutation rank", 0, factorial(k) - 1)
     digits = [0] * k  # digits[i] < k - i counts the smaller members after position i

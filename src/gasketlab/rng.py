@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import ceil
 
-from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real
+from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real, shown
 
 __all__ = ["WordStream", "derive_seed", "check_seed", "uniform_cut"]
 
@@ -79,7 +79,8 @@ class WordStream:
         count = check_int(count, "word count", 0)
         if count > WORDS_PER_DRAW_MAX:
             raise ResourceLimitError(
-                f"draw of {count} words exceeds the cap WORDS_PER_DRAW_MAX = {WORDS_PER_DRAW_MAX}"
+                f"draw of {shown(count)} words exceeds the cap "
+                f"WORDS_PER_DRAW_MAX = {WORDS_PER_DRAW_MAX}"
             )
         size = 8 * count
         data = self._spare

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
-from .errors import ResourceLimitError, check_instance, check_int
+from .errors import ResourceLimitError, check_instance, check_int, shown
 from .graphs import LabeledGraph
 
 __all__ = [
@@ -67,12 +67,12 @@ def _check_level(level: int, max_level: int | None = None) -> int:
     level = check_int(level, "gasket level", 1)
     if max_level is not None and level > max_level:
         raise ResourceLimitError(
-            f"gasket level {level} exceeds the configured maximum {max_level}; "
+            f"gasket level {shown(level)} exceeds the configured maximum {max_level}; "
             "raise max_level to override"
         )
     if level > COUNT_LEVEL_MAX:
         raise ResourceLimitError(
-            f"gasket level {level} exceeds the cap COUNT_LEVEL_MAX = {COUNT_LEVEL_MAX}"
+            f"gasket level {shown(level)} exceeds the cap COUNT_LEVEL_MAX = {COUNT_LEVEL_MAX}"
         )
     return level
 

@@ -41,7 +41,7 @@ import zlib
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import DomainError, ResourceLimitError, check_instance, check_int
+from .errors import DomainError, ResourceLimitError, check_instance, check_int, shown
 from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, _inside_positions, as_subset
 from .ranking import (
     PERMUTATION_SIZE_MAX,
@@ -225,10 +225,11 @@ def gain(n: int, k: int, ordered: bool) -> int:
     """
     k, n = check_int(k, "pattern size k", PATTERN_SIZE_MIN), check_int(n, "host size n")
     if n < k:
-        raise DomainError(f"host size n={n} must be >= pattern size k={k}")
+        raise DomainError(f"host size n={shown(n)} must be >= pattern size k={shown(k)}")
     if ordered and k > GAIN_ORDERED_K_MAX:
         raise ResourceLimitError(
-            f"ordered pattern size k={k} exceeds the cap GAIN_ORDERED_K_MAX = {GAIN_ORDERED_K_MAX}"
+            f"ordered pattern size k={shown(k)} exceeds the cap "
+            f"GAIN_ORDERED_K_MAX = {GAIN_ORDERED_K_MAX}"
         )
     j = min(k, n - k)
     if j * (n.bit_length() - j.bit_length() + 3) > GAIN_INDEX_BITS_MAX:
@@ -260,7 +261,7 @@ def threshold_exact(k: int, ordered: bool) -> int | None:
     k = check_int(k, "pattern size k", PATTERN_SIZE_MIN)
     if k > THRESHOLD_K_MAX:
         raise ResourceLimitError(
-            f"pattern size k={k} exceeds the cap THRESHOLD_K_MAX = {THRESHOLD_K_MAX}"
+            f"pattern size k={shown(k)} exceeds the cap THRESHOLD_K_MAX = {THRESHOLD_K_MAX}"
         )
     if gain(k, k, ordered) <= 0:
         return None
@@ -299,7 +300,9 @@ class ContainmentBounds:
 def asymptotic_bounds(k: int) -> ContainmentBounds:
     k = check_int(k, "pattern size k", PATTERN_SIZE_MIN)
     if k > BOUNDS_K_MAX:
-        raise DomainError(f"pattern size k={k} makes its break-even bounds too large for a float")
+        raise DomainError(
+            f"pattern size k={shown(k)} makes its break-even bounds too large for a float"
+        )
     return ContainmentBounds(
         ordered=2.0 ** ((k - 1) / 2),
         ordered_log_slack=2.0 ** (k * (k - 1) / (2 * (k + 1))),
@@ -420,7 +423,7 @@ def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
     for value, width in fields:
         if width:  # a zero-width field is not written
             if not (0 <= value < (1 << width)):
-                raise DomainError(f"value {value} does not fit in {width} bits")
+                raise DomainError(f"value {shown(value)} does not fit in {width} bits")
             acc, nbits = (acc << width) | value, nbits + width
     residual = enc.residual
     _ascii_bits(residual, "residual")

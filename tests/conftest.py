@@ -25,7 +25,9 @@ extraction that read its template off those sorted points.  The
 diffusion loop that ran every trial to its horizon, past all-A, is kept too,
 as is the family scan that ran one full certificate per k, and so is the
 branch-and-forbid connected-group enumerator that tracked a
-forbidden set and scanned the frontier list.  The oracles that draw random
+forbidden set and scanned the frontier list, and the group search that
+walked every set, where the library counts a subtree that cannot hold an
+accepted group.  The oracles that draw random
 words take them from ``oracle_words``, which hashes the SHA-256 blocks as
 the ``rng`` docstring states the mapping, not from ``WordStream``.
 """
@@ -279,6 +281,75 @@ def oracle_connected_groups_from(g: LabeledGraph, v: int, k: int, cap: int):
             yield from rec(tuple(sorted(current + (u,))), ext[idx + 1 :] + fresh, new_forbidden)
 
     yield from rec((v,), sorted(g.adj[v]), set())
+
+
+def oracle_first_group(g: LabeledGraph, v: int, k: int, cap: int, accept, need=None, nin=None):
+    """``closeknit._first_group`` as it was before it counted subtrees that
+    hold no acceptable group: the first connected set of size <= k
+    containing v that ``accept`` takes, sorted (None if there is none), and
+    the number of sets examined, every one of them walked.
+
+    ESU enumeration (Wernicke, "Efficient detection of network motifs",
+    2006): group G tries each vertex u of the frontier it was handed
+    (ascending labels), and G + u hands on the vertices after u plus u's
+    neighbours outside N[G], so no set is examined twice.  The group is
+    ``members`` (member -> bit position, in insertion order) with ``rows[t]``
+    member t's in-group neighbour mask, and ``nin[w]`` counts w's in-group
+    neighbours, so N[G] is the members and the vertices with nin > 0.
+    ``accept`` sees only groups whose members u all have nin[u] >= need[u]
+    (default 0: every group); ``short`` counts the members below, and a
+    group of size k that fails is skipped in its parent's loop before any
+    row is built.  Every set is still counted and cap-checked, in order.
+    ``nin`` is all zero on entry and on return, so one list serves many
+    searches.
+    """
+    adj, members, rows = g.adj, {}, []
+    need = need or [0] * (g.n + 1)
+    nin = nin or [0] * (g.n + 1)
+    examined = short = 0
+
+    def grow(ext: list[int]) -> tuple[int, ...] | None:
+        nonlocal examined, short
+        t = len(rows)
+        bit, full = 1 << t, t + 1 == k
+        for idx, u in enumerate(ext):
+            examined += 1
+            if examined > cap:
+                raise ResourceLimitError(
+                    f"connected-group search around vertex {v} exceeded cap {cap}"
+                )
+            if full and (nin[u] < need[u] or short and short != sum(
+                    w in members and nin[w] + 1 == need[w] for w in adj[u])):
+                continue  # u, or a member u does not lift to need, is below need
+            mask = 0
+            for w in adj[u]:
+                nin[w] += 1
+                if w in members:
+                    mask |= 1 << members[w]
+                    rows[members[w]] |= bit
+                    short -= nin[w] == need[w]
+            short += nin[u] < need[u]
+            members[u] = t
+            rows.append(mask)
+            found = None
+            if not short and accept(members, rows):
+                found = tuple(sorted(members))
+            elif not full:
+                fresh = sorted([w for w in adj[u] if nin[w] == 1 and w not in members])
+                found = grow(ext[idx + 1 :] + fresh)
+            del members[u]
+            rows.pop()
+            short -= nin[u] < need[u]
+            for w in adj[u]:
+                nin[w] -= 1
+                if w in members:
+                    rows[members[w]] ^= bit
+                    short += nin[w] + 1 == need[w]
+            if found is not None:
+                return found
+        return None
+
+    return grow([v]), examined
 
 
 def oracle_find_isomorphism(a: LabeledGraph, b: LabeledGraph):

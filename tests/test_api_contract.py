@@ -21,6 +21,9 @@ before any binomial, and ``diffusion.run`` a horizon over
 ``TRACE_REVISIONS_MAX`` before any word is drawn.
 ``table_to_csv`` names the row or key of a missing column, a key that is
 not a str or a metadata value JSON cannot write.
+A message shows a caller's value through ``errors.shown``, so an integer
+of more digits than CPython prints (the rows "of 5000 digits") is named by
+its bit length, and a Fraction that holds one by its type.
 A float bound that would pass the largest float raises DomainError naming
 the pattern size.  The boundary rows check that the shared checks still
 take what they should (seeds 0 and 2^64 - 1, objects with ``__index__``,
@@ -113,6 +116,8 @@ HALF = Fraction(1, 2)
 SIDE = SideInfo.for_generator("complete:2", 3)
 ENC = TwoPartEncoding(0, None, "11")
 BITS = EdgeBitString(3, "111")
+HUGE = 10**5000  # 5001 digits, past the 4300 CPython turns into text by default
+TOO_BIG = Fraction(HUGE, 3)
 
 
 class Index:
@@ -364,6 +369,153 @@ ESCAPES = {
         "^horizon of 16610 bits exceeds the trace cap"),
     "pair_at position past C(n, 2) of a huge n": (
         lambda: pair_at(comb(10**12, 2) + 1, 10**12), "^position must be"),
+    "check_int of 5000 digits": (
+        lambda: check_int(HUGE, "x", 0, 10),
+        r"^x must be in 0\.\.10, got an integer of 16610 bits$"),
+    "check_int below of minus 5000 digits": (
+        lambda: check_int(-HUGE, "x", 0),
+        r"^x must be >= 0, got a negative integer of 16610 bits$"),
+    "check_int non-integer of 5000 digits": (
+        lambda: check_int(TOO_BIG, "x"),
+        r"^x must be an integer, got a Fraction too large to print$"),
+    "vertex_count level of 5000 digits": (
+        lambda: vertex_count(HUGE),
+        r"^gasket level an integer of 16610 bits exceeds the cap COUNT_LEVEL_MAX = 10000$"),
+    "build level of 5000 digits": (
+        lambda: build(HUGE),
+        r"^gasket level an integer of 16610 bits"),
+    "subgaskets level of 5000 digits": (
+        lambda: subgaskets(S2, HUGE),
+        r"^sub-gasket level must be in 1\.\.2, got an integer of 16610 bits$"),
+    "is_rk_closeknit k of 5000 digits": (
+        lambda: is_rk_closeknit(K3, HALF, HUGE),
+        r"^group-size bound k must be in 1\.\.20, got an integer of 16610 bits$"),
+    "is_rk_closeknit cap of minus 5000 digits": (
+        lambda: is_rk_closeknit(K3, HALF, 2, -HUGE),
+        r"^connected-group search around vertex 1 exceeded cap a negative integer of 16610 bits$"),
+    "family_scan k_cap of 5000 digits": (
+        lambda: family_scan({}, HALF, HUGE),
+        r"^k_cap must be in 1\.\.20, got an integer of 16610 bits$"),
+    "min_ratio label of 5000 digits": (
+        lambda: min_ratio(K3, [HUGE]),
+        r"^subset a tuple too large to print has vertices outside 1\.\.3$"),
+    "gain k of 5000 digits": (
+        lambda: gain(2, HUGE, False),
+        r"^host size n=2 must be >= pattern size k=an integer of 16610 bits$"),
+    "gain ordered k of 5000 digits": (
+        lambda: gain(HUGE, HUGE, True),
+        r"^ordered pattern size k=an integer of 16610 bits"),
+    "threshold_exact k of 5000 digits": (
+        lambda: threshold_exact(HUGE, True),
+        r"^pattern size k=an integer of 16610 bits exceeds the cap THRESHOLD_K_MAX = 400$"),
+    "asymptotic_bounds k of 5000 digits": (
+        lambda: asymptotic_bounds(HUGE),
+        r"^pattern size k=an integer of 16610 bits"),
+    "to_bytes subset rank of 5000 digits": (
+        lambda: to_bytes(TwoPartEncoding(HUGE, None, "00"), SIDE),
+        r"^value an integer of 16610 bits does not fit in 2 bits$"),
+    "unrank_permutation k of 5000 digits": (
+        lambda: unrank_permutation(0, HUGE),
+        r"^permutation size k=an integer of 16610 bits"),
+    "rank_permutation member of 5000 digits": (
+        lambda: rank_permutation([HUGE]),
+        r"^a tuple too large to print is not a permutation of 1\.\.1$"),
+    "unrank_subset rank of 5000 digits": (
+        lambda: unrank_subset(HUGE, 3, 2),
+        r"^subset rank must be in 0\.\.2, got an integer of 16610 bits$"),
+    "ceil_log2 of minus 5000 digits": (
+        lambda: ceil_log2(-HUGE),
+        r"^ceil_log2 argument x must be >= 1, got a negative integer of 16610 bits$"),
+    "pos i of 5000 digits": (
+        lambda: pos(HUGE, HUGE + 1, 3),
+        r"^pos requires 1 <= i < j <= n, got i=an integer of 16610 bits"),
+    "pair_at n of minus 5000 digits": (
+        lambda: pair_at(1, -HUGE),
+        r"^pair_at needs n >= 0 vertices, got a negative integer of 16610 bits$"),
+    "from_edges self-loop of 5000 digits": (
+        lambda: LabeledGraph.from_edges(3, [(HUGE, HUGE)]),
+        r"^self-loop \{an integer of 16610 bits,an integer of 16610 bits\} not allowed$"),
+    "from_edges label of 5000 digits": (
+        lambda: LabeledGraph.from_edges(3, [(1, HUGE)]),
+        r"^edge \{1,an integer of 16610 bits\} out of range for vertex labels 1\.\.3$"),
+    "from_edges non-integer label of 5000 digits": (
+        lambda: LabeledGraph.from_edges(3, [(1, TOO_BIG)]),
+        r"^edge a tuple too large to print must be a pair of integer labels$"),
+    "degree vertex of 5000 digits": (
+        lambda: K3.degree(HUGE),
+        r"^vertex must be in 1\.\.3, got an integer of 16610 bits$"),
+    "as_subset duplicate of 5000 digits": (
+        lambda: as_subset([HUGE, HUGE], 3),
+        r"^subset has duplicate vertex an integer of 16610 bits$"),
+    "as_subset label of 5000 digits": (
+        lambda: as_subset([HUGE], 3),
+        r"^subset a tuple too large to print has vertices outside 1\.\.3$"),
+    "as_subset non-integer label of 5000 digits": (
+        lambda: as_subset([TOO_BIG], 3),
+        r"^subset label a Fraction too large to print is not an integer$"),
+    "decode n of 5000 digits": (
+        lambda: decode("", HUGE),
+        r"^decode\(n=an integer of 16610 bits"),
+    "decode n of minus 5000 digits": (
+        lambda: decode("", -HUGE),
+        r"^decode needs n >= 0 vertices, got a negative integer of 16610 bits$"),
+    "bit string n of 5000 digits": (
+        lambda: EdgeBitString(HUGE, ""),
+        r"^bit string for n=an integer of 16610 bits"),
+    "gnp_sample n of 5000 digits": (
+        lambda: gnp_sample(HUGE, HALF, 0),
+        r"^G\(n, p\) sample of n=an integer of 16610 bits"),
+    "gnp_sample p of 5000 digits": (
+        lambda: gnp_sample(3, TOO_BIG, 0),
+        r"^edge probability must be in \[0, 1\], got a Fraction too large to print$"),
+    "word draw of 5000 digits": (
+        lambda: WordStream(0).words(HUGE),
+        r"^draw of an integer of 16610 bits words exceeds the cap WORDS_PER_DRAW_MAX = 8388608$"),
+    "word stream seed of 5000 digits": (
+        lambda: WordStream(HUGE),
+        r"^seed must be in 0\.\.18446744073709551615, got an integer of 16610 bits$"),
+    "coloring pair of 5000 digits": (
+        lambda: has_mono_induced(K3, {(HUGE, 1): "red"}, K3),
+        r"^vertex must be in 1\.\.3, got an integer of 16610 bits$"),
+    "is_host max_edges of minus 5000 digits": (
+        lambda: is_host(K3, K3, max_edges=-HUGE),
+        r"^host has 3 edges; .* limited to a negative integer of 16610 bits"),
+    "split_union budget of minus 5000 digits": (
+        lambda: split_union(K3, K3, mode="proof-faithful", max_edges=-HUGE),
+        r"^component .* over the proof-faithful budget a negative integer of 16610 bits"),
+    "find_induced_occurrences limit of minus 5000 digits": (
+        lambda: find_induced_occurrences(K3, K3, limit=-HUGE),
+        r"^limit must be >= 1, got a negative integer of 16610 bits$"),
+    "bounds_report c of 5000 digits": (
+        lambda: bounds_report(S2.graph, HUGE, 1),
+        r"^c=an integer of 16610 bits makes 2\^\(c\*D\*log2 D\) too large for a float$"),
+    "bounds_report c_d of 5000 digits": (
+        lambda: bounds_report(S2.graph, 1, HUGE),
+        r"^c_d=an integer of 16610 bits"),
+    "crossover c_d of minus 5000 digits": (
+        lambda: poly_exp_crossover_level(-HUGE),
+        r"^c_d must be positive, got a negative integer of 16610 bits$"),
+    "plant_occurrence member of 5000 digits": (
+        lambda: plant_occurrence(K3, K3, [HUGE, 1, 2]),
+        r"^subset a tuple too large to print has vertices outside 1\.\.3$"),
+    "expected_occurrences n of minus 5000 digits": (
+        lambda: expected_occurrences(-HUGE, K3),
+        r"^host size n must be >= 0, got a negative integer of 16610 bits$"),
+    "game payoff of 5000 digits": (
+        lambda: CoordinationGame(1, 1, HUGE, 0),
+        r"^coordination game requires .*; got a=1, b=1, c=a Fraction too large to print"),
+    "config epsilon of 5000 digits": (
+        lambda: DiffusionConfig(epsilon=TOO_BIG),
+        r"^epsilon must be in \[0, 1\), got a Fraction too large to print$"),
+    "config init_adopters of 5000 digits": (
+        lambda: DiffusionConfig(init_adopters=HUGE),
+        r"^init_adopters must be a list or tuple of labels, got an integer of 16610 bits$"),
+    "config horizon of minus 5000 digits": (
+        lambda: DiffusionConfig(horizon=-HUGE),
+        r"^horizon must be >= 1, got a negative integer of 16610 bits$"),
+    "hitting_time_stats fraction of 5000 digits": (
+        lambda: hitting_time_stats(K3, GAME, DiffusionConfig(), 1, TOO_BIG),
+        r"^adoption_fraction must be in \(0, 1\], got a Fraction too large to print$"),
 }
 
 

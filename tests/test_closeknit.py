@@ -19,11 +19,13 @@ from gasketlab.closeknit import (
     _certify,
     _first_group,
     _ratio_test,
+    _slack,
     family_scan,
     is_rk_closeknit,
     min_ratio,
 )
 from gasketlab.catalog import named_graph
+from gasketlab.graphs import _needs
 from gasketlab.experiments import plant_occurrence
 from gasketlab.sierpinski import build
 
@@ -32,6 +34,7 @@ from conftest import (
     internal_degree,
     oracle_connected_groups_from,
     oracle_family_scan,
+    oracle_first_group,
     oracle_is_rk_closeknit,
     oracle_min_ratio,
     oracle_min_ratio_blocks,
@@ -500,6 +503,63 @@ def _searches(g, r, k, cap, need):
 def test_need_pruned_search_matches_the_full_search(g, r, k, cap):
     need = [math.ceil(r * len(row)) for row in g.adj]
     assert _searches(g, r, k, cap, need) == _searches(g, r, k, cap, None)
+
+
+@given(
+    g=st.one_of(_connected_graphs(), st.sampled_from([build(lv).graph for lv in range(1, 6)])),
+    r=st.sampled_from([Fraction(-1, 3), Fraction(0), *RATIOS, Fraction(3, 2)]),
+    k=st.sampled_from(range(1, 9)),
+    cap=st.sampled_from([1, 2, 7, 40, 300, 10**6]),
+    with_need=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_counted_subtrees_match_the_walk(g, r, k, cap, with_need, data):
+    """A search that counts the subtrees the ratio test's slack bound rules
+    out finds the walk's group, examines as many sets, or raises the walk's
+    cap error; after a return ``nin`` is all zero again."""
+    v = data.draw(st.sampled_from(g.vertices()), label="v")
+    accept, need = _ratio_test(g, r), _needs(g.adj, r) if with_need else None
+    nins = [[0] * (g.n + 1) for _ in range(2)]
+    mine = _result_or_error(
+        lambda: _first_group(g, v, k, cap, accept, need, nins[0], _slack(g, r, k)))
+    walked = _result_or_error(lambda: oracle_first_group(g, v, k, cap, accept, need, nins[1]))
+    assert mine == walked
+    if not isinstance(mine, str):
+        assert not any(nins[0]) and not any(nins[1])
+
+
+@pytest.mark.parametrize("level, examined", [(4, 4_145), (5, 4_289)])
+def test_cap_boundary_inside_a_counted_subtree(level, examined):
+    """Vertex 11 has no (2/5, 8) group, and the last sets of its search lie
+    in a subtree that is counted, not walked: the count still meets the cap
+    exactly where the walk does."""
+    g, r = build(level).graph, Fraction(2, 5)
+    args = (_ratio_test(g, r), _needs(g.adj, r), None, _slack(g, r, 8))
+    assert _first_group(g, 11, 8, examined, *args) == (None, examined)
+    with pytest.raises(ResourceLimitError, match=f"vertex 11 exceeded cap {examined - 1}$"):
+        _first_group(g, 11, 8, examined - 1, *args)
+    assert oracle_first_group(g, 11, 8, examined, *args[:2]) == (None, examined)
+
+
+@pytest.mark.parametrize("level, walked", [(4, 172), (5, 155)])
+def test_counted_subtrees_spare_the_ratio_test_half_its_groups(level, walked):
+    """A work guard with no timing: on the slow failing search of the
+    ``gasket`` benchmark, the slack bound keeps at least half of the groups
+    the walk hands to ``accept`` away from it.  Without ``slack`` the search
+    walks every set."""
+    g, r = build(level).graph, Fraction(2, 5)
+    ratio_test, need, seen = _ratio_test(g, r), _needs(g.adj, r), []
+
+    def accept(members, rows):
+        seen.append(tuple(members))
+        return ratio_test(members, rows)
+
+    assert _first_group(g, 11, 8, 10**6, accept, need) == (None, 4_145 if level == 4 else 4_289)
+    assert len(seen) == walked
+    seen.clear()
+    _first_group(g, 11, 8, 10**6, accept, need, None, _slack(g, r, 8))
+    assert 0 < len(seen) <= walked // 2
 
 
 def test_certificate_on_a_large_gasket_allocates_no_per_vertex_bit_table():
