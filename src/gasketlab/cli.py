@@ -600,6 +600,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: ran out of memory on this input", file=sys.stderr)
+        return 1
     return 0
 
 

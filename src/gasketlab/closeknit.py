@@ -18,30 +18,27 @@ member u needs ceil(p deg(u) / q) in-group neighbours; the group search
 keeps each vertex's in-group neighbour count, so a group in which some
 member falls short is counted but never tested.  A tested group is checked
 on S' = S first, in O(|S|), and only then by one minimum cut in the network
-of ``min_ratio`` at lambda = r.  Since d(S, S) = e(S) <= vol(S) / 2,
-ratio(S) <= 1/2 bounds every minimum, and for r > 1/2 every tested group
-is rejected on S alone.  The search also bounds that S' = S slack over a
-whole subtree of groups from the neighbours each member can still gain;
-a subtree whose bound is negative is counted, not walked, so the witness,
-the count of groups examined and the cap error stay those of the walk.
+of ``min_ratio`` at lambda = r, which ``_max_flow`` builds from the members'
+bit rows and degrees; a certificate cuts each group shape once.  Since
+d(S, S) = e(S) <= vol(S) / 2, ratio(S) <= 1/2 bounds every minimum, and for
+r > 1/2 every tested group is rejected on S alone.  The one search always
+bounds that S' = S slack over a whole subtree of groups from the neighbours
+each member can still gain; a subtree whose bound is negative is counted,
+not walked, so the witness, the count of groups examined and the cap error
+stay those of the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable
 
 from .errors import DomainError, ResourceLimitError, check_int, check_iterable, check_real, shown
 from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset, check_graph
 
-__all__ = [
-    "GroupReport",
-    "CloseKnitResult",
-    "min_ratio",
-    "is_rk_closeknit",
-    "family_scan",
-]
+__all__ = ["GroupReport", "CloseKnitResult", "min_ratio", "is_rk_closeknit", "family_scan"]
 
 # The largest group size: the k of a certificate's ESU enumeration and of
 # family_scan, and the |S| of min_ratio, whose flow network has |S| + 2 nodes
@@ -70,37 +67,39 @@ class CloseKnitResult:
     groups_examined: int
 
 
-def _check_group(g: LabeledGraph, members: Iterable[int]) -> tuple[int, ...]:
-    n = check_graph(g, "graph").n
-    group = as_subset(check_iterable(members, "group"), n, nonempty=True)
-    _refuse_isolated(g, group, "close-knit ratios assume no isolated vertices")
-    return group
+def _max_flow(rows: list[int], deg: list[int], a: int, b: int) -> tuple[list[list[int]], int]:
+    """The residual capacities after a maximum s-t flow in the network of
+    the ratio at lambda = a/b, and the group vertices s still reaches: the
+    source side of the minimal minimum cut.
 
-
-def _max_flow(nbrs: list[list[int]], w: list[int], b: int) -> tuple[list[list[int]], int]:
-    """The residual capacities after a maximum s-t flow, and the group
-    vertices s still reaches: the source side of the minimal minimum cut.
-
-    Nodes 0..m-1 are the group, t = m and s = m + 1; arcs s -> i carry -w_i
-    where w_i < 0, i -> t carry w_i where w_i > 0, and each group edge
-    carries b both ways.  Augments along shortest paths (BFS) until t is
-    unreachable.  Entry [i][j] of the returned matrix is the residual
-    capacity of the arc i -> j.
+    The group is its members' in-group neighbour masks ``rows`` and degrees
+    ``deg``.  Nodes 0..m-1 are the group, t = m and s = m + 1; with w_i =
+    b d_S(i) - 2a deg(i), arcs s -> i carry -w_i where w_i < 0, i -> t carry
+    w_i where w_i > 0, and each group edge carries b both ways.  Augments
+    along shortest paths (BFS, neighbours ascending) until t is unreachable.
+    Entry [i][j] of the returned matrix is the residual capacity of i -> j.
     """
-    m = len(nbrs)
+    m = len(rows)
     t, s = m, m + 1
     r = [[0] * (m + 2) for _ in range(m + 2)]
-    for i, row in enumerate(nbrs):
-        for j in row:
-            r[i][j] = b
-        if w[i] < 0:
-            r[s][i] = -w[i]
+    links = []  # per node, the heads of its arcs
+    for i, row in enumerate(rows):
+        ri, heads = r[i], []
+        while row:  # the set bits, ascending
+            low = row & -row
+            j = low.bit_length() - 1
+            ri[j] = b
+            heads.append(j)
+            row ^= low
+        w = b * len(heads) - 2 * a * deg[i]
+        if w < 0:
+            r[s][i] = -w
         else:
-            r[i][t] = w[i]
-    links = [row + [t, s] for row in nbrs] + [list(range(m))] * 2
+            ri[t] = w
+        links.append(heads + [t, s])
+    links += [list(range(m))] * 2
     while True:
-        parent = {s: s}
-        queue = [s]
+        parent, queue = {s: s}, [s]
         for u in queue:
             ru = r[u]
             for v in links[u]:
@@ -146,33 +145,31 @@ def min_ratio(g: LabeledGraph, group: Iterable[int]) -> GroupReport:
     lexicographically smallest minimizer is the shortest prefix of the good
     vertices, in ascending order, that holds the D(v) of all its members.
     """
-    s_tup = _check_group(g, group)
+    n = check_graph(g, "graph").n
+    s_tup = as_subset(check_iterable(group, "group"), n, nonempty=True)
+    _refuse_isolated(g, s_tup, "close-knit ratios assume no isolated vertices")
     m = len(s_tup)
     if m > GROUP_SIZE_MAX:
         raise ResourceLimitError(
             f"group size {m} exceeds the group-size bound GROUP_SIZE_MAX = {GROUP_SIZE_MAX}"
         )
     index = {v: t for t, v in enumerate(s_tup)}
-    nbrs = [[index[u] for u in g.adj[v].intersection(index)] for v in s_tup]
-    rows = [sum(1 << j for j in row) for row in nbrs]
-    ind = [len(row) for row in nbrs]  # d_S(i)
+    rows = [sum(1 << index[u] for u in g.adj[v].intersection(index)) for v in s_tup]
+    ind = [row.bit_count() for row in rows]  # d_S(i)
     deg = [len(g.adj[v]) for v in s_tup]
-
-    def ratio(mask: int) -> Fraction:  # d(S', S) / vol(S') for S' = mask
-        members = [i for i in range(m) if mask >> i & 1]
-        twice = sum(2 * ind[i] - (rows[i] & mask).bit_count() for i in members)
-        return Fraction(twice, 2 * sum(deg[i] for i in members))
 
     lam = min(map(Fraction, ind, deg))
     while True:
-        a, b = lam.numerator, lam.denominator
-        res, source_side = _max_flow(nbrs, [b * x - 2 * a * y for x, y in zip(ind, deg)], b)
+        res, source_side = _max_flow(rows, deg, lam.numerator, lam.denominator)
         if not source_side:
             break
-        lam = ratio(source_side)
+        members = [i for i in range(m) if source_side >> i & 1]  # lam = d(R, S) / vol(R)
+        twice = sum(2 * ind[i] - (rows[i] & source_side).bit_count() for i in members)
+        lam = Fraction(twice, 2 * sum(deg[i] for i in members))
     # bit j of reach[i]: the residual arc i -> j exists (j = m is t); then
     # Warshall closure on the bit rows
-    reach = [sum(1 << j for j in row + [m] if res[i][j]) | 1 << i for i, row in enumerate(nbrs)]
+    bits = [1 << j for j in range(m + 1)]
+    reach = [sum(compress(bits, res[i])) | 1 << i for i in range(m)]
     for k in range(m):
         for i in range(m):
             if reach[i] >> k & 1:
@@ -200,17 +197,22 @@ def _ratio_test(g: LabeledGraph, r: Fraction) -> Accept:
     plus a constant, so the minimal minimum cut's source side is empty
     exactly when no slack is negative (Picard & Queyranne, 1980).  Integer
     arithmetic only, and the answer does not depend on the order of the
-    members.
+    members.  That network is a function of the members' rows and degrees
+    in member order, and a certificate's groups come in few such shapes, so
+    each answer a flow gives is kept under that key: one entry per flow.
     """
     p, q = r.numerator, r.denominator
-    pdeg = [p * len(row) for row in g.adj]
+    degree = list(map(len, g.adj))
+    decided: dict[tuple[int, ...], bool] = {}
 
     def accept(members: dict[int, int], rows: list[int]) -> bool:
-        if q * sum(map(int.bit_count, rows)) < 2 * sum(map(pdeg.__getitem__, members)):
+        deg = list(map(degree.__getitem__, members))
+        if q * sum(map(int.bit_count, rows)) < 2 * p * sum(deg):
             return False  # slack(S) < 0: S itself is below r
-        nbrs = [[j for j in range(len(rows)) if nt >> j & 1] for nt in rows]
-        w = [q * len(row) - 2 * pdeg[v] for v, row in zip(members, nbrs)]
-        return not _max_flow(nbrs, w, q)[1]
+        key = (*rows, *deg)
+        if (ok := decided.get(key)) is None:
+            ok = decided[key] = not _max_flow(rows, deg, p, q)[1]
+        return ok
 
     return accept
 
@@ -229,8 +231,7 @@ def _slack(g: LabeledGraph, r: Fraction, k: int) -> Slack:
 
 def _first_group(
     g: LabeledGraph, v: int, k: int, cap: int, accept: Accept,
-    need: list[int] | None = None, nin: list[int] | None = None,
-    slack: Slack | None = None,
+    need: list[int] | None, nin: list[int] | None, slack: Slack,
 ) -> tuple[tuple[int, ...] | None, int]:
     """The first connected set of size <= k containing v that ``accept``
     takes, sorted (None if there is none), and the number of sets examined.
@@ -241,39 +242,35 @@ def _first_group(
     neighbours outside N[G], so no set is examined twice.  The group is
     ``members`` (member -> bit position, in insertion order) with ``rows[t]``
     member t's in-group neighbour mask, and ``nin[w]`` counts w's in-group
-    neighbours, so N[G] is the members and the vertices with nin > 0.
-    ``accept`` sees only groups whose members u all have nin[u] >= need[u]
-    (default 0: every group); ``short`` counts the members below, and a
-    group of size k that fails is skipped in its parent's loop before any
-    row is built.  Every set is still counted and cap-checked, in order.
+    neighbours (None: a fresh list; all zero on entry and on return), so
+    N[G] is the members and the vertices with nin > 0.  ``accept`` sees only
+    groups whose members u all have nin[u] >= need[u] (None: all 0);
+    ``short`` counts the members below, and a group of size k that fails is
+    skipped in its parent's loop before any row is built.
 
-    With ``slack`` (see ``_slack``), sound only when ``accept`` is the ratio
-    test at r = p/q, a subtree that holds no acceptable set is counted, not
-    walked.  Every set S that test takes passes its S' = S pre-test, the
-    sum over w in S of q nin_S(w) - 2p deg(w) >= 0.  A frontier vertex that
-    has been tried is ``out`` for the rest of its frame: no set below holds
-    it, and the fresh vertices found below touch no member of G' = G + u.
-    So in every set below G' a member w has at most av(w) = deg(w) - |N(w)
-    & out| in-group neighbours, and each of the at most k - |G'| further
-    members adds at most ``gain``.  ``room`` is the sum over the members of
-    q av(w) - 2p deg(w): a joining vertex adds its own term, and marking a
-    vertex out takes q for each member it touches (its member mask), so av
-    is not capped at k - 1.  When room + (k - |G'|) gain < 0, ``tally``
-    counts the sets below G' by a lean walk that keeps only ``nin`` and
-    ``members``, with closed forms for its last two levels: a frame one
-    short of k examines its frontier F, and one two short examines
-    |F|(|F| + 1)/2 sets plus, per u in F, u's neighbours outside N[G].  The
-    count is cap-checked as the walk is, so the result, the count and any
-    cap error are the walk's.  ``nin`` is all zero on entry and on return,
-    so one list serves many searches.
+    ``slack`` (see ``_slack``) is sound when ``accept`` is the ratio test at
+    r = p/q, which takes a set S only if the sum over w in S of q nin_S(w) -
+    2p deg(w) is >= 0 (its S' = S pre-test).  A frontier vertex that has
+    been tried is ``out`` for the rest of its frame: no set below holds it,
+    and the fresh vertices found below touch no member of G' = G + u.  So in
+    every set below G' a member w has at most av(w) = deg(w) - |N(w) & out|
+    in-group neighbours, and each of the at most k - |G'| further members
+    adds at most ``gain``.  ``room`` is the sum over the members of q av(w) -
+    2p deg(w): a joining vertex adds its own term, and marking a vertex out
+    takes q for each member it touches (its member mask).  When room + (k -
+    |G'|) gain < 0, ``tally`` counts the sets below G' by a lean walk that
+    keeps only ``nin`` and ``members``, with closed forms for its last two
+    levels: a frame one short of k examines its frontier F, and one two
+    short examines |F|(|F| + 1)/2 sets plus, per u in F, u's neighbours
+    outside N[G].  Every set is counted and cap-checked in walk order, so
+    the result, the count and any cap error are the walk's.  With q = 0 and
+    no own slack or gain the bound never fires: every set is walked.
     """
-    adj, members, rows = g.adj, {}, []
+    adj, members, rows, out = g.adj, {}, [], set()
     need = need or [0] * (g.n + 1)
     nin = nin or [0] * (g.n + 1)
+    q, own, gain = slack
     examined = short = 0
-    if slack is not None:
-        q, own, gain = slack
-        out: set[int] = set()
 
     def over() -> None:
         if examined > cap:
@@ -302,9 +299,6 @@ def _first_group(
         nonlocal examined, short
         t = len(rows)
         bit, full = 1 << t, t + 1 == k
-        bound = slack is not None and not full
-        if bound:
-            spare = (k - t - 1) * gain  # the most the members after G + u can add
         found = None
         for idx, u in enumerate(ext):
             examined += 1
@@ -327,9 +321,7 @@ def _first_group(
                 found = tuple(sorted(members))
             elif not full:
                 fresh = [w for w in adj[u] if nin[w] == 1 and w not in members]
-                if not bound:
-                    found = grow(ext[idx + 1 :] + sorted(fresh), 0)
-                elif (below := room + own[u] - q * len(adj[u] & out)) + spare < 0:
+                if (below := room + own[u] - q * len(adj[u] & out)) + (k - t - 1) * gain < 0:
                     tally(ext[idx + 1 :] + fresh, t + 1)
                 else:
                     found = grow(ext[idx + 1 :] + sorted(fresh), below)
@@ -343,14 +335,15 @@ def _first_group(
                     short += nin[w] + 1 == need[w]
             if found is not None:
                 break
-            if bound:
-                out.add(u)
-                room -= q * mask.bit_count()
-        if bound:
-            out.difference_update(ext)
+            out.add(u)
+            room -= q * mask.bit_count()
+        out.difference_update(ext)
         return found
 
-    return grow([v], 0), examined
+    try:
+        return grow([v], 0), examined
+    finally:
+        del grow, tally  # each reaches itself through its closure cell
 
 
 def _ratio_bound(r) -> Fraction:
@@ -399,10 +392,7 @@ def _certify(
 
 
 def is_rk_closeknit(
-    g: LabeledGraph,
-    r: Fraction | int,
-    k: int,
-    groups_cap: int = GROUPS_PER_VERTEX_CAP,
+    g: LabeledGraph, r: Fraction | int, k: int, groups_cap: int = GROUPS_PER_VERTEX_CAP
 ) -> CloseKnitResult:
     """Search, per vertex, for a connected group of size <= k with ratio >= r.
 
@@ -410,15 +400,12 @@ def is_rk_closeknit(
     (declared search scope; a qualifying group found for one vertex is
     reused as the witness for all its members).  Vertices are processed in
     label order and candidates in enumeration order, so the witness map is
-    deterministic.  A candidate in which every member u has at least
-    ceil(r deg(u)) in-group neighbours is tested for ratio >= r by integer
-    slack (``_ratio_test``), not by computing its minimum: first on the
-    whole group, then over all its subsets at once by one minimum cut.  Any
-    other candidate has a singleton below r.  Since ratio(S) <= 1/2 for every
-    group, no graph is (r, k)-close-knit for r > 1/2.  Every ratio is at
-    least 0, so any r <= 0 is met by every group: such an r is accepted,
-    not refused, and each vertex's witness is its own singleton.  This is
-    ``_certify`` with k fixed.
+    deterministic.  Candidates are decided by integer slack, as the module
+    docstring says, not by computing their minimum, and no graph is (r,
+    k)-close-knit for r > 1/2.  Every ratio is at least 0, so any r <= 0 is
+    met by every group: such an r is accepted, not refused, and each
+    vertex's witness is its own singleton.  This is ``_certify`` with k
+    fixed.
     """
     check_graph(g, "graph")
     k = check_int(k, "group-size bound k", 1, GROUP_SIZE_MAX)
@@ -429,9 +416,7 @@ def is_rk_closeknit(
 
 
 def family_scan(
-    graphs: dict[int, LabeledGraph],
-    r: Fraction | int,
-    k_cap: int = 8,
+    graphs: dict[int, LabeledGraph], r: Fraction | int, k_cap: int = 8
 ) -> dict[int, int | None]:
     """Minimal k <= k_cap for which each graph is (r, k)-close-knit.
 

@@ -79,7 +79,8 @@ def pair_at(position: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Immutable simple undirected graph on vertices 1..n."""
+    """Immutable simple undirected graph on vertices 1..n.  Its constructors
+    refuse n (for ``complete``, C(n, 2)) over ``GRAPH_SIZE_MAX`` at once."""
 
     n: int
     adj: tuple[frozenset[int], ...]  # index 0 unused
@@ -88,6 +89,10 @@ class LabeledGraph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "LabeledGraph":
         n = check_int(n, "vertex count", 0)
+        if n > GRAPH_SIZE_MAX:
+            raise ResourceLimitError(
+                f"graph of n={shown(n)} vertices exceeds the cap GRAPH_SIZE_MAX = {GRAPH_SIZE_MAX}"
+            )
         nbrs: list[set[int]] = [set() for _ in range(n + 1)]
         for e in edges:
             try:
@@ -110,6 +115,11 @@ class LabeledGraph:
     @staticmethod
     def complete(n: int) -> "LabeledGraph":
         n = check_int(n, "vertex count", 0)
+        if comb(n, 2) > GRAPH_SIZE_MAX:  # n past the cap has more pairs than that
+            raise ResourceLimitError(
+                f"complete graph on n={shown(n)} vertices has more than "
+                f"GRAPH_SIZE_MAX = {GRAPH_SIZE_MAX} pairs"
+            )
         return LabeledGraph.from_edges(
             n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         )
@@ -420,6 +430,7 @@ def _below(data: bytes, cut: int) -> bytes:
     return bytes(out)
 
 
+GRAPH_SIZE_MAX = 1 << 20  # the most vertices (complete: pairs) a constructor makes
 GNP_VERTEX_MAX = 4096  # the largest n gnp_sample draws; see its docstring
 
 

@@ -15,7 +15,8 @@ the crossover scan that decides every undecided level by the exact power
 the one-pass block DP over all 2^|S| subset bitmasks that computed
 ``min_ratio`` before the parametric minimum cut, the block DP over the
 same subsets that decided a certificate's candidate groups before one
-minimum cut did, and the per-bit and
+minimum cut did, the maximum flow that was handed its neighbour lists and
+weights instead of building them from bit rows, and the per-bit and
 per-pair loops of the G(n,p) sampler, the canonical flags of a graph
 without kept flags, the canonical, graph6 and two-part codecs,
 ``plant_occurrence`` and ``to_bytes``.  The gasket built from coordinates
@@ -180,6 +181,53 @@ def oracle_min_ratio_blocks(g: LabeledGraph, group) -> tuple[Fraction, tuple[int
                 best_num, best_den, best = x, y, top | rest
     argmin = tuple(v for t, v in enumerate(s_tup) if best >> t & 1)
     return Fraction(best_num, best_den), argmin
+
+
+def oracle_max_flow(nbrs: list[list[int]], w: list[int], b: int) -> tuple[list[list[int]], int]:
+    """``closeknit._max_flow`` as it was when its callers built the network:
+    the residual capacities after a maximum s-t flow, and the group vertices
+    s still reaches.
+
+    Nodes 0..m-1 are the group, t = m and s = m + 1; arcs s -> i carry -w_i
+    where w_i < 0, i -> t carry w_i where w_i > 0, and each group edge
+    carries b both ways.  Augments along shortest paths (BFS) until t is
+    unreachable, trying each node's neighbours in the order ``nbrs`` lists
+    them.  Entry [i][j] of the returned matrix is the residual capacity of
+    the arc i -> j.
+    """
+    m = len(nbrs)
+    t, s = m, m + 1
+    r = [[0] * (m + 2) for _ in range(m + 2)]
+    for i, row in enumerate(nbrs):
+        for j in row:
+            r[i][j] = b
+        if w[i] < 0:
+            r[s][i] = -w[i]
+        else:
+            r[i][t] = w[i]
+    links = [row + [t, s] for row in nbrs] + [list(range(m))] * 2
+    while True:
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            ru = r[u]
+            for v in links[u]:
+                if ru[v] and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if t in parent:
+                break
+        if t not in parent:
+            break
+        path, v = [], t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        delta = min(r[u][v] for u, v in path)
+        for u, v in path:
+            r[u][v] -= delta
+            r[v][u] += delta
+    return r, sum(1 << v for v in parent if v != s)
 
 
 def oracle_ratio_test(g: LabeledGraph, r: Fraction):

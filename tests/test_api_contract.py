@@ -12,7 +12,9 @@ diffusion entry points, the bit strings, encodings and side infos of the
 two-part codec, a graph name, a gasket and a word stream's domain through
 ``errors.check_instance``, and the subset, group and permutation arguments
 through ``errors.check_iterable``.  ``rng.uniform_cut`` refuses a NaN or an
-infinity, ``gnp_sample`` an n over ``GNP_VERTEX_MAX``, a word stream a
+infinity, ``gnp_sample`` an n over ``GNP_VERTEX_MAX``, the graph
+constructors an n (and ``complete`` a pair count) over ``GRAPH_SIZE_MAX``
+before any neighbour set is made, a word stream a
 draw over ``WORDS_PER_DRAW_MAX`` words before they hash, and the gasket
 counts a level over ``COUNT_LEVEL_MAX`` before any power of 3, the
 two-part gain an ordered k over ``GAIN_ORDERED_K_MAX`` before any factorial
@@ -52,6 +54,7 @@ from gasketlab.diffusion import (
 from gasketlab.errors import check_int, check_real
 from gasketlab.graphs import (
     GNP_VERTEX_MAX,
+    GRAPH_SIZE_MAX,
     EdgeBitString,
     as_subset,
     connected_components,
@@ -64,7 +67,9 @@ from gasketlab.graphs import (
     pair_at,
     pos,
 )
-from gasketlab.io import from_graph6, from_json_edges, to_dot, to_graph6, to_json_edges
+from gasketlab.io import (
+    JSON_VERTEX_MAX, from_graph6, from_json_edges, to_dot, to_graph6, to_json_edges,
+)
 from gasketlab.isomorphism import automorphism_count, find_isomorphism, is_isomorphic
 from gasketlab.ramsey import (
     bounds_report,
@@ -88,6 +93,7 @@ from gasketlab.ranking import (
 )
 from gasketlab.rng import WORDS_PER_DRAW_MAX, WordStream, derive_seed, uniform_cut
 from gasketlab.sierpinski import (
+    MAX_LEVEL_DEFAULT,
     build,
     corners,
     edge_count,
@@ -187,6 +193,15 @@ ESCAPES = {
     "from_edges bool label": (lambda: LabeledGraph.from_edges(3, [(True, 2)]), "integer labels"),
     "from_edges n float": (lambda: LabeledGraph.from_edges(2.5, []), "vertex count"),
     "complete n float": (lambda: LabeledGraph.complete(2.5), "vertex count"),
+    "from_edges n past the cap": (
+        lambda: LabeledGraph.from_edges(10**9, []),
+        "^graph of n=1000000000 vertices exceeds the cap GRAPH_SIZE_MAX = 1048576$"),
+    "empty n past the cap": (
+        lambda: LabeledGraph.empty(GRAPH_SIZE_MAX + 1),
+        f"^graph of n={GRAPH_SIZE_MAX + 1} vertices exceeds the cap GRAPH_SIZE_MAX"),
+    "complete pairs past the cap": (
+        lambda: LabeledGraph.complete(10**5),
+        "^complete graph on n=100000 vertices has more than GRAPH_SIZE_MAX = 1048576 pairs$"),
     "gnp p bool": (lambda: gnp_sample(3, True, 0), "edge probability"),
     "gnp n past the cap": (
         lambda: gnp_sample(GNP_VERTEX_MAX + 1, 0.5, 0),
@@ -550,6 +565,15 @@ def test_word_draws_past_the_cap_are_refused_at_once():
             draw(WORDS_PER_DRAW_MAX + 1)
     assert time.perf_counter() - start < 0.1  # nothing was hashed
     assert stream.words(2) == WordStream(0).words(2)  # nor drawn
+
+
+def test_the_graph_cap_admits_the_largest_in_tree_graphs():
+    # a disjoint union of two default-cap gaskets, and a P<n> or E<n> name
+    assert 2 * vertex_count(MAX_LEVEL_DEFAULT) <= GRAPH_SIZE_MAX
+    assert JSON_VERTEX_MAX <= GRAPH_SIZE_MAX
+    assert comb(1448, 2) <= GRAPH_SIZE_MAX < comb(1449, 2)
+    with pytest.raises(ResourceLimitError, match="^complete graph on n=1449 vertices"):
+        LabeledGraph.complete(1449)
 
 
 def test_the_word_cap_admits_the_largest_gnp_sample():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -40,6 +41,21 @@ def test_gen_sierpinski_graph6():
     from gasketlab.io import from_graph6
 
     assert from_graph6(result.stdout.strip()).n == 15
+
+
+def test_out_of_memory_exits_1_with_one_error_line():
+    """S9 as graph6 builds an n x n byte square; under a 128 MiB address-space
+    limit, set in the child process only, that allocation fails."""
+    limit = 128 << 20
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-m", "gasketlab", "gen", "sierpinski", "--level", "9", "--format", "graph6"],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: ran out of memory on this input\n"
 
 
 def test_usage_error_exits_2():

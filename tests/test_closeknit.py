@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -15,9 +16,11 @@ from gasketlab import (
     gnp_sample,
     induced_subgraph,
 )
+from gasketlab import closeknit
 from gasketlab.closeknit import (
     _certify,
     _first_group,
+    _max_flow,
     _ratio_test,
     _slack,
     family_scan,
@@ -36,6 +39,7 @@ from conftest import (
     oracle_family_scan,
     oracle_first_group,
     oracle_is_rk_closeknit,
+    oracle_max_flow,
     oracle_min_ratio,
     oracle_min_ratio_blocks,
     oracle_ratio_test,
@@ -394,6 +398,12 @@ def test_min_ratio_is_isomorphism_invariant():
         )
 
 
+def _walk_every_set(g):
+    """A ``slack`` for ``_first_group`` whose bound never fires: with q = 0,
+    no own slack and no gain, no subtree is counted instead of walked."""
+    return 0, [0] * (g.n + 1), 0
+
+
 def _examined_then_error(g, v, k, cap):
     """The groups ``_first_group`` examines, in order, then its cap error or
     None.  Its ``accept`` records each group, checks the carried rows against
@@ -406,7 +416,7 @@ def _examined_then_error(g, v, k, cap):
         return False
 
     try:
-        found, count = _first_group(g, v, k, cap, record)
+        found, count = _first_group(g, v, k, cap, record, None, None, _walk_every_set(g))
     except ResourceLimitError as exc:
         return examined, str(exc)
     assert found is None and count == len(examined)
@@ -482,7 +492,7 @@ def _searches(g, r, k, cap, need):
         if v in done:
             continue
         try:
-            found, count = _first_group(g, v, k, cap, accept, need, nin)
+            found, count = _first_group(g, v, k, cap, accept, need, nin, _walk_every_set(g))
         except ResourceLimitError as exc:
             return out + [str(exc)]
         assert not any(nin)
@@ -546,8 +556,8 @@ def test_cap_boundary_inside_a_counted_subtree(level, examined):
 def test_counted_subtrees_spare_the_ratio_test_half_its_groups(level, walked):
     """A work guard with no timing: on the slow failing search of the
     ``gasket`` benchmark, the slack bound keeps at least half of the groups
-    the walk hands to ``accept`` away from it.  Without ``slack`` the search
-    walks every set."""
+    the walk hands to ``accept`` away from it.  With a slack that never
+    fires the search walks every set."""
     g, r = build(level).graph, Fraction(2, 5)
     ratio_test, need, seen = _ratio_test(g, r), _needs(g.adj, r), []
 
@@ -555,7 +565,8 @@ def test_counted_subtrees_spare_the_ratio_test_half_its_groups(level, walked):
         seen.append(tuple(members))
         return ratio_test(members, rows)
 
-    assert _first_group(g, 11, 8, 10**6, accept, need) == (None, 4_145 if level == 4 else 4_289)
+    walk = _first_group(g, 11, 8, 10**6, accept, need, None, _walk_every_set(g))
+    assert walk == (None, 4_145 if level == 4 else 4_289)
     assert len(seen) == walked
     seen.clear()
     _first_group(g, 11, 8, 10**6, accept, need, None, _slack(g, r, 8))
@@ -589,6 +600,91 @@ def test_certificate_with_20_member_groups_allocates_no_subset_table():
     assert result == oracle_is_rk_closeknit(g, r, 20)
     # a 2^|S|-entry slack table for a 20-member group alone takes tens of MiB
     assert peak < 2**20
+
+
+@st.composite
+def _networks(draw):
+    """A flow network of ``min_ratio`` at lambda = a/b: up to 20 members
+    with random group edges, degrees at least their in-group degrees, and
+    a random lambda, negative, zero and above 1/2 included."""
+    m = draw(st.integers(1, 20))
+    pairs = list(combinations(range(m), 2))
+    edges = [e for e, on in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
+    rows = [0] * m
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    deg = [row.bit_count() + draw(st.integers(0 if row else 1, 6)) for row in rows]
+    return rows, deg, draw(st.integers(-3, 12)), draw(st.integers(1, 12))
+
+
+@given(_networks())
+@settings(max_examples=200, deadline=None)
+def test_bit_row_network_matches_the_list_network(network):
+    """``_max_flow`` builds from bit rows the network its callers once built
+    from ascending neighbour lists, so it augments along the same paths: the
+    residual matrix and the source side are the oracle's."""
+    rows, deg, a, b = network
+    nbrs = [[j for j in range(len(rows)) if row >> j & 1] for row in rows]
+    w = [b * len(row) - 2 * a * d for row, d in zip(nbrs, deg)]
+    assert _max_flow(rows, deg, a, b) == oracle_max_flow(nbrs, w, b)
+
+
+def _counted_flows(monkeypatch) -> list:
+    """Each network ``closeknit._max_flow`` is handed from now on, copied."""
+    flows, max_flow = [], closeknit._max_flow
+
+    def counted(rows, deg, a, b):
+        flows.append((tuple(rows), tuple(deg), a, b))
+        return max_flow(rows, deg, a, b)
+
+    monkeypatch.setattr(closeknit, "_max_flow", counted)
+    return flows
+
+
+@pytest.mark.parametrize("level", [5, 6, 7])
+def test_certificate_cuts_each_group_shape_once(level, monkeypatch):
+    """A work guard with no timing: a successful gasket certificate at
+    r = 1/3, k = 8 tests hundreds of groups (365 on S7), but they come in
+    a few shapes, and each shape's network is cut once."""
+    flows = _counted_flows(monkeypatch)
+    assert is_rk_closeknit(build(level).graph, Fraction(1, 3), 8).success
+    assert 0 < len(flows) <= 6 and len(set(flows)) == len(flows)
+
+
+def test_certificate_with_20_member_groups_keeps_one_answer_per_flow(monkeypatch):
+    """The ratio test keeps an answer only for a group whose network it cut:
+    S6 at (9/20, 20) runs 6 flows.  Keeping one per group it tests would
+    hold 131 answers, and the certificate would peak near 124 KiB."""
+    g, r = build(6).graph, Fraction(9, 20)
+    flows = _counted_flows(monkeypatch)
+    result = is_rk_closeknit(g, r, 20)
+    assert len(flows) <= 6 and len(set(flows)) == len(flows)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        assert is_rk_closeknit(g, r, 20) == result
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 1024
+
+
+def test_certificates_and_scans_leave_no_cyclic_garbage():
+    """The group search's closures are dropped on return, so a certificate
+    or a family scan frees everything it made by reference counting."""
+    g = build(4).graph
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (lambda: is_rk_closeknit(g, Fraction(2, 5), 8),
+                    lambda: is_rk_closeknit(g, Fraction(1, 3), 8),
+                    lambda: family_scan({4: g}, Fraction(2, 5))):
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
