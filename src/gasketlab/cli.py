@@ -102,11 +102,16 @@ def _int_list(text: str) -> _CommaList:
 
 
 def _levels(text: str) -> _CommaList:
-    """``2,3`` or ranges such as ``1-4``."""
+    """``2,3`` or ranges such as ``1-4``.  A range ends at its first level
+    past ``sierpinski.MAX_LEVEL_DEFAULT``, which every command refuses, so
+    a huge range is never expanded."""
 
     def levels(part: str):
         lo, sep, hi = part.partition("-")
-        return range(int(lo), int(hi) + 1) if sep else [int(part)]
+        if not sep:
+            return [int(part)]
+        lo = int(lo)
+        return range(lo, min(int(hi), max(lo, sierpinski.MAX_LEVEL_DEFAULT + 1)) + 1)
 
     return _comma_list(text, levels, "levels such as 2,3 or 1-4")
 
@@ -251,7 +256,8 @@ def _cmd_closeknit_cert(args) -> str:
 
 
 def _cmd_closeknit_scan(args) -> str:
-    graphs = {level: sierpinski.build(level).graph for level in args.levels}
+    levels = sierpinski.check_levels(args.levels)
+    graphs = {level: sierpinski.build(level).graph for level in levels}
     scan = closeknit.family_scan(graphs, args.r, k_cap=args.k_cap)
     return _json_dump(
         {

@@ -30,12 +30,13 @@ stay those of the walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable
 
-from .errors import DomainError, ResourceLimitError, check_int, check_iterable, check_real, shown
+from .errors import (
+    DomainError, Record, ResourceLimitError, check_int, check_iterable, check_real, shown,
+)
 from .graphs import LabeledGraph, _needs, _refuse_isolated, as_subset, check_graph
 
 __all__ = ["GroupReport", "CloseKnitResult", "min_ratio", "is_rk_closeknit", "family_scan"]
@@ -50,15 +51,13 @@ Accept = Callable[[dict[int, int], list[int]], bool]
 Slack = tuple[int, list[int], int]  # q, own slack, gain: see _slack
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(Record):
     group: tuple[int, ...]
     min_ratio: Fraction
     argmin: tuple[int, ...]  # lexicographically smallest minimizing subset
 
 
-@dataclass(frozen=True)
-class CloseKnitResult:
+class CloseKnitResult(Record):
     r: Fraction
     k: int
     success: bool

@@ -36,12 +36,14 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from itertools import chain, repeat
 from statistics import median
 
-from .errors import DomainError, ResourceLimitError, check_instance, check_int, check_real, shown
+from .errors import (
+    DomainError, Record, ResourceLimitError, check_instance, check_int, check_real, shown,
+)
 from .graphs import LabeledGraph, _below, _needs, _refuse_isolated, as_subset
 from .rng import WordStream, check_seed, derive_seed, uniform_cut
 
@@ -61,8 +63,7 @@ TRACE_REVISIONS_MAX = 1 << 21
 _SWAP = sys.byteorder == "little"  # the stream's words are big-endian
 
 
-@dataclass(frozen=True)
-class CoordinationGame:
+class CoordinationGame(Record):
     """Symmetric 2x2 game; entries are the row player's payoffs."""
 
     a: Fraction  # payoff(A, A)
@@ -92,8 +93,7 @@ def risk_threshold(game: CoordinationGame) -> Fraction:
     return (game.b - game.c) / ((game.a - game.d) + (game.b - game.c))
 
 
-@dataclass(frozen=True)
-class DiffusionConfig:
+class DiffusionConfig(Record):
     """The settings of a run; a horizon of None means 200 revisions per vertex.
 
     Every field is checked here; ``init_adopters`` (a list or tuple) is kept
@@ -235,8 +235,7 @@ def _kernel(g: LabeledGraph, game: CoordinationGame, config: DiffusionConfig):
     return trial, horizon
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Adoption counts per revision (index 0 = initial state) up to the horizon
     or the hitting time, the first revision at which every vertex adopted."""
 
@@ -274,8 +273,7 @@ def run(
     return Trace(tuple(counts), hit, tuple(v + 1 for v, a in enumerate(plays) if a))
 
 
-@dataclass(frozen=True)
-class HittingStats:
+class HittingStats(Record):
     trials: int
     success_rate: float
     median_hit: float | None

@@ -12,13 +12,13 @@ the calling thread; trial i's seed depends only on the master seed and i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
 from . import closeknit, diffusion, ramsey, sierpinski, twopart
-from .errors import DomainError, ResourceLimitError, check_instance, check_int
+from .errors import DomainError, Record, ResourceLimitError, check_instance, check_int
 from .graphs import LabeledGraph, _with_host_flags, as_subset, check_graph, gnp_sample
 from .isomorphism import automorphism_count as aut_count
 from .rng import check_seed, derive_seed
@@ -41,8 +41,7 @@ SWEEP_SUBSETS_MAX = 200_000  # largest C(n, k) a threshold_sweep cell samples
 LINK_K_CAP = 8  # largest group size closeknit_diffusion_link scans
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     """Exact expected induced-copy counts in G(n, 1/2).
 
     A fixed k-subset induces one specific labeled graph with probability
@@ -117,8 +116,7 @@ def sample_pattern_free(
     )
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
+class ContainmentResult(Record):
     n: int
     pattern_size: int
     trials: int
@@ -165,11 +163,12 @@ def threshold_sweep(
     A cell with C(n, k) above ``SWEEP_SUBSETS_MAX`` keeps its exact columns
     but reports no frequency: C(n, k) is a size proxy that keeps sampling
     cheap, not a count of subsets the occurrence search visits.  The bound
-    columns are the point of such rows.
+    columns are the point of such rows.  Every level is checked before the
+    first gasket is built.
     """
     trials, seed = check_int(trials, "trials", 1), check_seed(seed)
     rows: list[dict[str, object]] = []
-    for level in levels:
+    for level in sierpinski.check_levels(levels):
         pattern = sierpinski.build(level).graph
         k = pattern.n
         bounds = twopart.asymptotic_bounds(k)
@@ -211,10 +210,12 @@ def closeknit_diffusion_link(
 
     ``config.horizon`` applies to every level; None means 200 times the
     level's vertex count.  Each trial ends at its first all-A revision.
+    Every level is checked, as ``sierpinski.build`` checks it, before the
+    first gasket is built.
     """
     r_star = diffusion.risk_threshold(game)
     rows: list[dict[str, object]] = []
-    for level in levels:
+    for level in sierpinski.check_levels(levels):
         gasket = sierpinski.build(level)
         scan = closeknit.family_scan({level: gasket.graph}, r_star, k_cap=LINK_K_CAP)
         init = (

@@ -24,7 +24,6 @@ it reads through ``_from_lower_square``, planting keeps a host's flags with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import comb, isqrt
@@ -32,7 +31,8 @@ from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DomainError, ResourceLimitError, check_instance, check_int, check_iterable, check_real, shown,
+    DomainError, Record, ResourceLimitError, check_instance, check_int, check_iterable, check_real,
+    shown,
 )
 from .rng import WordStream, uniform_cut
 
@@ -77,8 +77,7 @@ def pair_at(position: int, n: int) -> tuple[int, int]:
     return i, position - (i - 1) * n + i * (i - 1) // 2 + i
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Record):
     """Immutable simple undirected graph on vertices 1..n.  Its constructors
     refuse n (for ``complete``, C(n, 2)) over ``GRAPH_SIZE_MAX`` at once."""
 
@@ -172,8 +171,7 @@ class LabeledGraph:
         return masks
 
 
-@dataclass(frozen=True)
-class EdgeBitString:
+class EdgeBitString(Record):
     """Canonical C(n,2)-bit encoding of a labeled graph, as '0'/'1' text."""
 
     n: int

@@ -41,11 +41,10 @@ exhaustive-coloring edge budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, ResourceLimitError, check_int, check_real, shown
+from .errors import DomainError, Record, ResourceLimitError, check_int, check_real, shown
 from .graphs import (
     LabeledGraph,
     check_graph,
@@ -190,8 +189,7 @@ def has_mono_induced(
     return False
 
 
-@dataclass(frozen=True)
-class HostCertificate:
+class HostCertificate(Record):
     host: LabeledGraph
     pattern: LabeledGraph
     verified: bool
@@ -275,8 +273,7 @@ def is_host(
     return HostCertificate(g, pattern, False, 1 << m, _coloring_from_index(witness, edges))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Smallest verified host within a *declared candidate list*.
 
     The true induced-Ramsey number minimizes over all graphs; this oracle
@@ -304,8 +301,7 @@ def induced_ramsey_oracle(
     return OracleResult(pattern, None, None, tuple(certs))
 
 
-@dataclass(frozen=True)
-class UnionConstruction:
+class UnionConstruction(Record):
     """Disjoint union with recorded roles: part 1 should be pattern-free,
     part 2 carries the pattern occurrences."""
 
@@ -325,8 +321,7 @@ def construct_union(g1: LabeledGraph, g2: LabeledGraph) -> UnionConstruction:
     )
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(Record):
     g1_vertices: tuple[int, ...]
     g2_vertices: tuple[int, ...]
     mode: str  # "fast" | "proof-faithful"
@@ -365,8 +360,7 @@ def split_union(
     return SplitResult(tuple(sorted(g1)), tuple(sorted(g2)), mode)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """Host-size bound calculators for a bounded-degree pattern.
 
     ``chvatal`` is the classical Ramsey bound k 2^(c D log2 D) for max

@@ -24,15 +24,16 @@ l > 1 the three outer corners have degree 2 and every other vertex degree 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from typing import Iterable
 
-from .errors import ResourceLimitError, check_instance, check_int, shown
+from .errors import Record, ResourceLimitError, check_instance, check_int, check_iterable, shown
 from .graphs import LabeledGraph
 
 __all__ = [
     "SierpinskiGraph",
     "build",
+    "check_levels",
     "vertex_count",
     "edge_count",
     "corners",
@@ -77,8 +78,14 @@ def _check_level(level: int, max_level: int | None = None) -> int:
     return level
 
 
-@dataclass(frozen=True)
-class SierpinskiGraph:
+def check_levels(levels: Iterable[int]) -> list[int]:
+    """The levels as ints, each checked as :func:`build` checks it by
+    default, so a caller that builds several gaskets refuses the first bad
+    level before it builds any."""
+    return [_check_level(level, MAX_LEVEL_DEFAULT) for level in check_iterable(levels, "levels")]
+
+
+class SierpinskiGraph(Record):
     level: int
     graph: LabeledGraph
     coords: dict[int, Coord]  # label -> (row, col)

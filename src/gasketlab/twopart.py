@@ -38,10 +38,9 @@ from __future__ import annotations
 import math
 import re
 import zlib
-from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import DomainError, ResourceLimitError, check_instance, check_int, shown
+from .errors import DomainError, Record, ResourceLimitError, check_instance, check_int, shown
 from .graphs import EdgeBitString, LabeledGraph, _ascii_bits, _inside_positions, as_subset
 from .ranking import (
     PERMUTATION_SIZE_MAX,
@@ -126,8 +125,7 @@ def _residual_bits(n: int, k: int) -> int:
     return comb(n, 2) - comb(k, 2)
 
 
-@dataclass(frozen=True)
-class SideInfo:
+class SideInfo(Record):
     """Conditioning information the decoder gets for free.
 
     The constructor checks every field and builds no pattern: n and k are
@@ -194,8 +192,7 @@ def ordering_index_bits(k: int) -> int:
     return ceil_log2(factorial(check_int(k, "pattern size k", 0)))
 
 
-@dataclass(frozen=True)
-class TwoPartEncoding:
+class TwoPartEncoding(Record):
     subset_rank: int
     perm_rank: int | None  # None iff the generator needs no ordering info
     residual: str  # '0'/'1' text, ascending position order
@@ -205,8 +202,7 @@ class TwoPartEncoding:
         return subset_bits + order_bits + len(self.residual)
 
 
-@dataclass(frozen=True)
-class LengthReport:
+class LengthReport(Record):
     canonical_bits: int
     encoded_bits: int
     gain: int  # canonical - encoded, signed
@@ -277,8 +273,7 @@ def threshold_exact(k: int, ordered: bool) -> int | None:
     return low
 
 
-@dataclass(frozen=True)
-class ContainmentBounds:
+class ContainmentBounds(Record):
     """Real-valued break-even host sizes, leading terms only.
 
     ``ordered`` is 2^((k-1)/2): below this host size, storing an ordered

@@ -82,7 +82,8 @@ from gasketlab.ramsey import (
     split_union,
 )
 from gasketlab.experiments import (
-    expected_occurrences, plant_occurrence, table_to_csv, threshold_sweep,
+    closeknit_diffusion_link, expected_occurrences, plant_occurrence, table_to_csv,
+    threshold_sweep,
 )
 from gasketlab.ranking import (
     ceil_log2,
@@ -226,6 +227,9 @@ ESCAPES = {
     "sweep seed text": (lambda: threshold_sweep([1], [2], 1, "s"), "seed"),
     "sweep trials zero": (lambda: threshold_sweep([1], [2], 0, -5), "trials must be >= 1"),
     "sweep seed negative": (lambda: threshold_sweep([1], [2], 1, -5), "seed must be in"),
+    "link level past the cap after a valid one": (
+        lambda: closeknit_diffusion_link([12, 13], GAME, DiffusionConfig(), 1),
+        "^gasket level 13 exceeds the configured maximum 12"),
     "coloring key text label": (
         lambda: has_mono_induced(K3, {("1", 2): "red", (1, 3): "red", (2, 3): "red"}, K3),
         r"coloring key \('1', 2\) must be a pair of vertex labels"),

@@ -108,6 +108,26 @@ def test_closeknit_cert_and_scan():
     assert payload["minimal_k"] == {"1": 2, "2": 3, "3": 3}
 
 
+@pytest.mark.parametrize("argv", [
+    ["closeknit", "scan", "--levels", "12-13", "--r", "1/3"],
+    ["closeknit", "scan", "--levels", "1-30000000", "--r", "1/3"],
+    ["experiment", "link", "--levels", "12-13", "--payoffs", "2,1,0,0", "--trials", "1"],
+    ["experiment", "threshold-sweep", "--levels", "12,13", "--n-values", "3"],
+])
+def test_a_level_past_the_cap_is_refused_before_any_gasket_is_built(argv, capsys, monkeypatch):
+    """Every listed level is checked first, so no gasket (S12 takes about
+    0.5 s and 129 MiB) is built; a range ends at its first level past the
+    cap, so 1-30000000 is 13 levels, not a list of 3e7 ints."""
+    built = []
+    monkeypatch.setattr(cli.sierpinski, "build", lambda *a, **k: built.append(a))
+    assert run_main(argv, capsys) == (
+        1, "", "error: gasket level 13 exceeds the configured maximum 12; "
+        "raise max_level to override\n")
+    assert built == []
+    assert list(cli._levels("1-30000000")) == list(range(1, 14))
+    assert list(cli._levels("20-30000000,2-1,5")) == [20, 5]
+
+
 def test_ramsey_host_check_and_oracle():
     result = run_cli("ramsey", "host-check", "--host", "K6", "--pattern", "K3")
     payload = json.loads(result.stdout)

@@ -13,9 +13,14 @@ embedding kernel and ``_symmetry``.
 
 ``cli.build_parser`` is built from ``cli._COMMANDS``; every handler must
 have its row and every shared flag spec in ``cli._FLAGS`` a reader.
+
+No class carries a method that ``dataclasses`` exec-compiled: the value
+types take theirs from ``errors.Record``, written once.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -79,6 +84,32 @@ def test_ramsey_takes_only_the_kernel_and_the_symmetry_from_isomorphism():
             assert "gasketlab.isomorphism" not in {alias.name for alias in node.names}
     kernel = {"_allowed", "_embeddings", "_masks", "_plan", "PATTERN_SIZE_MAX"}
     assert taken == kernel | {"_symmetry"}
+
+
+def test_no_class_carries_an_exec_compiled_method():
+    compiled = []
+    for path in sorted((SRC / "gasketlab").glob("*.py")):
+        module = importlib.import_module(f"gasketlab.{path.stem}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            for name, member in vars(cls).items():
+                method = inspect.unwrap(getattr(member, "__func__", member))  # repr is wrapped
+                code = getattr(method, "__code__", None)
+                if code is not None and code.co_filename == "<string>":
+                    compiled.append(f"{cls.__module__}.{cls.__name__}.{name}")
+    assert compiled == []
+
+
+def test_no_module_applies_a_dataclass_decorator():
+    decorated = []
+    for path in (SRC / "gasketlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for deco in getattr(node, "decorator_list", ()):
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if ast.unparse(target) in ("dataclass", "dataclasses.dataclass"):
+                    decorated.append(f"{path.name}:{node.lineno}")
+    assert decorated == []
 
 
 def _rows():
