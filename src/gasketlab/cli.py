@@ -104,14 +104,17 @@ def _int_list(text: str) -> _CommaList:
 def _levels(text: str) -> _CommaList:
     """``2,3`` or ranges such as ``1-4``.  A range ends at its first level
     past ``sierpinski.MAX_LEVEL_DEFAULT``, which every command refuses, so
-    a huge range is never expanded."""
+    a huge range is never expanded; one that ends below its start is a
+    usage error."""
 
     def levels(part: str):
         lo, sep, hi = part.partition("-")
         if not sep:
             return [int(part)]
-        lo = int(lo)
-        return range(lo, min(int(hi), max(lo, sierpinski.MAX_LEVEL_DEFAULT + 1)) + 1)
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"level range {part!r} ends below its start")
+        return range(lo, min(hi, max(lo, sierpinski.MAX_LEVEL_DEFAULT + 1)) + 1)
 
     return _comma_list(text, levels, "levels such as 2,3 or 1-4")
 

@@ -37,19 +37,17 @@ _G6_HEADER = ">>graph6<<"
 JSON_VERTEX_MAX = 100_000  # a JSON "n" allocates n + 1 neighbour sets up front
 
 
+# The size field N(n) in its three width classes (nauty ``formats.txt``):
+# the largest n of the class, the prefix, and the six-bit bytes after it.
+_G6_SIZE_CLASSES = ((62, b"", 1), (258047, b"~", 3), (68719476735, b"~~", 6))
+
+
 def _g6_size_bytes(n: int) -> bytes:
     if n < 0:
         raise DomainError(f"graph6 requires n >= 0, got {shown(n)}")
-    if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes(
-            [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-        )
-    if n <= 68719476735:
-        return bytes([126, 126]) + bytes(
-            (((n >> shift) & 63) + 63) for shift in (30, 24, 18, 12, 6, 0)
-        )
+    for high, prefix, width in _G6_SIZE_CLASSES:
+        if n <= high:
+            return prefix + bytes(((n >> 6 * i) & 63) + 63 for i in reversed(range(width)))
     raise DomainError(f"graph6 supports n < 2^36, got {shown(n)}")
 
 
@@ -57,21 +55,15 @@ def _g6_read_size(data: bytes) -> tuple[int, int]:
     """Return (n, offset of first adjacency byte)."""
     if not data:
         raise DomainError("empty graph6 string")
-    if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise DomainError("truncated graph6 size field")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        return n, 4
-    if len(data) < 8:
-        raise DomainError("truncated graph6 size field")
-    n = 0
-    for b in data[2:8]:
-        n = (n << 6) | (b - 63)
-    return n, 8
+    for _, prefix, width in reversed(_G6_SIZE_CLASSES):  # the longest prefix first
+        if data.startswith(prefix):
+            end = len(prefix) + width
+            if len(data) < end:
+                raise DomainError("truncated graph6 size field")
+            n = 0
+            for b in data[len(prefix) : end]:
+                n = (n << 6) | (b - 63)
+            return n, end
 
 
 # graph6 packs six bits per byte as 63 + value; base64 packs six bits per

@@ -460,7 +460,8 @@ def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
     two bit-length bounds is decided by a bracket on the top bits of k^(2p)
     (``_power_at_least``).  Terminates because the exponential side
     eventually dominates; the scan stops once failure is certain by a
-    doubling margin that only grows with the level.
+    doubling margin that only grows with the level, and a c_d whose scan
+    would pass ``sierpinski.COUNT_LEVEL_MAX`` raises ResourceLimitError.
     """
     c_d = check_real(c_d, "c_d")
     try:
@@ -482,5 +483,3 @@ def poly_exp_crossover_level(c_d: int | float | Fraction) -> int | None:
         elif rhs_bits <= lhs_bits_cap - 2 * p or _power_at_least(k, 2 * p, rhs_bits):
             best = level  # k^(2p) >= 2^(2p (bitlen(k) - 1)) decides without the power
         level += 1
-        if level > 1000:  # unreachable for positive c_d; guards the loop
-            return best

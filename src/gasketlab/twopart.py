@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 import zlib
 from math import comb, factorial
 
@@ -76,8 +77,9 @@ THRESHOLD_K_MAX = 400
 # gain's largest ordered k: the vertex count of S12, the largest gasket a sweep
 # builds, whose ceil(log2 k!) takes 0.8-1.1 s on a 2-core machine
 GAIN_ORDERED_K_MAX = sierpinski.vertex_count(sierpinski.MAX_LEVEL_DEFAULT)
-# gain's largest subset index, as the bound j (len(n) - len(j) + 3) >= log2 C(n, k)
-# on j = min(k, n - k) and bit lengths: the slowest C(n, k) inside it, about
+# the largest subset index that gain and SideInfo.widths form, as the bound
+# j (len(n) - len(j) + 3) >= log2 C(n, k) on j = min(k, n - k) and bit
+# lengths (see subset_index_bits): the slowest C(n, k) inside it, about
 # C(131072, 65536), takes 0.2-0.3 s on a 2-core machine, where C(10^6, 5 10^5)
 # took 9.3 s; threshold_exact's bound stays below 2^17 bits
 GAIN_INDEX_BITS_MAX = 1 << 18
@@ -178,13 +180,25 @@ class SideInfo(Record):
 
     def widths(self) -> tuple[int, int, int]:
         """Bits of the subset index, the ordering index (0 when unordered) and
-        the residual: the serialized body's fields, in order."""
+        the residual: the serialized body's fields, in order.  A subset index
+        that may pass ``GAIN_INDEX_BITS_MAX`` bits raises ResourceLimitError
+        before C(n, k) is formed."""
         n, k = self.n, self.k
         order_bits = ordering_index_bits(k) if self.ordered else 0
         return subset_index_bits(n, k), order_bits, _residual_bits(n, k)
 
 
 def subset_index_bits(n: int, k: int) -> int:
+    """ceil(log2 C(n, k)); ResourceLimitError before C(n, k) is formed if
+    the integer upper bound j (len(n) - len(j) + 3) on log2 C(n, j) =
+    log2 C(n, k), from C(n, j) <= (e n / j)^j with j = min(k, n - k) and
+    len the bit length, passes ``GAIN_INDEX_BITS_MAX``."""
+    j = min(k, n - k)
+    if j * (n.bit_length() - j.bit_length() + 3) > GAIN_INDEX_BITS_MAX:
+        raise ResourceLimitError(  # no digits of n: a huge n has too many to print
+            f"subset index of C(n, k) may pass the cap GAIN_INDEX_BITS_MAX = "
+            f"{GAIN_INDEX_BITS_MAX} bits"
+        )
     return ceil_log2(comb(n, k))
 
 
@@ -199,7 +213,7 @@ class TwoPartEncoding(Record):
 
     def length_bits(self, side: SideInfo) -> int:
         subset_bits, order_bits, _ = check_instance(side, SideInfo, "side").widths()
-        return subset_bits + order_bits + len(self.residual)
+        return subset_bits + order_bits + len(check_instance(self.residual, str, "residual"))
 
 
 class LengthReport(Record):
@@ -215,9 +229,7 @@ def gain(n: int, k: int, ordered: bool) -> int:
     ResourceLimitError before k! is formed; at the cap the call takes
     0.8-1.1 s (2 cores, CPython 3.11.7), and a million took 7.6 s.  So does
     an (n, k) whose subset index may pass ``GAIN_INDEX_BITS_MAX`` bits,
-    before C(n, k) is formed: the test is the integer upper bound
-    j (len(n) - len(j) + 3) on log2 C(n, j) = log2 C(n, k), with
-    j = min(k, n - k) and len the bit length, from C(n, j) <= (e n / j)^j.
+    before C(n, k) is formed (see :func:`subset_index_bits`).
     """
     k, n = check_int(k, "pattern size k", PATTERN_SIZE_MIN), check_int(n, "host size n")
     if n < k:
@@ -226,12 +238,6 @@ def gain(n: int, k: int, ordered: bool) -> int:
         raise ResourceLimitError(
             f"ordered pattern size k={shown(k)} exceeds the cap "
             f"GAIN_ORDERED_K_MAX = {GAIN_ORDERED_K_MAX}"
-        )
-    j = min(k, n - k)
-    if j * (n.bit_length() - j.bit_length() + 3) > GAIN_INDEX_BITS_MAX:
-        raise ResourceLimitError(  # no digits of n: a huge n has too many to print
-            f"subset index of C(n, k) may pass the cap GAIN_INDEX_BITS_MAX = "
-            f"{GAIN_INDEX_BITS_MAX} bits"
         )
     saved = comb(k, 2) - subset_index_bits(n, k)
     if ordered:
@@ -343,28 +349,42 @@ def encode_two_part(
     )
 
 
-def _fields(enc: TwoPartEncoding, side: SideInfo) -> tuple[int, int, int]:
-    """``side.widths()``, once ``enc`` is checked to fill them: a permutation
-    rank iff ordered, and a residual of the residual width."""
+def _fields(enc: TwoPartEncoding, side: SideInfo) -> tuple[tuple[int, int, int], int, int]:
+    """``side.widths()`` and the subset and ordering ranks (the latter 0 when
+    unordered), once ``enc`` is checked to fill them: a '0'/'1' residual of
+    the residual width, a permutation rank iff ordered, and integer ranks
+    below C(n, k) and k!.  The writer, the reader and the decoder all call
+    this, so they accept the same pairs."""
     check_instance(enc, TwoPartEncoding, "encoding")
-    if check_instance(side, SideInfo, "side").ordered and enc.perm_rank is None:
+    n, k = check_instance(side, SideInfo, "side").n, side.k
+    residual, residual_bits = check_instance(enc.residual, str, "residual"), _residual_bits(n, k)
+    if len(residual) != residual_bits:
+        raise DomainError(
+            f"residual must have C(n,2)-C(k,2)={residual_bits} bits, got {len(residual)}"
+        )
+    _ascii_bits(residual, "residual")
+    if side.ordered and enc.perm_rank is None:
         raise DomainError("ordered side info requires a permutation rank")
     if not side.ordered and enc.perm_rank is not None:
         raise DomainError("unordered side info must not carry a permutation rank")
     widths = side.widths()
-    if len(enc.residual) != widths[2]:
-        raise DomainError(
-            f"residual must have C(n,2)-C(k,2)={widths[2]} bits, got {len(enc.residual)}"
-        )
-    return widths
+    subset_rank = check_int(enc.subset_rank, "subset rank")
+    if not 0 <= subset_rank < comb(n, k):
+        raise DomainError(f"subset rank {shown(subset_rank)} out of range [0, C({n},{k}))")
+    if not side.ordered:
+        return widths, subset_rank, 0
+    perm_rank = check_int(enc.perm_rank, "permutation rank")
+    if not 0 <= perm_rank < factorial(k):
+        raise DomainError(f"permutation rank {shown(perm_rank)} out of range [0, {k}!)")
+    return widths, subset_rank, perm_rank
 
 
 def decode_two_part(enc: TwoPartEncoding, side: SideInfo) -> EdgeBitString:
     """Exact inverse of :func:`encode_two_part`."""
-    _fields(enc, side)
+    _, subset_rank, perm_rank = _fields(enc, side)
     n, k = side.n, side.k
-    occ = unrank_subset(enc.subset_rank, n, k)
-    perm = unrank_permutation(enc.perm_rank, k) if side.ordered else tuple(range(1, k + 1))
+    occ = unrank_subset(subset_rank, n, k)
+    perm = unrank_permutation(perm_rank, k) if side.ordered else tuple(range(1, k + 1))
     pattern = side.pattern()
     # splice the pattern's bits into the residual at the inside positions
     residual = enc.residual
@@ -400,32 +420,18 @@ def compressor_proxy(bits: EdgeBitString) -> int:
 # Field widths are ``SideInfo.widths()`` of the header, so the format is
 # self-delimiting given the header.
 
+_HEADER = struct.Struct(">IIH")  # n, k, id length; the id and the ordered byte follow
+
 
 def to_bytes(enc: TwoPartEncoding, side: SideInfo) -> bytes:
-    subset_bits, order_bits, _ = _fields(enc, side)
+    (subset_bits, order_bits, residual_bits), subset_rank, perm_rank = _fields(enc, side)
     gid = side.generator_id.encode("utf-8")
-    header = (
-        side.n.to_bytes(4, "big")
-        + side.k.to_bytes(4, "big")
-        + len(gid).to_bytes(2, "big")
-        + gid
-        + bytes([1 if side.ordered else 0])
-    )
-    fields = [(enc.subset_rank, subset_bits)]
-    if side.ordered:
-        fields.append((enc.perm_rank, order_bits))
-    acc = nbits = 0
-    for value, width in fields:
-        if width:  # a zero-width field is not written
-            if not (0 <= value < (1 << width)):
-                raise DomainError(f"value {shown(value)} does not fit in {width} bits")
-            acc, nbits = (acc << width) | value, nbits + width
-    residual = enc.residual
-    _ascii_bits(residual, "residual")
-    if residual:  # one int() of the whole residual keeps this linear
-        acc, nbits = (acc << len(residual)) | int(residual, 2), nbits + len(residual)
+    # one int() of the whole residual keeps this linear
+    body = ((subset_rank << order_bits | perm_rank) << residual_bits) | int(enc.residual or "0", 2)
+    nbits = subset_bits + order_bits + residual_bits
     pad = (-nbits) % 8
-    return header + (acc << pad).to_bytes((nbits + pad) // 8, "big")
+    header = _HEADER.pack(side.n, side.k, len(gid)) + gid + bytes([side.ordered])
+    return header + (body << pad).to_bytes((nbits + pad) // 8, "big")
 
 
 def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
@@ -436,24 +442,24 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
     ordered (k! >= 2^(k-1)).  Only then does the header become a
     :class:`SideInfo`, which checks the sizes and the generator id, and
     whose field widths are then computed for sizes the blob can encode.
+    The fields read are checked as :func:`to_bytes` checks them.
     """
     if not isinstance(blob, (bytes, bytearray)):
         raise DomainError(f"serialized encoding must be bytes, got {type(blob).__name__}")
-    if len(blob) < 11:
+    if len(blob) < _HEADER.size + 1:
         raise DomainError("serialized encoding shorter than its fixed header")
-    n = int.from_bytes(blob[0:4], "big")
-    k = int.from_bytes(blob[4:8], "big")
-    gid_len = int.from_bytes(blob[8:10], "big")
-    if len(blob) < 10 + gid_len + 1:
+    n, k, gid_len = _HEADER.unpack_from(blob)
+    gid_end = _HEADER.size + gid_len
+    if len(blob) < gid_end + 1:
         raise DomainError("serialized encoding truncated inside the header")
     try:
-        generator_id = blob[10 : 10 + gid_len].decode("utf-8")
+        generator_id = blob[_HEADER.size : gid_end].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(f"generator id in the header is not UTF-8: {exc}") from exc
-    ordered_byte = blob[10 + gid_len]
+    ordered_byte = blob[gid_end]
     if ordered_byte not in (0, 1):
         raise DomainError(f"ordered flag byte must be 0 or 1, got {ordered_byte}")
-    body = blob[10 + gid_len + 1 :]
+    body = blob[gid_end + 1 :]
     least_bits = _residual_bits(n, k) + (k - 1 if ordered_byte else 0)
     if 8 * len(body) < least_bits:
         raise DomainError(
@@ -473,13 +479,7 @@ def from_bytes(blob: bytes) -> tuple[TwoPartEncoding, SideInfo]:
     mask = (1 << residual_bits) - 1
     residual = format(value & mask, f"0{residual_bits}b") if residual_bits else ""
     value >>= residual_bits
-    subset_rank = value >> order_bits
     perm_rank = value & ((1 << order_bits) - 1) if side.ordered else None
-    enc = TwoPartEncoding(
-        subset_rank=subset_rank, perm_rank=perm_rank, residual=residual
-    )
-    if not (0 <= subset_rank < comb(n, k)):
-        raise DomainError(f"subset rank {subset_rank} out of range [0, C({n},{k}))")
-    if side.ordered and not (0 <= perm_rank < factorial(k)):  # type: ignore[operator]
-        raise DomainError(f"permutation rank {perm_rank} out of range [0, {k}!)")
+    enc = TwoPartEncoding(subset_rank=value >> order_bits, perm_rank=perm_rank, residual=residual)
+    _fields(enc, side)
     return enc, side

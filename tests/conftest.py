@@ -46,7 +46,6 @@ from networkx.generators.atlas import graph_atlas_g
 from gasketlab import DomainError, LabeledGraph, ResourceLimitError, induced_subgraph, sierpinski
 from gasketlab.closeknit import GROUPS_PER_VERTEX_CAP, CloseKnitResult, is_rk_closeknit, min_ratio
 from gasketlab.graphs import EdgeBitString, as_subset
-from gasketlab.io import _g6_read_size, _g6_size_bytes
 from gasketlab.ranking import rank_subset, unrank_permutation, unrank_subset
 from gasketlab.twopart import TwoPartEncoding, ordering_index_bits, subset_index_bits
 
@@ -572,8 +571,6 @@ def oracle_poly_exp_crossover_level(c_d) -> int | None:
         elif k ** (2 * p) >= 1 << rhs_bits:
             best = level
         level += 1
-        if level > 1000:
-            return best
 
 
 def oracle_crossover_level_by_logs(c_d, levels=range(1, 40)) -> int | None:
@@ -643,9 +640,35 @@ def oracle_decode(text: str, n: int) -> LabeledGraph:
     return LabeledGraph.from_edges(n, edges)
 
 
+def oracle_g6_size(n: int) -> bytes:
+    """N(n) as nauty's ``formats.txt`` states it: n + 63 for n <= 62, else
+    126 and the 18-bit n for n <= 258047, else 126, 126 and the 36-bit n;
+    each 6-bit group big-endian, plus 63."""
+    if n <= 62:
+        return bytes([n + 63])
+    prefix, bits = (b"~", format(n, "018b")) if n <= 258047 else (b"~~", format(n, "036b"))
+    assert len(bits) in (18, 36)
+    return prefix + bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+
+
+def oracle_read_g6_size(data: bytes) -> tuple[int, int] | None:
+    """(n, offset of the body) as nauty's reader takes them, None if the
+    field is cut short: a first byte below 126 is n + 63; after one 126, a
+    second byte below 126 starts the three-group form, and another 126
+    starts the six-group form."""
+    if len(data) < 1:
+        return None
+    if data[0] < 126:
+        return data[0] - 63, 1
+    start, offset = (2, 8) if data[1:2] == b"~" else (1, 4)
+    if len(data) < offset:
+        return None
+    return int("".join(format(b - 63, "06b") for b in data[start:offset]), 2), offset
+
+
 def oracle_to_graph6(g: LabeledGraph) -> str:
     """Column-major upper triangle, packed six bits per byte by hand."""
-    out = bytearray(_g6_size_bytes(g.n))
+    out = bytearray(oracle_g6_size(g.n))
     acc = nbits = 0
     for j in range(2, g.n + 1):
         for i in range(1, j):
@@ -661,7 +684,7 @@ def oracle_to_graph6(g: LabeledGraph) -> str:
 
 def oracle_from_graph6(text: str) -> LabeledGraph:
     data = text.strip().encode("ascii")
-    n, offset = _g6_read_size(data)
+    n, offset = oracle_read_g6_size(data)
     bits = []
     for b in data[offset:]:
         bits.extend(((b - 63) >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))

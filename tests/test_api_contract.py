@@ -19,8 +19,8 @@ draw over ``WORDS_PER_DRAW_MAX`` words before they hash, and the gasket
 counts a level over ``COUNT_LEVEL_MAX`` before any power of 3, the
 two-part gain an ordered k over ``GAIN_ORDERED_K_MAX`` before any factorial
 and an (n, k) whose subset index may pass ``GAIN_INDEX_BITS_MAX`` bits
-before any binomial, and ``diffusion.run`` a horizon over
-``TRACE_REVISIONS_MAX`` before any word is drawn.
+before any binomial (``SideInfo.widths`` too), and ``diffusion.run`` a
+horizon over ``TRACE_REVISIONS_MAX`` before any word is drawn.
 ``table_to_csv`` names the row or key of a missing column, a key that is
 not a str or a metadata value JSON cannot write.
 A message shows a caller's value through ``errors.shown``, so an integer
@@ -33,6 +33,7 @@ the largest group size, ``limit=1``).
 """
 
 import faulthandler
+import struct
 import time
 from fractions import Fraction
 from math import comb
@@ -82,8 +83,8 @@ from gasketlab.ramsey import (
     split_union,
 )
 from gasketlab.experiments import (
-    closeknit_diffusion_link, expected_occurrences, plant_occurrence, table_to_csv,
-    threshold_sweep,
+    closeknit_diffusion_link, expected_occurrences, plant_occurrence, sample_pattern_free,
+    table_to_csv, threshold_sweep,
 )
 from gasketlab.ranking import (
     ceil_log2,
@@ -123,6 +124,11 @@ HALF = Fraction(1, 2)
 SIDE = SideInfo.for_generator("complete:2", 3)
 ENC = TwoPartEncoding(0, None, "11")
 BITS = EdgeBitString(3, "111")
+P3 = LabeledGraph.from_edges(3, [(1, 2)])
+S1_SIDE = SideInfo.for_generator("sierpinski:1", 3)  # ordered, k = 3: ranks below 3! = 6
+K3_IN_5 = SideInfo.for_generator("complete:3", 5)  # a 4-bit subset index of C(5, 3) = 10 values
+# subset rank 10 in that index, then seven residual bits: one past the last rank
+RANK_10_BLOB = struct.pack(">IIH", 5, 3, 10) + b"complete:3\x00" + bytes([0b10100000, 0])
 HUGE = 10**5000  # 5001 digits, past the 4300 CPython turns into text by default
 TOO_BIG = Fraction(HUGE, 3)
 
@@ -432,7 +438,7 @@ ESCAPES = {
         r"^pattern size k=an integer of 16610 bits"),
     "to_bytes subset rank of 5000 digits": (
         lambda: to_bytes(TwoPartEncoding(HUGE, None, "00"), SIDE),
-        r"^value an integer of 16610 bits does not fit in 2 bits$"),
+        r"^subset rank an integer of 16610 bits out of range \[0, C\(3,2\)\)$"),
     "unrank_permutation k of 5000 digits": (
         lambda: unrank_permutation(0, HUGE),
         r"^permutation size k=an integer of 16610 bits"),
@@ -535,6 +541,62 @@ ESCAPES = {
     "hitting_time_stats fraction of 5000 digits": (
         lambda: hitting_time_stats(K3, GAME, DiffusionConfig(), 1, TOO_BIG),
         r"^adoption_fraction must be in \(0, 1\], got a Fraction too large to print$"),
+    "named_graph path of no vertices": (
+        lambda: named_graph("P0"), "^path needs at least 1 vertex$"),
+    "run graph of no vertices": (
+        lambda: run(LabeledGraph.empty(0), GAME, DiffusionConfig()),
+        "^diffusion needs at least one vertex$"),
+    "sample_pattern_free attempts exhausted": (
+        lambda: sample_pattern_free(1, 0.5, LabeledGraph.empty(1), 3),
+        r"^no pattern-free G\(1,0\.5\) sample within 10000 attempts$"),
+    "coloring color green": (
+        lambda: has_mono_induced(K3, {(1, 2): "green", (1, 3): "red", (2, 3): "red"}, K3),
+        "^color must be 'red' or 'blue', got 'green'$"),
+    "coloring of a non-edge": (
+        lambda: has_mono_induced(P3, {(1, 2): "red", (1, 3): "red"}, K3),
+        r"^colored pair \(1,3\) is not an edge$"),
+    "from_graph6 three-byte size truncated": (
+        lambda: from_graph6("~??"), "^truncated graph6 size field$"),
+    "from_graph6 six-byte size truncated": (
+        lambda: from_graph6("~~???"), "^truncated graph6 size field$"),
+    "to_bytes ordered side without a permutation rank": (
+        lambda: to_bytes(TwoPartEncoding(0, None, ""), S1_SIDE),
+        "^ordered side info requires a permutation rank$"),
+    "to_bytes subset rank of C(n, k)": (
+        lambda: to_bytes(TwoPartEncoding(10, None, "0" * 7), K3_IN_5),
+        r"^subset rank 10 out of range \[0, C\(5,3\)\)$"),
+    "to_bytes permutation rank of k!": (
+        lambda: to_bytes(TwoPartEncoding(0, 6, ""), S1_SIDE),
+        r"^permutation rank 6 out of range \[0, 3!\)$"),
+    "from_bytes subset rank of C(n, k)": (
+        lambda: from_bytes(RANK_10_BLOB), r"^subset rank 10 out of range \[0, C\(5,3\)\)$"),
+    "to_bytes subset rank text": (
+        lambda: to_bytes(TwoPartEncoding("0", None, "11"), SIDE),
+        "^subset rank must be an integer, got '0'$"),
+    "to_bytes subset rank float": (
+        lambda: to_bytes(TwoPartEncoding(0.0, None, "11"), SIDE),
+        "^subset rank must be an integer, got 0.0$"),
+    "to_bytes subset rank bool": (
+        lambda: to_bytes(TwoPartEncoding(True, None, "11"), SIDE),
+        "^subset rank must be an integer, got True$"),
+    "to_bytes permutation rank text": (
+        lambda: to_bytes(TwoPartEncoding(0, "0", ""), S1_SIDE),
+        "^permutation rank must be an integer, got '0'$"),
+    "to_bytes residual int": (
+        lambda: to_bytes(TwoPartEncoding(0, None, 11), SIDE), "^residual must be a str, got int$"),
+    "length_bits residual int": (
+        lambda: TwoPartEncoding(0, None, 11).length_bits(SIDE),
+        "^residual must be a str, got int$"),
+    "to_bytes empty residual of a side of 2^21": (
+        lambda: to_bytes(TwoPartEncoding(0, None, ""),
+                         SideInfo(2**21, 2**20, "empty:1048576", False)),
+        r"^residual must have C\(n,2\)-C\(k,2\)=1649266917376 bits, got 0$"),
+    "side info widths of 2^32 - 1 choose 2^31": (
+        lambda: SideInfo(2**32 - 1, 2**31, "empty:2147483648", False).widths(),
+        r"^subset index of C\(n, k\) may pass the cap GAIN_INDEX_BITS_MAX = 262144 bits$"),
+    "crossover c_d whose level passes the count cap": (
+        lambda: poly_exp_crossover_level(10**4900),
+        "^gasket level 10001 exceeds the cap COUNT_LEVEL_MAX = 10000$"),
 }
 
 

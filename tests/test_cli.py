@@ -125,7 +125,22 @@ def test_a_level_past_the_cap_is_refused_before_any_gasket_is_built(argv, capsys
         "raise max_level to override\n")
     assert built == []
     assert list(cli._levels("1-30000000")) == list(range(1, 14))
-    assert list(cli._levels("20-30000000,2-1,5")) == [20, 5]
+    assert list(cli._levels("20-30000000,5")) == [20, 5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["closeknit", "scan", "--levels", "3-1", "--r", "1/3"],
+    ["closeknit", "scan", "--levels", "0--3", "--r", "1/3"],
+    ["closeknit", "scan", "--levels", "1,3-2", "--r", "1/3"],
+    ["experiment", "link", "--levels", "3-1", "--payoffs", "2,1,0,0", "--trials", "1"],
+])
+def test_a_level_range_that_ends_below_its_start_is_a_usage_error(argv, capsys):
+    """Such a range once parsed as no levels, and the command succeeded on
+    nothing."""
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    part = argv[3].split(",")[-1]
+    assert err.endswith(f"error: argument --levels: level range '{part}' ends below its start\n")
 
 
 def test_ramsey_host_check_and_oracle():
@@ -366,6 +381,11 @@ def test_crossover_in_the_band_answers_in_under_a_second(capsys):
     code, out, _ = run_main(["ramsey", "crossover", "--c-d", "439252"], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 0 and '"max_level": 15' in out
+
+
+def test_crossover_past_level_1000_is_not_cut_short(capsys):
+    code, out, _ = run_main(["ramsey", "crossover", "--c-d", "1" + "0" * 1000], capsys)
+    assert code == 0 and json.loads(out)["max_level"] == 2104
 
 
 def test_gnp_past_the_vertex_cap_exits_1_at_once_with_one_error_line(capsys):

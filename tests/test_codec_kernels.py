@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from gasketlab import DomainError, LabeledGraph, catalog, encode, gnp_sample, graphs, rng
 from gasketlab.experiments import plant_occurrence
 from gasketlab.graphs import EdgeBitString, decode, pos
-from gasketlab.io import from_graph6, from_json_edges, to_graph6
+from gasketlab.io import _g6_read_size, _g6_size_bytes, from_graph6, from_json_edges, to_graph6
 from gasketlab.rng import WordStream
 from gasketlab.twopart import (
     SideInfo,
@@ -47,8 +47,10 @@ from conftest import (
     oracle_encode,
     oracle_encode_two_part,
     oracle_from_graph6,
+    oracle_g6_size,
     oracle_gnp_sample,
     oracle_plant_occurrence,
+    oracle_read_g6_size,
     oracle_to_bytes,
     oracle_to_graph6,
     oracle_words,
@@ -291,6 +293,30 @@ def test_canonical_and_graph6_codecs_match_oracles(n, seed):
     g6 = to_graph6(g)
     assert g6 == oracle_to_graph6(g)
     assert from_graph6(g6) == oracle_from_graph6(g6) == g
+
+
+@given(st.one_of(
+    st.integers(0, 4999),
+    st.sampled_from([62, 63, 258047, 258048, 2**36 - 1]),
+    st.integers(0, 2**36 - 1),
+))
+@settings(max_examples=300, deadline=None)
+def test_graph6_size_field_matches_the_oracle(n):
+    data = _g6_size_bytes(n)
+    assert data == oracle_g6_size(n)
+    assert _g6_read_size(data + b"?") == oracle_read_g6_size(data + b"?") == (n, len(data))
+
+
+@given(st.binary(max_size=9).map(lambda raw: bytes(63 + b % 64 for b in raw)))
+@settings(max_examples=300, deadline=None)
+def test_graph6_size_reader_matches_the_oracle_on_any_prefix(data):
+    """Any run of graph6 bytes (63..126, so 126 comes up often) is read as
+    nauty's reader takes it, or refused if the oracle finds it cut short."""
+    try:
+        read = _g6_read_size(data)
+    except DomainError:
+        read = None
+    assert read == oracle_read_g6_size(data)
 
 
 @given(st.integers(15, 45), seeds, st.data())

@@ -12,7 +12,7 @@ from gasketlab.io import (
     to_json_edges,
 )
 
-from conftest import to_nx
+from conftest import oracle_g6_size, oracle_read_g6_size, to_nx
 
 
 def test_graph6_known_values(k3):
@@ -53,6 +53,23 @@ def test_graph6_size_field_forms():
         data = _g6_size_bytes(n)
         assert _g6_read_size(data + b"xyz")[0] == n
         assert _g6_read_size(data)[1] == len(data)
+
+
+# N(n) for the three examples of nauty's formats.txt and both sides of
+# each class boundary
+FORMATS_TXT_SIZES = {
+    30: "]", 12345: "~B?x", 460175067: "~~?ZZZZZ",
+    62: "}", 63: "~??~", 258047: "~}~~", 258048: "~~???~??",
+}
+
+
+@pytest.mark.parametrize("n, field", FORMATS_TXT_SIZES.items())
+def test_graph6_size_field_matches_formats_txt(n, field):
+    from gasketlab.io import _g6_read_size, _g6_size_bytes
+
+    data = field.encode("ascii")
+    assert _g6_size_bytes(n) == oracle_g6_size(n) == data
+    assert _g6_read_size(data) == oracle_read_g6_size(data) == (n, len(data))
 
 
 def test_graph6_rejects_garbage():

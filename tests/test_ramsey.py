@@ -273,6 +273,15 @@ def test_poly_exp_crossover_levels():
     assert poly_exp_crossover_level(Fraction(5, 2)) == 3
 
 
+def test_the_crossover_scan_runs_past_level_1000():
+    """c_d = 10^1000 crosses over at level 2104: 60-digit logarithms put
+    level 2104 on the polynomial side and 2105 past it."""
+    c_d = 10**1000
+    level = poly_exp_crossover_level(c_d)
+    assert level == 2104
+    assert oracle_crossover_level_by_logs(c_d, levels=(level, level + 1)) == level
+
+
 @pytest.mark.parametrize("c_d", [float("nan"), float("inf"), float("-inf")])
 def test_poly_exp_crossover_refuses_non_finite_constants(c_d):
     with pytest.raises(DomainError, match="c_d must be a finite number"):

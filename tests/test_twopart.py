@@ -245,6 +245,41 @@ def test_to_bytes_refuses_fields_the_side_info_does_not_hold():
     assert from_bytes(blob) == (TwoPartEncoding(2, None, "10"), side)
 
 
+# generator ids and their sizes k; rank and residual values that are no ints
+# or no '0'/'1' text
+GENERATORS = [("complete:2", 2), ("complete:3", 3), ("empty:3", 3), ("sierpinski:1", 3),
+              ("sierpinski:2", 6)]
+NOT_RANKS = st.sampled_from([True, False, "0", 0.0, 1.5, b"0"])
+NOT_RESIDUALS = st.sampled_from([None, 0, b"0", ["0"]])
+
+
+@given(st.sampled_from(GENERATORS), st.integers(0, 4), st.booleans(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_the_writer_and_the_decoder_accept_the_same_pairs(generator, extra, ordered, data):
+    """to_bytes raises iff decode_two_part does, both with DomainError, and
+    what to_bytes writes from_bytes reads back as the same pair."""
+    generator_id, k = generator
+    side = SideInfo.for_generator(generator_id, k + extra, ordered)
+    width = comb(side.n, 2) - comb(k, 2)
+    enc = TwoPartEncoding(
+        data.draw(st.integers(-1, comb(side.n, k)) | NOT_RANKS, label="subset rank"),
+        data.draw(st.none() | st.integers(-1, factorial(k)) | NOT_RANKS, label="perm rank"),
+        data.draw(
+            st.text("01", min_size=width, max_size=width) | st.text("012", max_size=width + 1)
+            | NOT_RESIDUALS, label="residual"),
+    )
+    outcomes = []
+    for call in (to_bytes, decode_two_part):
+        try:
+            outcomes.append(call(enc, side))
+        except DomainError:
+            outcomes.append(None)
+    blob, bits = outcomes
+    assert (blob is None) == (bits is None)
+    if blob is not None:
+        assert from_bytes(blob) == (enc, side)
+
+
 def test_a_generator_id_with_leading_zeros_is_kept_as_given():
     # "complete:0002" names K2, as "complete:2" does; the header keeps the
     # id as written, so blobs written with it read back unchanged
